@@ -144,9 +144,23 @@ let run ?(fuel = 100_000_000) ?(ffi = Interp.default_ffi) (p : C.prog)
   let prev = ref (-1) and cur = ref p.entry and running = ref true in
   while !running do
     let b = C.block p !cur in
-    (* phis in a block are conceptually parallel; all our phis only read
-       values from predecessor blocks, so sequential evaluation is safe *)
-    List.iter (fun i -> Hashtbl.replace env i.C.cid (exec_inst !prev i)) b.insts;
+    (* a block's phis read the values on entry, all at once: a
+       loop-header phi whose latch value is another header phi gets that
+       phi's value from the previous iteration, not the one just
+       assigned *)
+    List.filter_map
+      (fun i ->
+        match i.C.ck with
+        | KPhi _ -> Some (i.C.cid, exec_inst !prev i)
+        | _ -> None)
+      b.insts
+    |> List.iter (fun (cid, v) -> Hashtbl.replace env cid v);
+    List.iter
+      (fun i ->
+        match i.C.ck with
+        | KPhi _ -> ()
+        | _ -> Hashtbl.replace env i.C.cid (exec_inst !prev i))
+      b.insts;
     match b.term with
     | Br next ->
       prev := !cur;

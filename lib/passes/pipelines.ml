@@ -26,7 +26,6 @@
 open Fgv_pssa
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
-module Inc = Fgv_incremental.Engine
 
 type pass_stats = {
   mutable licm_hoisted : int;
@@ -176,10 +175,6 @@ let scalar_passes ?on_pass f stats = run_stages ?on_pass f (scalar_stages f stat
 let o3_novec ?on_pass (f : Ir.func) : pass_stats =
   Tm.time "pipeline.o3_novec" (fun () ->
       Tr.with_span ~cat:"pipeline" "o3_novec" @@ fun () ->
-      (* one memo context per pipeline run: analyses asked repeatedly
-         over unchanged functions answer from the query engine's table
-         (DESIGN §17); dropped when the pipeline returns *)
-      Inc.with_ctx @@ fun () ->
       let stats = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f stats);
       stats)
@@ -187,7 +182,6 @@ let o3_novec ?on_pass (f : Ir.func) : pass_stats =
 let o3 ?(vl = 4) ?on_pass (f : Ir.func) : pass_stats =
   Tm.time "pipeline.o3" (fun () ->
       Tr.with_span ~cat:"pipeline" "o3" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let stats = new_pass_stats () in
       run_stages ?on_pass f
         (scalar_stages f stats
@@ -202,7 +196,6 @@ let sv ?(vl = 4) ?(versioning = false) ?(promotion = false) ?on_pass
       Tr.with_span ~cat:"pipeline"
         (if versioning then "sv_versioning" else "sv")
       @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let stats = new_pass_stats () in
       let config =
         if versioning then
@@ -238,7 +231,6 @@ let sv_versioning ?(vl = 4) ?(promotion = true) ?on_pass f =
 let rle_pipeline ?(versioning = true) ?on_pass (f : Ir.func) : pass_stats =
   Tm.time "pipeline.rle" (fun () ->
       Tr.with_span ~cat:"pipeline" "rle" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let pre = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f pre);
       (* reset: the paper's counters are about the passes running after RLE *)
@@ -253,7 +245,6 @@ let rle_pipeline ?(versioning = true) ?on_pass (f : Ir.func) : pass_stats =
 let rle_baseline ?on_pass (f : Ir.func) : pass_stats =
   Tm.time "pipeline.rle_baseline" (fun () ->
       Tr.with_span ~cat:"pipeline" "rle_baseline" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let pre = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f pre);
       let stats = new_pass_stats () in
@@ -271,7 +262,6 @@ let rle_baseline ?on_pass (f : Ir.func) : pass_stats =
 let dse_pipeline ?(versioning = true) ?on_pass (f : Ir.func) : pass_stats =
   Tm.time "pipeline.dse" (fun () ->
       Tr.with_span ~cat:"pipeline" "dse" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let pre = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f pre);
       let stats = new_pass_stats () in
@@ -289,7 +279,6 @@ let distribute_pipeline ?(vl = 4) ?(versioning = true) ?on_pass (f : Ir.func)
     : pass_stats =
   Tm.time "pipeline.distribute" (fun () ->
       Tr.with_span ~cat:"pipeline" "distribute" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let pre = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f pre);
       let stats = new_pass_stats () in
@@ -320,7 +309,6 @@ let combined ?(vl = 4) ?(versioning = true) ?on_pass (f : Ir.func) :
     pass_stats =
   Tm.time "pipeline.combined" (fun () ->
       Tr.with_span ~cat:"pipeline" "combined" @@ fun () ->
-      Inc.with_ctx @@ fun () ->
       let pre = new_pass_stats () in
       run_stages ?on_pass f (scalar_stages f pre);
       let stats = new_pass_stats () in

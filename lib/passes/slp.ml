@@ -543,7 +543,7 @@ let codegen s : int =
    emitted. *)
 let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
     (stats : stats) : int =
-  let scev = Queries.scev f in
+  let scev = Scev.create f in
   let vsession = lazy (V.Api.create ~condopt:config.condopt ~scev f region) in
   let items = Ir.region_items f region in
   let item_pos = Hashtbl.create (max 16 (List.length items)) in

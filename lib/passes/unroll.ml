@@ -214,7 +214,7 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) ~factor :
 (* Unroll every eligible innermost loop satisfying [select]. *)
 let run ?(factor = 4) ?(select = fun (_ : Ir.loop_id) -> true) (f : Ir.func) :
     int =
-  let scev = Queries.scev f in
+  let scev = Scev.create f in
   let count = ref 0 in
   let rec walk items =
     List.concat_map

@@ -235,9 +235,6 @@ let shard_is_empty s = s.s_counters = [] && s.s_timers = []
 
 let shard_counters s = s.s_counters
 
-let shard_filter_counters keep s =
-  { s with s_counters = List.filter (fun (n, _) -> keep n) s.s_counters }
-
 let shard_timers s =
   List.map (fun (name, total, count, _) -> (name, total, count)) s.s_timers
 

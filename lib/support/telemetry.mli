@@ -110,13 +110,6 @@ val shard_is_empty : shard -> bool
 val shard_counters : shard -> (string * int) list
 (** The shard's counters, sorted by fully qualified name. *)
 
-val shard_filter_counters : (string -> bool) -> shard -> shard
-(** The same shard with only the counters [keep] accepts (timers are
-    untouched).  The incremental query engine strips its own
-    [incremental.*] bookkeeping from memoized shards with this, so a
-    memo-hit replay re-emits exactly the analysis work and never
-    double-counts the engine's asks. *)
-
 val shard_timers : shard -> (string * float * int) list
 (** The shard's timers as (name, total seconds, invocations), sorted
     by fully qualified name. *)

@@ -386,6 +386,8 @@ let collect_remarks f =
   match isolated f with
   | v, shard ->
     force := saved;
+    (* the spans stay on the caller's timeline; only remarks are taken *)
+    merge_shard { shard with sh_rems = [] };
     (v, shard.sh_rems)
   | exception e ->
     force := saved;

@@ -180,6 +180,9 @@ val collect_remarks : (unit -> 'a) -> 'a * (anchor * remark) list
 (** Run the thunk with remarks force-enabled and isolated, restore the
     previous enablement, and return what it emitted — how the fuzz
     campaign attaches the failing pipeline's decisions to a failure
-    report without polluting the global stream.  The force is
-    domain-local, so concurrent pool workers collecting remarks never
+    report and the compile service attaches a compile's decisions to
+    its artifact, without polluting the caller's remark stream.  Spans
+    the thunk records are not captured: they are appended to the
+    caller's buffer, in order, as if the thunk had run there.  The force
+    is domain-local, so concurrent pool workers collecting remarks never
     interfere (the global {!set_remarks} flag is untouched). *)

@@ -7,7 +7,6 @@
 
 open Fgv_pssa
 open Fgv_analysis
-module Q = Fgv_incremental.Engine
 
 type session = {
   s_func : Ir.func;
@@ -21,29 +20,12 @@ type session = {
   s_enclosing : Ir.loop_id list;
 }
 
-(* Plan inference as registered queries (DESIGN §17): the inferred plan
-   is a pure function of the dependence graph — itself a pure function
-   of the function content and the region — and of the requested node
-   sets, so the memo key is region + node ids.  Condition optimization
-   runs downstream of the memo (it depends on the session's condopt
-   config, which is not part of the key). *)
-let infer_nodes_q : Plan.t option Q.query = Q.register "versioning.plan_nodes"
-
-let infer_sep_q : Plan.t option Q.query = Q.register "versioning.plan_separation"
-
-let node_key = function
-  | Ir.NI v -> "i" ^ string_of_int v
-  | Ir.NL l -> "l" ^ string_of_int l
-
-let nodes_key nodes = String.concat "," (List.map node_key nodes)
-
 let create ?(condopt = Condopt.default_config) ?scev (f : Ir.func)
     (region : Ir.region) : session =
   (* callers that already ran SCEV on the unmodified function (e.g. the
-     SLP packer) pass it in rather than paying a second analysis;
-     otherwise sessions share one SCEV through the query engine *)
-  let scev = match scev with Some s -> s | None -> Queries.scev f in
-  let graph = Queries.depgraph ~scev f region in
+     SLP packer) pass it in rather than paying a second analysis *)
+  let scev = match scev with Some s -> s | None -> Scev.create f in
+  let graph = Depgraph.build f scev region in
   let chain = Ir.region_chain f region in
   let enclosing =
     List.rev
@@ -70,11 +52,7 @@ let already_independent s (nodes : Ir.node list) : bool =
    means versioning is infeasible. *)
 let request_independence ?(record = true) s (nodes : Ir.node list) :
     Plan.t option =
-  match
-    Q.get infer_nodes_q s.s_func
-      ~key:(Queries.region_key s.s_region ^ ";" ^ nodes_key nodes)
-      (fun () -> Plan.infer_for_nodes s.s_graph nodes)
-  with
+  match Plan.infer_for_nodes s.s_graph nodes with
   | None -> None
   | Some plan ->
     let plan =
@@ -87,13 +65,7 @@ let request_independence ?(record = true) s (nodes : Ir.node list) :
 (* Make [nodes] independent of [input_nodes] (the general form). *)
 let request_separation ?(record = true) s ~(nodes : Ir.node list)
     ~(input_nodes : Ir.node list) : Plan.t option =
-  match
-    Q.get infer_sep_q s.s_func
-      ~key:
-        (Queries.region_key s.s_region ^ ";" ^ nodes_key nodes ^ "|"
-       ^ nodes_key input_nodes)
-      (fun () -> Plan.infer s.s_graph ~nodes ~input_nodes)
-  with
+  match Plan.infer s.s_graph ~nodes ~input_nodes with
   | None -> None
   | Some plan ->
     let plan =

@@ -266,13 +266,13 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
        below concerns pre-existing nodes only.  Positions are still taken
        from the refreshed item list so insertion indexes account for
        earlier groups' checks. *)
-    let scev = Queries.scev f in
+    let scev = Scev.create f in
     let ctx = Depcond.make_ctx f scev region in
     (* the graph's edges are consulted only when a check chain reaches
        below its insertion point (a cloned load must collect the
        conditions of the dependences it crosses) — a rare shape, so the
        quadratic construction is deferred to first use *)
-    let g = lazy (Queries.depgraph ~scev f region) in
+    let g = lazy (Depgraph.build f scev region) in
     let succ =
       lazy (Depgraph.dependence_succ (Lazy.force g) ~excluded:(fun _ -> false))
     in

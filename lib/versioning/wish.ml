@@ -116,13 +116,7 @@ let spec_anchor (s : Api.session) =
     s.Api.s_func.Ir.fname
 
 (* Run one spec over one region: enumerate, decide, materialize, apply.
-   Returns the per-candidate outcomes so callers can aggregate stats.
-
-   SCEV sharing: [Api.create] asks the incremental query engine for SCEV
-   (and the dependence graph) when [?scev] is not donated, so inside one
-   pipeline run consecutive specs over the same unmodified function —
-   dse's forward and kill specs, rle after dse, every region of the
-   standard walk — reuse one analysis instead of rebuilding per spec. *)
+   Returns the per-candidate outcomes so callers can aggregate stats. *)
 let run_spec ?(versioning = true) ?condopt ?scev (spec : 'a spec)
     (f : Ir.func) (region : Ir.region) : ('a * outcome) list =
   let condopt =

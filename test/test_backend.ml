@@ -166,6 +166,44 @@ let checked_equiv (k : W.kernel) () =
     | Error e -> Alcotest.failf "%s: native run failed: %s" k.W.k_name e
     | Ok obs -> check_obs_equiv k.W.k_name obs iout)
 
+(* -------------------------------------------- parallel phi copies -- *)
+
+(* s291 carries [im1 = i] around its loop: lowered to the CFG, the
+   header phi of [im1] reads the header phi of [i] across the back edge,
+   so it must see the previous iteration's [i].  Copying the phis one
+   after another handed it the new one.  Under [none], [rle] and [dse]
+   the PSSA interpreter, the CFG interpreter and the checked native C
+   must leave the same final memory. *)
+let test_s291_parallel_phis () =
+  let k = tsvc "s291" in
+  List.iter
+    (fun pipeline ->
+      let f = Fgv_frontend.Lower_ast.compile k.W.k_source in
+      (match Fgv_passes.Pipelines.find pipeline with
+      | Some apply -> apply f
+      | None -> ());
+      let name = "s291/" ^ pipeline in
+      let pssa = Interp.run f ~args:k.W.k_args ~mem:(W.fresh_mem k) in
+      let prog = Fgv_cfg.Lower.lower f in
+      let cfg = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
+      Array.iteri
+        (fun i v ->
+          if not (Value.equal v cfg.Fgv_cfg.Cinterp.memory.(i)) then
+            Alcotest.failf "%s mem[%d]: PSSA %s, CFG %s" name i
+              (Value.to_string v)
+              (Value.to_string cfg.Fgv_cfg.Cinterp.memory.(i)))
+        pssa.Interp.memory;
+      if N.available () then
+        match N.compile_checked prog ~mem:(W.fresh_mem k) with
+        | Error e -> Alcotest.failf "%s: native compile failed: %s" name e
+        | Ok c -> (
+          let res = N.run_checked c ~args:k.W.k_args in
+          N.release c;
+          match res with
+          | Error e -> Alcotest.failf "%s: native run failed: %s" name e
+          | Ok obs -> check_obs_equiv name obs cfg))
+    [ "none"; "rle"; "dse" ]
+
 (* ------------------------------------------------------ trap paths -- *)
 
 (* An out-of-bounds store must be a *typed* trap on both sides: the
@@ -232,6 +270,8 @@ let suite =
       (checked_equiv (poly "floyd-warshall"));
     Alcotest.test_case "checked run equals interpreter: lbm_r" `Slow
       (checked_equiv (spec "lbm_r"));
+    Alcotest.test_case "s291 phis copy in parallel (none, rle, dse)" `Quick
+      test_s291_parallel_phis;
     Alcotest.test_case "out-of-bounds store traps natively" `Slow
       test_native_oob_trap;
     Alcotest.test_case "native bench rows deterministic across jobs" `Slow

@@ -1,145 +1,12 @@
-(* Tests for the incremental query engine (lib/incremental, DESIGN §17)
-   and its two consumers:
-
-   - within one compile: registered analyses (SCEV, the dependence
-     graph) memo-hit when re-asked over an unchanged function, turn red
-     when the function content changes, and replay their recorded
-     counters and remarks so a hit is observably identical to a
-     recomputation;
-   - across compiles: the service's per-kernel sub-keys make an edit to
-     one kernel of a batched translation unit recompile only that
-     kernel, with responses byte-identical to a fresh cold service at
-     any job count. *)
+(* Tests for incremental recompilation in the compile service (DESIGN
+   §17): the service's per-kernel sub-keys make an edit to one kernel of
+   a batched translation unit recompile only that kernel, with responses
+   byte-identical to a fresh cold service at any job count. *)
 
 module Tm = Fgv_support.Telemetry
-module Tr = Fgv_support.Trace
-module J = Fgv_support.Json
-module Q = Fgv_incremental.Engine
-module Queries = Fgv_analysis.Queries
 module S = Fgv_service.Service
 module C = Fgv_service.Cache
 module P = Fgv_service.Protocol
-module W = Fgv_bench.Workload
-open Fgv_pssa
-
-let kernel_source pool name =
-  (List.find (fun k -> k.W.k_name = name) pool).W.k_source
-
-let s131 () = kernel_source Fgv_bench.Tsvc.kernels "s131"
-let floyd () = kernel_source Fgv_bench.Polybench.kernels "floyd-warshall"
-
-let compile src = Fgv_frontend.Lower_ast.compile src
-
-let counter delta name = try List.assoc name delta with Not_found -> 0
-
-let non_incremental delta =
-  List.filter
-    (fun (n, _) ->
-      not (String.length n >= 12 && String.sub n 0 12 = "incremental."))
-    delta
-
-(* ------------------------------------------------------------- engine *)
-
-let test_memo_hits () =
-  let f = compile (s131 ()) in
-  (* outside a context the query is a pass-through: no bookkeeping *)
-  let sc0, delta0 = Tm.capture (fun () -> Queries.scev f) in
-  ignore sc0;
-  Alcotest.(check int) "no context, no engine counters" 0
-    (counter delta0 "incremental.queries_asked");
-  let (sc1, sc2, g1, g2), delta =
-    Tm.capture (fun () ->
-        Q.with_ctx (fun () ->
-            let sc1 = Queries.scev f in
-            let sc2 = Queries.scev f in
-            let g1 = Queries.depgraph f Ir.Rtop in
-            let g2 = Queries.depgraph f Ir.Rtop in
-            (sc1, sc2, g1, g2)))
-  in
-  Alcotest.(check bool) "second SCEV ask is the same object" true (sc1 == sc2);
-  Alcotest.(check bool) "second graph ask is the same object" true (g1 == g2);
-  (* 4 asks: scev miss, scev hit, depgraph miss (whose compute re-asks
-     scev: hit, a 5th ask), depgraph hit *)
-  Alcotest.(check int) "queries asked" 5
-    (counter delta "incremental.queries_asked");
-  Alcotest.(check int) "memo hits" 3
-    (counter delta "incremental.memo_hits");
-  Alcotest.(check int) "recomputed" 2
-    (counter delta "incremental.recomputed");
-  Alcotest.(check int) "nothing invalidated" 0
-    (counter delta "incremental.invalidated")
-
-let test_invalidation_on_edit () =
-  (* a kernel constfold definitely rewrites, so re-asking after the pass
-     sees changed content under the same physical function *)
-  let f =
-    compile
-      "kernel g(float* restrict a, int n) { for (int i = 0; i < n; i = i + \
-       1) { a[i] = 1.0 + 2.0; } }"
-  in
-  let folded, delta =
-    Tm.capture (fun () ->
-        Q.with_ctx (fun () ->
-            let sc1 = Queries.scev f in
-            let folded = Fgv_passes.Constfold.run f in
-            let sc2 = Queries.scev f in
-            ignore (sc1 == sc2);
-            Alcotest.(check bool) "edit recomputes a fresh analysis" false
-              (sc1 == sc2);
-            folded))
-  in
-  Alcotest.(check bool) "constfold did rewrite" true (folded > 0);
-  Alcotest.(check int) "the stale entry was invalidated" 1
-    (counter delta "incremental.invalidated");
-  Alcotest.(check int) "both asks computed" 2
-    (counter delta "incremental.recomputed")
-
-(* A memo hit must merge the recorded counters and re-emit the recorded
-   remarks: stripped of the engine's own namespace, the two asks are
-   indistinguishable. *)
-let test_replay_determinism () =
-  let f = compile (s131 ()) in
-  Q.with_ctx (fun () ->
-      let (g1, remarks1), delta1 =
-        Tm.capture (fun () ->
-            Tr.collect_remarks (fun () -> Queries.depgraph f Ir.Rtop))
-      in
-      let (g2, remarks2), delta2 =
-        Tm.capture (fun () ->
-            Tr.collect_remarks (fun () -> Queries.depgraph f Ir.Rtop))
-      in
-      Alcotest.(check bool) "hit returns the computed object" true (g1 == g2);
-      Alcotest.(check (list string)) "remark streams are byte-identical"
-        (List.map (fun r -> J.to_string (Tr.remark_json r)) remarks1)
-        (List.map (fun r -> J.to_string (Tr.remark_json r)) remarks2);
-      let show d =
-        List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-          (List.sort compare (non_incremental d))
-      in
-      Alcotest.(check (list string)) "counter deltas are identical"
-        (show delta1) (show delta2))
-
-(* The whole-pipeline view of the same contract, on floyd-warshall: the
-   sv+v pipeline re-derives analyses across stages and sweeps, so inside
-   its context the engine must both hit (unchanged function between
-   stages) and invalidate (stages that rewrote the function).  The
-   ask/hit/recompute ledger always balances. *)
-let test_pipeline_counters () =
-  let f = compile (floyd ()) in
-  let _stats, delta =
-    Tm.capture (fun () -> Fgv_passes.Pipelines.sv_versioning f)
-  in
-  let asked = counter delta "incremental.queries_asked" in
-  let hits = counter delta "incremental.memo_hits" in
-  let invalidated = counter delta "incremental.invalidated" in
-  let recomputed = counter delta "incremental.recomputed" in
-  Alcotest.(check bool) "pipeline asks queries" true (asked > 0);
-  Alcotest.(check bool) "some asks hit" true (hits > 0);
-  Alcotest.(check bool) "edits invalidate" true (invalidated > 0);
-  Alcotest.(check int) "every ask either hits or recomputes" asked
-    (hits + recomputed);
-  Alcotest.(check bool) "invalidations recompute" true
-    (invalidated <= recomputed)
 
 (* ------------------------------------------------------------ service *)
 
@@ -268,12 +135,6 @@ let test_service_jobs_fingerprint () =
 
 let suite =
   [
-    Alcotest.test_case "engine memo hits" `Quick test_memo_hits;
-    Alcotest.test_case "invalidation on edit" `Quick test_invalidation_on_edit;
-    Alcotest.test_case "hit replay is observably identical" `Quick
-      test_replay_determinism;
-    Alcotest.test_case "pipeline ask/hit ledger balances" `Quick
-      test_pipeline_counters;
     Alcotest.test_case "service splits kernels into units" `Quick
       test_service_units;
     Alcotest.test_case "unit keys are partner-independent" `Quick

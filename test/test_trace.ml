@@ -220,6 +220,10 @@ let s131_src =
    \  }\n\
    }\n"
 
+(* the same kernel under another name: a second, distinct unit *)
+let t131_src =
+  "kernel t131" ^ String.sub s131_src 11 (String.length s131_src - 11)
+
 let test_golden_s131_decisions () =
   let f = Harness.compile s131_src in
   let (_ : P.pass_stats), remarks =
@@ -250,6 +254,37 @@ let test_golden_s131_decisions () =
     remarks;
   (* collect_remarks restored the disabled state *)
   Alcotest.(check bool) "remarks flag restored" false (Tr.remarks_on ())
+
+(* The compile service collects each compile's remarks into its
+   artifact; the compile's spans must still reach the caller's trace,
+   also when pool workers ran the compiles.  Two kernels make two units,
+   so the jobs:2 service compiles them on worker domains. *)
+let test_service_compile_spans () =
+  with_tracing ~spans:true (fun () ->
+      let module S = Fgv_service.Service in
+      let module Pr = Fgv_service.Protocol in
+      let svc = S.create ~jobs:2 () in
+      let rq =
+        {
+          Pr.rq_id = "";
+          rq_source = s131_src ^ t131_src;
+          rq_pipeline = "sv+v";
+          rq_no_restrict = false;
+          rq_emit_c = false;
+          rq_heap = Pr.default_heap;
+        }
+      in
+      (match S.handle_request svc rq with
+      | Pr.Compiled_many { artifacts = [ _; _ ]; _ } -> ()
+      | _ -> Alcotest.fail "expected two compiled kernels");
+      let names = List.map snd (span_shape ()) in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (n ^ " spans from both compiles")
+            true
+            (List.length (List.filter (String.equal n) names) >= 2))
+        [ "service.compile"; "slp"; "plan.infer"; "cut.find" ])
 
 (* ---------------------------------------------------------------- udiff *)
 
@@ -317,6 +352,8 @@ let suite =
       test_remark_determinism_across_jobs;
     Alcotest.test_case "golden s131 decision sequence" `Quick
       test_golden_s131_decisions;
+    Alcotest.test_case "service compiles keep their spans" `Quick
+      test_service_compile_spans;
     Alcotest.test_case "udiff: equal inputs" `Quick test_udiff_equal_is_empty;
     Alcotest.test_case "udiff: golden hunk" `Quick test_udiff_golden;
     Alcotest.test_case "udiff: hunk grouping and labels" `Quick
