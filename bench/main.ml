@@ -21,15 +21,18 @@
    Parallelism: each figure's kernel rows fan out across a domain pool
    (--jobs N, default POOL_JOBS or the core count).  Figures themselves
    run sequentially — that keeps the printed sections ordered and lets
-   Telemetry.capture attribute counters per figure (worker shards merge
-   into the main registry at each join, inside the capture).  Every
-   number in the tables and in the JSON (timings excluded) is identical
-   at any job count; CI diffs --jobs 1 against --jobs 2 to pin that. *)
+   Telemetry.capture attribute counters per figure (the pool merges its
+   tasks' Obs shards into the main domain's context at each join, inside
+   the capture).  Every number in the tables and in the JSON (timings
+   excluded) is identical at any job count; CI diffs --jobs 1 against
+   --jobs 2 to pin that.  Timer totals under "timers" are sums over
+   tasks, not wall-clock spans of the join. *)
 
 module E = Fgv_bench.Experiments
 module W = Fgv_bench.Workload
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module J = Fgv_support.Json
 module H = Fgv_support.Histogram
 module G = Fgv_fuzz.Generator
@@ -402,12 +405,12 @@ let ct_client_specs () =
 
 let ct_run_row spec : ct_row =
   let src = Lazy.force spec.cs_source in
-  (* an isolated registry (not a [capture] delta): per-row counters must
+  (* an isolated context (not a [capture] delta): per-row counters must
      not depend on what earlier rows left behind — a saturated running
      maximum would otherwise make the row's delta vary with the worker
      schedule *)
   let (wall, words), shard =
-    Tm.isolated (fun () ->
+    Obs.isolated (fun () ->
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let f =
@@ -417,10 +420,10 @@ let ct_run_row spec : ct_row =
         spec.cs_apply f;
         (Unix.gettimeofday () -. t0, Gc.minor_words () -. m0))
   in
-  Tm.merge_shard shard;
+  Obs.merge shard;
   { ct_name = spec.cs_name; ct_wall_s = wall; ct_minor_words = words;
-    ct_counters = Tm.shard_counters shard;
-    ct_hists = Tm.shard_timer_histograms shard }
+    ct_counters = Obs.counters shard;
+    ct_hists = Obs.timer_histograms shard }
 
 let run_compiletime () =
   Tr.with_span ~cat:"figure" "compiletime" @@ fun () ->

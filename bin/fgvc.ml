@@ -59,7 +59,7 @@ let print_stats stats =
   match stats with
   | None -> 0
   | Some "json" ->
-    print_endline (Tm.json_to_string (Tm.snapshot ()));
+    print_endline (Fgv_support.Json.to_string (Tm.snapshot ()));
     0
   | Some "text" ->
     print_string (Tm.report ());
@@ -149,7 +149,7 @@ let run_fuzz n seed pipeline report_file stats jobs native finalize =
   let outcome = F.Campaign.run ~native ~pipelines ~jobs ~n ~seed () in
   let report = F.Campaign.report_json outcome in
   let oc = open_out report_file in
-  output_string oc (Tm.json_to_string report);
+  output_string oc (Fgv_support.Json.to_string report);
   output_char oc '\n';
   close_out oc;
   (match outcome.F.Campaign.c_failure with
@@ -316,8 +316,21 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     s
   in
   let f =
-    if no_restrict then Fgv_frontend.Lower_ast.compile_no_restrict source
-    else Fgv_frontend.Lower_ast.compile source
+    let frontend_error m =
+      Printf.eprintf "fgvc: %s: %s\n" file m;
+      exit 1
+    in
+    match
+      (if no_restrict then Fgv_frontend.Lower_ast.compile_no_restrict
+       else Fgv_frontend.Lower_ast.compile)
+        source
+    with
+    | f -> f
+    | exception Fgv_frontend.Lexer.Error m -> frontend_error ("lex error: " ^ m)
+    | exception Fgv_frontend.Parser.Error m ->
+      frontend_error ("parse error: " ^ m)
+    | exception Fgv_frontend.Lower_ast.Error m ->
+      frontend_error ("lowering error: " ^ m)
   in
   let apply =
     match List.assoc_opt pipeline pipelines with
@@ -598,12 +611,15 @@ let cmd =
          tagged with their sequence number).  $(b,--remarks)[=$(b,json)] \
          prints the optimization-remark stream.  $(b,--dump-ir)=DIR writes \
          before/after IR snapshots and unified diffs per pass.  \
-         $(b,--stats)[=$(b,json)] prints the telemetry registry, each timer \
-         with a latency histogram.  $(b,--log) FILE[=LEVEL] writes the \
-         structured event log; $(b,--slow-ms) N flags slow service \
-         requests in it.";
+         $(b,--stats)[=$(b,json)] prints the telemetry counters and \
+         timers, each timer with a latency histogram.  $(b,--log) \
+         FILE[=LEVEL] writes the structured event log; $(b,--slow-ms) N \
+         flags slow service requests in it.";
       `S Manpage.s_exit_status;
       `P "0 on success;";
+      `P
+        "1 when FILE does not lex, parse or lower (the message names the \
+         stage, as the compile service's errors do);";
       `P "2 on usage errors (unknown pipeline, bad format argument);";
       `P "3 when the optimized IR fails verification (a compiler bug);";
       `P "4 when $(b,--fuzz) found a miscompilation;";

@@ -16,7 +16,7 @@
    are independent and the tables they produce are identical at any job
    count (the cost model is deterministic; pool results come back in
    kernel order).  Telemetry recorded by the rows merges back into the
-   caller's registry at the join, so the per-figure counter deltas that
+   caller's context at the join, so the per-figure counter deltas that
    [bench/main.exe --json] captures are job-count-independent too. *)
 
 open Fgv_pssa

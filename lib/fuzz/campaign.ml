@@ -16,16 +16,18 @@
      cell lets in-flight workers skip indices above a known failure,
      while every index below it is still checked — so the minimum is
      exact, matching what the sequential scan stops at;
-   - each program is checked under {!Fgv_support.Telemetry.isolated},
-     and only the shards of the sequential prefix [0 .. failing index]
-     (all of them on a clean campaign) are merged back, in index order.
-     Counters such as [fuzz.oracle_runs] therefore match the [--jobs 1]
-     run exactly; work done speculatively past a failure is discarded;
+   - each program is checked under {!Fgv_support.Obs.isolated}, and
+     only the shards of the sequential prefix [0 .. failing index] (all
+     of them on a clean campaign) are merged back, in index order.
+     Counters such as [fuzz.oracle_runs] and the remark stream therefore
+     match the [--jobs 1] run exactly; work done speculatively past a
+     failure is discarded;
    - shrinking runs on the calling domain after the workers join, on
      the same program the sequential campaign would shrink. *)
 
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module J = Fgv_support.Json
 module Pool = Fgv_support.Pool
 
@@ -74,18 +76,15 @@ let mk_failure ~native ~config ~index ~pseed (fd : Fgv_frontend.Ast.fdecl)
   let shrunk, steps = shrink_failure ~native ~config fd m in
   (* Re-run the failing pipeline once on the reproducer with remarks
      force-enabled: the decision sequence (cuts, checks, versioned nodes,
-     pass work) is the first thing a human wants when triaging.  Telemetry
-     from this extra run is isolated away so report counters stay a
-     function of the campaign alone. *)
-  let (), remarks =
-    Tr.collect_remarks (fun () ->
-        let (), (_ : Tm.shard) =
-          Tm.isolated (fun () ->
-              ignore
-                (Oracle.check ~native ~pipelines:[ m.Oracle.mm_pipeline ]
-                   ~config shrunk))
-        in
-        ())
+     pass work) is the first thing a human wants when triaging.  The
+     counters and spans of this extra run are isolated away so the report
+     stays a function of the campaign alone. *)
+  let ((), remarks), (_ : Obs.shard) =
+    Obs.isolated (fun () ->
+        Obs.collect_remarks (fun () ->
+            ignore
+              (Oracle.check ~native ~pipelines:[ m.Oracle.mm_pipeline ]
+                 ~config shrunk)))
   in
   {
     f_seed = pseed;
@@ -137,37 +136,29 @@ let run_parallel ~native ~config ~pipelines ~jobs ~n ~seed () : outcome =
       let pseed = seed + i in
       let cfg = Generator.vary config ~seed:pseed in
       let fd = Generator.generate ~config:cfg ~seed:pseed () in
-      (* trace events are isolated per task for the same reason telemetry
-         is: only the sequential prefix's shards are replayed below, in
-         index order, so the remark stream is byte-identical at any job
-         count.  (The pool's own per-task trace isolation then sees an
-         empty buffer and merges nothing.) *)
-      let (verdict, shard), tshard =
-        Tr.isolated (fun () ->
-            Tm.isolated (fun () ->
-                Oracle.check ~native ~pipelines ~config:cfg fd))
+      (* only the sequential prefix's shards are merged below, in index
+         order, so counters and remarks match the --jobs 1 run *)
+      let verdict, shard =
+        Obs.isolated (fun () -> Oracle.check ~native ~pipelines ~config:cfg fd)
       in
       (match verdict with Some _ -> lower_to i | None -> ());
-      Some (verdict, shard, tshard, fd, cfg, pseed)
+      Some (verdict, shard, fd, cfg, pseed)
     end
   in
   let results = Pool.map ~jobs check_one (List.init n Fun.id) in
   let results = Array.of_list results in
   let k = Atomic.get watermark in
   let last = if k = max_int then n - 1 else k in
-  (* replay the sequential prefix's telemetry in index order *)
   for i = 0 to last do
     match results.(i) with
-    | Some (_, shard, tshard, _, _, _) ->
-      Tm.merge_shard shard;
-      Tr.merge_shard tshard
+    | Some (_, shard, _, _, _) -> Obs.merge shard
     | None -> assert false (* i <= watermark: the task cannot have bailed *)
   done;
   let failure =
     if k = max_int then None
     else
       match results.(k) with
-      | Some (Some m, _, _, fd, cfg, pseed) ->
+      | Some (Some m, _, fd, cfg, pseed) ->
         Some (mk_failure ~native ~config:cfg ~index:k ~pseed fd m)
       | _ -> assert false
   in

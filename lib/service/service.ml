@@ -7,9 +7,9 @@
    stream is identical at any [--jobs] count and whatever the cache has
    absorbed, because
 
-   - each compile runs against an isolated telemetry registry and a
+   - each compile runs in an isolated observability context and a
      remark collector, so artifacts are pure functions of the request;
-   - worker shards are merged back in request order, never join order;
+   - compile shards merge back in request order, never join order;
    - cache recency/eviction is driven only from the coordinating domain,
      in request order;
    - responses carry no cache metadata and no timestamps.
@@ -24,6 +24,7 @@
 module J = Fgv_support.Json
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module H = Fgv_support.Histogram
 module Ev = Fgv_support.Eventlog
 module Pool = Fgv_support.Pool
@@ -96,7 +97,7 @@ let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
       (Printf.sprintf "unknown pipeline %s (one of: %s)" rq.P.rq_pipeline
          (String.concat ", " ("none" :: Fgv_passes.Pipelines.names)))
   | Some apply -> (
-    match Tr.collect_remarks (fun () -> apply ?on_pass:None f) with
+    match Obs.collect_remarks (fun () -> apply ?on_pass:None f) with
     | exception exn ->
       Error ("pipeline crashed: " ^ Printexc.to_string exn)
     | (), remarks -> (
@@ -122,8 +123,8 @@ let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
           }))
 
 (* One cold whole-source compile: frontend, pipeline, verifier, optional
-   C lowering.  Runs inside a pool worker under an isolated telemetry
-   registry, so the counter snapshot it returns is exactly this
+   C lowering.  Runs inside a pool worker in an isolated observability
+   context, so the counter snapshot it returns is exactly this
    compile's.  Remarks are collected rather than streamed: they belong
    to the artifact.  Used when the source does not split into kernel
    units (it does not lex/parse), so the request's own error comes from
@@ -251,12 +252,13 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
               units))
       keyed
   in
-  (* Compile the distinct misses in parallel, each against an isolated
-     telemetry registry; merge shards back in request order so the
-     global counters are deterministic at any job count.  Each compile
-     is a trace span carrying its request seq, and its wall seconds
-     ride back with the result for the access log (a coalesced
-     duplicate shares the one compile's duration). *)
+  (* Compile the distinct misses in parallel, each in an isolated
+     observability context whose counters become the artifact's.  The
+     shard merges back inside the compile's span, so its pass spans nest
+     there; the pool then merges its tasks in request order, so the
+     global counters are deterministic at any job count.  Each compile's
+     wall seconds ride back with the result for the access log (a
+     coalesced duplicate shares the one compile's duration). *)
   let fresh = Hashtbl.create 16 in
   (match List.rev !pending with
   | [] -> ()
@@ -265,29 +267,29 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
       Pool.map ~jobs:t.jobs
         (fun (rq, u, key, sq) ->
           let t0 = Unix.gettimeofday () in
-          let result, shard =
+          let result =
             Tr.with_span ~cat:"service"
               ~args:
                 [ ("seq", J.Int sq); ("pipeline", J.String rq.P.rq_pipeline) ]
               "service.compile"
               (fun () ->
-                Tm.isolated (fun () ->
-                    Tm.incr "service.compiles";
-                    match u with
-                    | Uwhole -> compile_artifact rq
-                    | Ufn fd -> compile_unit rq fd))
+                let result, shard =
+                  Obs.isolated (fun () ->
+                      Tm.incr "service.compiles";
+                      match u with
+                      | Uwhole -> compile_artifact rq
+                      | Ufn fd -> compile_unit rq fd)
+                in
+                Obs.merge shard;
+                Result.map
+                  (fun a -> { a with P.ar_counters = Obs.counters shard })
+                  result)
           in
-          let result =
-            Result.map
-              (fun a -> { a with P.ar_counters = Tm.shard_counters shard })
-              result
-          in
-          (key, result, shard, Unix.gettimeofday () -. t0))
+          (key, result, Unix.gettimeofday () -. t0))
         pending
     in
     List.iter
-      (fun (key, result, shard, dur) ->
-        Tm.merge_shard shard;
+      (fun (key, result, dur) ->
         Hashtbl.replace fresh key (result, dur);
         match result with
         | Ok a -> Cache.insert t.cache key a

@@ -20,11 +20,10 @@
     output under ["timing"] keys (DESIGN §16).
 
     Concurrency: a {!t} is plain mutable data with no internal locking
-    — confine each instance to one domain (the named registry below is
-    [Domain.DLS]-sharded exactly like {!Telemetry} for exactly this
-    reason).  {!Telemetry} embeds one histogram per timer, so every
-    [*.time] key gains distribution data and histogram shards ride the
-    existing telemetry shard machinery. *)
+    — confine each instance to one domain.  Every {!Telemetry} timer
+    embeds one histogram in the domain's {!Obs} context, so every
+    [*.time] key gains distribution data and crosses domains inside
+    {!Obs} shards. *)
 
 type t
 
@@ -32,10 +31,6 @@ val sub_buckets : int
 (** Linear sub-buckets per power-of-two octave (8). *)
 
 val create : unit -> t
-
-val copy : t -> t
-(** A deep copy that shares no mutable state with the original — how
-    histograms cross domains inside {!Telemetry} shards. *)
 
 val record : t -> float -> unit
 (** Add one sample.  Samples ≤ 0, NaN, and samples below the smallest
@@ -71,43 +66,3 @@ val to_json : t -> Json.t
     "buckets": [{"lo": s, "hi": s, "count": n}, ...]}] — min/max and
     the quantiles are [null] when empty.  Deterministic for a fixed
     sample multiset (see above). *)
-
-(** {1 Named registry}
-
-    A per-domain registry of named histograms, mirroring {!Telemetry}:
-    recording touches only the calling domain's shard (never a lock),
-    and pooled workers hand their shards back for an order-controlled
-    replay.  {!Telemetry} timers do {e not} go through this registry —
-    their histograms live inside the timer cells; this registry is for
-    standalone series (e.g. per-task samples a worker records). *)
-
-val observe : string -> float -> unit
-(** Record one sample into the calling domain's named histogram,
-    creating it empty on first use. *)
-
-val named : unit -> (string * t) list
-(** The calling domain's histograms, sorted by name.  The returned
-    [t]s are live — copy before crossing domains. *)
-
-val find : string -> t option
-
-val reset : unit -> unit
-(** Drop every named histogram of the calling domain. *)
-
-type shard
-(** An immutable snapshot of one domain's named histograms; plain
-    data, safe to cross domains. *)
-
-val empty_shard : shard
-val shard_is_empty : shard -> bool
-
-val isolated : (unit -> 'a) -> 'a * shard
-(** Run the thunk against a fresh, empty registry and return what it
-    recorded as a shard; the calling domain's registry is untouched
-    and restored afterwards (also on exceptions, discarding the
-    shard). *)
-
-val merge_shard : shard -> unit
-(** Fold one shard into the calling domain's registry ({!merge_into}
-    per name).  Because merging is associative and commutative, the
-    replay order cannot change any histogram's serialized form. *)

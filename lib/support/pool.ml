@@ -12,16 +12,12 @@
 
    Determinism: the results array is indexed by input position and each
    cell is written by exactly one worker, so the output order never
-   depends on the schedule.  Telemetry determinism is the shards'
-   problem (see telemetry.mli); the pool's only job is to hand every
-   worker's shard to [Telemetry.merge_joined] at join.
-
-   Tracing: when {!Trace.active} (spans or remarks enabled), each TASK
-   runs under [Trace.isolated] and the per-task shards are replayed in
-   input index order at the join — per task, not per worker, because
-   work stealing makes the worker→index assignment schedule-dependent
-   while the index order is not.  The remark stream is therefore
-   byte-identical at any job count; span timestamps stay wall-clock. *)
+   depends on the schedule.  Observability follows the same rule: each
+   TASK runs under [Obs.isolated] and the shards merge in input index
+   order at the join — per task, not per worker, because work stealing
+   makes the worker->index assignment schedule-dependent while the index
+   order is not.  Counters, remarks and span nesting are therefore the
+   sequential run's at any job count; span timestamps stay wall-clock. *)
 
 exception Nested_map
 
@@ -70,46 +66,33 @@ let steal_back (s : slice) =
 
 (* ---------------------------------------------------------------- map *)
 
-let run_task f (tasks : 'a array) (results : ('b, exn) result option array)
-    (trace_shards : Trace.shard array) i =
-  if Trace.active () then begin
-    let r, shard =
-      Trace.isolated (fun () ->
-          match f tasks.(i) with v -> Ok v | exception e -> Error e)
-    in
-    (* each index is written by exactly one worker: no lock needed *)
-    results.(i) <- Some r;
-    trace_shards.(i) <- shard
-  end
-  else
-    results.(i) <-
-      Some (match f tasks.(i) with v -> Ok v | exception e -> Error e)
+(* The exception is caught inside the isolation, so a failing task's
+   counters and remarks still merge. *)
+let run_task f (tasks : 'a array) results i =
+  (* each index is written by exactly one worker: no lock needed *)
+  results.(i) <-
+    Some
+      (Obs.isolated (fun () ->
+           match f tasks.(i) with v -> Ok v | exception e -> Error e))
 
-let worker f tasks results trace_shards (slices : slice array) (w : int) () =
+let worker f tasks results (slices : slice array) (w : int) () =
   Domain.DLS.set in_task_key true;
   let jobs = Array.length slices in
   let rec own () =
     match take_front slices.(w) with
     | Some i ->
-      run_task f tasks results trace_shards i;
+      run_task f tasks results i;
       own ()
     | None -> steal 1
   and steal k =
     if k < jobs then
       match steal_back slices.((w + k) mod jobs) with
       | Some i ->
-        run_task f tasks results trace_shards i;
+        run_task f tasks results i;
         own () (* the victim may still be full; re-prefer our slice *)
       | None -> steal (k + 1)
   in
-  own ();
-  Telemetry.shard_of_current ()
-
-let collect n (results : ('b, exn) result option array) =
-  List.init n (fun i ->
-      match results.(i) with
-      | Some r -> r
-      | None -> Error (Failure "Pool: task never ran (pool bug)"))
+  own ()
 
 let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
   if Domain.DLS.get in_task_key then raise Nested_map;
@@ -122,7 +105,7 @@ let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
   else if jobs = 1 then begin
     (* inline: same task semantics (including nested-map rejection, which
        surfaces as a captured task error exactly as in a worker), no
-       domains, telemetry recorded directly into the caller's registry *)
+       domains, recording straight into the caller's context *)
     Domain.DLS.set in_task_key true;
     let results =
       List.map
@@ -133,21 +116,22 @@ let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
     results
   end
   else begin
-    let results : ('b, exn) result option array = Array.make n None in
-    let trace_shards = Array.make n Trace.empty_shard in
+    let results = Array.make n None in
     let slices =
       Array.init jobs (fun w ->
           { lock = Mutex.create (); lo = w * n / jobs; hi = (w + 1) * n / jobs })
     in
     let domains =
-      Array.init jobs (fun w ->
-          Domain.spawn (worker f tasks results trace_shards slices w))
+      Array.init jobs (fun w -> Domain.spawn (worker f tasks results slices w))
     in
-    let shards = Array.to_list (Array.map Domain.join domains) in
-    Telemetry.merge_joined shards;
-    (* trace events replay in input order: deterministic remark stream *)
-    Array.iter Trace.merge_shard trace_shards;
-    collect n results
+    Array.iter Domain.join domains;
+    (* List.init runs left to right: shards merge in input order *)
+    List.init n (fun i ->
+        match results.(i) with
+        | Some (r, shard) ->
+          Obs.merge shard;
+          r
+        | None -> Error (Failure "Pool: task never ran (pool bug)"))
   end
 
 let map ?jobs f xs =

@@ -16,12 +16,13 @@
       [result]s; {!map} re-raises the lowest-index exception after all
       tasks have finished — the same exception a sequential
       left-to-right run would have surfaced first.
-    - {b Telemetry}: each worker domain records into its own
-      {!Telemetry} shard; at join the shards are folded into the
-      calling domain's registry ({!Telemetry.merge_joined}: counters
-      summed, timer totals maxed, timer counts summed).  A
-      [Telemetry.capture] around a [map] therefore sees every counter
-      the tasks bumped, at any job count.
+    - {b Observability}: at [jobs > 1] each task runs under
+      {!Obs.isolated}, and at the join the tasks' shards merge into the
+      caller's context in input order ({!Obs.merge}), failing tasks
+      included; at [~jobs:1] tasks record straight into the caller.
+      Counters, remarks and span nesting are the same at any job count,
+      so a [Telemetry.capture] around a [map] sees every counter the
+      tasks bumped.  A timer's total is the sum over tasks.
     - {b No nesting}: calling [map]/[try_map] from inside a pool task
       raises {!Nested_map} at any job count (also at [~jobs:1], so a
       sequential run cannot silently accept a structure that would

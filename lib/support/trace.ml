@@ -2,18 +2,17 @@
 
    - enablement is two process-global [Atomic.t bool]s read by every
      domain; a disabled site is one atomic load and a branch.  The
-     per-compile force used by [collect_remarks] is domain-local (a
-     DLS cell), never the global flag — see the note at its
-     definition;
-   - buffers are per-domain through [Domain.DLS], reversed lists (append
-     is a cons); export reverses once;
-   - span events are explicit Begin/End pairs rather than completed
-     spans, so nesting is encoded by order (deterministically testable)
-     and maps 1:1 onto Chrome's "B"/"E" duration events;
+     per-compile force used by [Obs.collect_remarks] lives in the
+     domain's context, never in the global flag: a worker restoring a
+     global flag would truncate a sibling's collection;
+   - spans and remarks go to the calling domain's {!Obs} context as
+     reversed lists (append is a cons); export reverses once;
    - timestamps are [Unix.gettimeofday] relative to one process-wide
      epoch, in microseconds as the Chrome format wants.  They make span
      *durations* non-deterministic, which is fine: determinism is only
      promised for the remark stream, which carries no timestamps. *)
+
+include Obs.Remark
 
 let spans_flag = Atomic.make false
 let remarks_flag = Atomic.make false
@@ -23,91 +22,28 @@ let set_remarks b = Atomic.set remarks_flag b
 let spans_on () = Atomic.get spans_flag
 let remarks_on () = Atomic.get remarks_flag
 
-(* [collect_remarks] force-enables remark recording for one domain
-   only.  It used to toggle the process-global atomic, which raced
-   under the pool: a worker finishing its collection would restore the
-   flag to "off" while a sibling was mid-collect, silently truncating
-   the sibling's remark stream (observed as nondeterministic remark
-   counts in service batches at --jobs > 1). *)
-let force_remarks_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
 let remarks_recording () =
-  Atomic.get remarks_flag || !(Domain.DLS.get force_remarks_key)
-
-let active () = spans_on () || remarks_on ()
+  Atomic.get remarks_flag || (Obs.cur ()).force_remarks
 
 let epoch = Unix.gettimeofday ()
 
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
-(* ------------------------------------------------------------ buffers *)
-
-type anchor = {
-  a_func : string;
-  a_loop : int option;
-  a_value : string option;
-}
-
 let anchor ?loop ?value a_func = { a_func; a_loop = loop; a_value = value }
-
-type remark =
-  | Versioned of { nodes : int; conds : int; phis : int }
-  | Cut_found of { edges : int; capacity : int }
-  | Cut_infeasible of { flow : int }
-  | Check_emitted of { atoms : int; cloned : int }
-  | Secondary_plan of { depth : int; plans : int }
-  | Plan_infeasible
-  | Cond_eliminated of { removed : int }
-  | Cond_coalesced of { merged : int }
-  | Cond_promoted of { precise : bool }
-  | Promotion_failed
-  | Pass_applied of { pass : string; work : (string * int) list }
-  | Pass_skipped of { pass : string; reason : string }
-  | Materialize_aborted of { reason : string }
-  | Graph_sparsity of { nodes : int; edges : int; pairs_pruned : int }
-  | Wish_granted of { client : string; wanted : string; conds : int;
-                      static : bool }
-  | Wish_denied of { client : string; wanted : string }
-  | Store_eliminated of { forwarded : int; killed : int }
-  | Loop_distributed of { pieces : int; conds : int }
-  | Cache_hit of { key : string; pipeline : string }
-
-type span_entry =
-  | Sbegin of {
-      name : string;
-      cat : string;
-      ts : float;
-      tid : int;
-      args : (string * Json.t) list;
-    }
-  | Send of { ts : float; tid : int }
-
-type buf = {
-  mutable spans : span_entry list; (* reversed *)
-  mutable rems : (anchor * remark) list; (* reversed *)
-}
-
-let fresh_buf () = { spans = []; rems = [] }
-
-let buf_key : buf Domain.DLS.key = Domain.DLS.new_key fresh_buf
-
-let cur () = Domain.DLS.get buf_key
 
 let tid () = (Domain.self () :> int)
 
 (* -------------------------------------------------------------- spans *)
 
+let push_span e =
+  let c = Obs.cur () in
+  c.spans <- e :: c.spans
+
 let with_span ?(cat = "fgv") ?(args = []) name f =
   if not (spans_on ()) then f ()
   else begin
-    let b = cur () in
-    b.spans <- Sbegin { name; cat; ts = now_us (); tid = tid (); args } :: b.spans;
-    let finish () =
-      (* re-fetch: an [isolated] inside the span swapped buffers *)
-      let b = cur () in
-      b.spans <- Send { ts = now_us (); tid = tid () } :: b.spans
-    in
+    push_span (Obs.Sbegin { name; cat; ts = now_us (); tid = tid (); args });
+    let finish () = push_span (Obs.Send { ts = now_us (); tid = tid () }) in
     match f () with
     | v ->
       finish ();
@@ -121,14 +57,14 @@ let with_span ?(cat = "fgv") ?(args = []) name f =
 
 let remark a r =
   if remarks_recording () then begin
-    let b = cur () in
-    b.rems <- (a, r) :: b.rems
+    let c = Obs.cur () in
+    c.remarks <- (a, r) :: c.remarks
   end
 
 (* ------------------------------------------------------------- export *)
 
 let span_event_json = function
-  | Sbegin { name; cat; ts; tid; args } ->
+  | Obs.Sbegin { name; cat; ts; tid; args } ->
     Json.Assoc
       ([
          ("name", Json.String name);
@@ -139,7 +75,7 @@ let span_event_json = function
          ("tid", Json.Int tid);
        ]
       @ if args = [] then [] else [ ("args", Json.Assoc args) ])
-  | Send { ts; tid } ->
+  | Obs.Send { ts; tid } ->
     Json.Assoc
       [
         ("ph", Json.String "E");
@@ -149,10 +85,10 @@ let span_event_json = function
       ]
 
 let chrome_trace () : Json.t =
-  let entries = List.rev (cur ()).spans in
+  let entries = List.rev (Obs.cur ()).spans in
   let tids =
     List.sort_uniq compare
-      (List.map (function Sbegin b -> b.tid | Send e -> e.tid) entries)
+      (List.map (function Obs.Sbegin b -> b.tid | Obs.Send e -> e.tid) entries)
   in
   let metadata =
     Json.Assoc
@@ -189,7 +125,7 @@ let write_chrome_trace file =
   output_char oc '\n';
   close_out oc
 
-let remarks () = List.rev (cur ()).rems
+let remarks () = List.rev (Obs.cur ()).remarks
 
 let slug_and_payload :
     remark -> string * (string * Json.t) list = function
@@ -344,51 +280,6 @@ let remarks_report () =
   String.concat "" (List.map (fun r -> remark_text r ^ "\n") (remarks ()))
 
 let reset () =
-  let b = cur () in
-  b.spans <- [];
-  b.rems <- []
-
-(* ------------------------------------------------------------- shards *)
-
-type shard = {
-  sh_spans : span_entry list; (* in order *)
-  sh_rems : (anchor * remark) list; (* in order *)
-}
-
-let empty_shard = { sh_spans = []; sh_rems = [] }
-
-let shard_is_empty s = s.sh_spans = [] && s.sh_rems = []
-
-let isolated f =
-  let saved = cur () in
-  Domain.DLS.set buf_key (fresh_buf ());
-  match f () with
-  | v ->
-    let b = cur () in
-    let shard = { sh_spans = List.rev b.spans; sh_rems = List.rev b.rems } in
-    Domain.DLS.set buf_key saved;
-    (v, shard)
-  | exception e ->
-    Domain.DLS.set buf_key saved;
-    raise e
-
-let merge_shard s =
-  if not (shard_is_empty s) then begin
-    let b = cur () in
-    b.spans <- List.rev_append s.sh_spans b.spans;
-    b.rems <- List.rev_append s.sh_rems b.rems
-  end
-
-let collect_remarks f =
-  let force = Domain.DLS.get force_remarks_key in
-  let saved = !force in
-  force := true;
-  match isolated f with
-  | v, shard ->
-    force := saved;
-    (* the spans stay on the caller's timeline; only remarks are taken *)
-    merge_shard { shard with sh_rems = [] };
-    (v, shard.sh_rems)
-  | exception e ->
-    force := saved;
-    raise e
+  let c = Obs.cur () in
+  c.spans <- [];
+  c.remarks <- []

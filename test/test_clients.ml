@@ -15,6 +15,7 @@ module P = Fgv_passes
 module W = Fgv_bench.Workload
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module Pool = Fgv_support.Pool
 module G = Fgv_fuzz.Generator
 
@@ -54,7 +55,7 @@ let test_dse_golden_s222 () =
      versioned separation from the e accesses *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s222") in
   let stats, remarks =
-    Tr.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
+    Obs.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
   in
   Alcotest.(check int) "forwarded" 1 stats.P.Pipelines.dse_forwarded;
   Alcotest.(check int) "killed" 1 stats.P.Pipelines.dse_killed;
@@ -70,7 +71,7 @@ let test_dse_golden_s222 () =
 let test_distribute_golden_s2251 () =
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
   let stats, remarks =
-    Tr.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
+    Obs.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
   in
   Alcotest.(check int) "loops split" 1 stats.P.Pipelines.distribute_split;
   Alcotest.(check int) "pieces" 2 stats.P.Pipelines.distribute_pieces;
@@ -91,7 +92,7 @@ let test_distribute_golden_s2251 () =
 let test_dse_static_restrict () =
   let f = Fgv_frontend.Lower_ast.compile (tsvc "s222") in
   let stats, remarks =
-    Tr.collect_remarks (fun () ->
+    Obs.collect_remarks (fun () ->
         P.Pipelines.dse_pipeline ~versioning:false f)
   in
   Alcotest.(check int) "forwarded" 1 stats.P.Pipelines.dse_forwarded;
@@ -124,7 +125,7 @@ let test_kill_denied_unversionable () =
   let f = Fgv_frontend.Lower_ast.compile_no_restrict src in
   let before = count_stores f in
   let stats, remarks =
-    Tr.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
+    Obs.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
   in
   Alcotest.(check int) "nothing forwarded" 0 stats.P.Pipelines.dse_forwarded;
   Alcotest.(check int) "nothing killed" 0 stats.P.Pipelines.dse_killed;
@@ -138,7 +139,7 @@ let test_distribute_no_candidate_on_flow () =
      and there is nothing to distribute (not even a wish to deny) *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s221") in
   let stats, remarks =
-    Tr.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
+    Obs.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
   in
   Alcotest.(check int) "no split" 0 stats.P.Pipelines.distribute_split;
   Alcotest.(check (list string))
@@ -152,7 +153,7 @@ let test_distribute_denied_without_versioning () =
      wish must be denied and the loop left fused *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
   let stats, remarks =
-    Tr.collect_remarks (fun () ->
+    Obs.collect_remarks (fun () ->
         P.Pipelines.distribute_pipeline ~versioning:false f)
   in
   Alcotest.(check int) "no split" 0 stats.P.Pipelines.distribute_split;

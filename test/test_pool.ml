@@ -5,6 +5,8 @@
    a bench figure produce identical output at --jobs 1 and --jobs 4. *)
 
 module Tm = Fgv_support.Telemetry
+module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module Pool = Fgv_support.Pool
 module E = Fgv_bench.Experiments
 module Campaign = Fgv_fuzz.Campaign
@@ -96,9 +98,7 @@ let test_timer_merge () =
      List.find_opt (fun (name, _, _) -> name = "pool.test.timer") timers
    with
   | Some (_, total, count) ->
-    (* counts sum across shards; the merged total is the max over the
-       joined shards (critical path), so it is bounded by any one
-       shard's work but still non-negative *)
+    (* counts and totals sum over the tasks' shards *)
     Alcotest.(check int) "timer count summed" 6 count;
     Alcotest.(check bool) "timer total non-negative" true (total >= 0.0)
   | None -> Alcotest.fail "timer not merged");
@@ -108,7 +108,7 @@ let test_isolated_merge_shard_roundtrip () =
   Tm.reset ();
   Tm.incr "pool.test.outer";
   let (), shard =
-    Tm.isolated (fun () ->
+    Obs.isolated (fun () ->
         Tm.incr "pool.test.inner";
         Tm.incr "pool.test.inner")
   in
@@ -116,18 +116,51 @@ let test_isolated_merge_shard_roundtrip () =
     "isolated work invisible before merge" 0
     (Tm.get "pool.test.inner");
   Alcotest.(check int) "outer counter untouched" 1 (Tm.get "pool.test.outer");
-  Tm.merge_shard shard;
+  Obs.merge shard;
   Alcotest.(check int)
     "isolated work visible after merge" 2
     (Tm.get "pool.test.inner");
   Tm.reset ()
+
+(* A task that raises still hands its counters and remarks to the
+   caller, in input order, at any job count. *)
+let test_failing_task_telemetry () =
+  let r0 = Tr.remarks_on () in
+  Tr.set_remarks true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tr.set_remarks r0;
+      Tr.reset ();
+      Tm.reset ())
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Tm.reset ();
+          Tr.reset ();
+          let task i =
+            Tm.incr "pool.test.tasks";
+            Tr.remark (Tr.anchor (string_of_int i)) Tr.Plan_infeasible;
+            if i mod 3 = 0 then failwith "boom";
+            i
+          in
+          let results = Pool.try_map ~jobs task (List.init 10 Fun.id) in
+          let label s = Printf.sprintf "%s at jobs:%d" s jobs in
+          Alcotest.(check int) (label "failed tasks") 4
+            (List.length (List.filter Result.is_error results));
+          Alcotest.(check int) (label "every task counted") 10
+            (Tm.get "pool.test.tasks");
+          Alcotest.(check (list string))
+            (label "remarks in input order")
+            (List.init 10 string_of_int)
+            (List.map (fun ((a : Tr.anchor), _) -> a.Tr.a_func) (Tr.remarks ())))
+        [ 1; 4 ])
 
 (* -------------------------------------------- end-to-end determinism *)
 
 let run_campaign jobs =
   Tm.reset ();
   let outcome = Campaign.run ~jobs ~n:20 ~seed:42 () in
-  let report = Tm.json_to_string (Campaign.report_json outcome) in
+  let report = Fgv_support.Json.to_string (Campaign.report_json outcome) in
   Tm.reset ();
   report
 
@@ -164,6 +197,8 @@ let suite =
     Alcotest.test_case "timer merge" `Quick test_timer_merge;
     Alcotest.test_case "isolated/merge_shard round-trip" `Quick
       test_isolated_merge_shard_roundtrip;
+    Alcotest.test_case "failing task telemetry reaches the caller" `Quick
+      test_failing_task_telemetry;
     Alcotest.test_case "campaign determinism" `Slow test_campaign_determinism;
     Alcotest.test_case "figure determinism" `Slow test_figure_determinism;
   ]

@@ -259,6 +259,32 @@ let test_failures_not_cached () =
   | P.Compiled _ | P.Compiled_many _ ->
     Alcotest.fail "expected an unknown-pipeline failure"
 
+(* A numeric literal the lexer cannot represent is a lex error, not an
+   escaped exception: the request answers ok:false and the service still
+   answers the next line. *)
+let test_unrepresentable_literal () =
+  let svc = S.create ~jobs:1 () in
+  let reply text =
+    match S.handle_line svc text with
+    | S.Reply s -> Result.get_ok (J.of_string s)
+    | S.Quit _ -> Alcotest.fail "unexpected quit"
+  in
+  List.iter
+    (fun literal ->
+      let source = Printf.sprintf "kernel k(float* a) { a[0] = %s; }" literal in
+      let r = reply (J.to_string ~minify:true (P.encode_request (rq source))) in
+      Alcotest.(check (option bool)) (literal ^ " answers ok:false") (Some false)
+        (J.bool_member "ok" r);
+      let error = Option.value ~default:"" (J.string_member "error" r) in
+      Alcotest.(check bool)
+        (literal ^ " is a lex error: " ^ error)
+        true
+        (String.starts_with ~prefix:"lex error: " error);
+      Alcotest.(check (option int)) "the next line is still answered"
+        (Some P.protocol_version)
+        (J.int_member "protocol" (reply {|{"op":"ping"}|})))
+    [ "99999999999999999999999"; "1e" ]
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -272,4 +298,6 @@ let suite =
     Alcotest.test_case "control ops" `Quick test_handle_line_ops;
     Alcotest.test_case "failures are not cached" `Quick
       test_failures_not_cached;
+    Alcotest.test_case "unrepresentable literal is a lex error" `Quick
+      test_unrepresentable_literal;
   ]

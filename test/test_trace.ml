@@ -11,6 +11,7 @@
    - udiff produces conventional unified hunks. *)
 
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module J = Fgv_support.Json
 module Pool = Fgv_support.Pool
 module Udiff = Fgv_support.Udiff
@@ -33,9 +34,9 @@ let with_tracing ?(spans = false) ?(remarks = false) f =
 
 (* ---------------------------------------------------------------- spans *)
 
-(* Project the trace down to the deterministic part: (ph, name) pairs in
-   emission order, skipping metadata. *)
-let span_shape () =
+(* The trace's span events as (tid, ph, name) in emission order,
+   skipping metadata; [name] is "" for end events. *)
+let span_events () =
   match Tr.chrome_trace () with
   | J.Assoc fields -> (
     match List.assoc "traceEvents" fields with
@@ -52,12 +53,21 @@ let span_shape () =
                 | Some (J.String n) -> n
                 | _ -> ""
               in
-              Some (ph, name)
+              let tid =
+                match List.assoc_opt "tid" f with
+                | Some (J.Int t) -> t
+                | _ -> Alcotest.fail "every span event carries a tid"
+              in
+              Some (tid, ph, name)
             | _ -> Alcotest.fail "ph must be a string")
           | _ -> Alcotest.fail "event must be an object")
         evs
     | _ -> Alcotest.fail "traceEvents must be a list")
   | _ -> Alcotest.fail "trace must be an object"
+
+(* Project the trace down to the deterministic part: (ph, name) pairs in
+   emission order. *)
+let span_shape () = List.map (fun (_, ph, name) -> (ph, name)) (span_events ())
 
 let test_span_nesting () =
   with_tracing ~spans:true (fun () ->
@@ -227,7 +237,7 @@ let t131_src =
 let test_golden_s131_decisions () =
   let f = Harness.compile s131_src in
   let (_ : P.pass_stats), remarks =
-    Tr.collect_remarks (fun () -> P.sv_versioning f)
+    Obs.collect_remarks (fun () -> P.sv_versioning f)
   in
   let decisions =
     List.filter_map
@@ -257,8 +267,9 @@ let test_golden_s131_decisions () =
 
 (* The compile service collects each compile's remarks into its
    artifact; the compile's spans must still reach the caller's trace,
-   also when pool workers ran the compiles.  Two kernels make two units,
-   so the jobs:2 service compiles them on worker domains. *)
+   nested inside their service.compile span, also when pool workers ran
+   the compiles.  Two kernels make two units, so the jobs:2 service
+   compiles them on worker domains. *)
 let test_service_compile_spans () =
   with_tracing ~spans:true (fun () ->
       let module S = Fgv_service.Service in
@@ -284,7 +295,25 @@ let test_service_compile_spans () =
             (n ^ " spans from both compiles")
             true
             (List.length (List.filter (String.equal n) names) >= 2))
-        [ "service.compile"; "slp"; "plan.infer"; "cut.find" ])
+        [ "service.compile"; "slp"; "plan.infer"; "cut.find" ];
+      (* Walk each thread's B/E sequence: every pass span opens while a
+         service.compile span is open on its thread.  Merging a compile's
+         shard after the pool joined would append its spans after the
+         compile's span had closed. *)
+      let stacks = Hashtbl.create 4 in
+      List.iter
+        (fun (tid, ph, name) ->
+          let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+          if ph = "B" then begin
+            if List.mem name [ "slp"; "plan.infer"; "cut.find" ] then
+              Alcotest.(check bool)
+                (name ^ " opens inside service.compile")
+                true
+                (List.mem "service.compile" stack);
+            Hashtbl.replace stacks tid (name :: stack)
+          end
+          else Hashtbl.replace stacks tid (List.tl stack))
+        (span_events ()))
 
 (* ---------------------------------------------------------------- udiff *)
 
