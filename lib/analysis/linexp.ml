@@ -7,8 +7,13 @@
 open Fgv_pssa
 
 type t = { terms : (Ir.value_id * int) list; konst : int }
-(* terms sorted by value id, no zero coefficients *)
+(* terms sorted by value id, no zero coefficients; every constructor
+   below keeps this invariant, which is what lets [add]/[sub] merge and
+   [diff] compare without re-normalizing *)
 
+(* The normalizing reference: sums repeated ids, drops cancelled terms
+   and sorts.  Only [make] pays for it; the arithmetic below works on
+   already-normalized lists. *)
 let norm terms =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -24,20 +29,52 @@ let const k = { terms = []; konst = k }
 let of_value v = { terms = [ (v, 1) ]; konst = 0 }
 let is_const e = e.terms = []
 
-let add a b = make (a.terms @ b.terms) (a.konst + b.konst)
+(* [merge sign xs ys] is the normalized form of xs + sign * ys, for sign
+   1 or -1: one linear walk over the two sorted lists, summing shared
+   ids and dropping the sums that cancel (with wrap-around, as [norm]
+   would).  A negated nonzero coefficient is never zero, so one-sided
+   terms need no check. *)
+let rec merge sign xs ys =
+  match xs, ys with
+  | _, [] -> xs
+  | [], _ when sign = 1 -> ys
+  | [], (w, b) :: ys' -> (w, -b) :: merge sign [] ys'
+  | (v, a) :: xs', (w, b) :: ys' ->
+    if v < w then (v, a) :: merge sign xs' ys
+    else if w < v then (w, sign * b) :: merge sign xs ys'
+    else
+      let k = a + (sign * b) in
+      if k = 0 then merge sign xs' ys' else (v, k) :: merge sign xs' ys'
 
+let add a b = { terms = merge 1 a.terms b.terms; konst = a.konst + b.konst }
+
+(* A product that wraps to zero is dropped like any cancelled term. *)
 let scale k e =
   if k = 0 then const 0
-  else { terms = List.map (fun (v, c) -> (v, c * k)) e.terms; konst = e.konst * k }
+  else
+    {
+      terms =
+        List.filter_map
+          (fun (v, c) -> if c * k = 0 then None else Some (v, c * k))
+          e.terms;
+      konst = e.konst * k;
+    }
 
-let sub a b = add a (scale (-1) b)
+let sub a b = { terms = merge (-1) a.terms b.terms; konst = a.konst - b.konst }
 let add_const k e = { e with konst = e.konst + k }
 let equal a b = a.terms = b.terms && a.konst = b.konst
 
-(* [diff a b] is [Some k] when a - b is the constant k. *)
+(* [diff a b] is [Some k] when a - b is the constant k: with both term
+   lists normalized, exactly when they are equal, which this walk checks
+   without building a - b. *)
 let diff a b =
-  let d = sub a b in
-  if is_const d then Some d.konst else None
+  let rec same xs ys =
+    match xs, ys with
+    | [], [] -> true
+    | (v, c) :: xs', (w, d) :: ys' -> v = w && c = d && same xs' ys'
+    | _ -> false
+  in
+  if same a.terms b.terms then Some (a.konst - b.konst) else None
 
 let terms e = e.terms
 let constant e = e.konst

@@ -213,6 +213,11 @@ let loop_advance t (lp : Ir.loop) : (Linexp.t * int) option =
     | _ -> None)
   | _ -> None
 
+(* All values a range's bounds mention (the "operands" of an intersection
+   dependence condition). *)
+let range_values r =
+  List.sort_uniq compare (Linexp.values r.lo @ Linexp.values r.hi)
+
 (* Promote a range out of the given loops: substitute each affine mu of
    those loops with its extremal values over the loop's iteration space.
    Conservative (the promoted range is a superset); fails when a mu is
@@ -224,9 +229,7 @@ let rec promote_range t ~(out_of : Ir.loop_id -> bool) (r : range) :
      promoting out of (its runtime value varies across the iterations the
      promoted check must cover) *)
   let needs_elimination v = List.exists out_of (enclosing_loops t v) in
-  let candidates =
-    List.filter needs_elimination (range_values_raw r)
-  in
+  let candidates = List.filter needs_elimination (range_values r) in
   match candidates with
   | [] -> Some r
   | m :: _ -> (
@@ -260,14 +263,6 @@ let rec promote_range t ~(out_of : Ir.loop_id -> bool) (r : range) :
           }
         in
         promote_range t ~out_of r'))
-
-and range_values_raw r =
-  List.sort_uniq compare (Linexp.values r.lo @ Linexp.values r.hi)
-
-(* All values a range's bounds mention (the "operands" of an intersection
-   dependence condition). *)
-let range_values r =
-  List.sort_uniq compare (Linexp.values r.lo @ Linexp.values r.hi)
 
 let range_to_string t r =
   let name = Ir.value_name t.func in

@@ -4,7 +4,11 @@
    x*0), resolves selects and phis with constant conditions, and
    propagates constant booleans into execution predicates (which is what
    cleans up versioning checks that turn out to be decidable
-   statically). *)
+   statically).
+
+   Forwarding a value renames only its users, found in a users index
+   built once per sweep (at its first forward), instead of walking the
+   whole arena and re-interning every predicate in it. *)
 
 open Fgv_pssa
 
@@ -99,10 +103,22 @@ let fold_pred f p =
 let sweep (f : Ir.func) (replaced : (Ir.value_id, unit) Hashtbl.t) : int =
   let changed = ref 0 in
   let touch () = incr changed in
+  (* built at the sweep's first forward and kept a superset of the true
+     users: a forward hands [v]'s users to [v'], and folding only ever
+     removes operands *)
+  let users = lazy (Ir.users_table f) in
   let forward v v' =
     if not (Hashtbl.mem replaced v) then begin
       Hashtbl.replace replaced v ();
-      Ir.replace_all_uses f ~old_v:v ~new_v:v';
+      let users = Lazy.force users in
+      let find v = Option.value ~default:[] (Hashtbl.find_opt users v) in
+      let us = find v in
+      List.iter
+        (fun u ->
+          if u <> v' then Ir.replace_uses_in_inst f ~user:u ~old_v:v ~new_v:v')
+        us;
+      Hashtbl.replace users v' (us @ find v');
+      Ir.replace_uses_in_loops f ~old_v:v ~new_v:v';
       touch ()
     end
   in

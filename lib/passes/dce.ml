@@ -30,13 +30,12 @@ let sweep (f : Ir.func) : int =
   let rec live_loop lid =
     let lp = Ir.loop f lid in
     let defs = Ir.defined_values f (Ir.L lid) in
+    let inside = Hashtbl.create 64 in
+    List.iter (fun v -> Hashtbl.replace inside v ()) defs;
     let escapes =
       (* defined values used by instructions outside the loop: etas *)
       List.exists
-        (fun v ->
-          List.exists
-            (fun u -> not (List.mem u defs))
-            (users v))
+        (fun v -> List.exists (fun u -> not (Hashtbl.mem inside u)) (users v))
         defs
     in
     escapes

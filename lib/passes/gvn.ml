@@ -96,7 +96,7 @@ let run (f : Ir.func) : int =
   walk_items (Hashtbl.create 64) (Hashtbl.create 64) f.Ir.fbody;
   (* [repr] is flat by construction — a representative is a table entry
      and a table entry is never later redirected — so one batched walk
-     replaces the per-value [replace_all_uses] calls (which made GVN
+     applies every replacement (a whole-arena walk per value made GVN
      quadratic in the function size) *)
   Ir.replace_uses_map f repr;
   !deleted

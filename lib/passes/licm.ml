@@ -6,7 +6,17 @@
    address (statically disjoint, or covered by a scoped-independence
    fact established by versioning).  Hoisted instructions run under the
    loop's guard predicate.  Sweeps repeat so code migrates out of nests
-   one level per round. *)
+   one level per round.
+
+   Computed once per run, not once per sweep: the SCEV (load safety
+   reads only address linear expressions, which depend on instruction
+   kinds, and hoisting changes no kind), the effective predicates
+   (hoisting [v] out of loop [l] turns ctx /\ l.guard /\ v.pred into
+   ctx /\ (l.guard /\ v.pred), the same hash-consed conjunction), and an
+   index of [f.indep_scopes] by instruction pair (LICM records no
+   independence facts).  The program-order table is rebuilt every
+   sweep: hoisting moves instructions, and the order decides what is
+   defined before a loop. *)
 
 open Fgv_pssa
 open Fgv_analysis
@@ -14,11 +24,12 @@ open Fgv_analysis
 let run (f : Ir.func) : int =
   let hoisted = ref 0 in
   let changed = ref true in
+  let scev = Scev.create f in
+  let eff = Ir.effective_preds f in
+  let scopes = Ir.indep_scope_index f in
   while !changed do
     changed := false;
-    let scev = Scev.create f in
     let order = Ir.compute_order f in
-    let eff = Ir.effective_preds f in
     (* hoist from [lp]'s body into the parent's item list; returns the
        rewritten parent items *)
     let rec process_items items =
@@ -42,7 +53,7 @@ let run (f : Ir.func) : int =
               | Some r ->
                 List.for_all
                   (fun w ->
-                    Ir.in_indep_scope ~eff f v w
+                    Ir.in_indep_scope ~eff ~scopes f v w
                     ||
                     match Scev.range_of_access scev w with
                     | None -> false

@@ -63,13 +63,18 @@ let new_pass_stats () =
 (* A stage is a named unit of pipeline work; observers hook in between.
    The closure returns the work the pass did as labelled counts, which
    feeds the optimization-remark stream ([Pass_applied]/[Pass_skipped],
-   see trace.mli). *)
+   see trace.mli).  Every stage runs inside a span and a
+   "pass.<stage>.time" timer, so [--stats=json] and the compiletime
+   lane's per-row histograms give per-pass time without a trace. *)
 type stage = string * (unit -> (string * int) list)
 
 let run_stages ?on_pass (f : Ir.func) (stages : stage list) : unit =
   List.iter
     (fun (name, run) ->
-      let work = Tr.with_span ~cat:"pass" name run in
+      let work =
+        Tm.time ("pass." ^ name ^ ".time") (fun () ->
+            Tr.with_span ~cat:"pass" name run)
+      in
       if Tr.remarks_recording () then begin
         let a = Tr.anchor f.Ir.fname in
         match List.filter (fun (_, n) -> n > 0) work with

@@ -92,9 +92,12 @@ type session = {
   cfg : config;
   func : Ir.func;
   region : Ir.region;
-  scev : Scev.t;
+  (* forced by [find_seeds] at the region's first scalar store, before
+     anything in the function changes, so regions without store seeds
+     never build a SCEV *)
+  scev : Scev.t Lazy.t;
   (* forced on the first legality query: regions without vectorization
-     seeds never pay for SCEV or the dependence graph *)
+     seeds never pay for the dependence graph *)
   vsession : V.Api.session Lazy.t;
   items : Ir.item list;
   (* item index of each region-level instruction ([items] is fixed
@@ -238,10 +241,11 @@ let rec try_pack s (vs : Ir.value_id list) : bool =
         let shape_ok =
           match tag0 with
           | `Load ->
-            consecutive s.scev f vs ~get_addr:load_addr ~width:1
+            consecutive (Lazy.force s.scev) f vs ~get_addr:load_addr ~width:1
             = Some vs (* loads must already be in address order *)
           | `Store ->
-            consecutive s.scev f vs ~get_addr:(fun f v -> fst (store_parts f v))
+            consecutive (Lazy.force s.scev) f vs
+              ~get_addr:(fun f v -> fst (store_parts f v))
               ~width:1
             = Some vs
           | _ -> true
@@ -328,7 +332,7 @@ let find_seeds s : Ir.value_id list list =
     List.map
       (fun v ->
         let addr, _ = store_parts f v in
-        let lin = Scev.linexp s.scev addr in
+        let lin = Scev.linexp (Lazy.force s.scev) addr in
         ((Ir.inst f v).ipred, Linexp.terms lin, Linexp.constant lin, v))
       stores
   in
@@ -543,8 +547,10 @@ let codegen s : int =
    emitted. *)
 let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
     (stats : stats) : int =
-  let scev = Scev.create f in
-  let vsession = lazy (V.Api.create ~condopt:config.condopt ~scev f region) in
+  let scev = lazy (Scev.create f) in
+  let vsession =
+    lazy (V.Api.create ~condopt:config.condopt ~scev:(Lazy.force scev) f region)
+  in
   let items = Ir.region_items f region in
   let item_pos = Hashtbl.create (max 16 (List.length items)) in
   List.iteri

@@ -333,9 +333,10 @@ let compute_order f =
 
 (* ----------------------------------------------------------------- users *)
 
-(* Map from value to the instructions that use it as a data operand or in
-   their execution predicate.  Recomputed on demand. *)
-let compute_users f =
+(* Table from value to the instructions that use it as a data operand or
+   in their execution predicate (absent: no users).  Loop guard and
+   continue predicates are not instructions and do not count. *)
+let users_table f =
   let tbl : (value_id, value_id list) Hashtbl.t = Hashtbl.create 64 in
   let add user v =
     let cur = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
@@ -343,6 +344,11 @@ let compute_users f =
   in
   let visit_inst i = List.iter (add i.id) (all_operands i) in
   Hashtbl.iter (fun _ i -> visit_inst i) f.arena;
+  tbl
+
+(* [users_table] as a lookup function.  Recomputed on demand. *)
+let compute_users f =
+  let tbl = users_table f in
   fun v -> Option.value ~default:[] (Hashtbl.find_opt tbl v)
 
 (* Direct use test: does instruction [i] read value [j]? *)
@@ -441,29 +447,24 @@ let replace_uses_in_inst f ~user ~old_v ~new_v =
   i.kind <- rename_kind subst i.kind;
   i.ipred <- Pred.rename subst i.ipred
 
-(* Replace uses of [old_v] by [new_v] everywhere, including loop guard /
-   continue predicates. *)
-let replace_all_uses f ~old_v ~new_v =
+(* Replace uses of [old_v] by [new_v] in every loop guard and continue
+   predicate.  Predicates that do not mention [old_v] are left alone. *)
+let replace_uses_in_loops f ~old_v ~new_v =
   let subst v = if v = old_v then new_v else v in
-  Hashtbl.iter
-    (fun _ i ->
-      if i.id <> new_v then begin
-        i.kind <- rename_kind subst i.kind;
-        i.ipred <- Pred.rename subst i.ipred
-      end)
-    f.arena;
+  let rename p =
+    if List.mem old_v (Pred.literals p) then Pred.rename subst p else p
+  in
   Hashtbl.iter
     (fun _ lp ->
-      lp.lpred <- Pred.rename subst lp.lpred;
-      lp.cont <- Pred.rename subst lp.cont)
+      lp.lpred <- rename lp.lpred;
+      lp.cont <- rename lp.cont)
     f.loop_arena
 
-(* Batched form of [replace_all_uses]: apply a whole substitution map in
-   a single arena walk.  Callers like GVN accumulate hundreds of
-   replacements, and one full walk per replacement is quadratic in the
-   function size.  The map must be flat (no value in its domain appears
-   in its range).  Predicates are rebuilt only when one of their
-   literals is actually substituted. *)
+(* Apply a whole substitution map in a single arena walk.  Callers like
+   GVN accumulate hundreds of replacements, and one full walk per
+   replacement is quadratic in the function size.  The map must be flat
+   (no value in its domain appears in its range).  Predicates are
+   rebuilt only when one of their literals is actually substituted. *)
 let replace_uses_map f (map : (value_id, value_id) Hashtbl.t) =
   if Hashtbl.length map > 0 then begin
     let subst v = Option.value ~default:v (Hashtbl.find_opt map v) in
@@ -539,14 +540,33 @@ let effective_preds f =
     | Some p -> p
     | None -> (inst f v).ipred
 
+(* The predicates of [f.indep_scopes] for each unordered instruction
+   pair, in list order, as a lookup function.  Valid until the next fact
+   is recorded ([add_indep_scope], [clone_item]). *)
+let indep_scope_index f =
+  let key a b = if a <= b then (a, b) else (b, a) in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (x, y, p) ->
+      let k = key x y in
+      Hashtbl.replace tbl k (p :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+    (List.rev f.indep_scopes);
+  fun a b -> Option.value ~default:[] (Hashtbl.find_opt tbl (key a b))
+
 (* Is the pair (a, b) covered by a recorded independence fact?  The
    recorded disjointness holds whenever p holds; a dependence can only
    occur when both instructions execute, so it suffices that the
-   conjunction of their (effective) predicates implies p. *)
-let in_indep_scope ?eff f a b =
+   conjunction of their (effective) predicates implies p.  [scopes], an
+   [indep_scope_index] of [f], replaces the scan of every fact. *)
+let in_indep_scope ?eff ?scopes f a b =
   let eff = match eff with Some e -> e | None -> fun v -> (inst f v).ipred in
-  List.exists
-    (fun (x, y, p) ->
-      ((x = a && y = b) || (x = b && y = a))
-      && Pred.implies (Pred.and_ (eff a) (eff b)) p)
-    f.indep_scopes
+  let facts =
+    match scopes with
+    | Some index -> index a b
+    | None ->
+      List.filter_map
+        (fun (x, y, p) ->
+          if (x = a && y = b) || (x = b && y = a) then Some p else None)
+        f.indep_scopes
+  in
+  List.exists (fun p -> Pred.implies (Pred.and_ (eff a) (eff b)) p) facts

@@ -23,18 +23,50 @@ let test_linexp_algebra () =
   Alcotest.(check bool) "mentions" true (mentions e 1);
   Alcotest.(check bool) "not mentions" false (mentions e 9)
 
+(* [add], [sub], [diff] and [subst] walk already-normalized term lists;
+   [make] is the normalizing reference they must agree with.  Ids repeat
+   (so merges sum and cancel), and coefficients include the extremes,
+   whose sums and products wrap (min_int + min_int = 0). *)
 let prop_linexp_add_commutes =
-  QCheck2.Test.make ~name:"linexp add commutes/normalizes" ~count:300
+  let coeff =
     QCheck2.Gen.(
-      list_size (int_range 0 6) (tup2 (int_range 0 4) (int_range (-5) 5)))
-    (fun terms ->
-      let e1 = Linexp.make terms 3 in
-      let e2 =
+      oneof
+        [
+          int_range (-5) 5;
+          oneofl [ max_int; max_int - 1; min_int; min_int + 1; -max_int ];
+        ])
+  in
+  let term_list =
+    QCheck2.Gen.(list_size (int_range 0 6) (tup2 (int_range 0 4) coeff))
+  in
+  QCheck2.Test.make ~name:"linexp add commutes/normalizes" ~count:500
+    QCheck2.Gen.(tup3 term_list term_list (int_range 0 4))
+    (fun (t1, t2, v) ->
+      let open Linexp in
+      let e1 = make t1 3 and e2 = make t2 (-4) in
+      let neg = List.map (fun (w, c) -> (w, -c)) in
+      let folded =
         List.fold_left
-          (fun acc (v, k) -> Linexp.add acc (Linexp.scale k (Linexp.of_value v)))
-          (Linexp.const 3) terms
+          (fun acc (w, c) -> add acc (scale c (of_value w)))
+          (const 3) t1
       in
-      Linexp.equal e1 e2)
+      let d = make (t1 @ neg t2) 7 in
+      let subst_ref =
+        match List.assoc_opt v (terms e1) with
+        | None -> e1
+        | Some c ->
+          make
+            (List.filter (fun (w, _) -> w <> v) t1
+            @ List.map (fun (w, k) -> (w, c * k)) t2)
+            (3 + (c * -4))
+      in
+      equal e1 folded
+      && equal (add e1 e2) (make (t1 @ t2) (-1))
+      && equal (add e2 e1) (add e1 e2)
+      && equal (sub e1 e2) d
+      && diff e1 e2 = (if is_const d then Some 7 else None)
+      && diff (add e1 e2) (make (t2 @ t1) 5) = Some (-6)
+      && equal (subst v e1 e2) subst_ref)
 
 (* --------------------------------------------------------------- scev *)
 
