@@ -302,6 +302,28 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       Printf.eprintf "fgvc: expected a kernel FILE (or --fuzz N)\n";
       exit 2
   in
+  let usage_error flag m =
+    Printf.eprintf "fgvc: %s: %s\n" flag m;
+    exit 2
+  in
+  (* [-a] values in order: a value with a dot is a float, anything else
+     must be an integer (an int or an address) *)
+  let argv =
+    if args = "" then []
+    else
+      List.map
+        (fun s ->
+          let s = String.trim s in
+          match float_of_string_opt s, int_of_string_opt s with
+          | Some x, _ when String.contains s '.' -> Value.VFloat x
+          | _, Some n -> Value.VInt n
+          | _ ->
+            usage_error "-a"
+              (Printf.sprintf "%S is not an integer or a float" s))
+        (String.split_on_char ',' args)
+  in
+  if heap < 1 then
+    usage_error "--heap" (Printf.sprintf "must be at least 1 cell, got %d" heap);
   Ev.emit Ev.Info "compile"
     [
       ("file", Fgv_support.Json.String file);
@@ -353,17 +375,6 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     exit 3);
   if dump_ir = Some "-" then Printer.print f;
   if dump_cfg then print_string (Fgv_cfg.Cir.to_string (Fgv_cfg.Lower.lower f));
-  let argv =
-    if args = "" then []
-    else
-      List.map
-        (fun s ->
-          let s = String.trim s in
-          match float_of_string_opt s with
-          | Some x when String.contains s '.' -> Value.VFloat x
-          | _ -> Value.VInt (int_of_string s))
-        (String.split_on_char ',' args)
-  in
   let fresh_mem () =
     Array.init heap (fun i -> Value.VFloat (Float.of_int (i mod 7)))
   in
@@ -380,21 +391,34 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       Printf.printf "wrote %s\n" out
     end);
   if run_native then run_native_differential f ~argv ~fresh_mem;
-  if run then begin
-    let mem = fresh_mem () in
-    let out = Interp.run f ~args:argv ~mem in
-    let c = out.Interp.counters in
-    Printf.printf
-      "cost=%.0f  ops=%d vops=%d loads=%d vloads=%d stores=%d vstores=%d \
-       calls=%d iterations=%d\n"
-      (Interp.cost c) c.Interp.scalar_ops c.Interp.vector_ops c.Interp.loads
-      c.Interp.vector_loads c.Interp.stores c.Interp.vector_stores
-      c.Interp.calls c.Interp.iterations
-  end;
+  let trap m =
+    Printf.eprintf "fgvc: %s: trap: %s\n" file m;
+    true
+  in
+  let trapped =
+    run
+    &&
+    match Interp.run f ~args:argv ~mem:(fresh_mem ()) with
+    | out ->
+      let c = out.Interp.counters in
+      Printf.printf
+        "cost=%.0f  ops=%d vops=%d loads=%d vloads=%d stores=%d vstores=%d \
+         calls=%d iterations=%d\n"
+        (Interp.cost c) c.Interp.scalar_ops c.Interp.vector_ops c.Interp.loads
+        c.Interp.vector_loads c.Interp.stores c.Interp.vector_stores
+        c.Interp.calls c.Interp.iterations;
+      false
+    | exception Value.Trap m -> trap m
+    | exception Value.Undef_access op ->
+      trap (op ^ " through an undefined address")
+    | exception Interp.Out_of_fuel -> trap "out of fuel"
+  in
   finalize ();
   let rc = print_stats stats in
   if rc <> 0 then exit rc;
-  0
+  (* a trap is the kernel's or its -a/--heap inputs' fault, not the
+     compiler's *)
+  if trapped then 6 else 0
   end
 
 let file =
@@ -620,12 +644,22 @@ let cmd =
       `P
         "1 when FILE does not lex, parse or lower (the message names the \
          stage, as the compile service's errors do);";
-      `P "2 on usage errors (unknown pipeline, bad format argument);";
+      `P
+        "2 on usage errors (unknown pipeline, bad format argument, an \
+         $(b,-a) value that is not an integer or a float, $(b,--heap) \
+         below 1), reported as $(i,fgvc: -a: ...) or $(i,fgvc: --heap: \
+         ...) for those two flags;";
       `P "3 when the optimized IR fails verification (a compiler bug);";
       `P "4 when $(b,--fuzz) found a miscompilation;";
       `P
         "5 when $(b,--run-native) found a native/interpreter differential \
-         mismatch (or the native build of the kernel failed).";
+         mismatch (or the native build of the kernel failed);";
+      `P
+        "6 when the $(b,--run) interpreter trapped (an out-of-bounds access \
+         for the given $(b,--heap), fewer $(b,-a) values than the kernel \
+         has parameters, integer division by zero, an access through an \
+         undefined address, exhausted fuel), reported as $(i,fgvc: FILE: \
+         trap: ...).";
     ]
   in
   Cmd.v

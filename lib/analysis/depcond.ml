@@ -74,6 +74,11 @@ type ctx = {
   cscev : Scev.t;
   cregion : Ir.region;
   ceff : Ir.value_id -> Pred.t; (* effective predicates for scope queries *)
+  (* [Ir.indep_scope_index] of the fact list it was built from, rebuilt
+     at the first scope query after [f.indep_scopes] changes *)
+  mutable cscopes :
+    (Ir.value_id * Ir.value_id * Pred.t) list
+    * (Ir.value_id -> Ir.value_id -> Pred.t list);
   (* loops nested anywhere under the region: member accesses of sibling
      loop nodes must have their ranges promoted out of these *)
   under : (Ir.loop_id, unit) Hashtbl.t;
@@ -112,6 +117,7 @@ let make_ctx f scev region =
     cscev = scev;
     cregion = region;
     ceff = Ir.effective_preds f;
+    cscopes = ([], fun _ _ -> []);
     under;
     def_item;
     crange = Hashtbl.create 32;
@@ -138,9 +144,20 @@ let region_range ctx v : Scev.range option =
     Hashtbl.add ctx.crange v r;
     r
 
+let scope_index ctx =
+  let built, index = ctx.cscopes in
+  let facts = ctx.cf.Ir.indep_scopes in
+  if built == facts then index
+  else begin
+    let index = Ir.indep_scope_index ctx.cf in
+    ctx.cscopes <- (facts, index);
+    index
+  end
+
 (* Memory-vs-memory condition for two accesses (at least one writes). *)
 let memory_pair ctx i_v j_v : cond =
-  if Ir.in_indep_scope ~eff:ctx.ceff ctx.cf i_v j_v then Never
+  if Ir.in_indep_scope ~eff:ctx.ceff ~scopes:(scope_index ctx) i_v j_v then
+    Never
   else
     match region_range ctx i_v, region_range ctx j_v with
     | None, _ | _, None -> Always (* arbitrary memory on one side *)

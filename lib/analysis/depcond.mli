@@ -46,6 +46,11 @@ type ctx = {
   cregion : Ir.region;
   ceff : Ir.value_id -> Pred.t;
       (** effective predicates (own pred ∧ enclosing loop guards) *)
+  mutable cscopes :
+    (Ir.value_id * Ir.value_id * Pred.t) list
+    * (Ir.value_id -> Ir.value_id -> Pred.t list);
+      (** [Ir.indep_scope_index] of [cf.indep_scopes] and the fact list
+          it indexes; rebuilt when that list changes *)
   under : (Ir.loop_id, unit) Hashtbl.t;
       (** loops nested under the region (member ranges promote out of
           these) *)

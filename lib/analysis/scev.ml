@@ -17,20 +17,20 @@ type t = {
   lin_memo : (Ir.value_id, Linexp.t) Hashtbl.t;
   mu_memo : (Ir.value_id, mu_affine option) Hashtbl.t;
   trip_memo : (Ir.loop_id, Linexp.t option) Hashtbl.t;
-  enclosing : (Ir.value_id, Ir.loop_id list) Hashtbl.t;
+  enclosing : Ir.loop_id list array; (* by value id, innermost first *)
   order : Ir.node -> int;
 }
 
 let create f =
-  let enclosing = Hashtbl.create 64 in
+  let enclosing = Array.make f.Ir.next_value [] in
   let rec walk loops items =
     List.iter
       (fun item ->
         match item with
-        | Ir.I v -> Hashtbl.replace enclosing v loops
+        | Ir.I v -> enclosing.(v) <- loops
         | Ir.L lid ->
           let lp = Ir.loop f lid in
-          List.iter (fun m -> Hashtbl.replace enclosing m (lid :: loops)) lp.mus;
+          List.iter (fun m -> enclosing.(m) <- lid :: loops) lp.mus;
           walk (lid :: loops) lp.body)
       items
   in
@@ -44,7 +44,9 @@ let create f =
     order = Ir.compute_order f;
   }
 
-let enclosing_loops t v = Option.value ~default:[] (Hashtbl.find_opt t.enclosing v)
+(* Loops enclosing a value placed when [t] was made, innermost first;
+   [] for top-level and later values. *)
+let enclosing_loops t v = Ir.dense_get t.enclosing v ~absent:[]
 
 (* Decompose a value into a linear expression.  Mus and anything
    non-affine stay as opaque terms. *)

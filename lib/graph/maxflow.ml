@@ -143,9 +143,8 @@ let source_side t ~source =
   seen
 
 (* Tags of saturated forward edges crossing the cut (source side ->
-   sink side), excluding untagged edges. *)
-let cut_edge_tags t ~source =
-  let side = source_side t ~source in
+   sink side), excluding untagged edges; [side] is the [source_side]. *)
+let cut_edge_tags t ~side =
   let tags = ref [] in
   Array.iteri
     (fun v edges ->

@@ -26,6 +26,6 @@ val augmenting_paths : t -> int
 val source_side : t -> source:int -> bool array
 (** Nodes on the source side of the minimum cut (residual reachability). *)
 
-val cut_edge_tags : t -> source:int -> int list
-(** Tags of tagged, saturated forward edges crossing the minimum cut,
-    sorted and de-duplicated. *)
+val cut_edge_tags : t -> side:bool array -> int list
+(** Tags of tagged, saturated forward edges crossing the minimum cut
+    whose {!source_side} is [side], sorted and de-duplicated. *)

@@ -111,13 +111,13 @@ let sweep (f : Ir.func) (replaced : (Ir.value_id, unit) Hashtbl.t) : int =
     if not (Hashtbl.mem replaced v) then begin
       Hashtbl.replace replaced v ();
       let users = Lazy.force users in
-      let find v = Option.value ~default:[] (Hashtbl.find_opt users v) in
-      let us = find v in
+      let us = Ir.users_in users v in
       List.iter
         (fun u ->
           if u <> v' then Ir.replace_uses_in_inst f ~user:u ~old_v:v ~new_v:v')
         us;
-      Hashtbl.replace users v' (us @ find v');
+      (* a sweep makes no values, so [v'] is inside the table *)
+      users.(v') <- us @ users.(v');
       Ir.replace_uses_in_loops f ~old_v:v ~new_v:v';
       touch ()
     end

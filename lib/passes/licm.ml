@@ -53,7 +53,7 @@ let run (f : Ir.func) : int =
               | Some r ->
                 List.for_all
                   (fun w ->
-                    Ir.in_indep_scope ~eff ~scopes f v w
+                    Ir.in_indep_scope ~eff ~scopes v w
                     ||
                     match Scev.range_of_access scev w with
                     | None -> false

@@ -85,8 +85,7 @@ let classic_checks (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
 
 (* region containing each top-level-or-nested loop *)
 let region_of_loop f lid =
-  let parents = Ir.parent_regions f in
-  match Hashtbl.find_opt parents (Ir.NL lid) with
+  match Ir.loop_parent f lid with
   | Some r -> r
   | None -> invalid_arg "Loopvec: loop not placed"
 

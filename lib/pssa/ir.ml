@@ -264,49 +264,42 @@ let item_eq a b =
   | L x, L y -> x = y
   | _ -> false
 
-(* Map each node to the region that directly contains it, and each mu to
-   its loop's *parent* region (mus belong to the loop header). *)
-let parent_regions f =
-  let tbl : (node, region) Hashtbl.t = Hashtbl.create 64 in
-  let rec walk region items =
-    List.iter
-      (fun item ->
-        Hashtbl.replace tbl (node_of_item item) region;
-        match item with
-        | I _ -> ()
+(* The loops enclosing a placed loop, innermost first, found by walking
+   the loop tree from the top; [None] when the loop is not placed. *)
+let loop_ancestors f target =
+  let rec find path items =
+    List.find_map
+      (function
+        | I _ -> None
         | L lid ->
-          let lp = loop f lid in
-          List.iter (fun m -> Hashtbl.replace tbl (NI m) (Rloop lid)) lp.mus;
-          walk (Rloop lid) lp.body)
+          if lid = target then Some path
+          else find (lid :: path) (loop f lid).body)
       items
   in
-  walk Rtop f.fbody;
-  tbl
+  find [] f.fbody
 
-(* Chain of regions from Rtop down to the given region. *)
-let region_chain f region =
-  let parents = parent_regions f in
-  let rec up acc r =
-    match r with
-    | Rtop -> Rtop :: acc
-    | Rloop lid ->
-      let parent =
-        match Hashtbl.find_opt parents (NL lid) with
-        | Some p -> p
-        | None -> Rtop
-      in
-      up (r :: acc) parent
-  in
-  up [] region
+(* The region that directly contains a placed loop. *)
+let loop_parent f lid =
+  Option.map
+    (function [] -> Rtop | inner :: _ -> Rloop inner)
+    (loop_ancestors f lid)
 
 (* --------------------------------------------------------- program order *)
+
+(* Per-function tables are arrays indexed by value or loop id, sized
+   from [next_value]/[next_loop] when built.  Each is a snapshot: an id
+   at or past its size, or one the builder did not place, reads as
+   absent. *)
+let dense_get tbl id ~absent =
+  if id >= 0 && id < Array.length tbl then tbl.(id) else absent
 
 (* Assign every node (and every mu) a position consistent with program
    order: mus first, then body items in sequence; a loop's position is
    where it starts.  Used for the termination argument of plan inference
    and by the verifier. *)
 let compute_order f =
-  let tbl : (node, int) Hashtbl.t = Hashtbl.create 64 in
+  let values = Array.make f.next_value (-1) in
+  let loops = Array.make f.next_loop (-1) in
   let counter = ref 0 in
   let next () =
     let c = !counter in
@@ -317,39 +310,41 @@ let compute_order f =
     List.iter
       (fun item ->
         match item with
-        | I v -> Hashtbl.replace tbl (NI v) (next ())
+        | I v -> values.(v) <- next ()
         | L lid ->
           let lp = loop f lid in
-          Hashtbl.replace tbl (NL lid) (next ());
-          List.iter (fun m -> Hashtbl.replace tbl (NI m) (next ())) lp.mus;
+          loops.(lid) <- next ();
+          List.iter (fun m -> values.(m) <- next ()) lp.mus;
           walk lp.body)
       items
   in
   walk f.fbody;
   fun node ->
-    match Hashtbl.find_opt tbl node with
-    | Some n -> n
-    | None -> invalid_arg "Ir.compute_order: node not in function body"
+    let n =
+      match node with
+      | NI v -> dense_get values v ~absent:(-1)
+      | NL l -> dense_get loops l ~absent:(-1)
+    in
+    if n < 0 then invalid_arg "Ir.compute_order: node not in function body"
+    else n
 
 (* ----------------------------------------------------------------- users *)
 
 (* Table from value to the instructions that use it as a data operand or
-   in their execution predicate (absent: no users).  Loop guard and
+   in their execution predicate (empty: no users).  Loop guard and
    continue predicates are not instructions and do not count. *)
 let users_table f =
-  let tbl : (value_id, value_id list) Hashtbl.t = Hashtbl.create 64 in
-  let add user v =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
-    Hashtbl.replace tbl v (user :: cur)
-  in
-  let visit_inst i = List.iter (add i.id) (all_operands i) in
-  Hashtbl.iter (fun _ i -> visit_inst i) f.arena;
+  let tbl = Array.make f.next_value [] in
+  Hashtbl.iter
+    (fun _ i -> List.iter (fun v -> tbl.(v) <- i.id :: tbl.(v)) (all_operands i))
+    f.arena;
   tbl
 
+(* The users of [v] in a [users_table]. *)
+let users_in tbl v = dense_get tbl v ~absent:[]
+
 (* [users_table] as a lookup function.  Recomputed on demand. *)
-let compute_users f =
-  let tbl = users_table f in
-  fun v -> Option.value ~default:[] (Hashtbl.find_opt tbl v)
+let compute_users f = users_in (users_table f)
 
 (* Direct use test: does instruction [i] read value [j]? *)
 let uses f i j = List.mem j (all_operands (inst f i))
@@ -521,22 +516,22 @@ let add_indep_scope f a b p = f.indep_scopes <- (a, b, p) :: f.indep_scopes
    condition under which the instruction actually executes, seen from
    the top of the function. *)
 let effective_preds f =
-  let tbl : (value_id, Pred.t) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = Array.make f.next_value None in
   let rec walk ctx items =
     List.iter
       (fun item ->
         match item with
-        | I v -> Hashtbl.replace tbl v (Pred.and_ ctx (inst f v).ipred)
+        | I v -> tbl.(v) <- Some (Pred.and_ ctx (inst f v).ipred)
         | L lid ->
           let lp = loop f lid in
           let ctx' = Pred.and_ ctx lp.lpred in
-          List.iter (fun m -> Hashtbl.replace tbl m ctx') lp.mus;
+          List.iter (fun m -> tbl.(m) <- Some ctx') lp.mus;
           walk ctx' lp.body)
       items
   in
   walk Pred.tru f.fbody;
   fun v ->
-    match Hashtbl.find_opt tbl v with
+    match dense_get tbl v ~absent:None with
     | Some p -> p
     | None -> (inst f v).ipred
 
@@ -556,17 +551,9 @@ let indep_scope_index f =
 (* Is the pair (a, b) covered by a recorded independence fact?  The
    recorded disjointness holds whenever p holds; a dependence can only
    occur when both instructions execute, so it suffices that the
-   conjunction of their (effective) predicates implies p.  [scopes], an
-   [indep_scope_index] of [f], replaces the scan of every fact. *)
-let in_indep_scope ?eff ?scopes f a b =
-  let eff = match eff with Some e -> e | None -> fun v -> (inst f v).ipred in
-  let facts =
-    match scopes with
-    | Some index -> index a b
-    | None ->
-      List.filter_map
-        (fun (x, y, p) ->
-          if (x = a && y = b) || (x = b && y = a) then Some p else None)
-        f.indep_scopes
-  in
-  List.exists (fun p -> Pred.implies (Pred.and_ (eff a) (eff b)) p) facts
+   conjunction of their effective predicates [eff] implies p.  [scopes]
+   is an [indep_scope_index] of the function. *)
+let in_indep_scope ~eff ~scopes a b =
+  List.exists
+    (fun p -> Pred.implies (Pred.and_ (eff a) (eff b)) p)
+    (scopes a b)

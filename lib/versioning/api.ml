@@ -26,12 +26,12 @@ let create ?(condopt = Condopt.default_config) ?scev (f : Ir.func)
      SLP packer) pass it in rather than paying a second analysis *)
   let scev = match scev with Some s -> s | None -> Scev.create f in
   let graph = Depgraph.build f scev region in
-  let chain = Ir.region_chain f region in
   let enclosing =
-    List.rev
-      (List.filter_map
-         (function Ir.Rloop l -> Some l | Ir.Rtop -> None)
-         chain)
+    match region with
+    | Ir.Rtop -> []
+    | Ir.Rloop lid ->
+      (* an unplaced loop has no loops around it *)
+      lid :: Option.value ~default:[] (Ir.loop_ancestors f lid)
   in
   { s_func = f; s_region = region; s_scev = scev; s_graph = graph;
     s_plans = []; s_condopt = condopt; s_enclosing = enclosing }
@@ -271,10 +271,7 @@ let materialize ?(loop_upgrade = false) (s : session) :
     let ok1, subst1 =
       match upgraded with
       | Some (lid, loop_plan) ->
-        let parents = Ir.parent_regions f in
-        let parent =
-          Option.value ~default:Ir.Rtop (Hashtbl.find_opt parents (Ir.NL lid))
-        in
+        let parent = Option.value ~default:Ir.Rtop (Ir.loop_parent f lid) in
         Materialize.run f parent [ loop_plan ]
       | None -> (true, fun v -> v)
     in

@@ -59,30 +59,39 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
   Tm.incr "cut.queries";
   Tm.incr ~by:(Array.fold_left (fun a d -> if d then a + 1 else a) 0 discovered)
     "cut.graph_nodes";
-  if not (Depgraph.depends_on g ~excluded s t) then begin
+  let target = Array.make n_nodes false in
+  List.iter (fun k -> target.(k) <- true) t;
+  let into_t v = List.exists (fun e -> target.(e.Depgraph.e_dst)) succ.(v) in
+  (* T is reachable from S through at least one edge exactly when a
+     discovered node has an edge into T *)
+  let depends = ref false in
+  Array.iteri (fun v d -> if d && into_t v then depends := true) discovered;
+  if not !depends then begin
     Tm.incr "cut.already_independent";
     Some already_independent
   end
   else begin
-    (* 2. build the flow network over discovered nodes *)
+    (* 2. build the flow network over discovered nodes; one walk of the
+       edges collects those in scope (in id order) and their totals *)
+    let n_uncond = ref 0 and total_weight = ref 0 in
     let edges_in_scope =
-      List.filter
-        (fun e ->
-          (not (excluded e.Depgraph.e_id))
-          && discovered.(e.Depgraph.e_src)
-          && discovered.(e.Depgraph.e_dst))
-        (Array.to_list g.Depgraph.edges)
+      Array.fold_right
+        (fun e acc ->
+          if
+            (not (excluded e.Depgraph.e_id))
+            && discovered.(e.Depgraph.e_src)
+            && discovered.(e.Depgraph.e_dst)
+          then begin
+            (match e.Depgraph.e_cond with
+            | None -> incr n_uncond
+            | Some _ -> total_weight := !total_weight + weight e);
+            e :: acc
+          end
+          else acc)
+        g.Depgraph.edges []
     in
-    let n_uncond =
-      List.length (List.filter (fun e -> e.Depgraph.e_cond = None) edges_in_scope)
-    in
-    let total_weight =
-      List.fold_left
-        (fun acc e ->
-          acc + match e.Depgraph.e_cond with None -> 0 | Some _ -> weight e)
-        0 edges_in_scope
-    in
-    let big = n_uncond + total_weight + 1 in
+    let total_weight = !total_weight in
+    let big = !n_uncond + total_weight + 1 in
     let in_node k = 2 * k and out_node k = (2 * k) + 1 in
     let net = Fgv_graph.Maxflow.create (2 * n_nodes) in
     let source = Fgv_graph.Maxflow.add_node net in
@@ -121,19 +130,20 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
       None
     end
     else begin
-      (* 3. recover the cut *)
-      let cut_ids = Fgv_graph.Maxflow.cut_edge_tags net ~source in
+      (* 3. recover the cut (edge ids are dense array indices) *)
+      let side = Fgv_graph.Maxflow.source_side net ~source in
+      let in_cut = Array.make (Array.length g.Depgraph.edges) false in
+      List.iter
+        (fun id -> in_cut.(id) <- true)
+        (Fgv_graph.Maxflow.cut_edge_tags net ~side);
       let cut_edges =
-        List.filter (fun e -> List.mem e.Depgraph.e_id cut_ids)
+        List.filter (fun e -> in_cut.(e.Depgraph.e_id))
           (Array.to_list g.Depgraph.edges)
       in
       assert (List.for_all (fun e -> e.Depgraph.e_cond <> None) cut_edges);
-      let side = Fgv_graph.Maxflow.source_side net ~source in
       (* nodes on the source side that can reach T in the (uncut)
          dependence graph, excluding trivial self-reachability *)
       let reaches_t =
-        let target = Array.make n_nodes false in
-        List.iter (fun k -> target.(k) <- true) t;
         let memo = Array.make n_nodes (-1) in
         (* -1 unknown, 0 no, 1 yes *)
         let rec reach v =

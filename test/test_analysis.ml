@@ -329,6 +329,210 @@ let test_depcond_restrict_kills_edge () =
   Alcotest.(check bool) "no edge between restrict-disjoint accesses" true
     (dep_between f is_load is_store0 = None)
 
+(* ------------------------------------------------- per-function tables *)
+
+(* Every paper kernel after [sv+v]: versioning clones loops and values,
+   so the bodies hold nested and versioned loops, and the id spaces have
+   gaps where DCE deleted values. *)
+let compile_versioned () =
+  List.map
+    (fun (k : Fgv_bench.Workload.kernel) ->
+      let f = compile k.Fgv_bench.Workload.k_source in
+      List.assoc "sv+v" Fgv_passes.Pipelines.registry ?on_pass:None f;
+      (k.Fgv_bench.Workload.k_name, f))
+    (Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
+   @ Fgv_bench.Specfp.kernels)
+
+(* shared by the tests that only read the functions *)
+let versioned_kernels = lazy (compile_versioned ())
+
+(* The reference walk: every placed value with its program-order
+   position, enclosing loops (innermost first) and effective predicate,
+   and every placed loop with its position and enclosing loops. *)
+type placed = {
+  values : (Ir.value_id, int * Ir.loop_id list * Pred.t) Hashtbl.t;
+  loops : (Ir.loop_id, int * Ir.loop_id list) Hashtbl.t;
+}
+
+let reference_walk f =
+  let r = { values = Hashtbl.create 64; loops = Hashtbl.create 8 } in
+  let pos = ref 0 in
+  let next () =
+    incr pos;
+    !pos - 1
+  in
+  let rec walk loops guard items =
+    List.iter
+      (function
+        | Ir.I v ->
+          let eff = Pred.and_ guard (Ir.inst f v).Ir.ipred in
+          Hashtbl.replace r.values v (next (), loops, eff)
+        | Ir.L lid ->
+          let lp = Ir.loop f lid in
+          let guard = Pred.and_ guard lp.Ir.lpred in
+          Hashtbl.replace r.loops lid (next (), loops);
+          List.iter
+            (fun m -> Hashtbl.replace r.values m (next (), lid :: loops, guard))
+            lp.Ir.mus;
+          walk (lid :: loops) guard lp.Ir.body)
+      items
+  in
+  walk [] Pred.tru f.Ir.fbody;
+  r
+
+let not_placed = Invalid_argument "Ir.compute_order: node not in function body"
+
+let check_not_placed what order node =
+  Alcotest.check_raises what not_placed (fun () -> ignore (order node))
+
+let check_order name f =
+  let r = reference_walk f in
+  let order = Ir.compute_order f in
+  Hashtbl.iter
+    (fun v (pos, _, _) ->
+      Alcotest.(check int) (Printf.sprintf "%s: position of v%d" name v) pos
+        (order (Ir.NI v)))
+    r.values;
+  Hashtbl.iter
+    (fun l (pos, _) ->
+      Alcotest.(check int) (Printf.sprintf "%s: position of L%d" name l) pos
+        (order (Ir.NL l)))
+    r.loops;
+  (* deleted ids, and the first id past the table *)
+  for v = 0 to f.Ir.next_value do
+    if not (Hashtbl.mem r.values v) then
+      check_not_placed (Printf.sprintf "%s: unplaced v%d" name v) order
+        (Ir.NI v)
+  done
+
+let check_users name f =
+  let expected = Hashtbl.create 64 in
+  Ir.iter_insts f (fun i ->
+      List.iter (fun v -> Hashtbl.add expected v i.Ir.id) (Ir.all_operands i));
+  let users = Ir.compute_users f in
+  for v = 0 to f.Ir.next_value do
+    Alcotest.(check (list int)) (Printf.sprintf "%s: users of v%d" name v)
+      (List.sort compare (Hashtbl.find_all expected v))
+      (List.sort compare (users v))
+  done
+
+let check_effective_preds name f =
+  let r = reference_walk f in
+  let eff = Ir.effective_preds f in
+  Ir.iter_insts f (fun i ->
+      let expected =
+        match Hashtbl.find_opt r.values i.Ir.id with
+        | Some (_, _, p) -> p
+        | None -> i.Ir.ipred
+      in
+      if not (Pred.equal expected (eff i.Ir.id)) then
+        Alcotest.failf "%s: effective predicate of v%d" name i.Ir.id)
+
+let region =
+  Alcotest.of_pp (fun fmt r ->
+      Format.pp_print_string fmt
+        (match r with Ir.Rtop -> "top" | Ir.Rloop l -> Printf.sprintf "L%d" l))
+
+let check_loop_ancestors name f =
+  let r = reference_walk f in
+  Hashtbl.iter
+    (fun l (_, loops) ->
+      let what = Printf.sprintf "%s: L%d" name l in
+      Alcotest.(check (option (list int))) (what ^ " ancestors") (Some loops)
+        (Ir.loop_ancestors f l);
+      Alcotest.(check (option region)) (what ^ " parent")
+        (Some (match loops with [] -> Ir.Rtop | p :: _ -> Ir.Rloop p))
+        (Ir.loop_parent f l))
+    r.loops
+
+let check_enclosing_loops name f =
+  let r = reference_walk f in
+  let scev = Scev.create f in
+  for v = 0 to f.Ir.next_value do
+    let expected =
+      match Hashtbl.find_opt r.values v with
+      | Some (_, loops, _) -> loops
+      | None -> []
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: loops enclosing v%d" name v)
+      expected (Scev.enclosing_loops scev v)
+  done
+
+let on_versioned_kernels check () =
+  List.iter (fun (name, f) -> check name f) (Lazy.force versioned_kernels)
+
+let test_loop_ancestors () =
+  on_versioned_kernels check_loop_ancestors ();
+  Alcotest.(check bool) "some kernel has a loop nest" true
+    (List.exists
+       (fun (_, f) ->
+         Hashtbl.fold
+           (fun _ (_, loops) acc -> acc || loops <> [])
+           (reference_walk f).loops false)
+       (Lazy.force versioned_kernels))
+
+(* Each table is a snapshot: values and a loop made after it was built
+   read as absent even once placed, exactly as unplaced ones do; rebuilt,
+   the tables see them. *)
+let test_dense_snapshot () =
+  List.iter
+    (fun (name, f) ->
+      match
+        List.find_map
+          (function Ir.L l -> Some (Ir.loop f l) | Ir.I _ -> None)
+          f.Ir.fbody
+      with
+      | None -> ()
+      | Some lp ->
+        let order = Ir.compute_order f in
+        let users = Ir.compute_users f in
+        let eff = Ir.effective_preds f in
+        let scev = Scev.create f in
+        let operand = List.hd lp.Ir.mus in
+        let guard = Pred.lit ~positive:false operand in
+        (* [late] reads [last], the highest id, so a rebuilt users table
+           must reach its last slot *)
+        let late =
+          Ir.new_inst f ~kind:(Ir.Const (Ir.Cint 0)) ~ty:Ir.Tint ~pred:guard
+        in
+        let last =
+          Ir.new_inst f ~kind:(Ir.Binop (Ir.Add, operand, operand)) ~ty:Ir.Tint
+            ~pred:guard
+        in
+        late.Ir.kind <- Ir.Binop (Ir.Add, last.Ir.id, last.Ir.id);
+        let late_loop = Ir.new_loop f ~pred:Pred.tru in
+        lp.Ir.body <-
+          Ir.I last.Ir.id :: Ir.I late.Ir.id :: Ir.L late_loop.Ir.lid
+          :: lp.Ir.body;
+        List.iter
+          (fun v ->
+            let what = Printf.sprintf "%s: late v%d" name v in
+            check_not_placed what order (Ir.NI v);
+            Alcotest.(check (list int)) (what ^ " users") [] (users v);
+            Alcotest.(check bool) (what ^ " effective predicate is its own")
+              true
+              (Pred.equal guard (eff v));
+            Alcotest.(check (list int)) (what ^ " enclosing loops") []
+              (Scev.enclosing_loops scev v))
+          [ late.Ir.id; last.Ir.id ];
+        Alcotest.(check bool) (name ^ ": operand's users unchanged") false
+          (List.mem last.Ir.id (users operand));
+        check_not_placed (name ^ ": late loop") order (Ir.NL late_loop.Ir.lid);
+        (* the loop-tree walks read the live body: a loop never placed
+           has no ancestors and no parent *)
+        let stray = (Ir.new_loop f ~pred:Pred.tru).Ir.lid in
+        Alcotest.(check (option (list int))) (name ^ ": stray loop ancestors")
+          None (Ir.loop_ancestors f stray);
+        Alcotest.(check (option region)) (name ^ ": stray loop parent") None
+          (Ir.loop_parent f stray);
+        check_order name f;
+        check_users name f;
+        check_effective_preds name f;
+        check_loop_ancestors name f;
+        check_enclosing_loops name f)
+    (compile_versioned ())
+
 let suite =
   [
     Alcotest.test_case "linexp algebra" `Quick test_linexp_algebra;
@@ -343,4 +547,16 @@ let suite =
       test_depcond_pred_rule;
     Alcotest.test_case "restrict removes the edge" `Quick
       test_depcond_restrict_kills_edge;
+    Alcotest.test_case "dense order table matches a program-order walk"
+      `Quick (on_versioned_kernels check_order);
+    Alcotest.test_case "dense users table matches an arena walk" `Quick
+      (on_versioned_kernels check_users);
+    Alcotest.test_case "dense effective predicates match a guard walk"
+      `Quick (on_versioned_kernels check_effective_preds);
+    Alcotest.test_case "loop ancestors match a loop-tree walk" `Quick
+      test_loop_ancestors;
+    Alcotest.test_case "dense enclosing loops match a loop-tree walk" `Quick
+      (on_versioned_kernels check_enclosing_loops);
+    Alcotest.test_case "dense tables read later values as absent" `Quick
+      test_dense_snapshot;
   ]

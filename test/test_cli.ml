@@ -1,0 +1,65 @@
+(* The fgvc driver's answers to bad [--run] inputs: each is a typed
+   message with a documented exit status (2 for a malformed flag, 6 for
+   an interpreter trap), never an uncaught exception. *)
+
+(* the driver dune builds next to this test's directory *)
+let fgvc =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "fgvc.exe" ]
+
+let kernel =
+  "kernel k(float* a, float* b, int n) {\n\
+  \  for (int i = 0; i < n; i = i + 1) { a[i] = b[i] * 2.0 + 1.0; }\n\
+   }\n"
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Exit status and standard error of [fgvc FILE -p sv+v --run ARGS]. *)
+let run_kernel file args =
+  let err = Filename.temp_file "fgvc" ".err" in
+  let cmd =
+    Filename.quote_command fgvc ~stdout:Filename.null ~stderr:err
+      ([ file; "-p"; "sv+v"; "--run" ] @ args)
+  in
+  let rc = Sys.command cmd in
+  let msg = read_file err in
+  Sys.remove err;
+  (rc, msg)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let test_run_user_errors () =
+  let file = Filename.temp_file "kernel" ".c" in
+  let oc = open_out file in
+  output_string oc kernel;
+  close_out oc;
+  let expect args rc prefix =
+    let rc', msg = run_kernel file args in
+    let what = String.concat " " args in
+    Alcotest.(check int) (what ^ ": exit status") rc rc';
+    if not (starts_with prefix msg) then
+      Alcotest.failf "%s: expected a message starting %S, got %S" what prefix
+        msg
+  in
+  expect [ "-a"; "0,64,16"; "--heap"; "256" ] 0 "";
+  expect [ "-a"; "0,x"; "--heap"; "256" ] 2 "fgvc: -a: \"x\" is not";
+  expect [ "-a"; "0,64,16"; "--heap"; "0" ] 2 "fgvc: --heap: ";
+  expect [ "-a"; "0,64,16"; "--heap=-1" ] 2 "fgvc: --heap: ";
+  expect [ "-a"; "0,64"; "--heap"; "256" ] 6
+    (Printf.sprintf "fgvc: %s: trap: missing argument 2" file);
+  expect [ "-a"; "0,64,16"; "--heap"; "32" ] 6
+    (Printf.sprintf "fgvc: %s: trap: out-of-bounds access" file);
+  Sys.remove file
+
+let suite =
+  [
+    Alcotest.test_case "--run user errors exit with typed messages" `Quick
+      test_run_user_errors;
+  ]

@@ -23,4 +23,5 @@ let () =
       ("service", Test_service.suite);
       ("incremental", Test_incremental.suite);
       ("obslog", Test_obslog.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -47,7 +47,8 @@ let test_cut_tags () =
   Maxflow.add_edge ~tag:7 g ~src:1 ~dst:2 ~cap:9;
   let flow = Maxflow.solve g ~source:0 ~sink:2 in
   check_int "flow" 1 flow;
-  Alcotest.(check (list int)) "cut tags" [ 42 ] (Maxflow.cut_edge_tags g ~source:0)
+  Alcotest.(check (list int)) "cut tags" [ 42 ]
+    (Maxflow.cut_edge_tags g ~side:(Maxflow.source_side g ~source:0))
 
 (* Independent Edmonds-Karp implementation for cross-checking. *)
 let edmonds_karp n edges ~source ~sink =
@@ -120,7 +121,7 @@ let prop_cut_separates =
         edges;
       let source = 0 and sink = n - 1 in
       ignore (Maxflow.solve g ~source ~sink);
-      let cut = Maxflow.cut_edge_tags g ~source in
+      let cut = Maxflow.cut_edge_tags g ~side:(Maxflow.source_side g ~source) in
       (* residual reachability without the cut edges must not reach t *)
       let dg = Fgv_graph.Digraph.create n in
       List.iteri
