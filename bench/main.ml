@@ -1,13 +1,10 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (SV) over the simulator, then runs Bechamel
-   wall-clock micro-benchmarks of the interpreter executing the baseline
-   and versioned programs — one Bechamel test pair per paper table, as a
-   sanity check that the cost model's direction agrees with real time.
+   paper's evaluation (SV) over the simulator, plus the native, compile-
+   time and compile-service lanes.
 
    Usage:
      dune exec bench/main.exe                         # everything
      dune exec bench/main.exe -- fig16                # one table
-     dune exec bench/main.exe -- wallclock            # Bechamel timings only
      dune exec bench/main.exe -- all --json FILE      # also write FILE as
                                                       # machine-readable JSON
      dune exec bench/main.exe -- all --jobs 8         # 8 worker domains
@@ -43,65 +40,6 @@ let section title body =
   Printf.printf "%s\n" title;
   Printf.printf "==============================================================\n%!";
   print_string body;
-  print_newline ()
-
-(* --------------------------------------------------- bechamel timings *)
-
-(* Compile + optimize once; the timed thunk only interprets. *)
-let prepared (config : W.config) (k : W.kernel) =
-  let f = W.compile_for config k in
-  ignore (config.W.c_apply f);
-  let args = k.W.k_args in
-  fun () -> ignore (Interp.run f ~args ~mem:(W.fresh_mem k))
-
-let wallclock_tests () =
-  let pick name kernels = List.find (fun k -> k.W.k_name = name) kernels in
-  let tsvc_k = pick "s131" Fgv_bench.Tsvc.kernels in
-  let poly_k = pick "floyd-warshall" Fgv_bench.Polybench.kernels in
-  let spec_k = pick "lbm_r" Fgv_bench.Specfp.kernels in
-  [
-    (* Fig. 19 representative: TSVC s131 (symbolic dependence distance) *)
-    ("fig19/s131-O3", prepared (W.llvm_o3 ()) tsvc_k);
-    ("fig19/s131-SV+V", prepared (W.sv_versioning ()) tsvc_k);
-    (* Fig. 16 representative: floyd-warshall without restrict *)
-    ("fig16/fw-O3", prepared (W.llvm_o3 ~restrict:false ()) poly_k);
-    ("fig16/fw-SV+V", prepared (W.sv_versioning ~restrict:false ()) poly_k);
-    (* Fig. 22 representative: the lbm surrogate, RLE off/on *)
-    ( "fig22/lbm-base",
-      prepared (W.cfg "rle-base" (fun f -> Fgv_passes.Pipelines.rle_baseline f)) spec_k );
-    ( "fig22/lbm-RLE",
-      prepared (W.cfg "rle" (fun f -> Fgv_passes.Pipelines.rle_pipeline f)) spec_k );
-  ]
-
-let wallclock () =
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun (name, thunk) -> Test.make ~name (Staged.stage thunk))
-      (wallclock_tests ())
-  in
-  let grouped = Test.make_grouped ~name:"fgv" ~fmt:"%s/%s" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "Bechamel wall-clock (monotonic ns per interpreter run)\n";
-  Printf.printf "%-24s %14s\n" "benchmark" "ns/run";
-  Printf.printf "---------------------------------------\n";
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ x ] -> Printf.sprintf "%14.0f" x
-        | _ -> "?"
-      in
-      Printf.printf "%-24s %s\n" name est)
-    results;
   print_newline ()
 
 (* ------------------------------------------------------- JSON figures *)
@@ -342,8 +280,8 @@ type ct_row = {
   ct_wall_s : float;
   ct_minor_words : float;
   ct_counters : (string * int) list;
-  ct_hists : (string * H.t) list;
-      (* per-timer latency histograms the row's isolated shard captured *)
+  ct_timers : (string * float * int) list;
+      (* (name, total seconds, invocations) of every timer the row ran *)
 }
 
 (* A lane row: a program source plus the pipeline it is compiled with
@@ -357,7 +295,7 @@ type ct_spec = {
   cs_apply : Ir.func -> unit;
 }
 
-let ct_sv f = ignore (Fgv_passes.Pipelines.sv_versioning f)
+let ct_sv f = Fgv_passes.Pipelines.sv_versioning f
 
 (* Fuzz-program sources for the lane: deterministic in (size, seed),
    growing statement budgets so the dependence graphs get big. *)
@@ -391,9 +329,9 @@ let ct_client_specs () =
     (fun (client, kname) ->
       let apply f =
         match client with
-        | "dse" -> ignore (Fgv_passes.Pipelines.dse_pipeline f)
-        | "distribute" -> ignore (Fgv_passes.Pipelines.distribute_pipeline f)
-        | _ -> ignore (Fgv_passes.Pipelines.combined f)
+        | "dse" -> Fgv_passes.Pipelines.dse_pipeline f
+        | "distribute" -> Fgv_passes.Pipelines.distribute_pipeline f
+        | _ -> Fgv_passes.Pipelines.combined f
       in
       {
         cs_name = kname ^ "+" ^ client;
@@ -409,7 +347,7 @@ let ct_run_row spec : ct_row =
      not depend on what earlier rows left behind — a saturated running
      maximum would otherwise make the row's delta vary with the worker
      schedule *)
-  let (wall, words), shard =
+  let (wall, words, timers), shard =
     Obs.isolated (fun () ->
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
@@ -418,12 +356,12 @@ let ct_run_row spec : ct_row =
           else Fgv_frontend.Lower_ast.compile_no_restrict src
         in
         spec.cs_apply f;
-        (Unix.gettimeofday () -. t0, Gc.minor_words () -. m0))
+        let wall = Unix.gettimeofday () -. t0 in
+        (wall, Gc.minor_words () -. m0, Tm.timers ()))
   in
   Obs.merge shard;
   { ct_name = spec.cs_name; ct_wall_s = wall; ct_minor_words = words;
-    ct_counters = Obs.counters shard;
-    ct_hists = Obs.timer_histograms shard }
+    ct_counters = Obs.counters shard; ct_timers = timers }
 
 let run_compiletime () =
   Tr.with_span ~cat:"figure" "compiletime" @@ fun () ->
@@ -469,11 +407,17 @@ let run_compiletime () =
                           [
                             ("wall_s", J.Float r.ct_wall_s);
                             ("minor_words", J.Float r.ct_minor_words);
-                            ( "histograms",
+                            ( "timers",
                               J.Assoc
                                 (List.map
-                                   (fun (n, h) -> (n, H.to_json h))
-                                   r.ct_hists) );
+                                   (fun (n, total, count) ->
+                                     ( n,
+                                       J.Assoc
+                                         [
+                                           ("total_s", J.Float total);
+                                           ("count", J.Int count);
+                                         ] ))
+                                   r.ct_timers) );
                           ] );
                       ("counters", counters_json r.ct_counters);
                     ])
@@ -721,7 +665,7 @@ let write_json file =
 let usage () =
   Printf.eprintf
     "usage: main.exe [fig16|fig19|fig22|clients|s258|ablation-mincut|\
-     ablation-condopt|compiletime|native|service|incremental|wallclock|all]... \
+     ablation-condopt|compiletime|native|service|incremental|all]... \
      [--json FILE] [--jobs N] [--trace FILE]\n";
   exit 1
 
@@ -777,7 +721,6 @@ let () =
     | "native" -> run_native ()
     | "service" -> run_service ()
     | "incremental" -> run_incremental ()
-    | "wallclock" -> wallclock ()
     | "all" ->
       run_fig19 ();
       run_fig16 ();
@@ -789,9 +732,7 @@ let () =
       run_compiletime ();
       run_native ();
       run_service ();
-      run_incremental ();
-      section "Wall-clock sanity (Bechamel)" "";
-      wallclock ()
+      run_incremental ()
     | other ->
       Printf.eprintf "unknown table %s\n" other;
       usage ()

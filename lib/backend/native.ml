@@ -131,9 +131,11 @@ let compile_checked ?fuel (p : Fgv_cfg.Cir.prog) ~(mem : Value.t array) :
     Error e
 
 let run_checked (c : compiled) ~(args : Value.t list) : (obs, string) result =
-  let r = Proc.run c.nc_exe (List.map value_token args) in
+  let r =
+    Tm.time "native.run" (fun () ->
+        Proc.run c.nc_exe (List.map value_token args))
+  in
   Tm.incr "native.runs";
-  Tm.incr ~by:(int_of_float (r.Proc.p_wall_s *. 1000.)) "native.run_ms";
   if not (Proc.ok r) then
     Error
       (Printf.sprintf "native run %s: %s" (Proc.status_string r.Proc.p_status)
@@ -200,9 +202,8 @@ let run_fast (p : Fgv_cfg.Cir.prog) ~(args : Value.t list)
     | Error e -> Error e
     | Ok () -> (
       let compile_s = Unix.gettimeofday () -. t0 in
-      let r = Proc.run exe [] in
+      let r = Tm.time "native.run" (fun () -> Proc.run exe []) in
       Tm.incr "native.runs";
-      Tm.incr ~by:(int_of_float (r.Proc.p_wall_s *. 1000.)) "native.run_ms";
       if not (Proc.ok r) then
         Error
           (Printf.sprintf "native run %s: %s"

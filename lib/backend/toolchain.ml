@@ -36,12 +36,13 @@ let compile ~(mode : mode) ~(src : string) ~(exe : string) :
   | None -> Error "no C compiler (install cc/gcc/clang or set FGV_CC)"
   | Some cc ->
     let attempt flags = Proc.run cc (flags @ [ src; "-o"; exe; "-lm" ]) in
-    let r = attempt (mode_flags mode) in
     let r =
-      if (not (Proc.ok r)) && mode = Fast then attempt [ "-O2"; "-w" ] else r
+      Tm.time "native.compile" (fun () ->
+          let r = attempt (mode_flags mode) in
+          if (not (Proc.ok r)) && mode = Fast then attempt [ "-O2"; "-w" ]
+          else r)
     in
     Tm.incr "native.compiles";
-    Tm.incr ~by:(int_of_float (r.Proc.p_wall_s *. 1000.)) "native.compile_ms";
     if Proc.ok r then Ok ()
     else begin
       Tm.incr "native.compile_errors";

@@ -154,6 +154,20 @@ type rle_row = {
   f_size_increase : float;
 }
 
+(* Pass work is read from counters (DESIGN §8): a pipeline's work is its
+   counter delta ([r_work]), and a phase's work is the difference of two
+   deltas over a shared prefix.  Both RLE pipelines begin with exactly
+   [o3_novec]'s stages, so the LICM/GVN work they do after that prefix —
+   the paper's "more work after RLE" — is their delta minus an
+   [o3_novec] run's on the same kernel.  That run is isolated and its
+   shard never merged, so the figure's own counters do not see it. *)
+let prefix_work (k : W.kernel) : (string * int) list =
+  let cfgn = W.base_novec () in
+  let (), shard =
+    Fgv_support.Obs.isolated (fun () -> cfgn.W.c_apply (W.compile_for cfgn k))
+  in
+  Fgv_support.Obs.counters shard
+
 let rle_rows ?(check = true) ?(jobs = 1) () : rle_row list =
   Pool.map ~jobs
     (fun k ->
@@ -172,18 +186,19 @@ let rle_rows ?(check = true) ?(jobs = 1) () : rle_row list =
       let frac a b = if b = 0 then 0.0 else float_of_int (a - b) /. float_of_int a in
       let growth a b = if a = 0 then 0.0 else float_of_int (b - a) /. float_of_int a in
       let extra a b = if a = 0 then float_of_int b else growth a b in
+      let prefix = prefix_work k in
+      let after_prefix name r = W.count r.W.r_work name - W.count prefix name in
+      let extra_work name =
+        extra (after_prefix name base) (after_prefix name rle)
+      in
       {
         f_name = k.W.k_name;
         f_speedup = base.W.r_cost /. rle.W.r_cost;
         f_loads_eliminated =
           frac base.W.r_counters.Interp.loads rle.W.r_counters.Interp.loads;
         f_branches_increase = growth base.W.r_branches rle.W.r_branches;
-        f_licm_extra =
-          extra base.W.r_stats.P.Pipelines.licm_hoisted
-            rle.W.r_stats.P.Pipelines.licm_hoisted;
-        f_gvn_extra =
-          extra base.W.r_stats.P.Pipelines.gvn_deleted
-            rle.W.r_stats.P.Pipelines.gvn_deleted;
+        f_licm_extra = extra_work "pass.licm.hoisted";
+        f_gvn_extra = extra_work "pass.gvn.deleted";
         f_size_increase = growth base.W.r_code_size rle.W.r_code_size;
       })
     Specfp.kernels
@@ -280,9 +295,9 @@ let clients_rows ?(check = true) ?(jobs = 1) () : client_row list =
         v_kernel = kname;
         v_speedup = static.W.r_cost /. versioned.W.r_cost;
         v_newly_vectorized = vec versioned && not (vec static);
-        v_forwarded = versioned.W.r_stats.P.Pipelines.dse_forwarded;
-        v_killed = versioned.W.r_stats.P.Pipelines.dse_killed;
-        v_pieces = versioned.W.r_stats.P.Pipelines.distribute_pieces;
+        v_forwarded = W.count versioned.W.r_work "pass.dse.forwarded";
+        v_killed = W.count versioned.W.r_work "pass.dse.killed";
+        v_pieces = W.count versioned.W.r_work "pass.distribute.pieces";
       })
     client_specs
 
@@ -386,7 +401,7 @@ let ablation_mincut ?(jobs = 1) () : string =
     Pool.map ~jobs
       (fun (k : W.kernel) ->
       let f = Fgv_frontend.Lower_ast.compile_no_restrict k.W.k_source in
-      ignore (P.Pipelines.o3_novec f);
+      P.Pipelines.o3_novec f;
       ignore (P.Ifconv.run f);
       ignore (P.Unroll.run ~factor:4 f);
       ignore (P.Constfold.run f);
@@ -485,16 +500,12 @@ let ablation_condopt ?(jobs = 1) () : string =
                    condopt = Fgv_versioning.Condopt.none_config;
                  }
                in
-               let stats = P.Pipelines.new_pass_stats () in
-               P.Pipelines.scalar_passes f stats;
+               P.Pipelines.scalar_passes f;
                ignore (P.Ifconv.run f);
                ignore (P.Unroll.run ~factor:4 f);
                ignore (P.Constfold.run f);
-               let n, s = P.Slp.run ~config f in
-               stats.P.Pipelines.slp_vectors <- n;
-               stats.P.Pipelines.slp_plans <- s.P.Slp.plans_used;
-               P.Pipelines.scalar_passes f stats;
-               stats))
+               ignore (P.Slp.run ~config f);
+               P.Pipelines.scalar_passes f))
           k
       in
       let ratio = without.W.r_cost /. with_opt.W.r_cost in

@@ -45,7 +45,7 @@ let native_speedup (r : row) : float =
 let fast_run (cfgn : W.config) (k : W.kernel) :
     (float * int * bool, string) result =
   let f = W.compile_for cfgn k in
-  ignore (cfgn.W.c_apply f);
+  cfgn.W.c_apply f;
   let prog = Fgv_cfg.Lower.lower f in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
   let want = N.checksum_of_mem iout.Fgv_cfg.Cinterp.memory in

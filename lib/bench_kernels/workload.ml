@@ -25,7 +25,7 @@ let mk ?(note = "") ~name ~source ~args ~heap ?(init = fun i ->
 type config = {
   c_name : string;
   c_restrict : bool; (* honour restrict qualifiers in the source *)
-  c_apply : Ir.func -> P.Pipelines.pass_stats;
+  c_apply : Ir.func -> unit;
 }
 
 let cfg ?(restrict = true) name apply =
@@ -48,9 +48,14 @@ type run_result = {
   r_counters : Interp.counters;
   r_branches : int; (* dynamic conditional branches (CFG interp) *)
   r_code_size : int; (* static CFG instruction count *)
-  r_stats : P.Pipelines.pass_stats;
+  r_work : (string * int) list;
+      (* counter delta of the pipeline run: the passes' work (DESIGN §8) *)
   r_outcome : Interp.outcome;
 }
+
+(* A counter's value in a counter list, 0 if absent. *)
+let count (counters : (string * int) list) name =
+  Option.value ~default:0 (List.assoc_opt name counters)
 
 exception Kernel_error of string * exn
 
@@ -64,7 +69,7 @@ let fresh_mem k = Array.init k.k_heap (fun i -> Value.VFloat (k.k_init i))
 let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
   try
     let f = compile_for cfgn k in
-    let stats = cfgn.c_apply f in
+    let (), work = Fgv_support.Telemetry.capture (fun () -> cfgn.c_apply f) in
     (match Verifier.verify_or_message f with
     | None -> ()
     | Some m -> failwith ("ill-formed after " ^ cfgn.c_name ^ ": " ^ m));
@@ -82,7 +87,7 @@ let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
       r_counters = outcome.counters;
       r_branches = branches;
       r_code_size = code_size;
-      r_stats = stats;
+      r_work = work;
       r_outcome = outcome;
     }
   with e -> raise (Kernel_error (k.k_name ^ "/" ^ cfgn.c_name, e))
@@ -96,7 +101,7 @@ let check_equivalence (k : kernel) (cfgs : config list) : unit =
   List.iter
     (fun c ->
       let f = compile_for c k in
-      ignore (c.c_apply f);
+      c.c_apply f;
       let out = Interp.run f ~args:k.k_args ~mem:(fresh_mem k) in
       if not (Interp.equivalent ref_out out) then
         failwith

@@ -27,12 +27,11 @@ module V = Fgv_versioning
 module Tr = Fgv_support.Trace
 
 type stats = {
-  mutable loops_considered : int;
   mutable loops_split : int;
   mutable pieces : int;
 }
 
-let new_stats () = { loops_considered = 0; loops_split = 0; pieces = 0 }
+let new_stats () = { loops_split = 0; pieces = 0 }
 
 (* One distributable statement group: the stores anchoring it and the
    operand closure (in-loop values) it needs to compute them. *)
@@ -305,11 +304,7 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
       sp_enumerate =
         (fun s ->
           List.filter_map
-            (function
-              | Ir.I _ -> None
-              | Ir.L lid ->
-                stats.loops_considered <- stats.loops_considered + 1;
-                analyze s lid)
+            (function Ir.I _ -> None | Ir.L lid -> analyze s lid)
             (Ir.region_items s.V.Api.s_func s.V.Api.s_region));
       sp_want =
         (fun _ c ->

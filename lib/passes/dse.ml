@@ -31,15 +31,12 @@ module V = Fgv_versioning
 module Tr = Fgv_support.Trace
 
 type stats = {
-  mutable candidates : int;
   mutable forwarded : int;
   mutable killed : int;
   mutable versioned : int;
-  mutable infeasible : int;
 }
 
-let new_stats () =
-  { candidates = 0; forwarded = 0; killed = 0; versioned = 0; infeasible = 0 }
+let new_stats () = { forwarded = 0; killed = 0; versioned = 0 }
 
 (* Symbolic address key of a scalar memory access: the linear expression
    of the address plus the accessed type (same keying as RLE). *)
@@ -222,14 +219,10 @@ let granted ~ok = function
 
 let tally stats ~ok outcomes =
   List.iter
-    (fun (_, o) ->
-      stats.candidates <- stats.candidates + 1;
-      match o with
-      | V.Wish.Granted_versioned _ when ok ->
+    (function
+      | _, V.Wish.Granted_versioned _ when ok ->
         stats.versioned <- stats.versioned + 1
-      | V.Wish.Granted_versioned _ | V.Wish.Denied ->
-        stats.infeasible <- stats.infeasible + 1
-      | V.Wish.Granted_static -> ())
+      | _ -> ())
     outcomes
 
 let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)

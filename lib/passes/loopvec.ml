@@ -25,7 +25,7 @@ open Fgv_pssa
 open Fgv_analysis
 module V = Fgv_versioning
 
-type outcome = Vectorized of int (* checks emitted *) | Not_vectorized of string
+type outcome = Vectorized | Not_vectorized of string
 
 (* Pairwise whole-loop checks; None when classic versioning is
    impossible. *)
@@ -118,20 +118,12 @@ let vectorize_loop ?(vl = 4) (f : Ir.func) (lid : Ir.loop_id) : outcome =
         (* unroll the fast-path loop (the original keeps its id) *)
         let n = Unroll.run ~factor:vl ~select:(fun l -> l = lid) f in
         if n = 0 then Not_vectorized "unroll failed"
-        else Vectorized (List.length atoms)
+        else Vectorized
       end
 
-type stats = {
-  mutable loops_vectorized : int;
-  mutable loops_skipped : int;
-  mutable checks_emitted : int;
-}
-
-let new_stats () = { loops_vectorized = 0; loops_skipped = 0; checks_emitted = 0 }
-
-(* Vectorize every innermost loop, then run the static packer. *)
-let run ?(vl = 4) (f : Ir.func) : stats =
-  let stats = new_stats () in
+(* Vectorize every innermost loop, then run the static packer.  Returns
+   the number of loops vectorized. *)
+let run ?(vl = 4) (f : Ir.func) : int =
   (* snapshot the loops first: the transform rewrites the body *)
   let rec innermost items acc =
     List.fold_left
@@ -145,16 +137,13 @@ let run ?(vl = 4) (f : Ir.func) : stats =
       acc items
   in
   let loops = innermost f.Ir.fbody [] in
-  List.iter
-    (fun lid ->
-      match vectorize_loop ~vl f lid with
-      | Vectorized checks ->
-        stats.loops_vectorized <- stats.loops_vectorized + 1;
-        stats.checks_emitted <- stats.checks_emitted + checks
-      | Not_vectorized _ -> stats.loops_skipped <- stats.loops_skipped + 1)
-    loops;
-  if stats.loops_vectorized > 0 then begin
-    let (_ : int * Slp.stats) = Slp.run ~config:Slp.static_config f in
-    ()
-  end;
-  stats
+  let vectorized =
+    List.fold_left
+      (fun n lid ->
+        match vectorize_loop ~vl f lid with
+        | Vectorized -> n + 1
+        | Not_vectorized _ -> n)
+      0 loops
+  in
+  if vectorized > 0 then ignore (Slp.run ~config:Slp.static_config f);
+  vectorized

@@ -23,18 +23,10 @@ module V = Fgv_versioning
 
 type stats = {
   mutable groups_found : int;
-  mutable groups_versioned : int;
   mutable loads_eliminated : int;
-  mutable groups_infeasible : int;
 }
 
-let new_stats () =
-  {
-    groups_found = 0;
-    groups_versioned = 0;
-    loads_eliminated = 0;
-    groups_infeasible = 0;
-  }
+let new_stats () = { groups_found = 0; loads_eliminated = 0 }
 
 (* Region-level scalar loads grouped by symbolic address and type. *)
 let load_groups (f : Ir.func) (scev : Scev.t) (region : Ir.region) :
@@ -112,13 +104,8 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
               let collapse =
                 match o with
                 | V.Wish.Granted_static -> true
-                | V.Wish.Granted_versioned { conds } ->
-                  if conds > 0 then
-                    stats.groups_versioned <- stats.groups_versioned + 1;
-                  ok
-                | V.Wish.Denied ->
-                  stats.groups_infeasible <- stats.groups_infeasible + 1;
-                  false
+                | V.Wish.Granted_versioned _ -> ok
+                | V.Wish.Denied -> false
               in
               if collapse then begin
                 let target = subst leader in

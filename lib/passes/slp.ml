@@ -28,14 +28,6 @@ let default_config =
 
 let static_config = { default_config with versioning = false }
 
-type stats = {
-  mutable packs_formed : int;
-  mutable packs_rejected : int;
-  mutable plans_used : int;
-}
-
-let new_stats () = { packs_formed = 0; packs_rejected = 0; plans_used = 0 }
-
 type pack = { members : Ir.value_id list (* lane order *) }
 
 (* ------------------------------------------------------------ helpers *)
@@ -106,7 +98,7 @@ type session = {
   (* dependence successors per graph node, built on first use (the
      graph is immutable during packing) *)
   mutable dep_succ : Depgraph.edge list array option;
-  stats : stats;
+  plans_used : int ref; (* non-trivial plans committed, over all regions *)
   mutable pending : V.Plan.t list;
   mutable accepted : (Ir.value_id list, pack) Hashtbl.t;
   mutable packed_values : (Ir.value_id, unit) Hashtbl.t;
@@ -208,7 +200,7 @@ let schedulable s (vs : Ir.value_id list) : bool =
       in
       s.pending <- plan1 :: s.pending;
       (match plan2 with Some p -> s.pending <- p :: s.pending | None -> ());
-      if not (V.Plan.is_trivial plan1) then s.stats.plans_used <- s.stats.plans_used + 1;
+      if not (V.Plan.is_trivial plan1) then incr s.plans_used;
       true)
   end
   else
@@ -266,7 +258,6 @@ let rec try_pack s (vs : Ir.value_id list) : bool =
               Hashtbl.replace s.packed_values v ();
               Hashtbl.replace s.pack_last v last_pos)
             vs;
-          s.stats.packs_formed <- s.stats.packs_formed + 1;
           (* recurse into operand chains (best effort) *)
           let operand_lists =
             match (Ir.inst f (List.hd vs)).kind with
@@ -536,7 +527,7 @@ let codegen s : int =
           List.iter (fun v -> Hashtbl.remove f.Ir.arena v) members
         | _ -> ());
         incr emitted
-      with Skip_pack -> s.stats.packs_rejected <- s.stats.packs_rejected + 1)
+      with Skip_pack -> ())
     packs;
   Ir.set_region_items f s.region !items;
   !emitted
@@ -546,7 +537,7 @@ let codegen s : int =
 (* Vectorize one region. Returns the number of vector instructions
    emitted. *)
 let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
-    (stats : stats) : int =
+    (plans_used : int ref) : int =
   let scev = lazy (Scev.create f) in
   let vsession =
     lazy (V.Api.create ~condopt:config.condopt ~scev:(Lazy.force scev) f region)
@@ -569,7 +560,7 @@ let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
       items;
       item_pos;
       dep_succ = None;
-      stats;
+      plans_used;
       pending = [];
       accepted = Hashtbl.create 8;
       packed_values = Hashtbl.create 32;
@@ -627,14 +618,15 @@ let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
          the independence the packs relied on was NOT established, so no
          vector code may be emitted for this region (the partial
          versioning left behind is semantics-preserving on its own) *)
-      s.stats.packs_rejected <- s.stats.packs_rejected + Hashtbl.length s.accepted;
       0
     end
   end
 
-(* Vectorize every region of the function (innermost loops first). *)
-let run ?(config = default_config) (f : Ir.func) : int * stats =
-  let stats = new_stats () in
+(* Vectorize every region of the function (innermost loops first).
+   Returns the vector instructions emitted and the non-trivial plans
+   committed. *)
+let run ?(config = default_config) (f : Ir.func) : int * int =
+  let plans_used = ref 0 in
   let total = ref 0 in
   let rec regions_of items acc =
     List.fold_left
@@ -647,6 +639,6 @@ let run ?(config = default_config) (f : Ir.func) : int * stats =
   let all_regions = regions_of f.Ir.fbody [ Ir.Rtop ] in
   (* innermost first: regions_of accumulates outer-to-inner, so reverse *)
   List.iter
-    (fun region -> total := !total + run_region ~config f region stats)
+    (fun region -> total := !total + run_region ~config f region plans_used)
     all_regions;
-  (!total, stats)
+  (!total, !plans_used)

@@ -4,12 +4,14 @@
    has changed") and version_manager's fingerprint-index-eviction
    triple.
 
-   The key is a digest of everything that determines the artifact and
-   nothing that doesn't:
+   Every entry is one kernel's artifact (DESIGN §17).  Its key is a
+   digest of everything that determines the artifact and nothing that
+   doesn't:
 
-   - the {e canonicalized} source — the lexed token stream, so
-     whitespace and comment edits (and numerically identical float
-     literals) map to the same key;
+   - the {e canonicalized} kernel — its own slice of the lexed token
+     stream, so whitespace and comment edits (and numerically identical
+     float literals) map to the same key, and an edit to one kernel of
+     a translation unit leaves its siblings' keys alone;
    - the pipeline name;
    - the flags that steer compilation ([no_restrict]; [heap]
      participates only when [emit_c] does, because the heap image is
@@ -48,16 +50,6 @@ let token_repr = function
   | Lexer.TPunct s -> s
   | Lexer.TEOF -> "$"
 
-(* The canonical text the key hashes: the token stream when the source
-   lexes, the raw bytes (tagged, so the two spaces can't collide) when
-   it doesn't — an unlexable request still gets a stable key, it just
-   loses whitespace-insensitivity along with everything else. *)
-let canonical_source (src : string) : string =
-  match Lexer.tokenize src with
-  | tokens ->
-    String.concat " " (List.map token_repr (Array.to_list tokens))
-  | exception Lexer.Error _ -> "!raw\x00" ^ src
-
 let flag_fields (rq : Protocol.request) : string list =
   [
     rq.rq_pipeline;
@@ -65,21 +57,11 @@ let flag_fields (rq : Protocol.request) : string list =
     (if rq.rq_emit_c then Printf.sprintf "emit-c:%d" rq.rq_heap else "no-c");
   ]
 
-let key (rq : Protocol.request) : string =
-  let fields =
-    Version.tool :: canonical_source rq.rq_source :: flag_fields rq
-  in
-  Digest.to_hex (Digest.string (String.concat "\x00" fields))
-
-(* Per-function sub-key (DESIGN §17): the canonical text is one kernel's
-   own token slice, so in a batched translation unit an edit to one
-   kernel changes only that kernel's key — every untouched sibling keeps
-   hitting.  The "unit:" tag keeps unit keys disjoint from whole-request
-   keys even for a single-kernel source whose slice happens to equal the
-   full token stream. *)
 let unit_canonical (slice : Lexer.token array) : string =
   String.concat " " (List.map token_repr (Array.to_list slice))
 
+(* A kernel's key.  The "unit:" tag predates per-kernel keys being the
+   only kind and stays: it is part of the [cache-schema] 2 key format. *)
 let unit_key (rq : Protocol.request) (slice : Lexer.token array) : string =
   let fields =
     Version.tool :: ("unit:" ^ unit_canonical slice) :: flag_fields rq

@@ -23,7 +23,7 @@ let protocol_version = Version.service_protocol
 (* ------------------------------------------------------------ requests *)
 
 (* Everything that can change the artifact is an explicit field here and
-   participates in the cache key (see {!Cache.key}); [rq_id] is echo-only
+   participates in the cache key (see {!Cache.unit_key}); [rq_id] is echo-only
    client correlation and deliberately does not. *)
 type request = {
   rq_id : string;  (** echoed verbatim in the response; "" when absent *)

@@ -84,8 +84,7 @@ let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
 (* ----------------------------------------------------------- compiling *)
 
 (* Optimize and package one lowered function: pipeline, verifier,
-   optional C lowering.  Shared by the whole-source fallback path and
-   the per-kernel unit path. *)
+   optional C lowering. *)
 let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
     (P.artifact, string) result =
   match
@@ -122,25 +121,10 @@ let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
             ar_counters = [];
           }))
 
-(* One cold whole-source compile: frontend, pipeline, verifier, optional
-   C lowering.  Runs inside a pool worker in an isolated observability
-   context, so the counter snapshot it returns is exactly this
-   compile's.  Remarks are collected rather than streamed: they belong
-   to the artifact.  Used when the source does not split into kernel
-   units (it does not lex/parse), so the request's own error comes from
-   the same frontend path it always did. *)
-let compile_artifact (rq : P.request) : (P.artifact, string) result =
-  match
-    (if rq.rq_no_restrict then Lower_ast.compile_no_restrict
-     else Lower_ast.compile)
-      rq.rq_source
-  with
-  | exception Fgv_frontend.Lexer.Error m -> Error ("lex error: " ^ m)
-  | exception Fgv_frontend.Parser.Error m -> Error ("parse error: " ^ m)
-  | exception Lower_ast.Error m -> Error ("lowering error: " ^ m)
-  | f -> package_artifact rq f
-
-(* One cold per-kernel compile, from the already-parsed declaration. *)
+(* One cold per-kernel compile, from the already-parsed declaration.
+   Runs inside a pool worker in an isolated observability context, so
+   the counter snapshot it returns is exactly this compile's.  Remarks
+   are collected rather than streamed: they belong to the artifact. *)
 let compile_unit (rq : P.request) (fd : Fgv_frontend.Ast.fdecl) :
     (P.artifact, string) result =
   match Lower_ast.compile_fdecl ~no_restrict:rq.P.rq_no_restrict fd with
@@ -149,21 +133,18 @@ let compile_unit (rq : P.request) (fd : Fgv_frontend.Ast.fdecl) :
 
 (* ------------------------------------------------------------- batches *)
 
-(* One compile unit of a request: a top-level kernel with its own cache
-   sub-key, or the whole source when it does not parse (so the error
-   response comes from the same frontend path it always did, and is
-   never cached). *)
-type unit_src =
-  | Ufn of Fgv_frontend.Ast.fdecl
-  | Uwhole
-
-(* Split a request into (unit, key) pairs, in source order. *)
-let split_units (rq : P.request) : (unit_src * string) list =
+(* Split a request into its top-level kernels, each with its own cache
+   sub-key, in source order — or the lex/parse error that answers the
+   whole request at classification (never cached, no unit asked). *)
+let split_units (rq : P.request) :
+    ((Fgv_frontend.Ast.fdecl * string) list, string) result =
   match Fgv_frontend.Parser.parse_program rq.P.rq_source with
   | units ->
-    List.map (fun (fd, slice) -> (Ufn fd, Cache.unit_key rq slice)) units
-  | exception (Fgv_frontend.Lexer.Error _ | Fgv_frontend.Parser.Error _) ->
-    [ (Uwhole, Cache.key rq) ]
+    Ok (List.map (fun (fd, slice) -> (fd, Cache.unit_key rq slice)) units)
+  | exception Fgv_frontend.Lexer.Error m -> Error ("lex error: " ^ m)
+  | exception Fgv_frontend.Parser.Error m -> Error ("parse error: " ^ m)
+
+let units_of = function Ok units -> units | Error _ -> []
 
 type resolution =
   | Hit of P.artifact * float
@@ -174,14 +155,18 @@ type resolution =
 (* Outcome slug for access-log records and slow-request warnings.  A
    multi-unit request reports the most expensive outcome any of its
    units had: one recompiled kernel makes the request a miss however
-   many siblings hit. *)
+   many siblings hit.  A request with no units (it did not parse) is a
+   miss. *)
 let resolution_name = function
   | Hit _ -> "hit"
   | Await `Miss -> "miss"
   | Await `Coalesced -> "coalesced"
 
 let request_outcome (units : resolution list) : string =
-  if List.exists (function Await `Miss -> true | _ -> false) units then "miss"
+  if
+    List.is_empty units
+    || List.exists (function Await `Miss -> true | _ -> false) units
+  then "miss"
   else if List.exists (function Await `Coalesced -> true | _ -> false) units
   then "coalesced"
   else "hit"
@@ -203,7 +188,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   let pending_set = Hashtbl.create 16 in
   let plan =
     List.mapi
-      (fun i (rq, units) ->
+      (fun i (rq, split) ->
         t.requests <- t.requests + 1;
         Tm.incr "service.requests";
         Tr.with_span ~cat:"service"
@@ -211,7 +196,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
           "service.lookup"
           (fun () ->
             List.map
-              (fun (u, key) ->
+              (fun (fd, key) ->
                 t.uqueries <- t.uqueries + 1;
                 Tm.incr "service.incremental.queries_asked";
                 let t0 = Unix.gettimeofday () in
@@ -235,21 +220,18 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
                     Tm.incr "service.incremental.recomputed";
                     (* an edit: this kernel name was compiled before,
                        under different content/flags *)
-                    (match u with
-                    | Ufn fd ->
-                      let name = fd.Fgv_frontend.Ast.fdname in
-                      (match Hashtbl.find_opt t.fp_by_name name with
-                      | Some old_key when old_key <> key ->
-                        t.uinvalidated <- t.uinvalidated + 1;
-                        Tm.incr "service.incremental.invalidated"
-                      | _ -> ());
-                      Hashtbl.replace t.fp_by_name name key
-                    | Uwhole -> ());
+                    let name = fd.Fgv_frontend.Ast.fdname in
+                    (match Hashtbl.find_opt t.fp_by_name name with
+                    | Some old_key when old_key <> key ->
+                      t.uinvalidated <- t.uinvalidated + 1;
+                      Tm.incr "service.incremental.invalidated"
+                    | _ -> ());
+                    Hashtbl.replace t.fp_by_name name key;
                     Hashtbl.add pending_set key ();
-                    pending := (rq, u, key, seq i) :: !pending;
+                    pending := (rq, fd, key, seq i) :: !pending;
                     Await `Miss
                   end)
-              units))
+              (units_of split)))
       keyed
   in
   (* Compile the distinct misses in parallel, each in an isolated
@@ -265,7 +247,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   | pending ->
     let compiled =
       Pool.map ~jobs:t.jobs
-        (fun (rq, u, key, sq) ->
+        (fun (rq, fd, key, sq) ->
           let t0 = Unix.gettimeofday () in
           let result =
             Tr.with_span ~cat:"service"
@@ -276,9 +258,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
                 let result, shard =
                   Obs.isolated (fun () ->
                       Tm.incr "service.compiles";
-                      match u with
-                      | Uwhole -> compile_artifact rq
-                      | Ufn fd -> compile_unit rq fd)
+                      compile_unit rq fd)
                 in
                 Obs.merge shard;
                 Result.map
@@ -310,9 +290,12 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   in
   let responses =
     List.map2
-      (fun (rq, units) resolutions ->
+      (fun (rq, split) resolutions ->
         let results =
-          List.map2 (fun (_, key) r -> unit_result key r) units resolutions
+          match split with
+          | Error e -> [ Error e ]
+          | Ok units ->
+            List.map2 (fun (_, key) r -> unit_result key r) units resolutions
         in
         match
           List.find_opt (function Error _ -> true | Ok _ -> false) results
@@ -354,7 +337,8 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
       0.0 units resolutions
   in
   List.iteri
-    (fun i ((rq, units), (resolutions, response)) ->
+    (fun i ((rq, split), (resolutions, response)) ->
+      let units = units_of split in
       let dur = duration_of units resolutions in
       H.record t.h_request dur;
       let outcome = request_outcome resolutions in

@@ -96,10 +96,6 @@ let counters c =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) c.counters []
   |> List.sort compare
 
-let timer_histograms c =
-  Hashtbl.fold (fun name t acc -> (name, t.hist) :: acc) c.timers []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 (* [set_max] counters hold a maximum, not a sum: merging must take the
    larger value, or parallel runs would report inflated "maxima". *)
 let is_max_counter name =

@@ -139,9 +139,6 @@ val timer : t -> string -> timer
 val counters : t -> (string * int) list
 (** Every counter, sorted by name. *)
 
-val timer_histograms : t -> (string * Histogram.t) list
-(** Every timer's latency histogram, sorted by name. *)
-
 (** {1 Shards} *)
 
 type shard = t

@@ -7,7 +7,7 @@
 
 let tool = "fgv 0.9"
 
-let bench_json_schema = 7
+let bench_json_schema = 8
 let fuzz_report_schema = 3
 let trace_schema = 1
 let service_protocol = 3

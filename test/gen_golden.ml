@@ -27,7 +27,7 @@ let s131 () =
   in
   let cfgn = W.sv_versioning () in
   let f = W.compile_for cfgn k in
-  ignore (cfgn.W.c_apply f);
+  cfgn.W.c_apply f;
   let prog = Fgv_cfg.Lower.lower f in
   print_string (Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k))
 

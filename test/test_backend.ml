@@ -79,7 +79,7 @@ let s131_fast_c () =
   let k = tsvc "s131" in
   let cfgn = W.sv_versioning () in
   let f = W.compile_for cfgn k in
-  ignore (cfgn.W.c_apply f);
+  cfgn.W.c_apply f;
   let prog = Fgv_cfg.Lower.lower f in
   Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
 
@@ -154,7 +154,7 @@ let checked_equiv (k : W.kernel) () =
   require_cc ();
   let cfgn = W.sv_versioning () in
   let f = W.compile_for cfgn k in
-  ignore (cfgn.W.c_apply f);
+  cfgn.W.c_apply f;
   let prog = Fgv_cfg.Lower.lower f in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
   match N.compile_checked prog ~mem:(W.fresh_mem k) with

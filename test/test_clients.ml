@@ -42,6 +42,14 @@ let decisions remarks =
       | _ -> None)
     remarks
 
+(* Run a pipeline with remarks collected; return its remarks and a
+   reader of its counter delta (the passes' work). *)
+let run_pipeline pipeline f =
+  let ((), remarks), work =
+    Tm.capture (fun () -> Obs.collect_remarks (fun () -> pipeline f))
+  in
+  (W.count work, remarks)
+
 let count_stores (f : Ir.func) =
   Hashtbl.fold
     (fun _ i acc -> match i.Ir.kind with Ir.Store _ -> acc + 1 | _ -> acc)
@@ -54,11 +62,9 @@ let test_dse_golden_s222 () =
      second a[i] load and killing the first a[i] store both need the
      versioned separation from the e accesses *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s222") in
-  let stats, remarks =
-    Obs.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
-  in
-  Alcotest.(check int) "forwarded" 1 stats.P.Pipelines.dse_forwarded;
-  Alcotest.(check int) "killed" 1 stats.P.Pipelines.dse_killed;
+  let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
+  Alcotest.(check int) "forwarded" 1 (work "pass.dse.forwarded");
+  Alcotest.(check int) "killed" 1 (work "pass.dse.killed");
   Alcotest.(check (list string))
     "decision trail"
     [
@@ -70,11 +76,9 @@ let test_dse_golden_s222 () =
 
 let test_distribute_golden_s2251 () =
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
-  let stats, remarks =
-    Obs.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
-  in
-  Alcotest.(check int) "loops split" 1 stats.P.Pipelines.distribute_split;
-  Alcotest.(check int) "pieces" 2 stats.P.Pipelines.distribute_pieces;
+  let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
+  Alcotest.(check int) "loops split" 1 (work "pass.distribute.split");
+  Alcotest.(check int) "pieces" 2 (work "pass.distribute.pieces");
   let dist =
     List.filter
       (fun d ->
@@ -91,12 +95,11 @@ let test_distribute_golden_s2251 () =
    without any run-time condition *)
 let test_dse_static_restrict () =
   let f = Fgv_frontend.Lower_ast.compile (tsvc "s222") in
-  let stats, remarks =
-    Obs.collect_remarks (fun () ->
-        P.Pipelines.dse_pipeline ~versioning:false f)
+  let work, remarks =
+    run_pipeline (P.Pipelines.dse_pipeline ~versioning:false) f
   in
-  Alcotest.(check int) "forwarded" 1 stats.P.Pipelines.dse_forwarded;
-  Alcotest.(check int) "killed" 1 stats.P.Pipelines.dse_killed;
+  Alcotest.(check int) "forwarded" 1 (work "pass.dse.forwarded");
+  Alcotest.(check int) "killed" 1 (work "pass.dse.killed");
   Alcotest.(check (list string))
     "decision trail"
     [
@@ -124,11 +127,9 @@ let test_kill_denied_unversionable () =
   in
   let f = Fgv_frontend.Lower_ast.compile_no_restrict src in
   let before = count_stores f in
-  let stats, remarks =
-    Obs.collect_remarks (fun () -> P.Pipelines.dse_pipeline f)
-  in
-  Alcotest.(check int) "nothing forwarded" 0 stats.P.Pipelines.dse_forwarded;
-  Alcotest.(check int) "nothing killed" 0 stats.P.Pipelines.dse_killed;
+  let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
+  Alcotest.(check int) "nothing forwarded" 0 (work "pass.dse.forwarded");
+  Alcotest.(check int) "nothing killed" 0 (work "pass.dse.killed");
   Alcotest.(check int) "stores untouched" before (count_stores f);
   Alcotest.(check (list string))
     "the kill wish is denied" [ "dse-kill denied" ] (decisions remarks)
@@ -138,10 +139,8 @@ let test_distribute_no_candidate_on_flow () =
      writes — a genuine flow dependence, so the statement groups fuse
      and there is nothing to distribute (not even a wish to deny) *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s221") in
-  let stats, remarks =
-    Obs.collect_remarks (fun () -> P.Pipelines.distribute_pipeline f)
-  in
-  Alcotest.(check int) "no split" 0 stats.P.Pipelines.distribute_split;
+  let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
+  Alcotest.(check int) "no split" 0 (work "pass.distribute.split");
   Alcotest.(check (list string))
     "no distribute decisions" []
     (List.filter
@@ -152,11 +151,10 @@ let test_distribute_denied_without_versioning () =
   (* the s2251 split needs run-time checks; with versioning off the
      wish must be denied and the loop left fused *)
   let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
-  let stats, remarks =
-    Obs.collect_remarks (fun () ->
-        P.Pipelines.distribute_pipeline ~versioning:false f)
+  let work, remarks =
+    run_pipeline (P.Pipelines.distribute_pipeline ~versioning:false) f
   in
-  Alcotest.(check int) "no split" 0 stats.P.Pipelines.distribute_split;
+  Alcotest.(check int) "no split" 0 (work "pass.distribute.split");
   Alcotest.(check (list string))
     "denied" [ "distribute denied" ]
     (List.filter (fun d -> d = "distribute denied") (decisions remarks))

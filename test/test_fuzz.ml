@@ -8,6 +8,8 @@ open Fgv_frontend
 module F = Fgv_fuzz
 module G = F.Generator
 module O = F.Oracle
+module Tm = Fgv_support.Telemetry
+module W = Fgv_bench.Workload
 
 (* ------------------------------------------------- deterministic replay *)
 
@@ -145,13 +147,17 @@ let test_generator_feeds_clients () =
     let cfg = G.vary G.default_config ~seed in
     let src = G.render (G.generate ~config:cfg ~seed ()) in
     let f = Lower_ast.compile_no_restrict src in
-    let st = Fgv_passes.Pipelines.dse_pipeline f in
-    forwarded := !forwarded + st.Fgv_passes.Pipelines.dse_forwarded;
-    killed := !killed + st.Fgv_passes.Pipelines.dse_killed;
+    let (), work =
+      Tm.capture (fun () -> Fgv_passes.Pipelines.dse_pipeline f)
+    in
+    forwarded := !forwarded + W.count work "pass.dse.forwarded";
+    killed := !killed + W.count work "pass.dse.killed";
     let g = Lower_ast.compile_no_restrict src in
-    let st = Fgv_passes.Pipelines.distribute_pipeline g in
-    split := !split + st.Fgv_passes.Pipelines.distribute_split;
-    pieces := !pieces + st.Fgv_passes.Pipelines.distribute_pieces
+    let (), work =
+      Tm.capture (fun () -> Fgv_passes.Pipelines.distribute_pipeline g)
+    in
+    split := !split + W.count work "pass.distribute.split";
+    pieces := !pieces + W.count work "pass.distribute.pieces"
   done;
   let expect name floor got =
     if got < floor then

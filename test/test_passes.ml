@@ -203,8 +203,8 @@ let test_loopvec_classic () =
   (* the classic loop vectorizer handles may-alias saxpy with upfront
      checks *)
   let f = compile saxpy_src in
-  let stats = ignore (P.Pipelines.o3_novec f); P.Loopvec.run f in
-  Alcotest.(check int) "one loop vectorized" 1 stats.P.Loopvec.loops_vectorized;
+  P.Pipelines.o3_novec f;
+  Alcotest.(check int) "one loop vectorized" 1 (P.Loopvec.run f);
   let args = [ Value.VInt 0; VInt 32; VInt 64; VInt 16; VFloat 2.0 ] in
   let out = run_pssa f ~args ~mem:(mem_for 128) in
   Alcotest.(check bool) "vector stores" true (out.counters.vector_stores > 0);
@@ -244,6 +244,64 @@ let test_rle_removes_loads () =
        out_rle.counters.loads)
     true
     (out_rle.counters.loads < out_base.counters.loads)
+
+(* Fig. 22 counts the LICM/GVN work both RLE pipelines do after their
+   shared scalar prefix by subtracting an [o3_novec] run's counters, so
+   the prefix must be exactly [o3_novec]'s stages, in order. *)
+let test_rle_pipelines_start_with_o3_novec () =
+  let stage_names run =
+    let f = compile redundant_loads_src in
+    let names = ref [] in
+    run ~on_pass:(fun name _ -> names := name :: !names) f;
+    List.rev !names
+  in
+  let prefix =
+    stage_names (fun ~on_pass f -> P.Pipelines.o3_novec ~on_pass f)
+  in
+  List.iter
+    (fun (label, run) ->
+      let names = stage_names run in
+      Alcotest.(check (list string))
+        (label ^ " begins with o3_novec's stages")
+        prefix
+        (List.filteri (fun i _ -> i < List.length prefix) names);
+      Alcotest.(check bool)
+        (label ^ " runs stages after the prefix")
+        true
+        (List.length names > List.length prefix))
+    [
+      ("rle_pipeline", fun ~on_pass f -> P.Pipelines.rle_pipeline ~on_pass f);
+      ("rle_baseline", fun ~on_pass f -> P.Pipelines.rle_baseline ~on_pass f);
+    ]
+
+(* The figure cells that count pass work: Fig. 22's LICM+/GVN+ (every
+   baseline count is 0, so a cell is the RLE pipeline's post-prefix
+   count) and the clients figure's forwarded/killed/pieces. *)
+let test_figure_work_cells () =
+  let module E = Fgv_bench.Experiments in
+  let rows = E.rle_rows ~check:false () in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "Fig. 22 LICM+"
+    (List.map (fun r -> (r.E.f_name, 0.0)) rows)
+    (List.map (fun r -> (r.E.f_name, r.E.f_licm_extra)) rows);
+  Alcotest.(check (list (float 0.0)))
+    "Fig. 22 GVN+"
+    [ 3.0; 5.0; 1.0; 10.0; 14.0; 0.0; 1.0 ]
+    (List.map (fun r -> r.E.f_gvn_extra) rows);
+  Alcotest.(check (list (pair string (triple int int int))))
+    "clients forwarded/killed/pieces"
+    [
+      ("dse/s222", (1, 1, 0));
+      ("distribute/s222", (0, 0, 2));
+      ("distribute/s2251", (0, 0, 2));
+      ("combined/s222", (1, 1, 6));
+      ("combined/s2251", (0, 0, 2));
+    ]
+    (List.map
+       (fun r ->
+         ( r.E.v_client ^ "/" ^ r.E.v_kernel,
+           (r.E.v_forwarded, r.E.v_killed, r.E.v_pieces) ))
+       (E.clients_rows ~check:false ()))
 
 let test_dce_removes_dead () =
   let f = compile "kernel dead(float* a) { float x = 1.0 + 2.0; a[0] = 3.0; }" in
@@ -428,6 +486,9 @@ let suite =
     Alcotest.test_case "fine-grained versioning vectorizes floyd-warshall"
       `Quick test_sv_versioning_vectorizes_floyd;
     Alcotest.test_case "RLE removes dynamic loads" `Quick test_rle_removes_loads;
+    Alcotest.test_case "RLE pipelines start with o3_novec's stages" `Quick
+      test_rle_pipelines_start_with_o3_novec;
+    Alcotest.test_case "figure work cells" `Quick test_figure_work_cells;
     Alcotest.test_case "DCE" `Quick test_dce_removes_dead;
     Alcotest.test_case "constant folding" `Quick test_constfold;
     Alcotest.test_case "GVN" `Quick test_gvn_dedups;

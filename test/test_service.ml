@@ -14,6 +14,8 @@ module J = Fgv_support.Json
 module S = Fgv_service.Service
 module C = Fgv_service.Cache
 module P = Fgv_service.Protocol
+module Tm = Fgv_support.Telemetry
+module Ev = Fgv_support.Eventlog
 
 let rq ?(id = "") ?(pipeline = "sv+v") ?(no_restrict = false)
     ?(emit_c = false) ?(heap = P.default_heap) source =
@@ -46,6 +48,12 @@ let src_other i =
 
 let line r = P.response_line r
 
+(* The cache key of a one-kernel request. *)
+let key (r : P.request) =
+  match Fgv_frontend.Parser.parse_program r.P.rq_source with
+  | [ (_, slice) ] -> C.unit_key r slice
+  | _ -> Alcotest.fail "expected one kernel"
+
 let test_hit_byte_identical () =
   let svc = S.create ~jobs:1 () in
   let cold = S.handle_request svc (rq src) in
@@ -62,28 +70,28 @@ let test_canonicalization_hits () =
   Alcotest.(check string) "reformatted source is served from cache"
     (line a) (line b);
   Alcotest.(check int) "reformat was a hit" 1 svc.S.hits;
-  Alcotest.(check string) "keys agree" (C.key (rq src))
-    (C.key (rq src_reformatted))
+  Alcotest.(check string) "keys agree" (key (rq src))
+    (key (rq src_reformatted))
 
 let test_flags_change_key () =
-  let base = C.key (rq src) in
+  let base = key (rq src) in
   Alcotest.(check bool) "pipeline is in the key" false
-    (base = C.key (rq ~pipeline:"o3" src));
+    (base = key (rq ~pipeline:"o3" src));
   Alcotest.(check bool) "no_restrict is in the key" false
-    (base = C.key (rq ~no_restrict:true src));
+    (base = key (rq ~no_restrict:true src));
   Alcotest.(check bool) "emit_c is in the key" false
-    (base = C.key (rq ~emit_c:true src));
+    (base = key (rq ~emit_c:true src));
   Alcotest.(check bool) "source is in the key" false
-    (base = C.key (rq (src_other 1)));
+    (base = key (rq (src_other 1)));
   (* heap only steers the emitted C's memory image, so it participates
      exactly when emit_c does. *)
   Alcotest.(check string) "heap ignored without emit_c" base
-    (C.key (rq ~heap:64 src));
+    (key (rq ~heap:64 src));
   Alcotest.(check bool) "heap in the key with emit_c" false
-    (C.key (rq ~emit_c:true ~heap:64 src)
-    = C.key (rq ~emit_c:true ~heap:128 src));
+    (key (rq ~emit_c:true ~heap:64 src)
+    = key (rq ~emit_c:true ~heap:128 src));
   Alcotest.(check bool) "id is not in the key" true
-    (base = C.key (rq ~id:"whatever" src))
+    (base = key (rq ~id:"whatever" src))
 
 let test_eviction_lru () =
   let svc = S.create ~jobs:1 ~cache_max:2 () in
@@ -285,6 +293,55 @@ let test_unrepresentable_literal () =
         (J.int_member "protocol" (reply {|{"op":"ping"}|})))
     [ "99999999999999999999999"; "1e" ]
 
+(* A source that does not parse answers with the frontend's own error,
+   at classification: the second kernel's parse error is the same one
+   that kernel gets alone.  The request asks no unit and runs no
+   compile; it is an error and a request-level miss, and its access
+   record has an empty key. *)
+let test_parse_error_at_classification () =
+  let bad = "kernel b(float* y) { y[0] = ; }" in
+  let both = "kernel a(float* x) { x[0] = 1.0; } " ^ bad in
+  let error_of = function
+    | P.Failed { error; _ } -> error
+    | P.Compiled _ | P.Compiled_many _ -> Alcotest.fail "expected a failure"
+  in
+  let path = Filename.temp_file "fgv-service" ".jsonl" in
+  Ev.open_log ~path ~level:Ev.Info;
+  let svc = S.create ~jobs:1 () in
+  let (alone, together), work =
+    Tm.capture (fun () ->
+        ( error_of (S.handle_request svc (rq ~pipeline:"o3" bad)),
+          error_of (S.handle_request svc (rq ~pipeline:"o3" both)) ))
+  in
+  Ev.close ();
+  let access =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match J.of_string l with
+           | Ok j when J.string_member "event" j = Some "access" -> Some j
+           | _ -> None)
+  in
+  Sys.remove path;
+  Alcotest.(check string) "kernel b alone"
+    "parse error: expected expression, got ';'" alone;
+  Alcotest.(check string) "kernel b after kernel a" alone together;
+  Alcotest.(check int) "two errors" 2 svc.S.errors;
+  Alcotest.(check int) "two misses" 2 svc.S.misses;
+  Alcotest.(check int) "hits + coalesced + misses = requests" svc.S.requests
+    (svc.S.hits + svc.S.coalesced + svc.S.misses);
+  Alcotest.(check int) "no unit asked" 0 svc.S.uqueries;
+  Alcotest.(check (option int)) "no compile" None
+    (List.assoc_opt "service.compiles" work);
+  List.iter
+    (fun j ->
+      Alcotest.(check (option string)) "outcome" (Some "miss")
+        (J.string_member "outcome" j);
+      Alcotest.(check (option string)) "key" (Some "")
+        (J.string_member "key" j))
+    access;
+  Alcotest.(check int) "two access records" 2 (List.length access)
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -300,4 +357,6 @@ let suite =
       test_failures_not_cached;
     Alcotest.test_case "unrepresentable literal is a lex error" `Quick
       test_unrepresentable_literal;
+    Alcotest.test_case "parse errors answer at classification" `Quick
+      test_parse_error_at_classification;
   ]

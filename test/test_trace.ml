@@ -236,7 +236,7 @@ let t131_src =
 
 let test_golden_s131_decisions () =
   let f = Harness.compile s131_src in
-  let (_ : P.pass_stats), remarks =
+  let (), remarks =
     Obs.collect_remarks (fun () -> P.sv_versioning f)
   in
   let decisions =
