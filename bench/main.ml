@@ -490,10 +490,12 @@ let run_service () =
         in
         let cold_wall = drive () in
         let warm_wall = drive () in
+        Obs.merge svc.S.obs;
         (svc, cold_wall, warm_wall))
   in
-  let requests = svc.S.requests in
-  let hit_rate = float_of_int svc.S.hits /. float_of_int requests in
+  let requests = S.stat svc "requests" in
+  let hits = S.stat svc "hits" and misses = S.stat svc "misses" in
+  let hit_rate = S.hit_rate svc in
   let p50 = H.quantile lat 0.5 and p99 = H.quantile lat 0.99 in
   let speedup = cold_wall /. warm_wall in
   section "Compile service (repeat-heavy mix)"
@@ -502,18 +504,18 @@ let run_service () =
         hits, %d misses -> hit rate %.3f\n\
         latency p50 %.2f us, p99 %.2f us; cold pass %.1f ms, warm pass \
         %.1f ms -> warmup speedup %.1fx\n"
-       requests svc_distinct (2 * svc_repeats) svc.S.hits svc.S.misses
-       hit_rate (1e6 *. p50) (1e6 *. p99) (1e3 *. cold_wall)
-       (1e3 *. warm_wall) speedup);
+       requests svc_distinct (2 * svc_repeats) hits misses hit_rate
+       (1e6 *. p50) (1e6 *. p99) (1e3 *. cold_wall) (1e3 *. warm_wall)
+       speedup);
   add_figure "service"
     (J.Assoc
        [
          ("requests", J.Int requests);
          ("distinct", J.Int svc_distinct);
-         ("hits", J.Int svc.S.hits);
-         ("misses", J.Int svc.S.misses);
-         ("coalesced", J.Int svc.S.coalesced);
-         ("evictions", J.Int (Fgv_service.Cache.evictions svc.S.cache));
+         ("hits", J.Int hits);
+         ("misses", J.Int misses);
+         ("coalesced", J.Int (S.stat svc "coalesced"));
+         ("evictions", J.Int (S.stat svc "evictions"));
          ("hit_rate", J.Float hit_rate);
          ( "timing",
            J.Assoc
@@ -588,6 +590,7 @@ let run_incremental () =
               let resp, wall = drive src in
               (src, resp, wall))
         in
+        Obs.merge svc.S.obs;
         ( svc,
           src0 :: List.map (fun (s, _, _) -> s) rounds,
           resp0 :: List.map (fun (_, r, _) -> r) rounds,
@@ -601,7 +604,9 @@ let run_incremental () =
     List.for_all2
       (fun src resp ->
         let fresh = S.create ~jobs:!jobs () in
-        P.response_line (S.handle_request fresh (request src)) = resp)
+        let line = P.response_line (S.handle_request fresh (request src)) in
+        Obs.merge fresh.S.obs;
+        line = resp)
       sources responses
   in
   let warm_wall =
@@ -609,28 +614,26 @@ let run_incremental () =
     /. float_of_int (max 1 (List.length warm_walls))
   in
   let speedup = cold_wall /. warm_wall in
-  let reuse =
-    if svc.S.uqueries = 0 then 0.0
-    else float_of_int svc.S.uhits /. float_of_int svc.S.uqueries
-  in
+  let reuse = S.reuse_rate svc in
   section "Incremental recompilation (edit one kernel per round)"
     (Printf.sprintf
        "%d kernels, %d edit rounds: %d unit queries, %d memo hits, %d \
         invalidated, %d recompiled -> reuse rate %.3f\n\
         cold %.1f ms, warm mean %.1f ms -> warm speedup %.1fx; byte-identical \
         vs fresh: %b\n"
-       inc_kernels inc_rounds svc.S.uqueries svc.S.uhits svc.S.uinvalidated
-       svc.S.urecomputed reuse (1e3 *. cold_wall) (1e3 *. warm_wall) speedup
-       byte_identical);
+       inc_kernels inc_rounds (S.stat svc "queries_asked")
+       (S.stat svc "memo_hits") (S.stat svc "invalidated")
+       (S.stat svc "recomputed") reuse (1e3 *. cold_wall) (1e3 *. warm_wall)
+       speedup byte_identical);
   add_figure "incremental"
     (J.Assoc
        [
          ("kernels", J.Int inc_kernels);
          ("rounds", J.Int inc_rounds);
-         ("queries_asked", J.Int svc.S.uqueries);
-         ("memo_hits", J.Int svc.S.uhits);
-         ("invalidated", J.Int svc.S.uinvalidated);
-         ("recomputed", J.Int svc.S.urecomputed);
+         ("queries_asked", J.Int (S.stat svc "queries_asked"));
+         ("memo_hits", J.Int (S.stat svc "memo_hits"));
+         ("invalidated", J.Int (S.stat svc "invalidated"));
+         ("recomputed", J.Int (S.stat svc "recomputed"));
          ("reuse_rate", J.Float reuse);
          ("byte_identical", J.Bool byte_identical);
          ( "timing",

@@ -272,6 +272,7 @@ let run_serve socket cache_max stats jobs slow_ms finalize =
   (match socket with
   | Some path -> S.serve_socket svc path
   | None -> ignore (S.serve_channel svc stdin stdout));
+  Fgv_support.Obs.merge svc.S.obs;
   finalize ();
   let rc = print_stats stats in
   if rc <> 0 then exit rc;

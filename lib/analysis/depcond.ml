@@ -39,10 +39,6 @@ let atom_operands = function
   | Aintersect (r1, r2) ->
     List.sort_uniq compare (Scev.range_values r1 @ Scev.range_values r2)
 
-let cond_operands = function
-  | Never | Always -> []
-  | When atoms -> List.sort_uniq compare (List.concat_map atom_operands atoms)
-
 let atom_to_string scev = function
   | Apred p -> Pred.to_string (Ir.value_name scev.Scev.func) p
   | Aintersect (r1, r2) ->

@@ -23,8 +23,6 @@ val compare_atom : atom -> atom -> int
 val atom_operands : atom -> Ir.value_id list
 (** Values a run-time check of the atom would read (Fig. 13 l.14). *)
 
-val cond_operands : cond -> Ir.value_id list
-
 val atom_to_string : Scev.t -> atom -> string
 
 val join : cond -> cond -> cond

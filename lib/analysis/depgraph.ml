@@ -198,8 +198,6 @@ let build (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
        { nodes = n; edges = !next_id; pairs_pruned = pruned });
   { g_ctx = ctx; nodes; index; edges = Array.of_list (List.rev !edges) }
 
-let edge_conditional e = e.e_cond <> None
-
 (* Successor lists along dependence direction (src -> dst), optionally
    excluding a set of edges (by id). *)
 let dependence_succ t ~(excluded : int -> bool) =

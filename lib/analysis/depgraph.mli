@@ -37,8 +37,6 @@ val build_naive : Ir.func -> Scev.t -> Ir.region -> t
 (** Reference builder: Fig. 6 on every pair (quadratic).  Oracle for the
     sparse-equivalence property test. *)
 
-val edge_conditional : edge -> bool
-
 val dependence_succ : t -> excluded:(int -> bool) -> edge list array
 (** Per-node outgoing dependence edges, omitting the excluded edge ids. *)
 

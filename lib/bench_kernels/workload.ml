@@ -107,13 +107,3 @@ let check_equivalence (k : kernel) (cfgs : config list) : unit =
         failwith
           (Printf.sprintf "%s/%s computes a different result!" k.k_name c.c_name))
     cfgs
-
-(* Speedups of each config over the first config (the baseline). *)
-let speedups_over_baseline (k : kernel) (baseline : config) (cfgs : config list)
-    : (string * float) list =
-  let base = run_config ~with_cfg:false baseline k in
-  List.map
-    (fun c ->
-      let r = run_config ~with_cfg:false c k in
-      (c.c_name, base.r_cost /. r.r_cost))
-    cfgs

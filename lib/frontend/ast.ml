@@ -53,7 +53,3 @@ and assigned_of_stmt = function
   | Sfor (init, _, step, body) ->
     assigned_of_stmt init @ assigned_of_stmt step @ assigned_vars body
   | Swhile (_, body) -> assigned_vars body
-
-(* Variables *declared* at the top level of a statement list. *)
-let declared_vars stmts =
-  List.filter_map (function Sdecl (_, x, _) -> Some x | _ -> None) stmts

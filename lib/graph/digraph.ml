@@ -16,7 +16,6 @@ let add_edge t ~src ~dst =
   t.pred.(dst) <- src :: t.pred.(dst)
 
 let successors t v = t.succ.(v)
-let predecessors t v = t.pred.(v)
 
 (* All nodes reachable from [roots] following successor edges, including
    the roots themselves. *)

@@ -6,7 +6,6 @@ val create : int -> t
 val size : t -> int
 val add_edge : t -> src:int -> dst:int -> unit
 val successors : t -> int -> int list
-val predecessors : t -> int -> int list
 
 val reachable : t -> int list -> bool array
 (** Nodes reachable from the roots (roots included). *)

@@ -30,7 +30,6 @@ let rec string_of_ty = function
   | Tvec (t, n) -> Printf.sprintf "<%d x %s>" n (string_of_ty t)
   | Tvoid -> "void"
 
-let scalar_of_ty = function Tvec (t, _) -> t | t -> t
 let lanes_of_ty = function Tvec (_, n) -> n | _ -> 1
 
 (* ------------------------------------------------------------ operators *)
@@ -257,12 +256,6 @@ let set_region_items f region items =
   match region with
   | Rtop -> f.fbody <- items
   | Rloop lid -> (loop f lid).body <- items
-
-let item_eq a b =
-  match a, b with
-  | I x, I y -> x = y
-  | L x, L y -> x = y
-  | _ -> false
 
 (* The loops enclosing a placed loop, innermost first, found by walking
    the loop tree from the top; [None] when the loop is not placed. *)

@@ -26,7 +26,9 @@
    ([--cache-max], version_manager's [max_versions]): every lookup
    stamps the entry with a monotonic tick, and inserting past the cap
    evicts the smallest stamp.  Stamps are unique, so eviction order is
-   deterministic whatever the hashtable's iteration order.
+   deterministic whatever the hashtable's iteration order.  An eviction
+   bumps [service.cache.evictions] in the calling context, which is the
+   service's own ledger.
 
    Failed compiles are never cached: an error response is cheap to
    recompute and a cached failure would outlive transient causes. *)
@@ -79,7 +81,6 @@ type t = {
   tbl : (string, slot) Hashtbl.t;
   max_entries : int;
   mutable tick : int;
-  mutable evictions : int;  (** lifetime total, for the stats op *)
 }
 
 let default_max = 128
@@ -89,14 +90,11 @@ let create ?(max_entries = default_max) () : t =
     tbl = Hashtbl.create 64;
     max_entries = max 1 max_entries;
     tick = 0;
-    evictions = 0;
   }
 
 let length (c : t) = Hashtbl.length c.tbl
 
 let capacity (c : t) = c.max_entries
-
-let evictions (c : t) = c.evictions
 
 let mem (c : t) (k : string) = Hashtbl.mem c.tbl k
 
@@ -124,7 +122,6 @@ let evict_lru (c : t) =
   | None -> ()
   | Some (k, _) ->
     Hashtbl.remove c.tbl k;
-    c.evictions <- c.evictions + 1;
     Tm.incr "service.cache.evictions"
 
 let insert (c : t) (k : string) (a : Protocol.artifact) : unit =

@@ -19,7 +19,9 @@
    a {e hit}; a duplicate of an earlier request in the same batch is
    {e coalesced} (one compile serves all copies, but the cache cannot
    take credit); everything else is a {e miss}.  So
-   hits + coalesced + misses = requests. *)
+   hits + coalesced + misses = requests.  Every count lives in one
+   observability context the service owns: each batch runs within it,
+   and each event bumps exactly one of its counters. *)
 
 module J = Fgv_support.Json
 module Tm = Fgv_support.Telemetry
@@ -40,22 +42,9 @@ type t = {
   started : float;  (** wall clock at {!create}, for metrics uptime *)
   h_request : H.t;  (** per-request service latency (coordinator-only) *)
   h_batch : H.t;  (** whole-batch wall time (coordinator-only) *)
-  mutable requests : int;
-  mutable batches : int;
-  mutable hits : int;
-  mutable coalesced : int;
-  mutable misses : int;
-  mutable errors : int;
-  (* incremental (per-kernel unit) accounting, DESIGN §17: a request
-     splits into one unit per top-level kernel; each unit is asked,
-     and either hits the artifact cache, coalesces onto a same-batch
-     duplicate, or recompiles.  [uinvalidated] counts recompiles of a
-     kernel {e name} the service had already compiled under a different
-     content fingerprint — i.e. edits detected, not first sights. *)
-  mutable uqueries : int;
-  mutable uhits : int;
-  mutable uinvalidated : int;
-  mutable urecomputed : int;
+  obs : Obs.t;
+      (** the service's ledger: its counters, and everything its
+          compiles record *)
   fp_by_name : (string, string) Hashtbl.t;
       (** kernel name -> unit key of its last compiled content *)
 }
@@ -68,83 +57,85 @@ let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
     started = Unix.gettimeofday ();
     h_request = H.create ();
     h_batch = H.create ();
-    requests = 0;
-    batches = 0;
-    hits = 0;
-    coalesced = 0;
-    misses = 0;
-    errors = 0;
-    uqueries = 0;
-    uhits = 0;
-    uinvalidated = 0;
-    urecomputed = 0;
+    obs = Obs.create ();
     fp_by_name = Hashtbl.create 64;
   }
 
+(* A counter of the service's ledger, 0 if it was never bumped. *)
+let count (t : t) name = Obs.get t.obs name
+
 (* ----------------------------------------------------------- compiling *)
 
-(* Optimize and package one lowered function: pipeline, verifier,
-   optional C lowering. *)
-let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
-    (P.artifact, string) result =
-  match
-    if rq.P.rq_pipeline = "none" then Some (fun ?on_pass:_ _f -> ())
-    else Fgv_passes.Pipelines.find rq.P.rq_pipeline
-  with
-  | None ->
-    Error
-      (Printf.sprintf "unknown pipeline %s (one of: %s)" rq.P.rq_pipeline
-         (String.concat ", " ("none" :: Fgv_passes.Pipelines.names)))
-  | Some apply -> (
-    match Obs.collect_remarks (fun () -> apply ?on_pass:None f) with
-    | exception exn ->
-      Error ("pipeline crashed: " ^ Printexc.to_string exn)
-    | (), remarks -> (
-      match Fgv_pssa.Verifier.verify_or_message f with
-      | Some m -> Error ("optimized IR is ill-formed: " ^ m)
-      | None ->
-        let c =
-          if not rq.P.rq_emit_c then None
-          else
-            let mem =
-              Array.init rq.P.rq_heap (fun i ->
-                  Fgv_pssa.Value.VFloat (Float.of_int (i mod 7)))
-            in
-            Some (Fgv_backend.Emit.checked (Fgv_cfg.Lower.lower f) ~mem)
-        in
-        Ok
-          {
-            P.ar_func = f.Fgv_pssa.Ir.fname;
-            ar_ir = Fgv_pssa.Printer.to_string f;
-            ar_remarks = List.map Tr.remark_json remarks;
-            ar_c = c;
-            ar_counters = [];
-          }))
+(* Optimize and package one lowered function: the request's resolved
+   pipeline, verifier, optional C lowering. *)
+let package_artifact (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
+    (f : Fgv_pssa.Ir.func) : (P.artifact, string) result =
+  match Obs.collect_remarks (fun () -> apply f) with
+  | exception exn -> Error ("pipeline crashed: " ^ Printexc.to_string exn)
+  | (), remarks -> (
+    match Fgv_pssa.Verifier.verify_or_message f with
+    | Some m -> Error ("optimized IR is ill-formed: " ^ m)
+    | None ->
+      let c =
+        if not rq.P.rq_emit_c then None
+        else
+          let mem =
+            Array.init rq.P.rq_heap (fun i ->
+                Fgv_pssa.Value.VFloat (Float.of_int (i mod 7)))
+          in
+          Some (Fgv_backend.Emit.checked (Fgv_cfg.Lower.lower f) ~mem)
+      in
+      Ok
+        {
+          P.ar_func = f.Fgv_pssa.Ir.fname;
+          ar_ir = Fgv_pssa.Printer.to_string f;
+          ar_remarks = List.map Tr.remark_json remarks;
+          ar_c = c;
+          ar_counters = [];
+        })
 
 (* One cold per-kernel compile, from the already-parsed declaration.
    Runs inside a pool worker in an isolated observability context, so
    the counter snapshot it returns is exactly this compile's.  Remarks
    are collected rather than streamed: they belong to the artifact. *)
-let compile_unit (rq : P.request) (fd : Fgv_frontend.Ast.fdecl) :
-    (P.artifact, string) result =
+let compile_unit (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
+    (fd : Fgv_frontend.Ast.fdecl) : (P.artifact, string) result =
   match Lower_ast.compile_fdecl ~no_restrict:rq.P.rq_no_restrict fd with
   | exception Lower_ast.Error m -> Error ("lowering error: " ^ m)
-  | f -> package_artifact rq f
+  | f -> package_artifact rq apply f
 
 (* ------------------------------------------------------------- batches *)
 
-(* Split a request into its top-level kernels, each with its own cache
-   sub-key, in source order — or the lex/parse error that answers the
-   whole request at classification (never cached, no unit asked). *)
+(* A pipeline name from the registry, or "none" for the identity. *)
+let resolve_pipeline name : (Fgv_pssa.Ir.func -> unit, string) result =
+  if name = "none" then Ok ignore
+  else
+    match Fgv_passes.Pipelines.find name with
+    | Some apply -> Ok (fun f -> apply f)
+    | None ->
+      Error
+        (Printf.sprintf "unknown pipeline %s (one of: %s)" name
+           (String.concat ", " ("none" :: Fgv_passes.Pipelines.names)))
+
+(* Split a request into its resolved pipeline and its top-level
+   kernels, each with its own cache sub-key, in source order — or the
+   error that answers the whole request at classification (never
+   cached, no unit asked): the frontend's lex or parse error, else an
+   unknown pipeline. *)
 let split_units (rq : P.request) :
-    ((Fgv_frontend.Ast.fdecl * string) list, string) result =
+    ( (Fgv_pssa.Ir.func -> unit) * (Fgv_frontend.Ast.fdecl * string) list,
+      string )
+    result =
   match Fgv_frontend.Parser.parse_program rq.P.rq_source with
-  | units ->
-    Ok (List.map (fun (fd, slice) -> (fd, Cache.unit_key rq slice)) units)
   | exception Fgv_frontend.Lexer.Error m -> Error ("lex error: " ^ m)
   | exception Fgv_frontend.Parser.Error m -> Error ("parse error: " ^ m)
+  | units ->
+    let key (fd, slice) = (fd, Cache.unit_key rq slice) in
+    Result.map
+      (fun apply -> (apply, List.map key units))
+      (resolve_pipeline rq.P.rq_pipeline)
 
-let units_of = function Ok units -> units | Error _ -> []
+let units_of = function Ok (_, units) -> units | Error _ -> []
 
 type resolution =
   | Hit of P.artifact * float
@@ -152,16 +143,12 @@ type resolution =
           evict it, plus the lookup's wall seconds *)
   | Await of [ `Miss | `Coalesced ]
 
-(* Outcome slug for access-log records and slow-request warnings.  A
-   multi-unit request reports the most expensive outcome any of its
-   units had: one recompiled kernel makes the request a miss however
-   many siblings hit.  A request with no units (it did not parse) is a
+(* Outcome slug for access-log records, slow-request warnings and the
+   [service.requests.<outcome>] counter.  A multi-unit request reports
+   the most expensive outcome any of its units had: one recompiled
+   kernel makes the request a miss however many siblings hit.  A
+   request with no units (it was answered at classification) is a
    miss. *)
-let resolution_name = function
-  | Hit _ -> "hit"
-  | Await `Miss -> "miss"
-  | Await `Coalesced -> "coalesced"
-
 let request_outcome (units : resolution list) : string =
   if
     List.is_empty units
@@ -172,10 +159,10 @@ let request_outcome (units : resolution list) : string =
   else "hit"
 
 let handle_batch (t : t) (reqs : P.request list) : P.response list =
-  t.batches <- t.batches + 1;
+  Obs.within t.obs @@ fun () ->
   Tm.incr "service.batches";
   let batch_start = Unix.gettimeofday () in
-  let seq_base = t.requests in
+  let seq_base = count t "service.requests" in
   (* seq of the i-th request of this batch, monotonic per service *)
   let seq i = seq_base + i + 1 in
   let keyed = List.map (fun rq -> (rq, split_units rq)) reqs in
@@ -189,56 +176,51 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   let plan =
     List.mapi
       (fun i (rq, split) ->
-        t.requests <- t.requests + 1;
         Tm.incr "service.requests";
         Tr.with_span ~cat:"service"
           ~args:[ ("seq", J.Int (seq i)) ]
           "service.lookup"
           (fun () ->
-            List.map
-              (fun (fd, key) ->
-                t.uqueries <- t.uqueries + 1;
-                Tm.incr "service.incremental.queries_asked";
-                let t0 = Unix.gettimeofday () in
-                match Cache.find t.cache key with
-                | Some a ->
-                  let dt = Unix.gettimeofday () -. t0 in
-                  t.uhits <- t.uhits + 1;
-                  Tm.incr "service.cache.hits";
-                  Tm.incr "service.incremental.memo_hits";
-                  Tr.remark (Tr.anchor a.P.ar_func)
-                    (Tr.Cache_hit { key; pipeline = rq.P.rq_pipeline });
-                  Hit (a, dt)
-                | None ->
-                  if Hashtbl.mem pending_set key then begin
-                    Tm.incr "service.cache.coalesced";
-                    Await `Coalesced
-                  end
-                  else begin
-                    Tm.incr "service.cache.misses";
-                    t.urecomputed <- t.urecomputed + 1;
-                    Tm.incr "service.incremental.recomputed";
-                    (* an edit: this kernel name was compiled before,
-                       under different content/flags *)
-                    let name = fd.Fgv_frontend.Ast.fdname in
-                    (match Hashtbl.find_opt t.fp_by_name name with
-                    | Some old_key when old_key <> key ->
-                      t.uinvalidated <- t.uinvalidated + 1;
-                      Tm.incr "service.incremental.invalidated"
-                    | _ -> ());
-                    Hashtbl.replace t.fp_by_name name key;
-                    Hashtbl.add pending_set key ();
-                    pending := (rq, fd, key, seq i) :: !pending;
-                    Await `Miss
-                  end)
-              (units_of split)))
+            match split with
+            | Error _ -> []
+            | Ok (apply, units) ->
+              List.map
+                (fun (fd, key) ->
+                  let t0 = Unix.gettimeofday () in
+                  match Cache.find t.cache key with
+                  | Some a ->
+                    let dt = Unix.gettimeofday () -. t0 in
+                    Tm.incr "service.cache.hits";
+                    Tr.remark (Tr.anchor a.P.ar_func)
+                      (Tr.Cache_hit { key; pipeline = rq.P.rq_pipeline });
+                    Hit (a, dt)
+                  | None ->
+                    if Hashtbl.mem pending_set key then begin
+                      Tm.incr "service.cache.coalesced";
+                      Await `Coalesced
+                    end
+                    else begin
+                      Tm.incr "service.cache.misses";
+                      (* an edit: this kernel name was compiled before,
+                         under different content/flags *)
+                      let name = fd.Fgv_frontend.Ast.fdname in
+                      (match Hashtbl.find_opt t.fp_by_name name with
+                      | Some old_key when old_key <> key ->
+                        Tm.incr "service.incremental.invalidated"
+                      | _ -> ());
+                      Hashtbl.replace t.fp_by_name name key;
+                      Hashtbl.add pending_set key ();
+                      pending := (rq, apply, fd, key, seq i) :: !pending;
+                      Await `Miss
+                    end)
+                units))
       keyed
   in
   (* Compile the distinct misses in parallel, each in an isolated
      observability context whose counters become the artifact's.  The
      shard merges back inside the compile's span, so its pass spans nest
      there; the pool then merges its tasks in request order, so the
-     global counters are deterministic at any job count.  Each compile's
+     service's counters are deterministic at any job count.  Each compile's
      wall seconds ride back with the result for the access log (a
      coalesced duplicate shares the one compile's duration). *)
   let fresh = Hashtbl.create 16 in
@@ -247,7 +229,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   | pending ->
     let compiled =
       Pool.map ~jobs:t.jobs
-        (fun (rq, fd, key, sq) ->
+        (fun (rq, apply, fd, key, sq) ->
           let t0 = Unix.gettimeofday () in
           let result =
             Tr.with_span ~cat:"service"
@@ -258,7 +240,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
                 let result, shard =
                   Obs.isolated (fun () ->
                       Tm.incr "service.compiles";
-                      compile_unit rq fd)
+                      compile_unit rq apply fd)
                 in
                 Obs.merge shard;
                 Result.map
@@ -294,14 +276,13 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
         let results =
           match split with
           | Error e -> [ Error e ]
-          | Ok units ->
+          | Ok (_, units) ->
             List.map2 (fun (_, key) r -> unit_result key r) units resolutions
         in
         match
           List.find_opt (function Error _ -> true | Ok _ -> false) results
         with
         | Some (Error e) ->
-          t.errors <- t.errors + 1;
           Tm.incr "service.errors";
           P.Failed { id = rq.P.rq_id; error = e }
         | _ -> (
@@ -315,10 +296,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
      one request), and hits + coalesced + misses = requests always. *)
   List.iter
     (fun resolutions ->
-      match request_outcome resolutions with
-      | "hit" -> t.hits <- t.hits + 1
-      | "coalesced" -> t.coalesced <- t.coalesced + 1
-      | _ -> t.misses <- t.misses + 1)
+      Tm.incr ("service.requests." ^ request_outcome resolutions))
     plan;
   (* Access log + latency histograms, in request order, coordinator
      only — the event file's line order matches seq at any job count.
@@ -422,111 +400,102 @@ let ping_line (t : t) : string =
          ("jobs", J.Int t.jobs);
        ])
 
-(* One snapshot type feeds both {"op":"stats"} and {"op":"metrics"}
-   (both formats), so the two endpoints cannot drift: every field here
-   is a deterministic function of the request stream — wall-clock data
+(* The wire ledger: one row per counter field of {"op":"stats"} and
+   {"op":"metrics"} (both formats) — its wire name, its Prometheus
+   series, and the service counters whose sum it reports.  Every row is
+   a deterministic function of the request stream; wall-clock data
    (uptime, the latency histograms) is added only by the metrics
-   encoders, under their "timing" member. *)
-type snapshot = {
-  sn_requests : int;
-  sn_batches : int;
-  sn_hits : int;
-  sn_coalesced : int;
-  sn_misses : int;
-  sn_errors : int;
-  sn_entries : int;
-  sn_capacity : int;
-  sn_evictions : int;
-  (* per-kernel unit accounting (DESIGN §17) *)
-  sn_uqueries : int;
-  sn_uhits : int;
-  sn_uinvalidated : int;
-  sn_urecomputed : int;
-}
+   encoders, under their "timing" member.  The unit ledger's asks, hits
+   and recomputes are the per-unit cache counters: a unit is asked once
+   and either hits, coalesces or misses (DESIGN §17). *)
+type field = { wire : string; series : string; sum : string list }
 
-let snapshot (t : t) : snapshot =
-  {
-    sn_requests = t.requests;
-    sn_batches = t.batches;
-    sn_hits = t.hits;
-    sn_coalesced = t.coalesced;
-    sn_misses = t.misses;
-    sn_errors = t.errors;
-    sn_entries = Cache.length t.cache;
-    sn_capacity = Cache.capacity t.cache;
-    sn_evictions = Cache.evictions t.cache;
-    sn_uqueries = t.uqueries;
-    sn_uhits = t.uhits;
-    sn_uinvalidated = t.uinvalidated;
-    sn_urecomputed = t.urecomputed;
-  }
+let request_fields =
+  [
+    { wire = "requests"; series = "fgv_requests_total";
+      sum = [ "service.requests" ] };
+    { wire = "batches"; series = "fgv_batches_total";
+      sum = [ "service.batches" ] };
+    { wire = "hits"; series = "fgv_cache_hits_total";
+      sum = [ "service.requests.hit" ] };
+    { wire = "coalesced"; series = "fgv_cache_coalesced_total";
+      sum = [ "service.requests.coalesced" ] };
+    { wire = "misses"; series = "fgv_cache_misses_total";
+      sum = [ "service.requests.miss" ] };
+    { wire = "errors"; series = "fgv_errors_total";
+      sum = [ "service.errors" ] };
+  ]
+
+let evictions =
+  { wire = "evictions"; series = "fgv_cache_evictions_total";
+    sum = [ "service.cache.evictions" ] }
+
+let unit_fields =
+  [
+    { wire = "queries_asked"; series = "fgv_incremental_queries_total";
+      sum =
+        [ "service.cache.hits"; "service.cache.coalesced";
+          "service.cache.misses" ] };
+    { wire = "memo_hits"; series = "fgv_incremental_memo_hits_total";
+      sum = [ "service.cache.hits" ] };
+    { wire = "invalidated"; series = "fgv_incremental_invalidated_total";
+      sum = [ "service.incremental.invalidated" ] };
+    { wire = "recomputed"; series = "fgv_incremental_recomputed_total";
+      sum = [ "service.cache.misses" ] };
+  ]
+
+let value (t : t) (f : field) =
+  List.fold_left (fun n c -> n + count t c) 0 f.sum
+
+(* A wire field's value, by its name in the stats line. *)
+let stat (t : t) wire =
+  value t
+    (List.find
+       (fun f -> f.wire = wire)
+       (request_fields @ (evictions :: unit_fields)))
+
+let ints (t : t) fields = List.map (fun f -> (f.wire, J.Int (value t f))) fields
+
+let ratio n d = if d = 0 then 0.0 else float_of_int n /. float_of_int d
+
+let hit_rate (t : t) = ratio (stat t "hits") (stat t "requests")
 
 (* Unit-level reuse: how many per-kernel asks the artifact cache
    answered.  The bench incremental lane's reuse-rate figure. *)
-let reuse_rate (sn : snapshot) : float =
-  if sn.sn_uqueries = 0 then 0.0
-  else float_of_int sn.sn_uhits /. float_of_int sn.sn_uqueries
+let reuse_rate (t : t) = ratio (stat t "memo_hits") (stat t "queries_asked")
 
-let incremental_json (sn : snapshot) : J.t =
-  J.Assoc
-    [
-      ("queries_asked", J.Int sn.sn_uqueries);
-      ("memo_hits", J.Int sn.sn_uhits);
-      ("invalidated", J.Int sn.sn_uinvalidated);
-      ("recomputed", J.Int sn.sn_urecomputed);
-      ("reuse_rate", J.Float (reuse_rate sn));
-    ]
-
-let hit_rate (sn : snapshot) : float =
-  if sn.sn_requests = 0 then 0.0
-  else float_of_int sn.sn_hits /. float_of_int sn.sn_requests
+let incremental_json (t : t) : J.t =
+  J.Assoc (ints t unit_fields @ [ ("reuse_rate", J.Float (reuse_rate t)) ])
 
 let stats_line (t : t) : string =
-  let sn = snapshot t in
   J.to_string ~minify:true
     (J.Assoc
-       [
-         ("ok", J.Bool true);
-         ("requests", J.Int sn.sn_requests);
-         ("batches", J.Int sn.sn_batches);
-         ("hits", J.Int sn.sn_hits);
-         ("coalesced", J.Int sn.sn_coalesced);
-         ("misses", J.Int sn.sn_misses);
-         ("errors", J.Int sn.sn_errors);
-         ("entries", J.Int sn.sn_entries);
-         ("capacity", J.Int sn.sn_capacity);
-         ("evictions", J.Int sn.sn_evictions);
-         ("incremental", incremental_json sn);
-       ])
+       ((("ok", J.Bool true) :: ints t request_fields)
+       @ [
+           ("entries", J.Int (Cache.length t.cache));
+           ("capacity", J.Int (Cache.capacity t.cache));
+         ]
+       @ ints t [ evictions ]
+       @ [ ("incremental", incremental_json t) ]))
 
-(* {"op":"metrics"}: the same snapshot plus the latency histograms and
+(* {"op":"metrics"}: the same ledger plus the latency histograms and
    uptime — everything wall-derived under "timing", so the non-timing
    projection is byte-identical at any --jobs (DESIGN §16). *)
 let metrics_json (t : t) : J.t =
-  let sn = snapshot t in
   J.Assoc
     [
       ("ok", J.Bool true);
       ("schema", J.Int Version.metrics_schema);
-      ( "counters",
-        J.Assoc
-          [
-            ("requests", J.Int sn.sn_requests);
-            ("batches", J.Int sn.sn_batches);
-            ("hits", J.Int sn.sn_hits);
-            ("coalesced", J.Int sn.sn_coalesced);
-            ("misses", J.Int sn.sn_misses);
-            ("errors", J.Int sn.sn_errors);
-          ] );
+      ("counters", J.Assoc (ints t request_fields));
       ( "cache",
         J.Assoc
-          [
-            ("entries", J.Int sn.sn_entries);
-            ("capacity", J.Int sn.sn_capacity);
-            ("evictions", J.Int sn.sn_evictions);
-            ("hit_rate", J.Float (hit_rate sn));
-          ] );
-      ("incremental", incremental_json sn);
+          ([
+             ("entries", J.Int (Cache.length t.cache));
+             ("capacity", J.Int (Cache.capacity t.cache));
+           ]
+          @ ints t [ evictions ]
+          @ [ ("hit_rate", J.Float (hit_rate t)) ]) );
+      ("incremental", incremental_json t);
       ( "timing",
         J.Assoc
           [
@@ -540,16 +509,19 @@ let metrics_json (t : t) : J.t =
           ] );
     ]
 
-(* Prometheus-style text exposition of the same snapshot.  Histograms
+(* Prometheus-style text exposition of the same ledger.  Histograms
    use the standard cumulative _bucket{le=...} encoding; there is no
    _sum series because histograms deliberately keep no float sum (see
    Histogram). *)
 let metrics_text (t : t) : string =
-  let sn = snapshot t in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let scalar name kind v = line "# TYPE %s %s" name kind; line "%s %s" name v in
-  let counter name v = scalar name "counter" (string_of_int v) in
+  let counters fields =
+    List.iter
+      (fun f -> scalar f.series "counter" (string_of_int (value t f)))
+      fields
+  in
   let gauge name v = scalar name "gauge" v in
   let prom_float v =
     match J.float_repr v with "1e999" -> "+Inf" | "-1e999" -> "-Inf" | s -> s
@@ -566,21 +538,13 @@ let metrics_text (t : t) : string =
     line "%s_bucket{le=\"+Inf\"} %d" name (H.count h);
     line "%s_count %d" name (H.count h)
   in
-  counter "fgv_requests_total" sn.sn_requests;
-  counter "fgv_batches_total" sn.sn_batches;
-  counter "fgv_cache_hits_total" sn.sn_hits;
-  counter "fgv_cache_coalesced_total" sn.sn_coalesced;
-  counter "fgv_cache_misses_total" sn.sn_misses;
-  counter "fgv_errors_total" sn.sn_errors;
-  gauge "fgv_cache_entries" (string_of_int sn.sn_entries);
-  gauge "fgv_cache_capacity" (string_of_int sn.sn_capacity);
-  counter "fgv_cache_evictions_total" sn.sn_evictions;
-  gauge "fgv_cache_hit_rate" (prom_float (hit_rate sn));
-  counter "fgv_incremental_queries_total" sn.sn_uqueries;
-  counter "fgv_incremental_memo_hits_total" sn.sn_uhits;
-  counter "fgv_incremental_invalidated_total" sn.sn_uinvalidated;
-  counter "fgv_incremental_recomputed_total" sn.sn_urecomputed;
-  gauge "fgv_incremental_reuse_rate" (prom_float (reuse_rate sn));
+  counters request_fields;
+  gauge "fgv_cache_entries" (string_of_int (Cache.length t.cache));
+  gauge "fgv_cache_capacity" (string_of_int (Cache.capacity t.cache));
+  counters [ evictions ];
+  gauge "fgv_cache_hit_rate" (prom_float (hit_rate t));
+  counters unit_fields;
+  gauge "fgv_incremental_reuse_rate" (prom_float (reuse_rate t));
   gauge "fgv_uptime_seconds"
     (prom_float (Unix.gettimeofday () -. t.started));
   histogram "fgv_request_duration_seconds" t.h_request;

@@ -45,8 +45,6 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let is_open () = with_lock (fun () -> !sink <> None)
-
 let enabled lvl =
   with_lock (fun () ->
       match !sink with

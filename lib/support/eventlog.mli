@@ -43,8 +43,6 @@ val open_log : path:string -> level:level -> unit
     [level].  Emits a ["log-open"] event recording the schema version,
     tool banner, and threshold.  Replaces any previously open log. *)
 
-val is_open : unit -> bool
-
 val enabled : level -> bool
 (** Whether an event at this level would be written — lets callers
     skip building field lists when nobody is listening. *)

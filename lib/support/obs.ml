@@ -76,6 +76,8 @@ let key : t Domain.DLS.key =
 
 let cur () = Domain.DLS.get key
 
+let create () = fresh ~force_remarks:false
+
 let counter c name =
   match Hashtbl.find_opt c.counters name with
   | Some r -> r
@@ -83,6 +85,9 @@ let counter c name =
     let r = ref 0 in
     Hashtbl.replace c.counters name r;
     r
+
+let get c name =
+  match Hashtbl.find_opt c.counters name with Some r -> !r | None -> 0
 
 let timer c name =
   match Hashtbl.find_opt c.timers name with

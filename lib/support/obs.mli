@@ -130,8 +130,22 @@ val cur : unit -> t
 (** The calling domain's context.  {!Telemetry} and {!Trace} record
     into it; other code reads it through them. *)
 
+val create : unit -> t
+(** A fresh, empty context, with remarks not forced. *)
+
+val within : t -> (unit -> 'a) -> 'a
+(** Run the thunk with the given context as the calling domain's and
+    restore the caller's afterwards, also when the thunk raises.  A
+    long-lived owner keeps its own ledger this way: the compile service
+    runs every batch within its context, which is merged into the
+    process context like a shard when the service stops. *)
+
 val counter : t -> string -> int ref
 (** The named counter's cell, created at 0. *)
+
+val get : t -> string -> int
+(** The named counter's value, 0 if it was never bumped.  Unlike
+    {!counter}, reading does not create it. *)
 
 val timer : t -> string -> timer
 (** The named timer's cell, created empty. *)

@@ -13,7 +13,4 @@ let mean xs =
   | [] -> invalid_arg "Stats.mean: empty"
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let percent_change ~from ~to_ =
-  if from = 0.0 then 0.0 else (to_ -. from) /. from *. 100.0
-
 let speedup ~base ~opt = if opt = 0.0 then infinity else base /. opt

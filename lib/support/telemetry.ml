@@ -11,10 +11,7 @@ let set_max name v =
   let r = Obs.counter (Obs.cur ()) name in
   if v > !r then r := v
 
-let get name =
-  match Hashtbl.find_opt (Obs.cur ()).counters name with
-  | Some r -> !r
-  | None -> 0
+let get name = Obs.get (Obs.cur ()) name
 
 let counters () = Obs.counters (Obs.cur ())
 

@@ -36,11 +36,6 @@ let create ?(condopt = Condopt.default_config) ?scev (f : Ir.func)
   { s_func = f; s_region = region; s_scev = scev; s_graph = graph;
     s_plans = []; s_condopt = condopt; s_enclosing = enclosing }
 
-(* Region-level node that contains a value (the value itself, or the
-   sibling loop it lives in). *)
-let node_of_value s (v : Ir.value_id) : Ir.node option =
-  Depcond.def_item s.s_graph.Depgraph.g_ctx v
-
 (* Are the nodes already pairwise independent (no versioning needed)? *)
 let already_independent s (nodes : Ir.node list) : bool =
   let idx = List.map (Depgraph.node_index s.s_graph) nodes in
@@ -287,5 +282,3 @@ let materialize ?(loop_upgrade = false) (s : session) :
           if v' <> v then v' else subst2 v)
     else None
   end
-
-let pending_plans s = List.rev s.s_plans

@@ -27,10 +27,6 @@ val create :
     reuses a caller's analysis of the same, unmodified function instead
     of running it again. *)
 
-val node_of_value : session -> Ir.value_id -> Ir.node option
-(** Region-level node containing a value (the value's own instruction, or
-    the sibling loop it lives in). *)
-
 val already_independent : session -> Ir.node list -> bool
 (** Pairwise independent without any versioning? *)
 
@@ -76,6 +72,3 @@ val materialize :
     versioning phi (see {!Materialize.run}); clients redirecting uses to
     a versioned value must redirect to its image under the
     substitution. *)
-
-val pending_plans : session -> Plan.t list
-(** Plans recorded so far, oldest first. *)

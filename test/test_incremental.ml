@@ -35,17 +35,23 @@ let test_service_units () =
     Alcotest.(check string) "units in source order" "one" a.P.ar_func;
     Alcotest.(check string) "second unit" "two" b.P.ar_func
   | _ -> Alcotest.fail "expected two artifacts");
-  Alcotest.(check int) "two units asked" 2 svc.S.uqueries;
-  Alcotest.(check int) "cold: no unit hits" 0 svc.S.uhits;
+  Alcotest.(check int) "two units asked" 2 (S.stat svc "queries_asked");
+  Alcotest.(check int) "cold: no unit hits" 0
+    (S.count svc "service.cache.hits");
   (* unchanged: both hit, and the request is a hit *)
   ignore (S.handle_request svc (rq (src 3)));
-  Alcotest.(check int) "warm: both units hit" 2 svc.S.uhits;
-  Alcotest.(check int) "request-level hit" 1 svc.S.hits;
+  Alcotest.(check int) "warm: both units hit" 2
+    (S.count svc "service.cache.hits");
+  Alcotest.(check int) "request-level hit" 1
+    (S.count svc "service.requests.hit");
   (* edit kernel two: one hit, one invalidated recompile *)
   let edited = S.handle_request svc (rq (src 4)) in
-  Alcotest.(check int) "edited: untouched kernel still hits" 3 svc.S.uhits;
-  Alcotest.(check int) "edited kernel was invalidated" 1 svc.S.uinvalidated;
-  Alcotest.(check int) "three recompiles total" 3 svc.S.urecomputed;
+  Alcotest.(check int) "edited: untouched kernel still hits" 3
+    (S.count svc "service.cache.hits");
+  Alcotest.(check int) "edited kernel was invalidated" 1
+    (S.count svc "service.incremental.invalidated");
+  Alcotest.(check int) "three recompiles total" 3
+    (S.count svc "service.cache.misses");
   (* the incremental response is byte-identical to a fresh cold one *)
   let fresh = S.create ~jobs:1 () in
   Alcotest.(check string) "byte-identical to a fresh compile"
@@ -53,8 +59,10 @@ let test_service_units () =
     (P.response_line edited);
   (* request-level accounting still balances *)
   Alcotest.(check int) "hits + coalesced + misses = requests"
-    svc.S.requests
-    (svc.S.hits + svc.S.coalesced + svc.S.misses)
+    (S.count svc "service.requests")
+    (S.count svc "service.requests.hit"
+     + S.count svc "service.requests.coalesced"
+     + S.count svc "service.requests.miss")
 
 let test_unit_key_isolation () =
   (* the sibling's text is not in a unit's key: the same kernel batched
@@ -115,9 +123,13 @@ let test_service_jobs_fingerprint () =
   let drive jobs =
     Tm.capture (fun () ->
         let svc = S.create ~jobs () in
-        List.map
-          (fun src -> P.response_line (S.handle_request svc (rq src)))
-          srcs)
+        let lines =
+          List.map
+            (fun src -> P.response_line (S.handle_request svc (rq src)))
+            srcs
+        in
+        Fgv_support.Obs.merge svc.S.obs;
+        lines)
   in
   let out1, delta1 = drive 1 in
   let out4, delta4 = drive 4 in

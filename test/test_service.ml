@@ -14,7 +14,6 @@ module J = Fgv_support.Json
 module S = Fgv_service.Service
 module C = Fgv_service.Cache
 module P = Fgv_service.Protocol
-module Tm = Fgv_support.Telemetry
 module Ev = Fgv_support.Eventlog
 
 let rq ?(id = "") ?(pipeline = "sv+v") ?(no_restrict = false)
@@ -60,8 +59,8 @@ let test_hit_byte_identical () =
   let cached = S.handle_request svc (rq src) in
   Alcotest.(check string) "cached reply is byte-identical" (line cold)
     (line cached);
-  Alcotest.(check int) "one hit" 1 svc.S.hits;
-  Alcotest.(check int) "one miss" 1 svc.S.misses
+  Alcotest.(check int) "one hit" 1 (S.count svc "service.requests.hit");
+  Alcotest.(check int) "one miss" 1 (S.count svc "service.requests.miss")
 
 let test_canonicalization_hits () =
   let svc = S.create ~jobs:1 () in
@@ -69,7 +68,8 @@ let test_canonicalization_hits () =
   let b = S.handle_request svc (rq src_reformatted) in
   Alcotest.(check string) "reformatted source is served from cache"
     (line a) (line b);
-  Alcotest.(check int) "reformat was a hit" 1 svc.S.hits;
+  Alcotest.(check int) "reformat was a hit" 1
+    (S.count svc "service.requests.hit");
   Alcotest.(check string) "keys agree" (key (rq src))
     (key (rq src_reformatted))
 
@@ -102,12 +102,13 @@ let test_eviction_lru () =
   (* ...and a third distinct kernel evicts it. *)
   ignore (S.handle_request svc (rq (src_other 3)));
   Alcotest.(check int) "capped at two entries" 2 (C.length svc.S.cache);
-  Alcotest.(check int) "one eviction" 1 (C.evictions svc.S.cache);
+  Alcotest.(check int) "one eviction" 1 (S.count svc "service.cache.evictions");
   ignore (S.handle_request svc (rq (src_other 1)));
   Alcotest.(check int) "kernel 1 survived (LRU evicted kernel 2)" 2
-    svc.S.hits;
+    (S.count svc "service.requests.hit");
   ignore (S.handle_request svc (rq (src_other 2)));
-  Alcotest.(check int) "kernel 2 was evicted, so it misses" 4 svc.S.misses
+  Alcotest.(check int) "kernel 2 was evicted, so it misses" 4
+    (S.count svc "service.requests.miss")
 
 let batch_lines svc reqs =
   List.map line (S.handle_batch svc reqs)
@@ -146,9 +147,11 @@ let test_batch_coalescing () =
       a2.P.ar_ir;
     Alcotest.(check string) "all three agree" a1.P.ar_ir a3.P.ar_ir
   | _ -> Alcotest.fail "expected three compiled responses");
-  Alcotest.(check int) "one miss" 1 svc.S.misses;
-  Alcotest.(check int) "two coalesced, zero hits" 2 svc.S.coalesced;
-  Alcotest.(check int) "zero hits within the batch" 0 svc.S.hits
+  Alcotest.(check int) "one miss" 1 (S.count svc "service.requests.miss");
+  Alcotest.(check int) "two coalesced, zero hits" 2
+    (S.count svc "service.requests.coalesced");
+  Alcotest.(check int) "zero hits within the batch" 0
+    (S.count svc "service.requests.hit")
 
 let test_protocol_lines () =
   let classify text =
@@ -179,6 +182,112 @@ let test_protocol_lines () =
     "malformed"
     (classify {|[{"source":"a"},42]|});
   Alcotest.(check string) "empty batch" "malformed" (classify "[]")
+
+(* The wire ledger of a cache_max:4 service after a mix that touches
+   every field: a reformatted hit, an in-batch duplicate, a two-kernel
+   unit and then the same unit with one kernel edited, a parse error, a
+   lowering error, an emit_c request and four evictions.  Returns the
+   stats line, the metrics JSON without its timing member, and the
+   Prometheus text up to the uptime gauge. *)
+let ledger_mix jobs =
+  let svc = S.create ~jobs ~cache_max:4 () in
+  let reply text =
+    match S.handle_line svc text with
+    | S.Reply s -> s
+    | S.Quit s -> "quit:" ^ s
+  in
+  let send reqs =
+    ignore
+      (reply
+         (J.to_string ~minify:true
+            (match reqs with
+            | [ r ] -> P.encode_request r
+            | rs -> J.List (List.map P.encode_request rs))))
+  in
+  let unit2 c =
+    src_other 5
+    ^ Printf.sprintf
+        "\nkernel w(float* restrict a, int n) { for (int i = 0; i < n; i = \
+         i + 1) { a[i] = a[i] * %d.0; } }"
+        c
+  in
+  send [ rq ~id:"k" src ];
+  send [ rq ~id:"reformatted" src_reformatted ];
+  send [ rq ~id:"a" (src_other 1); rq ~id:"dup" (src_other 1);
+         rq ~id:"b" (src_other 2) ];
+  send [ rq ~id:"unit" (unit2 6) ];
+  send [ rq ~id:"edited" (unit2 7) ];
+  send [ rq ~id:"parse" "kernel oops(" ];
+  send [ rq ~id:"lower" "kernel lerr(float* a) { a[0] = zz; }" ];
+  send [ rq ~id:"c" ~pipeline:"o3" ~emit_c:true ~heap:32 (src_other 3) ];
+  send [ rq ~id:"again" src ];
+  let stats = reply {|{"op":"stats"}|} in
+  let metrics =
+    match J.of_string (reply {|{"op":"metrics"}|}) with
+    | Ok (J.Assoc fields) ->
+      J.to_string ~minify:true (J.Assoc (List.remove_assoc "timing" fields))
+    | _ -> "metrics is not an object"
+  in
+  let prometheus =
+    match
+      J.of_string (reply {|{"op":"metrics","format":"text"}|})
+      |> Result.to_option
+      |> Fun.flip Option.bind (J.string_member "body")
+    with
+    | None -> "text metrics has no body"
+    | Some body ->
+      let cut = "# TYPE fgv_uptime" in
+      let rec find i =
+        if i + String.length cut > String.length body then String.length body
+        else if String.sub body i (String.length cut) = cut then i
+        else find (i + 1)
+      in
+      String.sub body 0 (find 0)
+  in
+  (stats, metrics, prometheus)
+
+let ledger_stats_golden =
+  {|{"ok":true,"requests":11,"batches":9,"hits":1,"coalesced":1,"misses":9,"errors":2,"entries":4,"capacity":4,"evictions":4,"incremental":{"queries_asked":12,"memo_hits":2,"invalidated":1,"recomputed":9,"reuse_rate":0.16666666666666666}}|}
+
+let ledger_metrics_golden =
+  {|{"ok":true,"schema":1,"counters":{"requests":11,"batches":9,"hits":1,"coalesced":1,"misses":9,"errors":2},"cache":{"entries":4,"capacity":4,"evictions":4,"hit_rate":0.090909090909090912},"incremental":{"queries_asked":12,"memo_hits":2,"invalidated":1,"recomputed":9,"reuse_rate":0.16666666666666666}}|}
+
+let ledger_prometheus_golden =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+         "# TYPE fgv_requests_total counter";
+         "fgv_requests_total 11";
+         "# TYPE fgv_batches_total counter";
+         "fgv_batches_total 9";
+         "# TYPE fgv_cache_hits_total counter";
+         "fgv_cache_hits_total 1";
+         "# TYPE fgv_cache_coalesced_total counter";
+         "fgv_cache_coalesced_total 1";
+         "# TYPE fgv_cache_misses_total counter";
+         "fgv_cache_misses_total 9";
+         "# TYPE fgv_errors_total counter";
+         "fgv_errors_total 2";
+         "# TYPE fgv_cache_entries gauge";
+         "fgv_cache_entries 4";
+         "# TYPE fgv_cache_capacity gauge";
+         "fgv_cache_capacity 4";
+         "# TYPE fgv_cache_evictions_total counter";
+         "fgv_cache_evictions_total 4";
+         "# TYPE fgv_cache_hit_rate gauge";
+         "fgv_cache_hit_rate 0.090909090909090912";
+         "# TYPE fgv_incremental_queries_total counter";
+         "fgv_incremental_queries_total 12";
+         "# TYPE fgv_incremental_memo_hits_total counter";
+         "fgv_incremental_memo_hits_total 2";
+         "# TYPE fgv_incremental_invalidated_total counter";
+         "fgv_incremental_invalidated_total 1";
+         "# TYPE fgv_incremental_recomputed_total counter";
+         "fgv_incremental_recomputed_total 9";
+         "# TYPE fgv_incremental_reuse_rate gauge";
+         "fgv_incremental_reuse_rate 0.16666666666666666";
+       ])
 
 let test_handle_line_ops () =
   let svc = S.create ~jobs:1 () in
@@ -242,7 +351,19 @@ let test_handle_line_ops () =
   Alcotest.(check (option bool)) "malformed line answers ok:false"
     (Some false) (J.bool_member "ok" err);
   Alcotest.(check string) "shutdown quits" "quit:{\"ok\":true}"
-    (reply {|{"op":"shutdown"}|})
+    (reply {|{"op":"shutdown"}|});
+  (* The whole wire ledger, byte for byte, at both job counts.  The
+     goldens were recorded before the service kept its counts in an Obs
+     context of its own; no wire field or value may drift. *)
+  List.iter
+    (fun jobs ->
+      let stats, metrics, prometheus = ledger_mix jobs in
+      Alcotest.(check string) "stats line golden" ledger_stats_golden stats;
+      Alcotest.(check string) "untimed metrics golden" ledger_metrics_golden
+        metrics;
+      Alcotest.(check string) "Prometheus counters golden"
+        ledger_prometheus_golden prometheus)
+    [ 1; 2 ]
 
 let test_failures_not_cached () =
   let svc = S.create ~jobs:1 () in
@@ -252,8 +373,10 @@ let test_failures_not_cached () =
   (match S.handle_request svc (rq "kernel oops(") with
   | P.Failed _ -> ()
   | P.Compiled _ | P.Compiled_many _ -> Alcotest.fail "expected a parse failure");
-  Alcotest.(check int) "failures never hit" 0 svc.S.hits;
-  Alcotest.(check int) "failures are recompiled" 2 svc.S.misses;
+  Alcotest.(check int) "failures never hit" 0
+    (S.count svc "service.requests.hit");
+  Alcotest.(check int) "failures are recompiled" 2
+    (S.count svc "service.requests.miss");
   Alcotest.(check int) "failures are not stored" 0 (C.length svc.S.cache);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -308,11 +431,8 @@ let test_parse_error_at_classification () =
   let path = Filename.temp_file "fgv-service" ".jsonl" in
   Ev.open_log ~path ~level:Ev.Info;
   let svc = S.create ~jobs:1 () in
-  let (alone, together), work =
-    Tm.capture (fun () ->
-        ( error_of (S.handle_request svc (rq ~pipeline:"o3" bad)),
-          error_of (S.handle_request svc (rq ~pipeline:"o3" both)) ))
-  in
+  let alone = error_of (S.handle_request svc (rq ~pipeline:"o3" bad)) in
+  let together = error_of (S.handle_request svc (rq ~pipeline:"o3" both)) in
   Ev.close ();
   let access =
     In_channel.with_open_text path In_channel.input_all
@@ -326,13 +446,15 @@ let test_parse_error_at_classification () =
   Alcotest.(check string) "kernel b alone"
     "parse error: expected expression, got ';'" alone;
   Alcotest.(check string) "kernel b after kernel a" alone together;
-  Alcotest.(check int) "two errors" 2 svc.S.errors;
-  Alcotest.(check int) "two misses" 2 svc.S.misses;
-  Alcotest.(check int) "hits + coalesced + misses = requests" svc.S.requests
-    (svc.S.hits + svc.S.coalesced + svc.S.misses);
-  Alcotest.(check int) "no unit asked" 0 svc.S.uqueries;
-  Alcotest.(check (option int)) "no compile" None
-    (List.assoc_opt "service.compiles" work);
+  Alcotest.(check int) "two errors" 2 (S.count svc "service.errors");
+  Alcotest.(check int) "two misses" 2 (S.count svc "service.requests.miss");
+  Alcotest.(check int) "hits + coalesced + misses = requests"
+    (S.count svc "service.requests")
+    (S.count svc "service.requests.hit"
+     + S.count svc "service.requests.coalesced"
+     + S.count svc "service.requests.miss");
+  Alcotest.(check int) "no unit asked" 0 (S.stat svc "queries_asked");
+  Alcotest.(check int) "no compile" 0 (S.count svc "service.compiles");
   List.iter
     (fun j ->
       Alcotest.(check (option string)) "outcome" (Some "miss")
@@ -341,6 +463,52 @@ let test_parse_error_at_classification () =
         (J.string_member "key" j))
     access;
   Alcotest.(check int) "two access records" 2 (List.length access)
+
+(* A request that names an unknown pipeline answers at classification,
+   as a parse error does: it asks no unit and runs no compile, counts as
+   an error and a request-level miss, and leaves the kernel's last
+   compiled key alone, so compiling the kernel again under its real
+   pipeline is no edit. *)
+let test_unknown_pipeline_at_classification () =
+  let svc = S.create ~jobs:1 ~cache_max:1 () in
+  let stats () =
+    match S.handle_line svc {|{"op":"stats"}|} with
+    | S.Reply s -> Result.get_ok (J.of_string s)
+    | S.Quit _ -> Alcotest.fail "stats must not quit"
+  in
+  let unit_field name =
+    J.int_member name (Option.get (J.member "incremental" (stats ())))
+  in
+  let k =
+    "kernel k(float* a, int n) { for (int i = 0; i < n; i = i + 1) { a[i] \
+     = a[i] + 1.0; } }"
+  in
+  ignore (S.handle_request svc (rq ~pipeline:"o3" k));
+  (match S.handle_request svc (rq ~pipeline:"o3x" k) with
+  | P.Failed { error; _ } ->
+    Alcotest.(check string) "the registry's error text"
+      (Printf.sprintf "unknown pipeline o3x (one of: %s)"
+         (String.concat ", " ("none" :: Fgv_passes.Pipelines.names)))
+      error
+  | P.Compiled _ | P.Compiled_many _ ->
+    Alcotest.fail "expected an unknown-pipeline failure");
+  Alcotest.(check (option int)) "one error" (Some 1)
+    (J.int_member "errors" (stats ()));
+  Alcotest.(check (option int)) "two request-level misses" (Some 2)
+    (J.int_member "misses" (stats ()));
+  Alcotest.(check (option int)) "one unit asked" (Some 1)
+    (unit_field "queries_asked");
+  Alcotest.(check (option int)) "one recompute" (Some 1)
+    (unit_field "recomputed");
+  Alcotest.(check (option int)) "no edit" (Some 0) (unit_field "invalidated");
+  Alcotest.(check int) "one compile" 1 (S.count svc "service.compiles");
+  (* evict k, then ask for it under o3 again: the same content *)
+  ignore (S.handle_request svc (rq ~pipeline:"o3" (src_other 1)));
+  ignore (S.handle_request svc (rq ~pipeline:"o3" k));
+  Alcotest.(check (option int)) "k compiled again is no edit" (Some 0)
+    (unit_field "invalidated");
+  Alcotest.(check (option int)) "three recomputes" (Some 3)
+    (unit_field "recomputed")
 
 let suite =
   [
@@ -359,4 +527,6 @@ let suite =
       test_unrepresentable_literal;
     Alcotest.test_case "parse errors answer at classification" `Quick
       test_parse_error_at_classification;
+    Alcotest.test_case "unknown pipelines answer at classification" `Quick
+      test_unknown_pipeline_at_classification;
   ]

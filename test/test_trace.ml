@@ -288,6 +288,7 @@ let test_service_compile_spans () =
       (match S.handle_request svc rq with
       | Pr.Compiled_many { artifacts = [ _; _ ]; _ } -> ()
       | _ -> Alcotest.fail "expected two compiled kernels");
+      Fgv_support.Obs.merge svc.S.obs;
       let names = List.map snd (span_shape ()) in
       List.iter
         (fun n ->
