@@ -50,11 +50,6 @@ module Udiff = Fgv_support.Udiff
    emits; printed by --version so consumers can pin against them. *)
 let version_string = Fgv_support.Version.banner
 
-(* The shared pipeline registry, plus the driver-only identity pipeline. *)
-let pipelines :
-    (string * (?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit)) list =
-  ("none", fun ?on_pass:_ _ -> ()) :: P.Pipelines.registry
-
 let print_stats stats =
   match stats with
   | None -> 0
@@ -180,11 +175,11 @@ let run_fuzz n seed pipeline report_file stats jobs native finalize =
 (* --------------------------------------------------- native execution *)
 
 (* [--run-native]: lower to the CFG, compile the checked-mode C with the
-   system toolchain, run it, and cross-check class + final memory +
-   impure-call trace against the CFG interpreter — the same differential
-   the fuzz oracle applies, on the user's kernel.  On agreement, also
-   compile the fast configuration and report measured ns/run.  A
-   disagreement is a compiler bug and exits 5. *)
+   system toolchain, run it, and ask the differential contract
+   ({!Interp.runs_agree}, the fuzz oracle's check) whether it behaves
+   like the CFG interpreter on the user's kernel.  On agreement after a
+   normal finish, also compile the fast configuration and report
+   measured ns/run.  A disagreement is a compiler bug and exits 5. *)
 let run_native_differential (f : Ir.func) ~(argv : Value.t list) ~fresh_mem =
   if not (N.available ()) then begin
     Printf.eprintf
@@ -193,14 +188,11 @@ let run_native_differential (f : Ir.func) ~(argv : Value.t list) ~fresh_mem =
     exit 2
   end;
   let prog = Fgv_cfg.Lower.lower f in
-  let iclass, iout =
-    match Fgv_cfg.Cinterp.run prog ~args:argv ~mem:(fresh_mem ()) with
-    | out -> (N.NOk, Some out)
-    | exception Value.Trap _ -> (N.NTrap, None)
-    | exception Value.Undef_access op -> (N.NUndef op, None)
-    | exception Fgv_cfg.Cinterp.Out_of_fuel -> (N.NFuel, None)
+  let reference =
+    Interp.classify (fun () ->
+        Fgv_cfg.Cinterp.(observe (run prog ~args:argv ~mem:(fresh_mem ()))))
   in
-  let obs =
+  let native =
     match N.compile_checked prog ~mem:(fresh_mem ()) with
     | Error e ->
       Printf.eprintf "fgvc: native compile failed: %s\n" e;
@@ -212,43 +204,27 @@ let run_native_differential (f : Ir.func) ~(argv : Value.t list) ~fresh_mem =
       | Error e ->
         Printf.eprintf "fgvc: native run failed: %s\n" e;
         exit 5
-      | Ok obs -> obs)
+      | Ok run -> run)
   in
-  let class_ok =
-    match (iclass, obs.N.n_class) with
-    | N.NOk, N.NOk | N.NTrap, N.NTrap | N.NFuel, N.NFuel -> true
-    | N.NUndef a, N.NUndef b -> a = b
-    | _ -> false
-  in
-  (* memory and trace are compared on a normal finish only, matching the
-     fuzz oracle's observation contract *)
-  let mem_ok, trace_ok =
-    match iout with
-    | None -> (true, true)
-    | Some out ->
-      ( Array.length obs.N.n_mem = Array.length out.Fgv_cfg.Cinterp.memory
-        && Array.for_all2 Value.equal obs.N.n_mem out.Fgv_cfg.Cinterp.memory,
-        obs.N.n_trace = out.Fgv_cfg.Cinterp.call_trace )
-  in
-  if not (class_ok && mem_ok && trace_ok) then begin
-    Printf.printf
-      "native differential: MISMATCH (class %s vs %s, memory %s, trace %s)\n"
-      (N.nclass_string obs.N.n_class)
-      (N.nclass_string iclass)
-      (if mem_ok then "agrees" else "DIFFERS")
-      (if trace_ok then "agrees" else "DIFFERS");
-    exit 5
-  end;
-  Printf.printf "native differential: OK (class %s, %d impure calls)\n"
-    (N.nclass_string iclass)
-    (List.length obs.N.n_trace);
-  if iclass = N.NOk then
+  (match Interp.runs_agree reference native with
+  | None -> ()
+  | Some detail ->
+    Printf.printf "native differential: MISMATCH (%s)\n" detail;
+    exit 5);
+  match reference with
+  | Interp.Finished obs -> (
+    Printf.printf "native differential: OK (class %s, %d impure calls)\n"
+      (Interp.class_name reference)
+      (List.length obs.Interp.o_trace);
     match N.run_fast prog ~args:argv ~mem:(fresh_mem ()) with
     | Error e -> Printf.eprintf "fgvc: native timing failed: %s\n" e
     | Ok fr ->
       Printf.printf
         "native timing: %.1f ns/run (%d reps, compile %.2fs, checksum %h)\n"
-        fr.N.nf_ns fr.N.nf_reps fr.N.nf_compile_s fr.N.nf_checksum
+        fr.N.nf_ns fr.N.nf_reps fr.N.nf_compile_s fr.N.nf_checksum)
+  | _ ->
+    Printf.printf "native differential: OK (class %s)\n"
+      (Interp.class_name reference)
 
 (* ------------------------------------------------------- service mode *)
 
@@ -282,9 +258,9 @@ let run_serve socket cache_max stats jobs slow_ms finalize =
 
 let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     dump_cfg run args heap no_restrict emit_c run_native stats jobs trace
-    remarks serve socket stdin_proto cache_max log slow_ms =
+    remarks serve socket cache_max log slow_ms =
   let finalize = setup_observability trace remarks log in
-  if serve || stdin_proto || socket <> None then
+  if serve || socket <> None then
     run_serve socket cache_max stats jobs slow_ms finalize
   else if fuzz > 0 then begin
     Ev.emit Ev.Info "fuzz-campaign"
@@ -356,11 +332,10 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       frontend_error ("lowering error: " ^ m)
   in
   let apply =
-    match List.assoc_opt pipeline pipelines with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "unknown pipeline %s (one of: %s)\n" pipeline
-        (String.concat ", " (List.map fst pipelines));
+    match P.Pipelines.resolve pipeline with
+    | Ok p -> p
+    | Error m ->
+      Printf.eprintf "%s\n" m;
       exit 2
   in
   let on_pass =
@@ -376,9 +351,7 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     exit 3);
   if dump_ir = Some "-" then Printer.print f;
   if dump_cfg then print_string (Fgv_cfg.Cir.to_string (Fgv_cfg.Lower.lower f));
-  let fresh_mem () =
-    Array.init heap (fun i -> Value.VFloat (Float.of_int (i mod 7)))
-  in
+  let fresh_mem () = Fgv_service.Protocol.heap_image heap in
   (match emit_c with
   | None -> ()
   | Some out ->
@@ -412,7 +385,7 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     | exception Value.Trap m -> trap m
     | exception Value.Undef_access op ->
       trap (op ^ " through an undefined address")
-    | exception Interp.Out_of_fuel -> trap "out of fuel"
+    | exception Value.Out_of_fuel -> trap "out of fuel"
   in
   finalize ();
   let rc = print_stats stats in
@@ -468,7 +441,10 @@ let args_opt =
                with a dot are floats)")
 
 let heap_opt =
-  Arg.(value & opt int 1024 & info [ "heap" ] ~docv:"CELLS" ~doc:"heap size in cells")
+  Arg.(
+    value
+    & opt int Fgv_service.Protocol.default_heap
+    & info [ "heap" ] ~docv:"CELLS" ~doc:"heap size in cells")
 
 let no_restrict =
   Arg.(value & flag & info [ "no-restrict" ] ~doc:"ignore restrict qualifiers")
@@ -563,14 +539,6 @@ let socket_opt =
           "with the compile service: listen on a Unix-domain socket at \
            $(docv) instead of stdin/stdout; the cache persists across \
            connections (implies $(b,--serve))")
-
-let stdin_proto_opt =
-  Arg.(
-    value & flag
-    & info [ "stdin-proto" ]
-        ~doc:
-          "explicit alias for the compile service's default stdin/stdout \
-           transport (implies $(b,--serve))")
 
 let cache_max_opt =
   Arg.(
@@ -670,6 +638,6 @@ let cmd =
       $ fuzz_native_opt $ pipeline $ dump_ir $ dump_cfg $ run_flag $ args_opt
       $ heap_opt $ no_restrict $ emit_c_opt $ run_native_opt $ stats_opt
       $ jobs_opt $ trace_opt $ remarks_opt $ serve_opt $ socket_opt
-      $ stdin_proto_opt $ cache_max_opt $ log_opt $ slow_ms_opt)
+      $ cache_max_opt $ log_opt $ slow_ms_opt)
 
 let () = exit (Cmd.eval' cmd)

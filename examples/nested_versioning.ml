@@ -48,7 +48,8 @@ let demo name source =
         let mem () = Array.init 16 (fun i -> Value.VFloat (Float.of_int i)) in
         let a = Interp.run reference ~args ~mem:(mem ()) in
         let b = Interp.run f ~args ~mem:(mem ()) in
-        if not (Interp.equivalent a b) then failwith "behaviour changed!")
+        if Interp.(observation_diff (observe a) (observe b)) <> None then
+          failwith "behaviour changed!")
       [ [ Value.VInt 8; Value.VInt 1 ]; [ Value.VInt 2; Value.VInt 2 ];
         [ Value.VInt 3; Value.VInt 2 ] ];
     print_endline "verified: identical behaviour on aliasing and disjoint inputs");

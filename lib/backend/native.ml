@@ -1,9 +1,9 @@
 (* Compile-and-run orchestration for the native backend.
 
-   Checked mode produces an {!obs} — the native twin of a CFG
-   interpreter outcome: final memory, the impure-call trace, and a run
-   classification — parsed from the protocol the emitted program prints
-   (see {!Emit}).  Values cross the process boundary as little tokens
+   Checked mode classifies a run exactly as the interpreters' runs are
+   classified ({!Interp.run_class}), from the final memory, impure-call
+   trace and classification line the emitted program prints (see
+   {!Emit}).  Values cross the process boundary as little tokens
    ([i:<dec>], [f:<IEEE bits in hex>], [b:0/1], [u], [v:lane;lane;...]),
    so floats round-trip bit-exactly, NaN payloads included.
 
@@ -49,25 +49,7 @@ let token_value (s : string) : Value.t =
 
 (* ---------------- checked runs ------------------------------------ *)
 
-type nclass =
-  | NOk
-  | NTrap
-  | NUndef of string (* "load" | "store" *)
-  | NFuel
-
-type obs = {
-  n_class : nclass;
-  n_mem : Value.t array;
-  n_trace : (string * Value.t list) list; (* impure calls, oldest first *)
-}
-
-let nclass_string = function
-  | NOk -> "ok"
-  | NTrap -> "trap"
-  | NUndef op -> "undef " ^ op
-  | NFuel -> "fuel"
-
-let parse_obs ~(memn : int) (out : string) : (obs, string) result =
+let parse_run ~(memn : int) (out : string) : (Interp.run_class, string) result =
   let mem = Array.make memn Value.VUndef in
   let trace = ref [] in
   let cls = ref None in
@@ -78,10 +60,12 @@ let parse_obs ~(memn : int) (out : string) : (obs, string) result =
       let i = int_of_string idx in
       if i >= 0 && i < memn then mem.(i) <- token_value tok
     | "C" :: name :: toks -> trace := (name, List.map token_value toks) :: !trace
-    | [ "X"; "ok" ] -> cls := Some NOk
-    | [ "X"; "trap" ] -> cls := Some NTrap
-    | [ "X"; "undef"; op ] -> cls := Some (NUndef op)
-    | [ "X"; "fuel" ] -> cls := Some NFuel
+    | [ "X"; "ok" ] -> cls := Some (fun obs -> Interp.Finished obs)
+    | [ "X"; "trap" ] ->
+      (* the binary says that it trapped, not why; any two traps agree *)
+      cls := Some (fun _ -> Interp.Trapped "(native)")
+    | [ "X"; "undef"; op ] -> cls := Some (fun _ -> Interp.Undef_trap op)
+    | [ "X"; "fuel" ] -> cls := Some (fun _ -> Interp.Exhausted)
     | [] | [ "" ] -> ()
     | _ -> bad := Some l
   in
@@ -90,7 +74,7 @@ let parse_obs ~(memn : int) (out : string) : (obs, string) result =
   match !bad, !cls with
   | Some l, _ -> Error (Printf.sprintf "unparseable native output: %S" l)
   | None, None -> Error "native run printed no classification line"
-  | None, Some c -> Ok { n_class = c; n_mem = mem; n_trace = List.rev !trace }
+  | None, Some cls -> Ok (cls { o_mem = mem; o_trace = List.rev !trace })
 
 (* A compiled checked program: one compile serves any number of runs
    (the fuzz oracle reuses it across memory layouts). *)
@@ -130,7 +114,8 @@ let compile_checked ?fuel (p : Fgv_cfg.Cir.prog) ~(mem : Value.t array) :
     release { nc_dir = dir; nc_exe = exe; nc_memn = 0 };
     Error e
 
-let run_checked (c : compiled) ~(args : Value.t list) : (obs, string) result =
+let run_checked (c : compiled) ~(args : Value.t list) :
+    (Interp.run_class, string) result =
   let r =
     Tm.time "native.run" (fun () ->
         Proc.run c.nc_exe (List.map value_token args))
@@ -140,7 +125,7 @@ let run_checked (c : compiled) ~(args : Value.t list) : (obs, string) result =
     Error
       (Printf.sprintf "native run %s: %s" (Proc.status_string r.Proc.p_status)
          (String.trim r.Proc.p_stderr))
-  else parse_obs ~memn:c.nc_memn r.Proc.p_stdout
+  else parse_run ~memn:c.nc_memn r.Proc.p_stdout
 
 (* ---------------- fast runs --------------------------------------- *)
 

@@ -76,8 +76,6 @@ let fig19_of_rows (rows : tsvc_row list) : string =
        loops\n"
       newly
 
-let fig19 ?check ?jobs () : string = fig19_of_rows (tsvc_rows ?check ?jobs ())
-
 (* ------------------------------------------------------------ Fig. 16 *)
 
 type poly_row = {
@@ -130,17 +128,6 @@ let fig16_of_rows ~restrict (rows : poly_row list) : string =
     "Fig. 16 — PolyBench speedup over -O3-without-vectorization (restrict %s)\n"
     (if restrict then "ON" else "OFF")
   ^ Table.render t
-
-let fig16_one ?check ?jobs ~restrict () : string =
-  fig16_of_rows ~restrict (polybench_rows ?check ?jobs ~restrict ())
-
-let fig16 ?check ?jobs () : string =
-  fig16_one ?check ?jobs ~restrict:false ()
-  ^ "\n"
-  ^ fig16_one ?check ?jobs ~restrict:true ()
-  ^ "paper: restrict OFF geomeans SV+V 1.65x over scalar / 1.50x over -O3;\n\
-     restrict ON 1.76x / 1.51x; versioning newly vectorizes correlation,\n\
-     covariance, floyd-warshall, lu, ludcmp\n"
 
 (* ------------------------------------------------------------ Fig. 22 *)
 
@@ -233,8 +220,6 @@ let fig22_of_rows (rows : rle_row list) : string =
      eliminated, 5.5% more branches, 6.4% more LICM hoists, 8.5% more GVN\n\
      deletions, 2.3% code growth\n"
 
-let fig22 ?check ?jobs () : string = fig22_of_rows (rle_rows ?check ?jobs ())
-
 (* ----------------------------------- DSE / distribution clients figure *)
 
 type client_row = {
@@ -320,8 +305,6 @@ let clients_of_rows (rows : client_row list) : string =
   ^ "versioning recovers what restrict-less static analysis cannot: dead\n\
      stores behind may-aliasing recurrences, and distribution that frees\n\
      the clean sub-loop for vectorization (s222/s2251 shapes)\n"
-
-let clients ?check ?jobs () : string = clients_of_rows (clients_rows ?check ?jobs ())
 
 (* ------------------------------------------- s258 speculation (SV-A2) *)
 

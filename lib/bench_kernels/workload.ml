@@ -97,13 +97,18 @@ let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
    "speedups"). *)
 let check_equivalence (k : kernel) (cfgs : config list) : unit =
   let reference = Fgv_frontend.Lower_ast.compile_no_restrict k.k_source in
-  let ref_out = Interp.run reference ~args:k.k_args ~mem:(fresh_mem k) in
+  let observe f =
+    Interp.observe (Interp.run f ~args:k.k_args ~mem:(fresh_mem k))
+  in
+  let ref_obs = observe reference in
   List.iter
     (fun c ->
       let f = compile_for c k in
       c.c_apply f;
-      let out = Interp.run f ~args:k.k_args ~mem:(fresh_mem k) in
-      if not (Interp.equivalent ref_out out) then
+      match Interp.observation_diff ref_obs (observe f) with
+      | None -> ()
+      | Some detail ->
         failwith
-          (Printf.sprintf "%s/%s computes a different result!" k.k_name c.c_name))
+          (Printf.sprintf "%s/%s computes a different result! (%s)" k.k_name
+             c.c_name detail))
     cfgs

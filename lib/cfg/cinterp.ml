@@ -34,8 +34,6 @@ type outcome = {
   counters : counters;
 }
 
-exception Out_of_fuel
-
 let run ?(fuel = 100_000_000) ?(ffi = Interp.default_ffi) (p : C.prog)
     ~(args : Value.t list) ~(mem : Value.t array) : outcome =
   let env : (C.cvalue, Value.t) Hashtbl.t = Hashtbl.create 256 in
@@ -49,7 +47,7 @@ let run ?(fuel = 100_000_000) ?(ffi = Interp.default_ffi) (p : C.prog)
   in
   let exec_inst prev_block (i : C.cinst) : Value.t =
     decr fuel_left;
-    if !fuel_left <= 0 then raise Out_of_fuel;
+    if !fuel_left <= 0 then raise Value.Out_of_fuel;
     counters.insts <- counters.insts + 1;
     match i.ck with
     | KConst (Cint n) -> VInt n
@@ -172,3 +170,7 @@ let run ?(fuel = 100_000_000) ?(ffi = Interp.default_ffi) (p : C.prog)
     | Ret -> running := false
   done;
   { memory = mem; call_trace = List.rev !trace; counters }
+
+(* The run's observation for the differential contract ({!Interp}). *)
+let observe (o : outcome) : Interp.observation =
+  { o_mem = o.memory; o_trace = o.call_trace }

@@ -27,8 +27,9 @@
    an IR invariant broken by one transform is blamed on that transform,
    not discovered at the end of the pipeline.
 
-   Runs that trap are classified by trap kind: both sides raising
-   {!Fgv_pssa.Value.Undef_access} on the same operation (or both
+   Every run is classified and compared by the one differential
+   contract in {!Fgv_pssa.Interp} ([classify], [runs_agree]): both sides
+   raising {!Fgv_pssa.Value.Undef_access} on the same operation (or both
    trapping, or both running out of fuel) counts as agreement — the
    transformed program is allowed to fault exactly like the original —
    while a trap on one side only is a mismatch. *)
@@ -38,17 +39,6 @@ open Fgv_frontend
 module P = Fgv_passes
 module Tm = Fgv_support.Telemetry
 module N = Fgv_backend.Native
-
-type observation = {
-  o_mem : Value.t array;
-  o_trace : (string * Value.t list) list;
-}
-
-type run_class =
-  | Finished of observation
-  | Trapped of string  (** [Value.Trap] message *)
-  | Undef_trap of string  (** [Value.Undef_access] operation *)
-  | Exhausted  (** interpreter fuel ran out *)
 
 (* Raised out of the [?on_pass] hook so a broken invariant names the
    offending pass. *)
@@ -100,153 +90,75 @@ let verify_after_each_pass pass f =
    generated loops run at most a few hundred iterations. *)
 let fuel = 2_000_000
 
-let classify (run : unit -> observation) : run_class =
-  match run () with
-  | obs -> Finished obs
-  | exception Value.Undef_access op -> Undef_trap op
-  | exception Value.Trap msg -> Trapped msg
-  | exception Interp.Out_of_fuel | exception Fgv_cfg.Cinterp.Out_of_fuel ->
-    Exhausted
-
-let run_pssa config (f : Ir.func) (layout : int list) : run_class =
+let run_pssa config (f : Ir.func) (layout : int list) : Interp.run_class =
   Tm.incr "fuzz.oracle_runs";
-  classify (fun () ->
-      let out =
-        Interp.run ~fuel f
-          ~args:(Generator.args_for config layout)
-          ~mem:(Generator.fresh_mem config)
-      in
-      { o_mem = out.Interp.memory; o_trace = out.Interp.call_trace })
+  Interp.classify (fun () ->
+      Interp.observe
+        (Interp.run ~fuel f
+           ~args:(Generator.args_for config layout)
+           ~mem:(Generator.fresh_mem config)))
 
-let run_cfg config (prog : Fgv_cfg.Cir.prog) (layout : int list) : run_class =
+let run_cfg config (prog : Fgv_cfg.Cir.prog) (layout : int list) :
+    Interp.run_class =
   Tm.incr "fuzz.oracle_runs";
-  classify (fun () ->
-      let out =
-        Fgv_cfg.Cinterp.run ~fuel prog
-          ~args:(Generator.args_for config layout)
-          ~mem:(Generator.fresh_mem config)
-      in
-      { o_mem = out.Fgv_cfg.Cinterp.memory;
-        o_trace = out.Fgv_cfg.Cinterp.call_trace })
-
-let observations_equal (a : observation) (b : observation) =
-  Array.length a.o_mem = Array.length b.o_mem
-  && Array.for_all2 Value.equal a.o_mem b.o_mem
-  && List.length a.o_trace = List.length b.o_trace
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) ->
-         n1 = n2
-         && List.length a1 = List.length a2
-         && List.for_all2 Value.equal a1 a2)
-       a.o_trace b.o_trace
-
-let class_name = function
-  | Finished _ -> "finished"
-  | Trapped m -> "trap: " ^ m
-  | Undef_trap op -> "undef-address " ^ op
-  | Exhausted -> "out of fuel"
-
-(* First differing observable, for the report. *)
-let diff_detail (a : observation) (b : observation) =
-  let cell = ref None in
-  Array.iteri
-    (fun i x ->
-      if !cell = None && not (Value.equal x b.o_mem.(i)) then cell := Some i)
-    a.o_mem;
-  match !cell with
-  | Some i ->
-    Printf.sprintf "mem[%d]: reference %s, subject %s" i
-      (Value.to_string a.o_mem.(i))
-      (Value.to_string b.o_mem.(i))
-  | None ->
-    Printf.sprintf "impure-call traces differ (reference %d calls: %s; subject %d calls: %s)"
-      (List.length a.o_trace)
-      (String.concat ";" (List.map fst a.o_trace))
-      (List.length b.o_trace)
-      (String.concat ";" (List.map fst b.o_trace))
-
-(* Agreement up to identical faulting: equal observations, or the same
-   trap class (same operation for undef-address traps). *)
-let runs_agree (a : run_class) (b : run_class) : string option =
-  match (a, b) with
-  | Finished x, Finished y ->
-    if observations_equal x y then None else Some (diff_detail x y)
-  | Trapped _, Trapped _ -> None
-  | Undef_trap x, Undef_trap y ->
-    if x = y then None
-    else Some (Printf.sprintf "undef-address trap on %s vs %s" x y)
-  | Exhausted, Exhausted -> None
-  | x, y ->
-    Some (Printf.sprintf "reference %s, subject %s" (class_name x) (class_name y))
+  Interp.classify (fun () ->
+      Fgv_cfg.Cinterp.observe
+        (Fgv_cfg.Cinterp.run ~fuel prog
+           ~args:(Generator.args_for config layout)
+           ~mem:(Generator.fresh_mem config)))
 
 (* --------------------------------------------------------- the checker *)
+
+(* A counted mismatch of [kind] in pipeline [name]. *)
+let mismatch ?pass ?(binding = []) name kind detail =
+  Tm.incr "fuzz.mismatches";
+  Some
+    {
+      mm_pipeline = name;
+      mm_kind = kind;
+      mm_pass = pass;
+      mm_binding = binding;
+      mm_detail = detail;
+    }
+
+(* The first layout under which [subject]'s run disagrees with the PSSA
+   run of [reference]: an ["<oracle>-diff"] mismatch, or an
+   ["<oracle>-crash"] one when the subject could not run at all. *)
+let first_disagreement ~config ~layouts ~name ~oracle (reference : Ir.func)
+    (subject : int list -> (Interp.run_class, string) result) =
+  List.find_map
+    (fun layout ->
+      let a = run_pssa config reference layout in
+      match subject layout with
+      | Error e -> mismatch ~binding:layout name (oracle ^ "-crash") e
+      | Ok b -> (
+        match Interp.runs_agree a b with
+        | None -> None
+        | Some detail ->
+          mismatch ~binding:layout name (oracle ^ "-diff") detail))
+    layouts
 
 (* Compare two PSSA functions observationally over the given layouts
    (used directly by property tests that transform [subject] piecemeal,
    e.g. through the versioning API rather than a whole pipeline). *)
 let compare_funcs ~(config : Generator.config) ~layouts ~(label : string)
     (reference : Ir.func) (subject : Ir.func) : mismatch option =
-  List.find_map
-    (fun layout ->
-      let a = run_pssa config reference layout in
-      let b = run_pssa config subject layout in
-      match runs_agree a b with
-      | None -> None
-      | Some detail ->
-        Tm.incr "fuzz.mismatches";
-        Some
-          {
-            mm_pipeline = label;
-            mm_kind = "pssa-diff";
-            mm_pass = None;
-            mm_binding = layout;
-            mm_detail = detail;
-          })
-    layouts
-
-(* Map a native observation to the shared run classification.  The
-   native side cannot carry a trap message, but {!runs_agree} treats any
-   two [Trapped] as agreeing regardless of message, so none is needed. *)
-let class_of_native (obs : N.obs) : run_class =
-  match obs.N.n_class with
-  | N.NOk -> Finished { o_mem = obs.N.n_mem; o_trace = obs.N.n_trace }
-  | N.NTrap -> Trapped "(native)"
-  | N.NUndef op -> Undef_trap op
-  | N.NFuel -> Exhausted
+  first_disagreement ~config ~layouts ~name:label ~oracle:"pssa" reference
+    (fun layout -> Ok (run_pssa config subject layout))
 
 (* Fourth oracle: compile the CFG program to checked C once, run it
    natively under every layout, and compare against the PSSA reference
    interpreter. *)
 let check_native ~(config : Generator.config) ~layouts ~name
     (reference : Ir.func) (prog : Fgv_cfg.Cir.prog) : mismatch option =
-  let mismatch kind binding detail =
-    Tm.incr "fuzz.mismatches";
-    Some
-      {
-        mm_pipeline = name;
-        mm_kind = kind;
-        mm_pass = None;
-        mm_binding = binding;
-        mm_detail = detail;
-      }
-  in
   match N.compile_checked ~fuel prog ~mem:(Generator.fresh_mem config) with
-  | Error e -> mismatch "native-compile-crash" [] e
+  | Error e -> mismatch name "native-compile-crash" e
   | Ok compiled ->
     let result =
-      List.find_map
+      first_disagreement ~config ~layouts ~name ~oracle:"native" reference
         (fun layout ->
           Tm.incr "fuzz.native_runs";
-          let a = run_pssa config reference layout in
-          match
-            N.run_checked compiled ~args:(Generator.args_for config layout)
-          with
-          | Error e -> mismatch "native-crash" layout e
-          | Ok obs -> (
-            match runs_agree a (class_of_native obs) with
-            | None -> None
-            | Some detail -> mismatch "native-diff" layout detail))
-        layouts
+          N.run_checked compiled ~args:(Generator.args_for config layout))
     in
     N.release compiled;
     result
@@ -269,62 +181,20 @@ let check_pipeline ?(native = false) ~(config : Generator.config)
     let layouts = Generator.layouts_for config in
     match runner ~on_pass:verify_after_each_pass subject with
     | exception Pass_broke_ir { pass; message } ->
-      Tm.incr "fuzz.mismatches";
-      Some
-        {
-          mm_pipeline = name;
-          mm_kind = "verifier";
-          mm_pass = Some pass;
-          mm_binding = [];
-          mm_detail = message;
-        }
-    | exception e ->
-      Tm.incr "fuzz.mismatches";
-      Some
-        {
-          mm_pipeline = name;
-          mm_kind = "pipeline-crash";
-          mm_pass = None;
-          mm_binding = [];
-          mm_detail = Printexc.to_string e;
-        }
+      mismatch ~pass name "verifier" message
+    | exception e -> mismatch name "pipeline-crash" (Printexc.to_string e)
     | () -> (
       match compare_funcs ~config ~layouts ~label:name reference subject with
       | Some m -> Some m
       | None -> (
         (* third oracle: CFG lowering of the transformed function *)
         match Fgv_cfg.Lower.lower subject with
-        | exception e ->
-          Tm.incr "fuzz.mismatches";
-          Some
-            {
-              mm_pipeline = name;
-              mm_kind = "cfg-lower-crash";
-              mm_pass = None;
-              mm_binding = [];
-              mm_detail = Printexc.to_string e;
-            }
+        | exception e -> mismatch name "cfg-lower-crash" (Printexc.to_string e)
         | prog -> (
-          let cfg_mismatch =
-            List.find_map
-              (fun layout ->
-                let a = run_pssa config reference layout in
-                let b = run_cfg config prog layout in
-                match runs_agree a b with
-                | None -> None
-                | Some detail ->
-                  Tm.incr "fuzz.mismatches";
-                  Some
-                    {
-                      mm_pipeline = name;
-                      mm_kind = "cfg-diff";
-                      mm_pass = None;
-                      mm_binding = layout;
-                      mm_detail = detail;
-                    })
-              layouts
-          in
-          match cfg_mismatch with
+          match
+            first_disagreement ~config ~layouts ~name ~oracle:"cfg" reference
+              (fun layout -> Ok (run_cfg config prog layout))
+          with
           | Some m -> Some m
           | None ->
             if native && N.available () then

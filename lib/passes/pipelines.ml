@@ -259,3 +259,19 @@ let names = List.map fst registry
 let find (name : string) :
     (?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit) option =
   List.assoc_opt name registry
+
+(* A requested pipeline: a registry name, or "none" for the identity.
+   The driver's [-p] and the compile service both resolve through here,
+   so they accept the same names and reject the rest with the same text. *)
+let resolve (name : string) :
+    ( ?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit,
+      string )
+    result =
+  if name = "none" then Ok (fun ?on_pass:_ _ -> ())
+  else
+    match find name with
+    | Some apply -> Ok apply
+    | None ->
+      Error
+        (Printf.sprintf "unknown pipeline %s (one of: %s)" name
+           (String.concat ", " ("none" :: names)))

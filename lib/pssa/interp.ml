@@ -13,8 +13,9 @@
      traps.
 
    The interpreter records an observable trace (external calls in order,
-   plus the final memory) that the test suite uses to check that program
-   transformations are semantics-preserving. *)
+   plus the final memory).  The differential contract at the end of this
+   file compares such observations between this interpreter, the CFG
+   interpreter and the checked native binary. *)
 
 open Ir
 
@@ -48,8 +49,6 @@ type outcome = {
   call_trace : (string * Value.t list) list; (* in execution order *)
   counters : counters;
 }
-
-exception Out_of_fuel
 
 (* External functions: receive argument values and the memory array
    (which impure functions may mutate); return the result value. *)
@@ -156,7 +155,7 @@ let run ?(fuel = 100_000_000) ?(ffi = default_ffi) (f : func)
   let eval_pred p = Pred.eval (fun v -> Value.to_bool (lookup v)) p in
   let burn () =
     decr fuel_left;
-    if !fuel_left <= 0 then raise Out_of_fuel
+    if !fuel_left <= 0 then raise Value.Out_of_fuel
   in
   let check_addr a =
     if a < 0 || a >= Array.length mem then
@@ -332,18 +331,92 @@ let run ?(fuel = 100_000_000) ?(ffi = default_ffi) (f : func)
   exec_items f.fbody;
   { memory = mem; call_trace = List.rev !trace; counters }
 
-(* Observable equivalence of two outcomes: same final memory and the same
-   external calls in the same order with the same arguments. *)
-let equivalent (a : outcome) (b : outcome) =
-  Array.length a.memory = Array.length b.memory
-  && Array.for_all2 Value.equal a.memory b.memory
-  && List.length a.call_trace = List.length b.call_trace
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) ->
-         n1 = n2
-         && List.length a1 = List.length a2
-         && List.for_all2 Value.equal a1 a2)
-       a.call_trace b.call_trace
+(* ------------------------------------------ the differential contract *)
+
+(* One contract (DESIGN §14) for every differential check: the fuzz
+   oracle, [fgvc --run-native], the bench harness's equivalence check and
+   the tests all classify runs and compare them here. *)
+
+(* What a run shows the outside world: the final memory and the impure
+   calls in execution order. *)
+type observation = {
+  o_mem : Value.t array;
+  o_trace : (string * Value.t list) list;
+}
+
+let observe (o : outcome) = { o_mem = o.memory; o_trace = o.call_trace }
+
+(* How a run ended. *)
+type run_class =
+  | Finished of observation
+  | Trapped of string  (** [Value.Trap] message *)
+  | Undef_trap of string  (** [Value.Undef_access] operation *)
+  | Exhausted  (** [Value.Out_of_fuel] *)
+
+let classify (run : unit -> observation) : run_class =
+  match run () with
+  | obs -> Finished obs
+  | exception Value.Undef_access op -> Undef_trap op
+  | exception Value.Trap msg -> Trapped msg
+  | exception Value.Out_of_fuel -> Exhausted
+
+let class_name = function
+  | Finished _ -> "finished"
+  | Trapped m -> "trap: " ^ m
+  | Undef_trap op -> "undef-address " ^ op
+  | Exhausted -> "out of fuel"
+
+(* [None] when two finished runs agree (equal memory cell for cell, equal
+   impure-call traces); otherwise the first differing observable,
+   reference first. *)
+let observation_diff (a : observation) (b : observation) : string option =
+  let n = Array.length a.o_mem in
+  let rec first_cell i =
+    if i = n then None
+    else if Value.equal a.o_mem.(i) b.o_mem.(i) then first_cell (i + 1)
+    else Some i
+  in
+  let calls t = String.concat ";" (List.map fst t) in
+  if n <> Array.length b.o_mem then
+    Some
+      (Printf.sprintf "memory sizes differ (reference %d cells, subject %d)" n
+         (Array.length b.o_mem))
+  else
+    match first_cell 0 with
+    | Some i ->
+      Some
+        (Printf.sprintf "mem[%d]: reference %s, subject %s" i
+           (Value.to_string a.o_mem.(i))
+           (Value.to_string b.o_mem.(i)))
+    | None
+      when List.equal
+             (fun (f, xs) (g, ys) -> f = g && List.equal Value.equal xs ys)
+             a.o_trace b.o_trace ->
+      None
+    | None ->
+      Some
+        (Printf.sprintf
+           "impure-call traces differ (reference %d calls: %s; subject %d \
+            calls: %s)"
+           (List.length a.o_trace) (calls a.o_trace) (List.length b.o_trace)
+           (calls b.o_trace))
+
+(* The agreement check: [None] when the subject behaves like the
+   reference, else why not.  Observations are compared on a normal
+   finish only; any two traps agree (the transformed program may fault
+   exactly like the original), and undef-address traps must name the
+   same operation. *)
+let runs_agree (reference : run_class) (subject : run_class) : string option =
+  match (reference, subject) with
+  | Finished x, Finished y -> observation_diff x y
+  | Trapped _, Trapped _ -> None
+  | Undef_trap x, Undef_trap y ->
+    if x = y then None
+    else Some (Printf.sprintf "undef-address trap on %s vs %s" x y)
+  | Exhausted, Exhausted -> None
+  | x, y ->
+    Some
+      (Printf.sprintf "reference %s, subject %s" (class_name x) (class_name y))
 
 (* Architectural cost model: what the speedup tables are computed from.
    A vector operation costs the same as a scalar one (the machine has

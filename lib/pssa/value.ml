@@ -21,6 +21,11 @@ exception Undef_access of string
 
 let undef_access op = raise (Undef_access op)
 
+(* The run's fuel ran out (both interpreters count one unit per executed
+   instruction; the PSSA one also per loop iteration).  Shared by both,
+   so classification needs no per-interpreter case. *)
+exception Out_of_fuel
+
 let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
 let to_int = function

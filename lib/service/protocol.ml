@@ -36,6 +36,12 @@ type request = {
 
 let default_heap = 1024
 
+(* The memory image baked into emitted C: cell [i] holds the float
+   [i mod 7].  [fgvc]'s [--emit-c], [--run] and [--run-native] start
+   from the same image, so the driver's C equals the service's. *)
+let heap_image cells =
+  Array.init cells (fun i -> Fgv_pssa.Value.VFloat (Float.of_int (i mod 7)))
+
 let decode_request (j : J.t) : (request, string) result =
   match j with
   | J.Assoc _ -> (

@@ -79,11 +79,9 @@ let package_artifact (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
       let c =
         if not rq.P.rq_emit_c then None
         else
-          let mem =
-            Array.init rq.P.rq_heap (fun i ->
-                Fgv_pssa.Value.VFloat (Float.of_int (i mod 7)))
-          in
-          Some (Fgv_backend.Emit.checked (Fgv_cfg.Lower.lower f) ~mem)
+          Some
+            (Fgv_backend.Emit.checked (Fgv_cfg.Lower.lower f)
+               ~mem:(P.heap_image rq.P.rq_heap))
       in
       Ok
         {
@@ -106,17 +104,6 @@ let compile_unit (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
 
 (* ------------------------------------------------------------- batches *)
 
-(* A pipeline name from the registry, or "none" for the identity. *)
-let resolve_pipeline name : (Fgv_pssa.Ir.func -> unit, string) result =
-  if name = "none" then Ok ignore
-  else
-    match Fgv_passes.Pipelines.find name with
-    | Some apply -> Ok (fun f -> apply f)
-    | None ->
-      Error
-        (Printf.sprintf "unknown pipeline %s (one of: %s)" name
-           (String.concat ", " ("none" :: Fgv_passes.Pipelines.names)))
-
 (* Split a request into its resolved pipeline and its top-level
    kernels, each with its own cache sub-key, in source order — or the
    error that answers the whole request at classification (never
@@ -131,9 +118,9 @@ let split_units (rq : P.request) :
   | exception Fgv_frontend.Parser.Error m -> Error ("parse error: " ^ m)
   | units ->
     let key (fd, slice) = (fd, Cache.unit_key rq slice) in
-    Result.map
-      (fun apply -> (apply, List.map key units))
-      (resolve_pipeline rq.P.rq_pipeline)
+    match Fgv_passes.Pipelines.resolve rq.P.rq_pipeline with
+    | Ok apply -> Ok ((fun f -> apply f), List.map key units)
+    | Error e -> Error e
 
 let units_of = function Ok (_, units) -> units | Error _ -> []
 

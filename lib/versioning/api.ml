@@ -75,6 +75,30 @@ let request_separation ?(record = true) s ~(nodes : Ir.node list)
 let record_plan s (plan : Plan.t) =
   if not (Plan.is_trivial plan) then s.s_plans <- plan :: s.s_plans
 
+(* A plan's independence guarantee (its nodes' memory accesses vs its
+   inputs', plus its client-specified pairs) as explicit access pairs:
+   merged or unioned plans carry these, so the combination does not claim
+   independence across plans. *)
+let explicit_pairs (f : Ir.func) (p : Plan.t) =
+  let mems node =
+    Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)
+  in
+  List.concat_map
+    (fun a_node ->
+      List.concat_map
+        (fun b_node ->
+          if a_node = b_node then []
+          else
+            List.concat_map
+              (fun a ->
+                List.filter_map
+                  (fun b -> if a <> b then Some (a, b) else None)
+                  (mems b_node))
+              (mems a_node))
+        p.Plan.p_inputs)
+    p.Plan.p_nodes
+  @ p.Plan.p_scope_pairs
+
 (* Plans without secondaries whose condition sets are equal can share a
    single check and a single clone generation: merge their node sets.
    (SLP tends to produce many such plans — one per pack — whose
@@ -82,29 +106,6 @@ let record_plan s (plan : Plan.t) =
 let merge_plans (f : Ir.func) (plans : Plan.t list) : Plan.t list =
   let mergeable, rest =
     List.partition (fun p -> p.Plan.p_secondaries = []) plans
-  in
-  (* the independence guarantee is per plan (its nodes vs its inputs);
-     flatten it into explicit pairs before merging so the union does not
-     claim independence across plans *)
-  let explicit_pairs (p : Plan.t) =
-    let mems node =
-      Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)
-    in
-    List.concat_map
-      (fun a_node ->
-        List.concat_map
-          (fun b_node ->
-            if a_node = b_node then []
-            else
-              List.concat_map
-                (fun a ->
-                  List.filter_map
-                    (fun b -> if a <> b then Some (a, b) else None)
-                    (mems b_node))
-                (mems a_node))
-          p.Plan.p_inputs)
-      p.Plan.p_nodes
-    @ p.Plan.p_scope_pairs
   in
   (* two condition sets are interchangeable when every atom has an
      exactly equivalent counterpart (redundant-condition-elimination
@@ -118,7 +119,7 @@ let merge_plans (f : Ir.func) (plans : Plan.t list) : Plan.t list =
   List.iter
     (fun p ->
       let key = Plan.dedup_atoms p.Plan.p_conds in
-      let pairs = explicit_pairs p in
+      let pairs = explicit_pairs f p in
       match
         List.find_opt (fun q -> conds_equiv q.Plan.p_conds key) !merged
       with
@@ -151,27 +152,6 @@ let union_plans (f : Ir.func) ~(extra_nodes : Ir.node list) (plans : Plan.t list
   match plans with
   | [] -> None
   | _ ->
-    let explicit_pairs (p : Plan.t) =
-      let mems node =
-        Ir.memory_insts f
-          (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)
-      in
-      List.concat_map
-        (fun a_node ->
-          List.concat_map
-            (fun b_node ->
-              if a_node = b_node then []
-              else
-                List.concat_map
-                  (fun a ->
-                    List.filter_map
-                      (fun b -> if a <> b then Some (a, b) else None)
-                      (mems b_node))
-                  (mems a_node))
-            p.Plan.p_inputs)
-        p.Plan.p_nodes
-      @ p.Plan.p_scope_pairs
-    in
     let conds =
       Condopt.eliminate_redundant
         (Plan.dedup_atoms (List.concat_map (fun p -> p.Plan.p_conds) plans))
@@ -207,7 +187,7 @@ let union_plans (f : Ir.func) ~(extra_nodes : Ir.node list) (plans : Plan.t list
         p_cut_edge_ids = [];
         p_secondaries = List.concat_map (fun p -> p.Plan.p_secondaries) plans;
         p_scope_pairs =
-          List.sort_uniq compare (List.concat_map explicit_pairs plans);
+          List.sort_uniq compare (List.concat_map (explicit_pairs f) plans);
       }
 
 (* Paper interface function 2: materialize every recorded plan.

@@ -42,15 +42,6 @@ let mat_anchor (f : Ir.func) (region : Ir.region) =
     ?loop:(match region with Ir.Rloop l -> Some l | Ir.Rtop -> None)
     f.Ir.fname
 
-(* Versioning phis created on this domain; [run] snapshots it around
-   each plan tree to report per-plan phi counts.  Domain-local so that
-   concurrent materializations on other domains cannot bleed into the
-   delta (which would make the remark stream schedule-dependent). *)
-let phis_created_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let phis_created () = Domain.DLS.get phis_created_key
-
 exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
@@ -466,7 +457,6 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                         ~ty:oi.ty ~pred:base_pred
                     in
                     Tm.incr "materialize.versioning_phis";
-                    incr (phis_created ());
                     Some p.id
                   end
                 in
@@ -519,7 +509,6 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                         ~ty:ei.ty ~pred:ei.ipred
                     in
                     Tm.incr "materialize.versioning_phis";
-                    incr (phis_created ());
                     let items = Ir.region_items f region in
                     let items =
                       insert_after_node items (Ir.NI eta_id)
@@ -668,11 +657,8 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
     (* 7. record scoped-independence facts (paper SIV-B) *)
     List.iter
       (fun p ->
-        let atoms = List.map (subst_atom outer) p.Plan.p_conds in
-        let canonical = Plan.dedup_atoms atoms in
         (* the guarantee is active under any check that includes this
            plan's conditions; each versioned node's own group check does *)
-        ignore canonical;
         let mems node = Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l) in
         let node_chk node =
           match Hashtbl.find_opt table node with
@@ -743,7 +729,9 @@ let run (f : Ir.func) (region : Ir.region) (plans : Plan.t list) :
          on its own — at worst some dead check code remains — but the
          caller must know the independence guarantee was NOT established
          and give up on the transformation that wanted it. *)
-      let phis_before = !(phis_created ()) in
+      (* the phis this tree creates: the counter's delta, read in this
+         domain's context, so other domains' trees cannot bleed in *)
+      let phis_before = Tm.get "materialize.versioning_phis" in
       match materialize_level f region ~outer:!total [ plan ] with
       | local ->
         Tm.incr "materialize.plans";
@@ -752,7 +740,7 @@ let run (f : Ir.func) (region : Ir.region) (plans : Plan.t list) :
              {
                nodes = tree_nodes plan;
                conds = Plan.conds_count plan;
-               phis = !(phis_created ()) - phis_before;
+               phis = Tm.get "materialize.versioning_phis" - phis_before;
              });
         let prev = !total in
         (* the OUTERMOST (earliest) versioning phi is the total merge:

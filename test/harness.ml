@@ -31,18 +31,24 @@ let check_mem_floats msg expected (outcome : Interp.outcome) =
         (float_at outcome.memory i))
     expected
 
-(* Compare a PSSA outcome with a CFG outcome observationally: same final
-   memory, same external calls in the same order. *)
+(* A one-parameter function that loads (or, with [store], stores) through
+   an undef address: the run raises {!Value.Undef_access}. *)
+let build_undef_access ~store =
+  let b = Builder.create ~name:"t" ~params:[ ("p", Ir.Tint) ] in
+  let p = Builder.arg b 0 ~ty:Ir.Tint in
+  let u = Builder.undef b Ir.Tint in
+  (if store then
+     let one = Builder.const_float b 1.0 in
+     ignore (Builder.store b ~addr:u ~value:one)
+   else
+     let v = Builder.load b u ~ty:Ir.Tfloat in
+     ignore (Builder.store b ~addr:p ~value:v));
+  Builder.finish b
+
+(* Compare a PSSA outcome with a CFG outcome by the differential
+   contract: same final memory, same external calls in the same order. *)
 let cross_equivalent (a : Interp.outcome) (b : Fgv_cfg.Cinterp.outcome) =
-  Array.length a.memory = Array.length b.memory
-  && Array.for_all2 Value.equal a.memory b.memory
-  && List.length a.call_trace = List.length b.call_trace
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) ->
-         n1 = n2
-         && List.length a1 = List.length a2
-         && List.for_all2 Value.equal a1 a2)
-       a.call_trace b.call_trace
+  Interp.(observation_diff (observe a) (Fgv_cfg.Cinterp.observe b)) = None
 
 (* ---------------------------- a tiny independent JSON parser --------- *)
 

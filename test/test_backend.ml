@@ -119,33 +119,27 @@ let test_golden_s131 () =
 
 (* ---------------------------------------- checked-run equivalence --- *)
 
-let check_obs_equiv name (obs : N.obs) (iout : Fgv_cfg.Cinterp.outcome) =
-  Alcotest.(check string)
-    (name ^ " class") "ok"
-    (N.nclass_string obs.N.n_class);
-  Alcotest.(check int)
-    (name ^ " memory size")
-    (Array.length iout.Fgv_cfg.Cinterp.memory)
-    (Array.length obs.N.n_mem);
-  Array.iteri
-    (fun i v ->
-      if not (Value.equal v iout.Fgv_cfg.Cinterp.memory.(i)) then
-        Alcotest.failf "%s mem[%d]: native %s, interp %s" name i
-          (Value.to_string v)
-          (Value.to_string iout.Fgv_cfg.Cinterp.memory.(i)))
-    obs.N.n_mem;
-  Alcotest.(check int)
-    (name ^ " trace length")
-    (List.length iout.Fgv_cfg.Cinterp.call_trace)
-    (List.length obs.N.n_trace);
-  List.iter2
-    (fun (n1, a1) (n2, a2) ->
-      Alcotest.(check string) (name ^ " callee") n2 n1;
-      if
-        List.length a1 <> List.length a2
-        || not (List.for_all2 Value.equal a1 a2)
-      then Alcotest.failf "%s trace args differ for %s" name n1)
-    obs.N.n_trace iout.Fgv_cfg.Cinterp.call_trace
+(* Compile [prog] to checked C, run it once, and return its run; a
+   failed compile or an unreadable run fails the test. *)
+let run_native ?fuel name prog ~args ~mem : Interp.run_class =
+  match N.compile_checked ?fuel prog ~mem with
+  | Error e -> Alcotest.failf "%s: native compile failed: %s" name e
+  | Ok c -> (
+    let res = N.run_checked c ~args in
+    N.release c;
+    match res with
+    | Error e -> Alcotest.failf "%s: native run failed: %s" name e
+    | Ok run -> run)
+
+(* The checked binary's run must agree with the CFG interpreter's
+   finished run by the differential contract. *)
+let check_obs_equiv name (native : Interp.run_class)
+    (iout : Fgv_cfg.Cinterp.outcome) =
+  match
+    Interp.runs_agree (Interp.Finished (Fgv_cfg.Cinterp.observe iout)) native
+  with
+  | None -> ()
+  | Some detail -> Alcotest.failf "%s: native run: %s" name detail
 
 (* Compile [k] under sv+versioning, run the checked native binary, and
    demand exact agreement (class, every memory cell bit-for-bit, full
@@ -157,14 +151,10 @@ let checked_equiv (k : W.kernel) () =
   cfgn.W.c_apply f;
   let prog = Fgv_cfg.Lower.lower f in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
-  match N.compile_checked prog ~mem:(W.fresh_mem k) with
-  | Error e -> Alcotest.failf "%s: native compile failed: %s" k.W.k_name e
-  | Ok c ->
-    let res = N.run_checked c ~args:k.W.k_args in
-    N.release c;
-    (match res with
-    | Error e -> Alcotest.failf "%s: native run failed: %s" k.W.k_name e
-    | Ok obs -> check_obs_equiv k.W.k_name obs iout)
+  let native =
+    run_native k.W.k_name prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
+  in
+  check_obs_equiv k.W.k_name native iout
 
 (* -------------------------------------------- parallel phi copies -- *)
 
@@ -186,22 +176,15 @@ let test_s291_parallel_phis () =
       let pssa = Interp.run f ~args:k.W.k_args ~mem:(W.fresh_mem k) in
       let prog = Fgv_cfg.Lower.lower f in
       let cfg = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
-      Array.iteri
-        (fun i v ->
-          if not (Value.equal v cfg.Fgv_cfg.Cinterp.memory.(i)) then
-            Alcotest.failf "%s mem[%d]: PSSA %s, CFG %s" name i
-              (Value.to_string v)
-              (Value.to_string cfg.Fgv_cfg.Cinterp.memory.(i)))
-        pssa.Interp.memory;
+      (match
+         Interp.(observation_diff (observe pssa) (Fgv_cfg.Cinterp.observe cfg))
+       with
+      | None -> ()
+      | Some detail -> Alcotest.failf "%s: PSSA vs CFG: %s" name detail);
       if N.available () then
-        match N.compile_checked prog ~mem:(W.fresh_mem k) with
-        | Error e -> Alcotest.failf "%s: native compile failed: %s" name e
-        | Ok c -> (
-          let res = N.run_checked c ~args:k.W.k_args in
-          N.release c;
-          match res with
-          | Error e -> Alcotest.failf "%s: native run failed: %s" name e
-          | Ok obs -> check_obs_equiv name obs cfg))
+        check_obs_equiv name
+          (run_native name prog ~args:k.W.k_args ~mem:(W.fresh_mem k))
+          cfg)
     [ "none"; "rle"; "dse" ]
 
 (* ------------------------------------------------------ trap paths -- *)
@@ -222,16 +205,76 @@ let test_native_oob_trap () =
   (match Fgv_cfg.Cinterp.run prog ~args ~mem:(mem ()) with
   | _ -> Alcotest.fail "interpreter did not trap on OOB store"
   | exception Value.Trap _ -> ());
-  match N.compile_checked prog ~mem:(mem ()) with
-  | Error e -> Alcotest.failf "native compile failed: %s" e
-  | Ok c ->
-    let res = N.run_checked c ~args in
-    N.release c;
-    (match res with
-    | Error e -> Alcotest.failf "native run failed: %s" e
-    | Ok obs ->
-      Alcotest.(check string) "native class" "trap"
-        (N.nclass_string obs.N.n_class))
+  match run_native "oob" prog ~args ~mem:(mem ()) with
+  | Interp.Trapped _ -> ()
+  | run ->
+    Alcotest.failf "native class: expected a trap, got %s"
+      (Interp.class_name run)
+
+(* --------------------------------------------- one run classification *)
+
+(* One program per run class.  The PSSA interpreter, the CFG interpreter
+   and the checked binary must each land in the named class and agree
+   pairwise by the differential contract. *)
+let test_three_executors_classify_alike () =
+  require_cc ();
+  let compile = Fgv_frontend.Lower_ast.compile_no_restrict in
+  let heap = 8 and fuel = 1000 in
+  let cases =
+    [
+      ( "finished store",
+        compile "kernel st(float* a) { a[0] = 1.0; }",
+        [ 0 ],
+        function Interp.Finished _ -> true | _ -> false );
+      ( "out-of-bounds store",
+        compile "kernel oob(float* a, int n) { a[n] = 1.0; }",
+        [ 0; heap ],
+        function Interp.Trapped _ -> true | _ -> false );
+      ( "undef-address store",
+        Harness.build_undef_access ~store:true,
+        [ 0 ],
+        function Interp.Undef_trap "store" -> true | _ -> false );
+      ( "endless loop",
+        compile
+          "kernel spin(float* a) { int x = 1; while (x > 0) { x = x + 1; } \
+           a[0] = 1.0; }",
+        [ 0 ],
+        function Interp.Exhausted -> true | _ -> false );
+    ]
+  in
+  List.iter
+    (fun (name, f, args, in_class) ->
+      let args = List.map (fun n -> Value.VInt n) args in
+      let mem () = Array.make heap (Value.VFloat 0.0) in
+      let prog = Fgv_cfg.Lower.lower f in
+      let pssa =
+        ( "PSSA interpreter",
+          Interp.classify (fun () ->
+              Interp.observe (Interp.run ~fuel f ~args ~mem:(mem ()))) )
+      in
+      let cfg =
+        ( "CFG interpreter",
+          Interp.classify (fun () ->
+              Fgv_cfg.Cinterp.(observe (run ~fuel prog ~args ~mem:(mem ())))) )
+      in
+      let native =
+        ("checked binary", run_native ~fuel name prog ~args ~mem:(mem ()))
+      in
+      List.iter
+        (fun (who, run) ->
+          if not (in_class run) then
+            Alcotest.failf "%s: the %s ran as %s" name who
+              (Interp.class_name run))
+        [ pssa; cfg; native ];
+      let agree (w1, r1) (w2, r2) =
+        match Interp.runs_agree r1 r2 with
+        | None -> ()
+        | Some detail -> Alcotest.failf "%s: %s vs %s: %s" name w1 w2 detail
+      in
+      agree pssa cfg;
+      agree pssa native;
+      agree cfg native)
+    cases
 
 (* --------------------------------------------- bench-lane fingerprint *)
 
@@ -274,6 +317,8 @@ let suite =
       test_s291_parallel_phis;
     Alcotest.test_case "out-of-bounds store traps natively" `Slow
       test_native_oob_trap;
+    Alcotest.test_case "three executors classify runs alike" `Slow
+      test_three_executors_classify_alike;
     Alcotest.test_case "native bench rows deterministic across jobs" `Slow
       test_native_rows_jobs_deterministic;
   ]

@@ -1,6 +1,7 @@
 (* The fgvc driver's answers to bad [--run] inputs: each is a typed
    message with a documented exit status (2 for a malformed flag, 6 for
-   an interpreter trap), never an uncaught exception. *)
+   an interpreter trap), never an uncaught exception.  And the driver's
+   [--emit-c] output is the compile service's [emit_c] artifact. *)
 
 (* the driver dune builds next to this test's directory *)
 let fgvc =
@@ -58,8 +59,44 @@ let test_run_user_errors () =
     (Printf.sprintf "fgvc: %s: trap: out-of-bounds access" file);
   Sys.remove file
 
+(* [fgvc FILE -p sv+v --emit-c OUT --heap 32] writes, byte for byte, the
+   C the compile service returns for the same source, pipeline and heap:
+   both resolve the pipeline and bake in the heap image the same way. *)
+let test_emit_c_matches_service () =
+  let module S = Fgv_service.Service in
+  let module P = Fgv_service.Protocol in
+  let file = Filename.temp_file "kernel" ".c" in
+  let oc = open_out file in
+  output_string oc kernel;
+  close_out oc;
+  let out = Filename.temp_file "kernel" ".emitted.c" in
+  let cmd =
+    Filename.quote_command fgvc ~stdout:Filename.null
+      [ file; "-p"; "sv+v"; "--emit-c"; out; "--heap"; "32" ]
+  in
+  Alcotest.(check int) "fgvc --emit-c exit status" 0 (Sys.command cmd);
+  let emitted = read_file out in
+  Sys.remove file;
+  Sys.remove out;
+  let rq =
+    {
+      P.rq_id = "";
+      rq_source = kernel;
+      rq_pipeline = "sv+v";
+      rq_no_restrict = false;
+      rq_emit_c = true;
+      rq_heap = 32;
+    }
+  in
+  match S.handle_request (S.create ~jobs:1 ()) rq with
+  | P.Compiled { artifact = { P.ar_c = Some c; _ }; _ } ->
+    Alcotest.(check string) "the service's C" c emitted
+  | r -> Alcotest.failf "service answered %s" (P.response_line r)
+
 let suite =
   [
     Alcotest.test_case "--run user errors exit with typed messages" `Quick
       test_run_user_errors;
+    Alcotest.test_case "--emit-c equals the service's emit_c artifact" `Quick
+      test_emit_c_matches_service;
   ]

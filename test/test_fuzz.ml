@@ -189,7 +189,7 @@ let test_render_roundtrip () =
       (fun layout ->
         let a = O.run_pssa cfg direct layout in
         let b = O.run_pssa cfg reparsed layout in
-        match O.runs_agree a b with
+        match Interp.runs_agree a b with
         | None -> ()
         | Some detail ->
           Alcotest.failf "seed %d: render round-trip diverges: %s" seed detail)
@@ -202,25 +202,13 @@ let test_render_roundtrip () =
    {!Value.Undef_access}, not a bare trap: the oracle relies on the
    distinction to classify "both sides fault identically" as
    agreement. *)
-let build_undef_access ~store =
-  let b = Builder.create ~name:"t" ~params:[ ("p", Ir.Tint) ] in
-  let p = Builder.arg b 0 ~ty:Ir.Tint in
-  let u = Builder.undef b Ir.Tint in
-  (if store then
-     let one = Builder.const_float b 1.0 in
-     ignore (Builder.store b ~addr:u ~value:one)
-   else
-     let v = Builder.load b u ~ty:Ir.Tfloat in
-     ignore (Builder.store b ~addr:p ~value:v));
-  Builder.finish b
-
 let test_undef_access_typed () =
   let mem () = Array.make 8 (Value.VFloat 0.0) in
-  (match Interp.run (build_undef_access ~store:false) ~args:[ Value.VInt 0 ] ~mem:(mem ()) with
+  (match Interp.run (Harness.build_undef_access ~store:false) ~args:[ Value.VInt 0 ] ~mem:(mem ()) with
   | exception Value.Undef_access "load" -> ()
   | exception e -> Alcotest.failf "expected Undef_access load, got %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected Undef_access load, but the run finished");
-  (match Interp.run (build_undef_access ~store:true) ~args:[ Value.VInt 0 ] ~mem:(mem ()) with
+  (match Interp.run (Harness.build_undef_access ~store:true) ~args:[ Value.VInt 0 ] ~mem:(mem ()) with
   | exception Value.Undef_access "store" -> ()
   | exception e -> Alcotest.failf "expected Undef_access store, got %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected Undef_access store, but the run finished");
@@ -228,12 +216,13 @@ let test_undef_access_typed () =
      does not *)
   Alcotest.(check bool)
     "same undef trap agrees" true
-    (O.runs_agree (O.Undef_trap "load") (O.Undef_trap "load") = None);
+    (Interp.runs_agree (Interp.Undef_trap "load") (Interp.Undef_trap "load")
+    = None);
   Alcotest.(check bool)
     "one-sided undef trap mismatches" true
-    (O.runs_agree
-       (O.Finished { O.o_mem = [||]; o_trace = [] })
-       (O.Undef_trap "load")
+    (Interp.runs_agree
+       (Interp.Finished { o_mem = [||]; o_trace = [] })
+       (Interp.Undef_trap "load")
     <> None)
 
 let suite =

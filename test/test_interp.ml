@@ -81,7 +81,7 @@ let test_fuel () =
       "kernel spin(float* a) { int x = 1; while (x > 0) { x = x + 1; } a[0] = 1.0; }"
   in
   match Interp.run ~fuel:1000 f ~args:[ Value.VInt 0 ] ~mem:(float_mem 4 (fun _ -> 0.0)) with
-  | exception Interp.Out_of_fuel -> ()
+  | exception Value.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
 let test_zero_trip_etas () =
@@ -144,7 +144,8 @@ let test_cost_model_prefers_vector () =
   let mem () = float_mem 16 (fun i -> float_of_int i) in
   let a = run scalar ~mem:(mem ()) in
   let b = run vector ~mem:(mem ()) in
-  Alcotest.(check bool) "same results" true (Interp.equivalent a b);
+  Alcotest.(check (option string)) "same results" None
+    Interp.(observation_diff (observe a) (observe b));
   Alcotest.(check bool) "vector is cheaper" true
     (Interp.cost b.counters < Interp.cost a.counters)
 
