@@ -365,16 +365,20 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       Printf.printf "wrote %s\n" out
     end);
   if run_native then run_native_differential f ~argv ~fresh_mem;
-  let trap m =
-    Printf.eprintf "fgvc: %s: trap: %s\n" file m;
-    true
-  in
+  (* the run is classified by the differential contract; the cost line
+     reads the finished run's counters *)
   let trapped =
     run
     &&
-    match Interp.run f ~args:argv ~mem:(fresh_mem ()) with
-    | out ->
-      let c = out.Interp.counters in
+    let finished = ref None in
+    match
+      Interp.classify (fun () ->
+          let out = Interp.run f ~args:argv ~mem:(fresh_mem ()) in
+          finished := Some out;
+          Interp.observe out)
+    with
+    | Interp.Finished _ ->
+      let c = (Option.get !finished).Interp.counters in
       Printf.printf
         "cost=%.0f  ops=%d vops=%d loads=%d vloads=%d stores=%d vstores=%d \
          calls=%d iterations=%d\n"
@@ -382,10 +386,9 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
         c.Interp.vector_loads c.Interp.stores c.Interp.vector_stores
         c.Interp.calls c.Interp.iterations;
       false
-    | exception Value.Trap m -> trap m
-    | exception Value.Undef_access op ->
-      trap (op ^ " through an undefined address")
-    | exception Value.Out_of_fuel -> trap "out of fuel"
+    | fault ->
+      Printf.eprintf "fgvc: %s: %s\n" file (Interp.class_name fault);
+      true
   in
   finalize ();
   let rc = print_stats stats in
@@ -624,11 +627,13 @@ let cmd =
         "5 when $(b,--run-native) found a native/interpreter differential \
          mismatch (or the native build of the kernel failed);";
       `P
-        "6 when the $(b,--run) interpreter trapped (an out-of-bounds access \
-         for the given $(b,--heap), fewer $(b,-a) values than the kernel \
-         has parameters, integer division by zero, an access through an \
-         undefined address, exhausted fuel), reported as $(i,fgvc: FILE: \
-         trap: ...).";
+        "6 when the $(b,--run) interpreter faulted, reported as the \
+         differential contract's run class: $(i,fgvc: FILE: trap: ...) for \
+         a trap (an out-of-bounds access for the given $(b,--heap), fewer \
+         $(b,-a) values than the kernel has parameters, integer division by \
+         zero), $(i,fgvc: FILE: undef-address OP) for an access through an \
+         undefined address, $(i,fgvc: FILE: out of fuel) for exhausted \
+         fuel.";
     ]
   in
   Cmd.v

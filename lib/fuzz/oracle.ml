@@ -4,7 +4,7 @@
    One generated program is judged by three oracles:
 
    1. the PSSA reference interpreter on the *untransformed* function
-      (ground truth);
+      (ground truth), run once per layout and shared by every pipeline;
    2. the PSSA interpreter on the function after a full optimization
       pipeline;
    3. the CFG interpreter ({!Fgv_cfg.Cinterp}) on the transformed
@@ -107,6 +107,18 @@ let run_cfg config (prog : Fgv_cfg.Cir.prog) (layout : int list) :
            ~args:(Generator.args_for config layout)
            ~mem:(Generator.fresh_mem config)))
 
+(* The reference's run class under [layout], from the memo [runs] or run
+   now and added to it.  The class depends only on the program and the
+   layout, so one memo serves every pipeline and oracle of a [check]
+   call; living in that call, it is per program and per domain. *)
+let reference_run runs config (reference : Ir.func) layout =
+  match List.assoc_opt layout !runs with
+  | Some c -> c
+  | None ->
+    let c = run_pssa config reference layout in
+    runs := (layout, c) :: !runs;
+    c
+
 (* --------------------------------------------------------- the checker *)
 
 (* A counted mismatch of [kind] in pipeline [name]. *)
@@ -121,14 +133,15 @@ let mismatch ?pass ?(binding = []) name kind detail =
       mm_detail = detail;
     }
 
-(* The first layout under which [subject]'s run disagrees with the PSSA
-   run of [reference]: an ["<oracle>-diff"] mismatch, or an
+(* The first layout under which [subject]'s run disagrees with the
+   [reference] run: an ["<oracle>-diff"] mismatch, or an
    ["<oracle>-crash"] one when the subject could not run at all. *)
-let first_disagreement ~config ~layouts ~name ~oracle (reference : Ir.func)
+let first_disagreement ~layouts ~name ~oracle
+    (reference : int list -> Interp.run_class)
     (subject : int list -> (Interp.run_class, string) result) =
   List.find_map
     (fun layout ->
-      let a = run_pssa config reference layout in
+      let a = reference layout in
       match subject layout with
       | Error e -> mismatch ~binding:layout name (oracle ^ "-crash") e
       | Ok b -> (
@@ -143,19 +156,20 @@ let first_disagreement ~config ~layouts ~name ~oracle (reference : Ir.func)
    e.g. through the versioning API rather than a whole pipeline). *)
 let compare_funcs ~(config : Generator.config) ~layouts ~(label : string)
     (reference : Ir.func) (subject : Ir.func) : mismatch option =
-  first_disagreement ~config ~layouts ~name:label ~oracle:"pssa" reference
+  first_disagreement ~layouts ~name:label ~oracle:"pssa"
+    (run_pssa config reference)
     (fun layout -> Ok (run_pssa config subject layout))
 
 (* Fourth oracle: compile the CFG program to checked C once, run it
-   natively under every layout, and compare against the PSSA reference
-   interpreter. *)
-let check_native ~(config : Generator.config) ~layouts ~name
-    (reference : Ir.func) (prog : Fgv_cfg.Cir.prog) : mismatch option =
+   natively under every layout, and compare against the reference
+   runs. *)
+let check_native ~(config : Generator.config) ~layouts ~name reference
+    (prog : Fgv_cfg.Cir.prog) : mismatch option =
   match N.compile_checked ~fuel prog ~mem:(Generator.fresh_mem config) with
   | Error e -> mismatch name "native-compile-crash" e
   | Ok compiled ->
     let result =
-      first_disagreement ~config ~layouts ~name ~oracle:"native" reference
+      first_disagreement ~layouts ~name ~oracle:"native" reference
         (fun layout ->
           Tm.incr "fuzz.native_runs";
           N.run_checked compiled ~args:(Generator.args_for config layout))
@@ -164,9 +178,11 @@ let check_native ~(config : Generator.config) ~layouts ~name
     result
 
 (* Run one pipeline over a fresh lowering of [fd] and check the
-   oracles under every layout. *)
-let check_pipeline ?(native = false) ~(config : Generator.config)
-    (fd : Fgv_frontend.Ast.fdecl) (name : string) : mismatch option =
+   oracles under every layout against the reference runs memoized in
+   [reference_runs] (by default, a memo of this call's own). *)
+let check_pipeline ?(native = false) ?(reference_runs = ref [])
+    ~(config : Generator.config) (fd : Fgv_frontend.Ast.fdecl) (name : string)
+    : mismatch option =
   let runner =
     match List.assoc_opt name pipelines with
     | Some r -> r
@@ -177,6 +193,7 @@ let check_pipeline ?(native = false) ~(config : Generator.config)
     Tm.incr "fuzz.rejected";
     None
   | reference -> (
+    let reference = reference_run reference_runs config reference in
     let subject = Lower_ast.lower_fdecl fd in
     let layouts = Generator.layouts_for config in
     match runner ~on_pass:verify_after_each_pass subject with
@@ -184,7 +201,10 @@ let check_pipeline ?(native = false) ~(config : Generator.config)
       mismatch ~pass name "verifier" message
     | exception e -> mismatch name "pipeline-crash" (Printexc.to_string e)
     | () -> (
-      match compare_funcs ~config ~layouts ~label:name reference subject with
+      match
+        first_disagreement ~layouts ~name ~oracle:"pssa" reference
+          (fun layout -> Ok (run_pssa config subject layout))
+      with
       | Some m -> Some m
       | None -> (
         (* third oracle: CFG lowering of the transformed function *)
@@ -192,7 +212,7 @@ let check_pipeline ?(native = false) ~(config : Generator.config)
         | exception e -> mismatch name "cfg-lower-crash" (Printexc.to_string e)
         | prog -> (
           match
-            first_disagreement ~config ~layouts ~name ~oracle:"cfg" reference
+            first_disagreement ~layouts ~name ~oracle:"cfg" reference
               (fun layout -> Ok (run_cfg config prog layout))
           with
           | Some m -> Some m
@@ -202,9 +222,13 @@ let check_pipeline ?(native = false) ~(config : Generator.config)
             else None))))
 
 (* Check one program against every requested pipeline; first mismatch
-   wins. *)
+   wins.  The reference runs once per layout, not once per pipeline and
+   oracle. *)
 let check ?(native = false) ?(pipelines = pipeline_names)
     ~(config : Generator.config) (fd : Fgv_frontend.Ast.fdecl) :
     mismatch option =
   Tm.incr "fuzz.programs";
-  List.find_map (fun name -> check_pipeline ~native ~config fd name) pipelines
+  let reference_runs = ref [] in
+  List.find_map
+    (fun name -> check_pipeline ~native ~reference_runs ~config fd name)
+    pipelines

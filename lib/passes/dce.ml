@@ -19,12 +19,10 @@ let sweep (f : Ir.func) : int =
   let users = Ir.compute_users f in
   (* values read by loop guards / continue predicates count as uses *)
   let pred_uses = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ lp ->
+  Ir.iter_loops f (fun lp ->
       List.iter
         (fun v -> Hashtbl.replace pred_uses v ())
-        (Pred.literals lp.Ir.lpred @ Pred.literals lp.Ir.cont))
-    f.Ir.loop_arena;
+        (Pred.literals lp.Ir.lpred @ Pred.literals lp.Ir.cont));
   let used v = users v <> [] || Hashtbl.mem pred_uses v in
   let removed = ref 0 in
   let rec live_loop lid =
@@ -53,7 +51,7 @@ let sweep (f : Ir.func) : int =
         | Ir.I v ->
           if has_side_effect f v || used v then Some item
           else begin
-            Hashtbl.remove f.Ir.arena v;
+            Ir.remove_inst f v;
             incr removed;
             None
           end
@@ -64,10 +62,8 @@ let sweep (f : Ir.func) : int =
             Some item
           end
           else begin
-            List.iter
-              (fun v -> Hashtbl.remove f.Ir.arena v)
-              (Ir.defined_values f item);
-            Hashtbl.remove f.Ir.loop_arena lid;
+            List.iter (Ir.remove_inst f) (Ir.defined_values f item);
+            Ir.remove_loop f lid;
             incr removed;
             None
           end)

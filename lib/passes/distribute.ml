@@ -244,7 +244,7 @@ let analyze (s : V.Api.session) (lid : Ir.loop_id) : candidate option =
 let prune_loop (f : Ir.func) (lp : Ir.loop) keep =
   let kept_mus = List.filter keep lp.Ir.mus in
   List.iter
-    (fun m -> if not (keep m) then Hashtbl.remove f.Ir.arena m)
+    (fun m -> if not (keep m) then Ir.remove_inst f m)
     lp.Ir.mus;
   lp.Ir.mus <- kept_mus;
   let kept_body =
@@ -252,7 +252,7 @@ let prune_loop (f : Ir.func) (lp : Ir.loop) keep =
   in
   List.iter
     (function
-      | Ir.I v -> if not (keep v) then Hashtbl.remove f.Ir.arena v
+      | Ir.I v -> if not (keep v) then Ir.remove_inst f v
       | Ir.L _ -> ())
     lp.Ir.body;
   lp.Ir.body <- kept_body

@@ -207,8 +207,8 @@ let delete_inst (f : Ir.func) (v : Ir.value_id) =
     List.filter (function Ir.I x -> x <> v | Ir.L _ -> true) items
   in
   f.Ir.fbody <- prune f.Ir.fbody;
-  Hashtbl.iter (fun _ lp -> lp.Ir.body <- prune lp.Ir.body) f.Ir.loop_arena;
-  Hashtbl.remove f.Ir.arena v
+  Ir.iter_loops f (fun lp -> lp.Ir.body <- prune lp.Ir.body);
+  Ir.remove_inst f v
 
 (* --------------------------------------------------------------- pass *)
 

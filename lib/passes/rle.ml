@@ -28,7 +28,10 @@ type stats = {
 
 let new_stats () = { groups_found = 0; loads_eliminated = 0 }
 
-(* Region-level scalar loads grouped by symbolic address and type. *)
+(* Region-level scalar loads grouped by symbolic address and type, each
+   group in program order and the groups in the program order of their
+   first load (a fold over the table would hand the plans and remarks
+   its hash order). *)
 let load_groups (f : Ir.func) (scev : Scev.t) (region : Ir.region) :
     Ir.value_id list list =
   let items = Ir.region_items f region in
@@ -44,16 +47,22 @@ let load_groups (f : Ir.func) (scev : Scev.t) (region : Ir.region) :
         | Ir.L _ -> None)
       items
   in
-  let tbl = Hashtbl.create 8 in
+  let tbl = Hashtbl.create 8 and keys = ref [] in
   List.iter
     (fun (v, lin, ty) ->
       let key = (Linexp.terms lin, Linexp.constant lin, ty) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (v :: cur))
+      match Hashtbl.find_opt tbl key with
+      | Some vs -> Hashtbl.replace tbl key (v :: vs)
+      | None ->
+        Hashtbl.replace tbl key [ v ];
+        keys := key :: !keys)
     loads;
-  Hashtbl.fold
-    (fun _ vs acc -> if List.length vs >= 2 then List.rev vs :: acc else acc)
-    tbl []
+  List.filter_map
+    (fun key ->
+      match Hashtbl.find tbl key with
+      | _ :: _ :: _ as vs -> Some (List.rev vs)
+      | _ -> None)
+    (List.rev !keys)
 
 (* The leader: the first member, provided every member's predicate
    implies its execution. *)

@@ -524,7 +524,7 @@ let codegen s : int =
         (match f0.kind with
         | Ir.Store _ ->
           remove_values members;
-          List.iter (fun v -> Hashtbl.remove f.Ir.arena v) members
+          List.iter (Ir.remove_inst f) members
         | _ -> ());
         incr emitted
       with Skip_pack -> ())

@@ -207,8 +207,8 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) ~factor :
   in
   f.Ir.indep_scopes <- cross @ f.Ir.indep_scopes;
   (* drop the original loop from the arena *)
-  List.iter (fun v -> Hashtbl.remove f.Ir.arena v) (Ir.defined_values f (Ir.L lid));
-  Hashtbl.remove f.Ir.loop_arena lid;
+  List.iter (Ir.remove_inst f) (Ir.defined_values f (Ir.L lid));
+  Ir.remove_loop f lid;
   List.rev em.acc @ [ Ir.L main.lid ] @ List.rev after_em.acc @ [ epi_item ]
 
 (* Unroll every eligible innermost loop satisfying [select]. *)

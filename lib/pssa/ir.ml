@@ -7,9 +7,11 @@
    iteration (do-while semantics).  Values defined inside a loop are read
    after it through eta nodes that denote the value at loop exit.
 
-   Instructions live in a per-function arena keyed by integer ids; items
-   reference them by id, which makes cloning, predication updates, and the
-   list surgery performed by versioning materialization cheap and local. *)
+   Instructions and loops live in per-function arenas, arrays indexed by
+   their integer ids; items reference them by id, which makes cloning,
+   predication updates, and the list surgery performed by versioning
+   materialization cheap and local.  Every walk over an arena goes in
+   ascending id order, so no output depends on hash-table layout. *)
 
 type value_id = int
 type loop_id = int
@@ -103,8 +105,12 @@ type func = {
   fname : string;
   params : (string * ty) list;
   mutable fbody : item list;
-  arena : (value_id, inst) Hashtbl.t;
-  loop_arena : (loop_id, loop) Hashtbl.t;
+  (* Indexed by value id and loop id; a removed (or not yet built) id
+     reads [None].  Each grows when an id past its end is stored, so it
+     may be longer than [next_value]/[next_loop].  Reach them only
+     through the functions below. *)
+  mutable arena : inst option array;
+  mutable loop_arena : loop option array;
   mutable next_value : int;
   mutable next_loop : int;
   (* Scoped-noalias analogue (paper SIV-B): pairs of memory instructions
@@ -128,41 +134,80 @@ let create_func ~name ~params =
     fname = name;
     params;
     fbody = [];
-    arena = Hashtbl.create 64;
-    loop_arena = Hashtbl.create 8;
+    arena = Array.make 64 None;
+    loop_arena = Array.make 8 None;
     next_value = 0;
     next_loop = 0;
     indep_scopes = [];
     restrict_args = [];
   }
 
+(* Per-function tables are arrays indexed by value or loop id.  An id
+   outside the array reads as [absent]. *)
+let dense_get tbl id ~absent =
+  if id >= 0 && id < Array.length tbl then tbl.(id) else absent
+
+let inst_opt f v = dense_get f.arena v ~absent:None
+
 let inst f v =
-  match Hashtbl.find_opt f.arena v with
+  match inst_opt f v with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Ir.inst: unknown value v%d" v)
 
 let loop f l =
-  match Hashtbl.find_opt f.loop_arena l with
+  match dense_get f.loop_arena l ~absent:None with
   | Some lp -> lp
   | None -> invalid_arg (Printf.sprintf "Ir.loop: unknown loop L%d" l)
+
+(* [arena] with [Some x] at [id], grown (at least doubled) when [id] is
+   past its end, so a run of fresh ids costs amortized constant time. *)
+let stored arena id x =
+  let n = Array.length arena in
+  let arena =
+    if id < n then arena
+    else begin
+      let grown = Array.make (max (2 * n) (id + 1)) None in
+      Array.blit arena 0 grown 0 n;
+      grown
+    end
+  in
+  arena.(id) <- Some x;
+  arena
+
+let store_inst f (i : inst) = f.arena <- stored f.arena i.id i
+
+(* Drop an instruction or a loop from its arena; the caller unplaces
+   it.  Its id is never reused. *)
+let cleared arena id =
+  if id >= 0 && id < Array.length arena then arena.(id) <- None
+
+let remove_inst f v = cleared f.arena v
+let remove_loop f l = cleared f.loop_arena l
+
+(* Every instruction (loop) in the arena, placed or not, in ascending id
+   order.  Ids made by [g] are not visited. *)
+let iter_insts f g = Array.iter (function Some i -> g i | None -> ()) f.arena
+
+let iter_loops f g =
+  Array.iter (function Some lp -> g lp | None -> ()) f.loop_arena
 
 (* Create an instruction in the arena; the caller places it in a region. *)
 let new_inst ?(name = "") f ~kind ~ty ~pred =
   let id = f.next_value in
   f.next_value <- id + 1;
   let i = { id; kind; ty; ipred = pred; name } in
-  Hashtbl.replace f.arena id i;
+  store_inst f i;
   i
 
 let new_loop f ~pred =
   let lid = f.next_loop in
   f.next_loop <- lid + 1;
   let lp = { lid; lpred = pred; mus = []; body = []; cont = Pred.fls } in
-  Hashtbl.replace f.loop_arena lid lp;
+  f.loop_arena <- stored f.loop_arena lid lp;
   lp
 
 let value_name f v =
-  match Hashtbl.find_opt f.arena v with
+  match inst_opt f v with
   | Some i when i.name <> "" -> Printf.sprintf "%%%s.%d" i.name v
   | Some _ -> Printf.sprintf "%%v%d" v
   | None -> Printf.sprintf "%%DEAD.%d" v
@@ -279,12 +324,9 @@ let loop_parent f lid =
 
 (* --------------------------------------------------------- program order *)
 
-(* Per-function tables are arrays indexed by value or loop id, sized
-   from [next_value]/[next_loop] when built.  Each is a snapshot: an id
-   at or past its size, or one the builder did not place, reads as
-   absent. *)
-let dense_get tbl id ~absent =
-  if id >= 0 && id < Array.length tbl then tbl.(id) else absent
+(* The tables below are sized from [next_value]/[next_loop] when built.
+   Each is a snapshot: an id at or past its size, or one the builder did
+   not place, reads as absent. *)
 
 (* Assign every node (and every mu) a position consistent with program
    order: mus first, then body items in sequence; a loop's position is
@@ -328,9 +370,8 @@ let compute_order f =
    continue predicates are not instructions and do not count. *)
 let users_table f =
   let tbl = Array.make f.next_value [] in
-  Hashtbl.iter
-    (fun _ i -> List.iter (fun v -> tbl.(v) <- i.id :: tbl.(v)) (all_operands i))
-    f.arena;
+  iter_insts f (fun i ->
+      List.iter (fun v -> tbl.(v) <- i.id :: tbl.(v)) (all_operands i));
   tbl
 
 (* The users of [v] in a [users_table]. *)
@@ -382,10 +423,8 @@ let clone_item f remap item =
       | Eta e -> Eta { e with loop = subst_loop e.loop }
       | k -> k
     in
-    let clone =
-      { id; kind; ty = i.ty; ipred = Pred.rename subst i.ipred; name = i.name }
-    in
-    Hashtbl.replace f.arena id clone;
+    store_inst f
+      { id; kind; ty = i.ty; ipred = Pred.rename subst i.ipred; name = i.name };
     id
   in
   (* pass 2: build the clones *)
@@ -417,15 +456,6 @@ let clone_item f remap item =
   f.indep_scopes <- transferred @ f.indep_scopes;
   result
 
-(* Loop-id remapping produced by the last [clone_item] call is recovered
-   by comparing mu kinds; expose a helper instead: replace loop references
-   in an instruction (used for etas cloned separately). *)
-let retarget_eta f v ~new_loop =
-  let i = inst f v in
-  match i.kind with
-  | Eta e -> i.kind <- Eta { e with loop = new_loop }
-  | _ -> invalid_arg "Ir.retarget_eta: not an eta"
-
 (* ------------------------------------------------------ use replacement *)
 
 (* Replace uses of [old_v] by [new_v] in the given instruction only. *)
@@ -442,11 +472,9 @@ let replace_uses_in_loops f ~old_v ~new_v =
   let rename p =
     if List.mem old_v (Pred.literals p) then Pred.rename subst p else p
   in
-  Hashtbl.iter
-    (fun _ lp ->
+  iter_loops f (fun lp ->
       lp.lpred <- rename lp.lpred;
       lp.cont <- rename lp.cont)
-    f.loop_arena
 
 (* Apply a whole substitution map in a single arena walk.  Callers like
    GVN accumulate hundreds of replacements, and one full walk per
@@ -461,16 +489,12 @@ let replace_uses_map f (map : (value_id, value_id) Hashtbl.t) =
         Pred.rename subst p
       else p
     in
-    Hashtbl.iter
-      (fun _ i ->
+    iter_insts f (fun i ->
         i.kind <- rename_kind subst i.kind;
-        i.ipred <- rename_pred i.ipred)
-      f.arena;
-    Hashtbl.iter
-      (fun _ lp ->
+        i.ipred <- rename_pred i.ipred);
+    iter_loops f (fun lp ->
         lp.lpred <- rename_pred lp.lpred;
         lp.cont <- rename_pred lp.cont)
-      f.loop_arena
   end
 
 (* ----------------------------------------------------- reachability set *)
@@ -484,22 +508,6 @@ let rec defined_values f item =
     lp.mus @ List.concat_map (defined_values f) lp.body
 
 (* ---------------------------------------------------------------- misc *)
-
-let iter_insts f g = Hashtbl.iter (fun _ i -> g i) f.arena
-
-(* Static instruction count of the live body (code-size metric). *)
-let static_size f =
-  let rec count items =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | I _ -> acc + 1
-        | L lid ->
-          let lp = loop f lid in
-          acc + 1 + List.length lp.mus + count lp.body)
-      0 items
-  in
-  count f.fbody
 
 (* Record a scoped independence fact (paper SIV-B). *)
 let add_indep_scope f a b p = f.indep_scopes <- (a, b, p) :: f.indep_scopes

@@ -39,7 +39,7 @@ let verify f =
         match item with
         | I v ->
           if Hashtbl.mem seen_v v then fail "value v%d defined twice" v;
-          if not (Hashtbl.mem f.arena v) then fail "value v%d not in arena" v;
+          if Option.is_none (inst_opt f v) then fail "value v%d not in arena" v;
           Hashtbl.replace seen_v v ()
         | L lid ->
           let lp = loop f lid in
@@ -81,46 +81,40 @@ let verify f =
     in
     List.iter
       (fun o ->
-        if not (Hashtbl.mem f.arena o) then fail "v%d uses undefined value v%d" v o;
+        if Option.is_none (inst_opt f o) then fail "v%d uses undefined value v%d" v o;
         if not (Hashtbl.mem seen_v o) then
           fail "v%d uses value v%d that is not placed in the body" v o;
         if not (is_back_edge o) && order (NI o) >= order (NI v) then
           fail "v%d uses v%d which does not precede it" v o)
       (all_operands i)
   in
-  Hashtbl.iter (fun v _ -> if Hashtbl.mem seen_v v then check_uses v) f.arena;
+  iter_insts f (fun i -> if Hashtbl.mem seen_v i.id then check_uses i.id);
   (* 3. predicate literals are boolean *)
-  Hashtbl.iter
-    (fun v _ ->
-      if Hashtbl.mem seen_v v then
+  iter_insts f (fun i ->
+      if Hashtbl.mem seen_v i.id then
         List.iter
           (fun l ->
             if (inst f l).ty <> Tbool then
-              fail "predicate of v%d uses non-boolean v%d" v l)
-          (Pred.literals (inst f v).ipred))
-    f.arena;
+              fail "predicate of v%d uses non-boolean v%d" i.id l)
+          (Pred.literals i.ipred));
   (* 4. etas reference placed loops that precede them *)
-  Hashtbl.iter
-    (fun v _ ->
-      if Hashtbl.mem seen_v v then
-        match (inst f v).kind with
+  iter_insts f (fun i ->
+      if Hashtbl.mem seen_v i.id then
+        match i.kind with
         | Eta { loop; _ } ->
           if not (Hashtbl.mem seen_l loop) then
-            fail "eta v%d references unplaced loop L%d" v loop;
-          if order (NL loop) >= order (NI v) then
-            fail "eta v%d does not follow its loop L%d" v loop
-        | _ -> ())
-    f.arena;
+            fail "eta v%d references unplaced loop L%d" i.id loop;
+          if order (NL loop) >= order (NI i.id) then
+            fail "eta v%d does not follow its loop L%d" i.id loop
+        | _ -> ());
   (* 5. loop continue predicates only use placed values *)
-  Hashtbl.iter
-    (fun lid lp ->
-      if Hashtbl.mem seen_l lid then
+  iter_loops f (fun lp ->
+      if Hashtbl.mem seen_l lp.lid then
         List.iter
           (fun l ->
             if not (Hashtbl.mem seen_v l) then
-              fail "loop L%d cont uses unplaced value v%d" lid l)
+              fail "loop L%d cont uses unplaced value v%d" lp.lid l)
           (Pred.literals lp.cont))
-    f.loop_arena
 
 let verify_or_message f =
   match verify f with

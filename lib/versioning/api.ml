@@ -164,7 +164,7 @@ let union_plans (f : Ir.func) ~(extra_nodes : Ir.node list) (plans : Plan.t list
     let rec close v =
       if not (Hashtbl.mem protected_values v) then begin
         Hashtbl.replace protected_values v ();
-        match Hashtbl.find_opt f.Ir.arena v with
+        match Ir.inst_opt f v with
         | Some i -> List.iter close (Ir.all_operands i)
         | None -> ()
       end

@@ -588,8 +588,8 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
             | _ -> replace_with_phi user)
         (users ov);
       (* guard / continue predicates of loops *)
-      Hashtbl.iter
-        (fun lid lp ->
+      Ir.iter_loops f (fun lp ->
+          let lid = lp.Ir.lid in
           let mentions p = List.mem ov (Pred.literals p) in
           if mentions lp.Ir.lpred || mentions lp.Ir.cont then begin
             let owner =
@@ -620,7 +620,6 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
               lp.Ir.lpred <- Pred.rename s lp.Ir.lpred;
               lp.Ir.cont <- Pred.rename s lp.Ir.cont
           end)
-        f.Ir.loop_arena
     in
     Hashtbl.iter (fun ov _ -> redirect ov) conds_of_value;
     (* 5b. Fig. 14 last step: on the success side, phi arms whose gate

@@ -15,7 +15,9 @@
    [fuzz-s240-2] under every pipeline and [fuzz-s480-1] under [sv+v]:
    their top-level regions hold hundreds of nodes.  [dune runtest]
    recomputes the corpus file and diffs it against the committed one,
-   so a change that moves any pass's output or decisions fails there.
+   so a change that moves any pass's output or decisions fails there;
+   it does so a second time under [OCAMLRUNPARAM=R], so output that
+   depends on hash-table order fails too.
    Review the diff before committing either file. *)
 
 module W = Fgv_bench.Workload

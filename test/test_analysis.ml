@@ -533,6 +533,104 @@ let test_dense_snapshot () =
         check_enclosing_loops name f)
     (compile_versioned ())
 
+(* ------------------------------------------------------------- arenas *)
+
+let first_loop f =
+  List.find_map (function Ir.L l -> Some l | Ir.I _ -> None) f.Ir.fbody
+  |> Option.get
+
+(* Cloning a loop over and over takes both id spaces far past the
+   arenas' initial sizes; every clone, value and loop, reads back by
+   its id. *)
+let test_arena_grows () =
+  let f = compile sum_with_stride_src in
+  let lid = first_loop f in
+  let clones = ref [] in
+  while f.Ir.next_value < 1_000 || f.Ir.next_loop < 50 do
+    let remap = Hashtbl.create 16 in
+    match Ir.clone_item f remap (Ir.L lid) with
+    | Ir.L copy -> clones := (remap, copy) :: !clones
+    | Ir.I _ -> Alcotest.fail "a cloned loop is a loop"
+  done;
+  List.iter
+    (fun (remap, copy) ->
+      Alcotest.(check int) "cloned loop reads back" copy (Ir.loop f copy).Ir.lid;
+      Hashtbl.iter
+        (fun original fresh ->
+          let i = Ir.inst f fresh in
+          Alcotest.(check int) "clone reads back" fresh i.Ir.id;
+          Alcotest.(check string)
+            (Printf.sprintf "v%d is a clone of v%d" fresh original)
+            (Ir.inst f original).Ir.name i.Ir.name)
+        remap)
+    !clones
+
+let test_arena_remove () =
+  let f = compile sum_with_stride_src in
+  let lid = first_loop f in
+  let v = List.hd (Ir.loop f lid).Ir.mus in
+  Ir.remove_inst f v;
+  Alcotest.check_raises "removed value"
+    (Invalid_argument (Printf.sprintf "Ir.inst: unknown value v%d" v))
+    (fun () -> ignore (Ir.inst f v));
+  Alcotest.(check string) "name of a removed value"
+    (Printf.sprintf "%%DEAD.%d" v) (Ir.value_name f v);
+  Ir.remove_loop f lid;
+  Alcotest.check_raises "removed loop"
+    (Invalid_argument (Printf.sprintf "Ir.loop: unknown loop L%d" lid))
+    (fun () -> ignore (Ir.loop f lid))
+
+let test_arena_iteration_order () =
+  let f = compile sum_with_stride_src in
+  let ids () =
+    let acc = ref [] in
+    Ir.iter_insts f (fun i -> acc := i.Ir.id :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "a fresh function's ids, ascending"
+    (List.init f.Ir.next_value Fun.id)
+    (ids ());
+  let removed = List.filter (fun v -> v mod 3 = 1) (ids ()) in
+  List.iter (Ir.remove_inst f) removed;
+  Alcotest.(check (list int)) "live ids, ascending"
+    (List.filter (fun v -> not (List.mem v removed)) (List.init f.Ir.next_value Fun.id))
+    (ids ());
+  let inner = Ir.new_loop f ~pred:Pred.tru in
+  let outer = Ir.new_loop f ~pred:Pred.tru in
+  Ir.remove_loop f inner.Ir.lid;
+  let loops = ref [] in
+  Ir.iter_loops f (fun lp -> loops := lp.Ir.lid :: !loops);
+  Alcotest.(check (list int)) "live loop ids, ascending"
+    [ first_loop f; outer.Ir.lid ]
+    (List.rev !loops)
+
+(* Four address groups whose first loads come in an order that is
+   neither the parameters' nor, in general, a hash table's. *)
+let test_rle_group_order () =
+  let f =
+    compile
+      {|
+  kernel k(float* a, float* b, float* c, float* d, float* e, int n) {
+    for (int i = 0; i < n; i = i + 1) {
+      e[i] = d[i] + b[i] + c[i] + a[i] + d[i] + b[i] + c[i] + a[i];
+    }
+  }
+|}
+  in
+  let lid = first_loop f in
+  let loads =
+    List.filter_map
+      (function
+        | Ir.I v when Ir.may_read_inst (Ir.inst f v) -> Some v
+        | _ -> None)
+      (Ir.loop f lid).Ir.body
+  in
+  Alcotest.(check int) "eight loads" 8 (List.length loads);
+  let l = Array.of_list loads in
+  Alcotest.(check (list (list int))) "groups in the order of their first load"
+    [ [ l.(0); l.(4) ]; [ l.(1); l.(5) ]; [ l.(2); l.(6) ]; [ l.(3); l.(7) ] ]
+    (Fgv_passes.Rle.load_groups f (Scev.create f) (Ir.Rloop lid))
+
 let suite =
   [
     Alcotest.test_case "linexp algebra" `Quick test_linexp_algebra;
@@ -559,4 +657,12 @@ let suite =
       (on_versioned_kernels check_enclosing_loops);
     Alcotest.test_case "dense tables read later values as absent" `Quick
       test_dense_snapshot;
+    Alcotest.test_case "arenas grow past their initial size" `Quick
+      test_arena_grows;
+    Alcotest.test_case "a removed value or loop reads as unknown" `Quick
+      test_arena_remove;
+    Alcotest.test_case "arena walks go in ascending id order" `Quick
+      test_arena_iteration_order;
+    Alcotest.test_case "RLE groups follow their first load" `Quick
+      test_rle_group_order;
   ]

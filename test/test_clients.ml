@@ -51,9 +51,10 @@ let run_pipeline pipeline f =
   (W.count work, remarks)
 
 let count_stores (f : Ir.func) =
-  Hashtbl.fold
-    (fun _ i acc -> match i.Ir.kind with Ir.Store _ -> acc + 1 | _ -> acc)
-    f.Ir.arena 0
+  let n = ref 0 in
+  Ir.iter_insts f (fun i ->
+      match i.Ir.kind with Ir.Store _ -> incr n | _ -> ());
+  !n
 
 (* ------------------------------------------------- golden decision trails *)
 
