@@ -59,8 +59,8 @@ let counters_json delta = J.Assoc (List.map (fun (n, v) -> (n, J.Int v)) delta)
 let geomean f rows = Fgv_support.Stats.geomean (List.map f rows)
 
 (* Run one figure's row computation under a telemetry capture: the text
-   table still prints, and the captured counter delta (the framework
-   work attributable to this figure alone) lands in the JSON document. *)
+   table still prints, and the captured counters (the framework work of
+   this figure alone) land in the JSON document. *)
 let run_fig19 () =
   Tr.with_span ~cat:"figure" "fig19" @@ fun () ->
   let rows, delta = Tm.capture (fun () -> E.tsvc_rows ~jobs:!jobs ()) in
@@ -343,19 +343,18 @@ let ct_client_specs () =
 
 let ct_run_row spec : ct_row =
   let src = Lazy.force spec.cs_source in
-  (* an isolated context (not a [capture] delta): per-row counters must
-     not depend on what earlier rows left behind — a saturated running
-     maximum would otherwise make the row's delta vary with the worker
-     schedule *)
+  (* an isolated context: the row's counters and timers are its own, not
+     what earlier rows on the same worker left behind *)
   let (wall, words, timers), shard =
     Obs.isolated (fun () ->
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
-        let f =
-          if spec.cs_restrict then Fgv_frontend.Lower_ast.compile src
-          else Fgv_frontend.Lower_ast.compile_no_restrict src
-        in
-        spec.cs_apply f;
+        (match
+           Fgv_frontend.Compile.source ~restrict:spec.cs_restrict
+             spec.cs_apply src
+         with
+        | Ok _ -> ()
+        | Error e -> failwith (Fgv_frontend.Compile.message e));
         let wall = Unix.gettimeofday () -. t0 in
         (wall, Gc.minor_words () -. m0, Tm.timers ()))
   in

@@ -125,7 +125,7 @@ let snapshot_hook dir (f0 : Ir.func) : string -> Ir.func -> unit =
 let run_fuzz n seed pipeline report_file stats jobs native finalize =
   let pipelines =
     if pipeline = "none" then F.Oracle.pipeline_names
-    else if List.mem_assoc pipeline F.Oracle.pipelines then [ pipeline ]
+    else if List.mem pipeline F.Oracle.pipeline_names then [ pipeline ]
     else begin
       Printf.eprintf "unknown fuzz pipeline %s (one of: %s)\n" pipeline
         (String.concat ", " F.Oracle.pipeline_names);
@@ -174,20 +174,20 @@ let run_fuzz n seed pipeline report_file stats jobs native finalize =
 
 (* --------------------------------------------------- native execution *)
 
-(* [--run-native]: lower to the CFG, compile the checked-mode C with the
+(* [--run-native]: compile the CFG program's checked-mode C with the
    system toolchain, run it, and ask the differential contract
    ({!Interp.runs_agree}, the fuzz oracle's check) whether it behaves
    like the CFG interpreter on the user's kernel.  On agreement after a
    normal finish, also compile the fast configuration and report
    measured ns/run.  A disagreement is a compiler bug and exits 5. *)
-let run_native_differential (f : Ir.func) ~(argv : Value.t list) ~fresh_mem =
+let run_native_differential (prog : Fgv_cfg.Cir.prog) ~(argv : Value.t list)
+    ~fresh_mem =
   if not (N.available ()) then begin
     Printf.eprintf
       "fgvc: --run-native needs a C compiler (install cc/gcc/clang or set \
        FGV_CC)\n";
     exit 2
   end;
-  let prog = Fgv_cfg.Lower.lower f in
   let reference =
     Interp.classify (fun () ->
         Fgv_cfg.Cinterp.(observe (run prog ~args:argv ~mem:(fresh_mem ()))))
@@ -307,30 +307,6 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       ("pipeline", String pipeline);
       ("no_restrict", Bool no_restrict);
     ];
-  let source =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let f =
-    let frontend_error m =
-      Printf.eprintf "fgvc: %s: %s\n" file m;
-      exit 1
-    in
-    match
-      (if no_restrict then Fgv_frontend.Lower_ast.compile_no_restrict
-       else Fgv_frontend.Lower_ast.compile)
-        source
-    with
-    | f -> f
-    | exception Fgv_frontend.Lexer.Error m -> frontend_error ("lex error: " ^ m)
-    | exception Fgv_frontend.Parser.Error m ->
-      frontend_error ("parse error: " ^ m)
-    | exception Fgv_frontend.Lower_ast.Error m ->
-      frontend_error ("lowering error: " ^ m)
-  in
   let apply =
     match P.Pipelines.resolve pipeline with
     | Ok p -> p
@@ -338,25 +314,39 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       Printf.eprintf "%s\n" m;
       exit 2
   in
-  let on_pass =
-    match dump_ir with
-    | Some dir when dir <> "-" -> Some (snapshot_hook dir f)
-    | _ -> None
+  let source =
+    let ic = open_in file in
+    let n = in_channel_length ic in
+    let s = really_input_string ic n in
+    close_in ic;
+    s
   in
-  apply ?on_pass f;
-  (match Verifier.verify_or_message f with
-  | None -> ()
-  | Some m ->
-    Printf.eprintf "internal error: optimized IR is ill-formed: %s\n" m;
-    exit 3);
+  (* --dump-ir=DIR snapshots start from the lowered function *)
+  let optimize f =
+    match dump_ir with
+    | Some dir when dir <> "-" -> apply ~on_pass:(snapshot_hook dir f) f
+    | _ -> apply f
+  in
+  let f =
+    match
+      Fgv_frontend.Compile.source ~restrict:(not no_restrict) optimize source
+    with
+    | Ok f -> f
+    | Error ((Lex _ | Parse _ | Lower _) as e) ->
+      Printf.eprintf "fgvc: %s: %s\n" file (Fgv_frontend.Compile.message e);
+      exit 1
+    | Error e ->
+      Printf.eprintf "internal error: %s\n" (Fgv_frontend.Compile.message e);
+      exit 3
+  in
   if dump_ir = Some "-" then Printer.print f;
-  if dump_cfg then print_string (Fgv_cfg.Cir.to_string (Fgv_cfg.Lower.lower f));
+  let prog = lazy (Fgv_cfg.Lower.lower f) in
+  if dump_cfg then print_string (Fgv_cfg.Cir.to_string (Lazy.force prog));
   let fresh_mem () = Fgv_service.Protocol.heap_image heap in
   (match emit_c with
   | None -> ()
   | Some out ->
-    let prog = Fgv_cfg.Lower.lower f in
-    let text = Fgv_backend.Emit.checked prog ~mem:(fresh_mem ()) in
+    let text = Fgv_service.Protocol.checked_c ~heap (Lazy.force prog) in
     if out = "-" then print_string text
     else begin
       let oc = open_out out in
@@ -364,7 +354,7 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       close_out oc;
       Printf.printf "wrote %s\n" out
     end);
-  if run_native then run_native_differential f ~argv ~fresh_mem;
+  if run_native then run_native_differential (Lazy.force prog) ~argv ~fresh_mem;
   (* the run is classified by the differential contract; the cost line
      reads the finished run's counters *)
   let trapped =
@@ -620,8 +610,12 @@ let cmd =
         "2 on usage errors (unknown pipeline, bad format argument, an \
          $(b,-a) value that is not an integer or a float, $(b,--heap) \
          below 1), reported as $(i,fgvc: -a: ...) or $(i,fgvc: --heap: \
-         ...) for those two flags;";
-      `P "3 when the optimized IR fails verification (a compiler bug);";
+         ...) for those two flags; the pipeline, $(b,-a) and $(b,--heap) \
+         are checked before FILE is read;";
+      `P
+        "3 on a compiler bug, reported as $(i,internal error: ...): a \
+         pipeline that raised ($(i,pipeline crashed: ...)) or optimized \
+         IR that fails verification;";
       `P "4 when $(b,--fuzz) found a miscompilation;";
       `P
         "5 when $(b,--run-native) found a native/interpreter differential \

@@ -34,8 +34,11 @@ let fresh_mem () =
   Array.init (n * n) (fun i -> Value.VFloat (Float.of_int ((i * 7 mod 23) + 1)))
 
 let run name pipeline =
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict source in
-  pipeline f;
+  let f =
+    match Fgv_frontend.Compile.source ~restrict:false pipeline source with
+    | Ok f -> f
+    | Error e -> failwith (Fgv_frontend.Compile.message e)
+  in
   let out = Interp.run f ~args:[ Value.VInt 0; Value.VInt n ] ~mem:(fresh_mem ()) in
   let c = out.Interp.counters in
   Printf.printf "%-18s cost=%8.0f  vector stores=%4d  scalar stores=%4d\n" name

@@ -25,24 +25,33 @@ let stores f =
       | Ir.L _ -> None)
     f.Ir.fbody
 
+let compile source pipeline =
+  match Fgv_frontend.Compile.source pipeline source with
+  | Ok f -> f
+  | Error e -> failwith (Fgv_frontend.Compile.message e)
+
 let demo name source =
   Printf.printf "=== %s ===\n" name;
-  let f = Fgv_frontend.Lower_ast.compile source in
-  let session = V.Api.create f Ir.Rtop in
-  (match V.Api.request_independence session (stores f) with
-  | None -> print_endline "infeasible"
-  | Some plan ->
-    let rec depth (p : V.Plan.t) =
-      1 + List.fold_left (fun a s -> max a (depth s)) 0 p.V.Plan.p_secondaries
-    in
-    Printf.printf "plan depth: %d level(s) of versioning\n" (depth plan);
-    print_string (V.Plan.to_string session.V.Api.s_graph plan);
-    ignore (V.Api.materialize session);
-    (match Verifier.verify_or_message f with
-    | None -> ()
-    | Some m -> failwith m);
+  let versioned = ref false in
+  let f =
+    compile source (fun f ->
+        let session = V.Api.create f Ir.Rtop in
+        match V.Api.request_independence session (stores f) with
+        | None -> print_endline "infeasible"
+        | Some plan ->
+          let rec depth (p : V.Plan.t) =
+            1
+            + List.fold_left (fun a s -> max a (depth s)) 0
+                p.V.Plan.p_secondaries
+          in
+          Printf.printf "plan depth: %d level(s) of versioning\n" (depth plan);
+          print_string (V.Plan.to_string session.V.Api.s_graph plan);
+          ignore (V.Api.materialize session);
+          versioned := true)
+  in
+  if !versioned then begin
     (* behavioural check under aliasing and non-aliasing inputs *)
-    let reference = Fgv_frontend.Lower_ast.compile source in
+    let reference = compile source ignore in
     List.iter
       (fun args ->
         let mem () = Array.init 16 (fun i -> Value.VFloat (Float.of_int i)) in
@@ -52,7 +61,8 @@ let demo name source =
           failwith "behaviour changed!")
       [ [ Value.VInt 8; Value.VInt 1 ]; [ Value.VInt 2; Value.VInt 2 ];
         [ Value.VInt 3; Value.VInt 2 ] ];
-    print_endline "verified: identical behaviour on aliasing and disjoint inputs");
+    print_endline "verified: identical behaviour on aliasing and disjoint inputs"
+  end;
   print_newline ()
 
 let () =

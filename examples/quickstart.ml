@@ -43,20 +43,28 @@ let run_case f ~x_addr ~y_addr =
     (List.length out.Interp.call_trace)
     out.Interp.counters.Interp.skipped
 
-let () =
-  let original = Fgv_frontend.Lower_ast.compile source in
-  print_endline "--- original program (predicated SSA) ---";
-  Printer.print original;
+let compile pipeline =
+  match Fgv_frontend.Compile.source pipeline source with
+  | Ok f -> f
+  | Error e -> failwith (Fgv_frontend.Compile.message e)
 
-  let f = Fgv_frontend.Lower_ast.compile source in
+(* The versioning request as the compile's pipeline: make the two stores
+   to Y independent and materialize the plan. *)
+let version f =
   let session = V.Api.create f Ir.Rtop in
   (match V.Api.request_independence session (stores f) with
   | None -> failwith "versioning infeasible?!"
   | Some plan ->
     print_endline "--- inferred nested versioning plan (cf. Fig. 12) ---";
     print_string (V.Plan.to_string session.V.Api.s_graph plan));
-  ignore (V.Api.materialize session);
+  ignore (V.Api.materialize session)
 
+let () =
+  let original = compile ignore in
+  print_endline "--- original program (predicated SSA) ---";
+  Printer.print original;
+
+  let f = compile version in
   print_endline "--- versioned program (cf. Fig. 15b) ---";
   Printer.print f;
 

@@ -34,8 +34,11 @@ let fresh_mem () =
   Array.init (2 * len) (fun i -> Value.VFloat (Float.of_int (i mod 9) *. 0.5))
 
 let run name pipeline ~src ~dst =
-  let f = Fgv_frontend.Lower_ast.compile source in
-  pipeline f;
+  let f =
+    match Fgv_frontend.Compile.source pipeline source with
+    | Ok f -> f
+    | Error e -> failwith (Fgv_frontend.Compile.message e)
+  in
   let out =
     Interp.run f
       ~args:[ Value.VInt src; Value.VInt dst; Value.VInt len ]

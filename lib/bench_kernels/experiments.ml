@@ -141,17 +141,17 @@ type rle_row = {
   f_size_increase : float;
 }
 
-(* Pass work is read from counters (DESIGN §8): a pipeline's work is its
-   counter delta ([r_work]), and a phase's work is the difference of two
-   deltas over a shared prefix.  Both RLE pipelines begin with exactly
-   [o3_novec]'s stages, so the LICM/GVN work they do after that prefix —
-   the paper's "more work after RLE" — is their delta minus an
-   [o3_novec] run's on the same kernel.  That run is isolated and its
+(* Pass work is read from counters (DESIGN §8): a compile's work is the
+   counters it recorded ([r_work]), and a phase's work is the difference
+   of two compiles' over a shared prefix.  Both RLE pipelines begin with
+   exactly [o3_novec]'s stages, so the LICM/GVN work they do after that
+   prefix — the paper's "more work after RLE" — is their work minus an
+   [o3_novec] compile's on the same kernel.  That run is isolated and its
    shard never merged, so the figure's own counters do not see it. *)
 let prefix_work (k : W.kernel) : (string * int) list =
   let cfgn = W.base_novec () in
   let (), shard =
-    Fgv_support.Obs.isolated (fun () -> cfgn.W.c_apply (W.compile_for cfgn k))
+    Fgv_support.Obs.isolated (fun () -> ignore (W.compile cfgn k))
   in
   Fgv_support.Obs.counters shard
 
@@ -383,11 +383,13 @@ let ablation_mincut ?(jobs = 1) () : string =
   let kernel_checks =
     Pool.map ~jobs
       (fun (k : W.kernel) ->
-      let f = Fgv_frontend.Lower_ast.compile_no_restrict k.W.k_source in
-      P.Pipelines.o3_novec f;
-      ignore (P.Ifconv.run f);
-      ignore (P.Unroll.run ~factor:4 f);
-      ignore (P.Constfold.run f);
+      let unrolled f =
+        P.Pipelines.o3_novec f;
+        ignore (P.Ifconv.run f);
+        ignore (P.Unroll.run ~factor:4 f);
+        ignore (P.Constfold.run f)
+      in
+      let f = W.compile (W.cfg ~restrict:false "unrolled" unrolled) k in
       (* find the innermost unrolled regions and measure both strategies
          on the store groups SLP would seed *)
       let rec regions items acc =

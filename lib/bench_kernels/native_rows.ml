@@ -44,9 +44,7 @@ let native_speedup (r : row) : float =
    final-memory checksum against the CFG interpreter's. *)
 let fast_run (cfgn : W.config) (k : W.kernel) :
     (float * int * bool, string) result =
-  let f = W.compile_for cfgn k in
-  cfgn.W.c_apply f;
-  let prog = Fgv_cfg.Lower.lower f in
+  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
   let want = N.checksum_of_mem iout.Fgv_cfg.Cinterp.memory in
   match N.run_fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k) with

@@ -49,7 +49,7 @@ type run_result = {
   r_branches : int; (* dynamic conditional branches (CFG interp) *)
   r_code_size : int; (* static CFG instruction count *)
   r_work : (string * int) list;
-      (* counter delta of the pipeline run: the passes' work (DESIGN §8) *)
+      (* counters the compile recorded: the passes' work (DESIGN §8) *)
   r_outcome : Interp.outcome;
 }
 
@@ -59,20 +59,23 @@ let count (counters : (string * int) list) name =
 
 exception Kernel_error of string * exn
 
-let compile_for (cfgn : config) (k : kernel) : Ir.func =
-  if cfgn.c_restrict then Fgv_frontend.Lower_ast.compile k.k_source
-  else Fgv_frontend.Lower_ast.compile_no_restrict k.k_source
+(* [k] through the one compile path under [cfgn]: its restrict setting
+   and pipeline, verified.  A kernel that does not compile is a harness
+   bug, raised as [Failure] with the path's message. *)
+let compile (cfgn : config) (k : kernel) : Ir.func =
+  match
+    Fgv_frontend.Compile.source ~restrict:cfgn.c_restrict cfgn.c_apply
+      k.k_source
+  with
+  | Ok f -> f
+  | Error e -> failwith (Fgv_frontend.Compile.message e)
 
 let fresh_mem k = Array.init k.k_heap (fun i -> Value.VFloat (k.k_init i))
 
 (* Apply a pipeline to a kernel and run it, collecting everything. *)
 let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
   try
-    let f = compile_for cfgn k in
-    let (), work = Fgv_support.Telemetry.capture (fun () -> cfgn.c_apply f) in
-    (match Verifier.verify_or_message f with
-    | None -> ()
-    | Some m -> failwith ("ill-formed after " ^ cfgn.c_name ^ ": " ^ m));
+    let f, work = Fgv_support.Telemetry.capture (fun () -> compile cfgn k) in
     let outcome = Interp.run f ~args:k.k_args ~mem:(fresh_mem k) in
     let branches, code_size =
       if with_cfg then begin
@@ -96,16 +99,13 @@ let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
    unoptimized program (the harness refuses to report wrong-code
    "speedups"). *)
 let check_equivalence (k : kernel) (cfgs : config list) : unit =
-  let reference = Fgv_frontend.Lower_ast.compile_no_restrict k.k_source in
   let observe f =
     Interp.observe (Interp.run f ~args:k.k_args ~mem:(fresh_mem k))
   in
-  let ref_obs = observe reference in
+  let ref_obs = observe (compile (cfg ~restrict:false "reference" ignore) k) in
   List.iter
     (fun c ->
-      let f = compile_for c k in
-      c.c_apply f;
-      match Interp.observation_diff ref_obs (observe f) with
+      match Interp.observation_diff ref_obs (observe (compile c k)) with
       | None -> ()
       | Some detail ->
         failwith

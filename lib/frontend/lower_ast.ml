@@ -270,6 +270,8 @@ and lower_loop b env ~cond ~body ~step =
 
 (* ------------------------------------------------------------- driver *)
 
+(* The AST -> IR step alone: no fresh intern generation, no verify.
+   Callers compile through {!Compile}, which adds both. *)
 let lower_fdecl (fd : Ast.fdecl) : Ir.func =
   let params = List.map (fun p -> (p.Ast.pname, ir_ty p.Ast.pty)) fd.fdparams in
   let b = B.create ~name:fd.fdname ~params in
@@ -287,43 +289,4 @@ let lower_fdecl (fd : Ast.fdecl) : Ir.func =
     List.filteri (fun i _ -> (List.nth fd.fdparams i).Ast.prestrict)
       (List.mapi (fun i _ -> i) fd.fdparams)
     |> List.map (fun i -> i);
-  f
-
-(* Parse and lower a kernel, verifying the result.  Each compile starts
-   a fresh predicate intern generation so table state (and the
-   pred.hashcons_* counters) never depends on what the domain compiled
-   before. *)
-let compile (src : string) : Ir.func =
-  Pred.reset ();
-  let fd = Parser.parse src in
-  let f = lower_fdecl fd in
-  Verifier.verify f;
-  f
-
-(* Compile with the restrict qualifiers stripped (the PolyBench
-   "restrict off" configuration). *)
-let compile_no_restrict (src : string) : Ir.func =
-  Pred.reset ();
-  let fd = Parser.parse src in
-  let fd = { fd with fdparams = List.map (fun p -> { p with Ast.prestrict = false }) fd.fdparams } in
-  let f = lower_fdecl fd in
-  Verifier.verify f;
-  f
-
-(* Lower one already-parsed declaration (the compile service parses a
-   whole translation unit once, then compiles each kernel as its own
-   cacheable unit).  The same fresh-generation discipline as [compile]
-   applies per unit, so a unit's lowering never depends on which units
-   were compiled before it. *)
-let compile_fdecl ?(no_restrict = false) (fd : Ast.fdecl) : Ir.func =
-  Pred.reset ();
-  let fd =
-    if no_restrict then
-      { fd with
-        Ast.fdparams =
-          List.map (fun p -> { p with Ast.prestrict = false }) fd.Ast.fdparams }
-    else fd
-  in
-  let f = lower_fdecl fd in
-  Verifier.verify f;
   f

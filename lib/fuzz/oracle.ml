@@ -4,7 +4,8 @@
    One generated program is judged by three oracles:
 
    1. the PSSA reference interpreter on the *untransformed* function
-      (ground truth), run once per layout and shared by every pipeline;
+      (ground truth), compiled once, run once per layout and shared by
+      every pipeline;
    2. the PSSA interpreter on the function after a full optimization
       pipeline;
    3. the CFG interpreter ({!Fgv_cfg.Cinterp}) on the transformed
@@ -25,7 +26,10 @@
    partially overlapping bases).  Additionally {!Fgv_pssa.Verifier} runs
    after every individual pass (via the pipelines' [?on_pass] hook), so
    an IR invariant broken by one transform is blamed on that transform,
-   not discovered at the end of the pipeline.
+   not discovered at the end of the pipeline.  The reference and every
+   subject compile through {!Fgv_frontend.Compile.fdecl}, the path fgvc
+   and the compile service take, so the oracles judge the compile users
+   run.
 
    Every run is classified and compared by the one differential
    contract in {!Fgv_pssa.Interp} ([classify], [runs_agree]): both sides
@@ -69,15 +73,8 @@ let mismatch_to_string m =
    names the [fgvc] driver and the compile service use — the oracle
    sweep is exactly the shared registry (including "sv+v-nopromo", which
    pins condition promotion off so both promotion settings are fuzzed),
-   with the per-pass verifier hook made mandatory. *)
-let pipelines :
-    (string * (on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit)) list =
-  List.map
-    (fun (name, apply) ->
-      (name, fun ~on_pass f -> apply ?on_pass:(Some on_pass) f))
-    P.Pipelines.registry
-
-let pipeline_names = List.map fst pipelines
+   always with the per-pass verifier hook. *)
+let pipeline_names = P.Pipelines.names
 
 let verify_after_each_pass pass f =
   match Verifier.verify_or_message f with
@@ -177,58 +174,62 @@ let check_native ~(config : Generator.config) ~layouts ~name reference
     N.release compiled;
     result
 
-(* Run one pipeline over a fresh lowering of [fd] and check the
-   oracles under every layout against the reference runs memoized in
-   [reference_runs] (by default, a memo of this call's own). *)
-let check_pipeline ?(native = false) ?(reference_runs = ref [])
-    ~(config : Generator.config) (fd : Fgv_frontend.Ast.fdecl) (name : string)
-    : mismatch option =
-  let runner =
-    match List.assoc_opt name pipelines with
-    | Some r -> r
-    | None -> invalid_arg ("Oracle.check_pipeline: unknown pipeline " ^ name)
+(* The mismatch a failed subject compile is: a broken invariant names
+   the pass after which the per-pass verifier caught it. *)
+let compile_mismatch name = function
+  | Compile.Crashed (Pass_broke_ir { pass; message }) ->
+    mismatch ~pass name "verifier" message
+  | Compile.Crashed e -> mismatch name "pipeline-crash" (Printexc.to_string e)
+  | e -> mismatch name "verifier" (Compile.message e)
+
+(* Compile [fd] through one pipeline, verifying after every pass, and
+   check the oracles under every layout against [reference]'s runs. *)
+let check_pipeline ~native ~(config : Generator.config) ~reference
+    (fd : Ast.fdecl) (name : string) : mismatch option =
+  let apply =
+    match P.Pipelines.find name with
+    | Some apply -> apply ~on_pass:verify_after_each_pass
+    | None -> invalid_arg ("Oracle.check: unknown pipeline " ^ name)
   in
-  match Lower_ast.lower_fdecl fd with
-  | exception Lower_ast.Error _ ->
-    Tm.incr "fuzz.rejected";
-    None
-  | reference -> (
-    let reference = reference_run reference_runs config reference in
-    let subject = Lower_ast.lower_fdecl fd in
-    let layouts = Generator.layouts_for config in
-    match runner ~on_pass:verify_after_each_pass subject with
-    | exception Pass_broke_ir { pass; message } ->
-      mismatch ~pass name "verifier" message
-    | exception e -> mismatch name "pipeline-crash" (Printexc.to_string e)
-    | () -> (
-      match
-        first_disagreement ~layouts ~name ~oracle:"pssa" reference
-          (fun layout -> Ok (run_pssa config subject layout))
-      with
-      | Some m -> Some m
-      | None -> (
-        (* third oracle: CFG lowering of the transformed function *)
-        match Fgv_cfg.Lower.lower subject with
-        | exception e -> mismatch name "cfg-lower-crash" (Printexc.to_string e)
-        | prog -> (
-          match
-            first_disagreement ~layouts ~name ~oracle:"cfg" reference
-              (fun layout -> Ok (run_cfg config prog layout))
-          with
-          | Some m -> Some m
-          | None ->
-            if native && N.available () then
-              check_native ~config ~layouts ~name reference prog
-            else None))))
+  let layouts = Generator.layouts_for config in
+  match Compile.fdecl apply fd with
+  | Error e -> compile_mismatch name e
+  | Ok subject -> (
+    match
+      first_disagreement ~layouts ~name ~oracle:"pssa" reference
+        (fun layout -> Ok (run_pssa config subject layout))
+    with
+    | Some m -> Some m
+    | None -> (
+      (* third oracle: CFG lowering of the transformed function *)
+      match Fgv_cfg.Lower.lower subject with
+      | exception e -> mismatch name "cfg-lower-crash" (Printexc.to_string e)
+      | prog -> (
+        match
+          first_disagreement ~layouts ~name ~oracle:"cfg" reference
+            (fun layout -> Ok (run_cfg config prog layout))
+        with
+        | Some m -> Some m
+        | None ->
+          if native && N.available () then
+            check_native ~config ~layouts ~name reference prog
+          else None)))
 
 (* Check one program against every requested pipeline; first mismatch
-   wins.  The reference runs once per layout, not once per pipeline and
-   oracle. *)
+   wins.  The reference is lowered once, and runs once per layout, not
+   once per pipeline and oracle.  A program that does not lower is
+   rejected once per pipeline. *)
 let check ?(native = false) ?(pipelines = pipeline_names)
-    ~(config : Generator.config) (fd : Fgv_frontend.Ast.fdecl) :
-    mismatch option =
+    ~(config : Generator.config) (fd : Ast.fdecl) : mismatch option =
   Tm.incr "fuzz.programs";
-  let reference_runs = ref [] in
-  List.find_map
-    (fun name -> check_pipeline ~native ~reference_runs ~config fd name)
-    pipelines
+  match Compile.fdecl ignore fd with
+  | Error (Compile.Lower _) ->
+    Tm.incr ~by:(List.length pipelines) "fuzz.rejected";
+    None
+  | Error e -> List.find_map (fun name -> compile_mismatch name e) pipelines
+  | Ok reference ->
+    let runs = ref [] in
+    let reference = reference_run runs config reference in
+    List.find_map
+      (check_pipeline ~native ~config ~reference fd)
+      pipelines

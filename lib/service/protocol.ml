@@ -42,6 +42,10 @@ let default_heap = 1024
 let heap_image cells =
   Array.init cells (fun i -> Fgv_pssa.Value.VFloat (Float.of_int (i mod 7)))
 
+(* A lowered kernel's checked-mode C over [heap_image heap]: the
+   service's [emit_c] artifact, and what [fgvc --emit-c] writes. *)
+let checked_c ~heap prog = Fgv_backend.Emit.checked prog ~mem:(heap_image heap)
+
 let decode_request (j : J.t) : (request, string) result =
   match j with
   | J.Assoc _ -> (

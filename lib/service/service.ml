@@ -31,7 +31,7 @@ module H = Fgv_support.Histogram
 module Ev = Fgv_support.Eventlog
 module Pool = Fgv_support.Pool
 module Version = Fgv_support.Version
-module Lower_ast = Fgv_frontend.Lower_ast
+module Compile = Fgv_frontend.Compile
 module P = Protocol
 
 type t = {
@@ -66,41 +66,31 @@ let count (t : t) name = Obs.get t.obs name
 
 (* ----------------------------------------------------------- compiling *)
 
-(* Optimize and package one lowered function: the request's resolved
-   pipeline, verifier, optional C lowering. *)
-let package_artifact (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
-    (f : Fgv_pssa.Ir.func) : (P.artifact, string) result =
-  match Obs.collect_remarks (fun () -> apply f) with
-  | exception exn -> Error ("pipeline crashed: " ^ Printexc.to_string exn)
-  | (), remarks -> (
-    match Fgv_pssa.Verifier.verify_or_message f with
-    | Some m -> Error ("optimized IR is ill-formed: " ^ m)
-    | None ->
-      let c =
-        if not rq.P.rq_emit_c then None
-        else
-          Some
-            (Fgv_backend.Emit.checked (Fgv_cfg.Lower.lower f)
-               ~mem:(P.heap_image rq.P.rq_heap))
-      in
-      Ok
-        {
-          P.ar_func = f.Fgv_pssa.Ir.fname;
-          ar_ir = Fgv_pssa.Printer.to_string f;
-          ar_remarks = List.map Tr.remark_json remarks;
-          ar_c = c;
-          ar_counters = [];
-        })
-
-(* One cold per-kernel compile, from the already-parsed declaration.
-   Runs inside a pool worker in an isolated observability context, so
-   the counter snapshot it returns is exactly this compile's.  Remarks
-   are collected rather than streamed: they belong to the artifact. *)
+(* One cold per-kernel compile, from the already-parsed declaration,
+   through {!Fgv_frontend.Compile.fdecl}: the request's restrict setting
+   and resolved pipeline, then the optional C lowering.  Runs inside a
+   pool worker in an isolated observability context, so the counter
+   snapshot it returns is exactly this compile's.  Remarks are collected
+   rather than streamed: they belong to the artifact. *)
 let compile_unit (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
     (fd : Fgv_frontend.Ast.fdecl) : (P.artifact, string) result =
-  match Lower_ast.compile_fdecl ~no_restrict:rq.P.rq_no_restrict fd with
-  | exception Lower_ast.Error m -> Error ("lowering error: " ^ m)
-  | f -> package_artifact rq apply f
+  match
+    Obs.collect_remarks (fun () ->
+        Compile.fdecl ~restrict:(not rq.P.rq_no_restrict) apply fd)
+  with
+  | Error e, _ -> Error (Compile.message e)
+  | Ok f, remarks ->
+    Ok
+      {
+        P.ar_func = f.Fgv_pssa.Ir.fname;
+        ar_ir = Fgv_pssa.Printer.to_string f;
+        ar_remarks = List.map Tr.remark_json remarks;
+        ar_c =
+          (if rq.P.rq_emit_c then
+             Some (P.checked_c ~heap:rq.P.rq_heap (Fgv_cfg.Lower.lower f))
+           else None);
+        ar_counters = [];
+      }
 
 (* ------------------------------------------------------------- batches *)
 
@@ -113,10 +103,9 @@ let split_units (rq : P.request) :
     ( (Fgv_pssa.Ir.func -> unit) * (Fgv_frontend.Ast.fdecl * string) list,
       string )
     result =
-  match Fgv_frontend.Parser.parse_program rq.P.rq_source with
-  | exception Fgv_frontend.Lexer.Error m -> Error ("lex error: " ^ m)
-  | exception Fgv_frontend.Parser.Error m -> Error ("parse error: " ^ m)
-  | units ->
+  match Compile.units rq.P.rq_source with
+  | Error e -> Error (Compile.message e)
+  | Ok units ->
     let key (fd, slice) = (fd, Cache.unit_key rq slice) in
     match Fgv_passes.Pipelines.resolve rq.P.rq_pipeline with
     | Ok apply -> Ok ((fun f -> apply f), List.map key units)

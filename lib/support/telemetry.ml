@@ -71,18 +71,9 @@ let snapshot () : Json.t =
     ]
 
 let capture f =
-  let before = counters () in
-  let result = f () in
-  let after = counters () in
-  let old name =
-    match List.assoc_opt name before with Some v -> v | None -> 0
-  in
-  let delta =
-    List.filter_map
-      (fun (name, v) -> if v <> old name then Some (name, v - old name) else None)
-      after
-  in
-  (result, delta)
+  let result, shard = Obs.isolated f in
+  Obs.merge shard;
+  (result, List.filter (fun (_, v) -> v <> 0) (Obs.counters shard))
 
 let report () =
   let buf = Buffer.create 256 in

@@ -6,7 +6,7 @@
     any analysis it instruments), and entry points decide whether to
     report.  Sessions that need isolated numbers (the benchmark harness,
     golden tests) call {!reset} between runs, or use {!capture} to
-    measure the counter delta of one thunk.
+    measure the counters of one thunk.
 
     Recording never takes a lock.  {!Pool} isolates each task of a
     parallel map and merges the tasks' shards into the caller at the
@@ -58,9 +58,12 @@ val snapshot : unit -> Json.t
     instrumentation. *)
 
 val capture : (unit -> 'a) -> 'a * (string * int) list
-(** Run the thunk and return the counter *delta* it caused (counters
-    whose value changed, sorted by name).  Does not reset anything;
-    nesting captures is fine. *)
+(** Run the thunk under {!Obs.isolated}, merge what it recorded into the
+    caller's context, and return the counters it recorded (the nonzero
+    ones, sorted by name): a sum counter reads what the thunk added, a
+    ["max_"] counter the maximum the thunk reached, whatever the caller
+    held before.  Does not reset anything; nesting captures is fine.  If
+    the thunk raises, what it recorded is dropped. *)
 
 val report : unit -> string
 (** Human-readable table of counters and timers (for [--stats]). *)

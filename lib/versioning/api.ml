@@ -80,24 +80,9 @@ let record_plan s (plan : Plan.t) =
    merged or unioned plans carry these, so the combination does not claim
    independence across plans. *)
 let explicit_pairs (f : Ir.func) (p : Plan.t) =
-  let mems node =
-    Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)
-  in
-  List.concat_map
-    (fun a_node ->
-      List.concat_map
-        (fun b_node ->
-          if a_node = b_node then []
-          else
-            List.concat_map
-              (fun a ->
-                List.filter_map
-                  (fun b -> if a <> b then Some (a, b) else None)
-                  (mems b_node))
-              (mems a_node))
-        p.Plan.p_inputs)
-    p.Plan.p_nodes
-  @ p.Plan.p_scope_pairs
+  let pairs = ref [] in
+  Plan.iter_access_pairs f p (fun _ a b -> pairs := (a, b) :: !pairs);
+  List.rev_append !pairs p.Plan.p_scope_pairs
 
 (* Plans without secondaries whose condition sets are equal can share a
    single check and a single clone generation: merge their node sets.

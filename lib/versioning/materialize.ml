@@ -658,30 +658,15 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
       (fun p ->
         (* the guarantee is active under any check that includes this
            plan's conditions; each versioned node's own group check does *)
-        let mems node = Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l) in
         let node_chk node =
           match Hashtbl.find_opt table node with
           | Some conds -> Hashtbl.find_opt chk_of_group conds
           | None -> None
         in
-        List.iter
-          (fun a_node ->
-            List.iter
-              (fun b_node ->
-                if a_node <> b_node then
-                  match node_chk a_node with
-                  | None -> ()
-                  | Some chk ->
-                    List.iter
-                      (fun a ->
-                        List.iter
-                          (fun b ->
-                            if a <> b then
-                              Ir.add_indep_scope f a b (Pred.lit chk))
-                          (mems b_node))
-                      (mems a_node))
-              p.Plan.p_inputs)
-          p.Plan.p_nodes;
+        Plan.iter_access_pairs f p (fun a_node a b ->
+            match node_chk a_node with
+            | Some chk -> Ir.add_indep_scope f a b (Pred.lit chk)
+            | None -> ());
         (* client-specified intra-node pairs (e.g. classic loop
            versioning: member accesses of one versioned loop) *)
         (match p.Plan.p_nodes with

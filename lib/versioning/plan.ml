@@ -28,6 +28,22 @@ type t = {
 
 let is_trivial p = p.p_conds = [] && p.p_secondaries = []
 
+let iter_access_pairs (f : Ir.func) p k =
+  let mems node =
+    Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)
+  in
+  List.iter
+    (fun a_node ->
+      List.iter
+        (fun b_node ->
+          if a_node <> b_node then
+            List.iter
+              (fun a ->
+                List.iter (fun b -> if a <> b then k a_node a b) (mems b_node))
+              (mems a_node))
+        p.p_inputs)
+    p.p_nodes
+
 (* All cut edges severed by a plan tree (the dependencies that no longer
    exist once the whole tree is materialized). *)
 let rec all_cut_edge_ids p =

@@ -32,6 +32,13 @@ type t = {
 val is_trivial : t -> bool
 (** No conditions and no secondaries: the request was already satisfied. *)
 
+val iter_access_pairs :
+  Ir.func -> t -> (Ir.node -> Ir.value_id -> Ir.value_id -> unit) -> unit
+(** [k node a b] for every memory access [a] of a versioned [node] and
+    distinct access [b] of another input node, in [p_nodes] then
+    [p_inputs] order: the pairs the plan's check makes independent,
+    [p_scope_pairs] aside. *)
+
 val all_cut_edge_ids : t -> int list
 (** Severed dependence edges of the whole plan tree. *)
 

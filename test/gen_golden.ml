@@ -28,9 +28,7 @@ let s131 () =
     List.find (fun k -> k.W.k_name = "s131") Fgv_bench.Tsvc.kernels
   in
   let cfgn = W.sv_versioning () in
-  let f = W.compile_for cfgn k in
-  cfgn.W.c_apply f;
-  let prog = Fgv_cfg.Lower.lower f in
+  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
   print_string (Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k))
 
 let corpus () =
@@ -39,12 +37,15 @@ let corpus () =
     @ Fgv_bench.Specfp.kernels
   in
   let line kname source name apply ~restrict =
-    let f =
-      if restrict then Fgv_frontend.Lower_ast.compile source
-      else Fgv_frontend.Lower_ast.compile_no_restrict source
-    in
-    let (), remarks =
-      Fgv_support.Obs.collect_remarks (fun () -> apply ?on_pass:None f)
+    let f, remarks =
+      match
+        Fgv_support.Obs.collect_remarks (fun () ->
+            Fgv_frontend.Compile.source ~restrict
+              (fun f -> apply ?on_pass:None f)
+              source)
+      with
+      | Ok f, remarks -> (f, remarks)
+      | Error e, _ -> failwith (Fgv_frontend.Compile.message e)
     in
     let stream =
       String.concat ""

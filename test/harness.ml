@@ -3,7 +3,12 @@
 
 open Fgv_pssa
 
-let compile = Fgv_frontend.Lower_ast.compile
+(* A kernel through the one compile path with no pipeline; a source
+   the path refuses raises [Failure] with its message. *)
+let compile ?restrict src =
+  match Fgv_frontend.Compile.source ?restrict ignore src with
+  | Ok f -> f
+  | Error e -> failwith (Fgv_frontend.Compile.message e)
 
 let float_mem n f = Array.init n (fun i -> Value.VFloat (f i))
 

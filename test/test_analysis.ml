@@ -220,7 +220,7 @@ let test_alias_relations () =
   Alcotest.(check bool) "restrict vs plain is disjoint" true
     (Alias.relate f (range a 0 4) (range c 0 4) = Alias.Disjoint);
   (* two plain pointers are unknown: recompile without restrict *)
-  let f2 = Fgv_frontend.Lower_ast.compile_no_restrict
+  let f2 = Harness.compile ~restrict:false
       "kernel k(float* restrict a, float* restrict b, float* c) { a[0] = b[0] + c[0]; }" in
   let arg2 n =
     List.find_map
@@ -263,7 +263,7 @@ let dep_between f (src_kind : Ir.inst_kind -> bool) (dst_kind : Ir.inst_kind -> 
 let test_depcond_memory_pair () =
   (* load *b after store *a, plain pointers: conditional intersection *)
   let f =
-    Fgv_frontend.Lower_ast.compile_no_restrict
+    Harness.compile ~restrict:false
       "kernel k(float* a, float* b) { a[0] = 1.0; float x = b[0]; a[1] = x; }"
   in
   let is_store0 = function
@@ -286,7 +286,7 @@ let test_depcond_pred_rule () =
   (* a store guarded by a condition: the later load depends on it only
      when it executes (Fig. 6's predicate rule) *)
   let f =
-    Fgv_frontend.Lower_ast.compile_no_restrict
+    Harness.compile ~restrict:false
       {|
       kernel k(float* a, float* b, int n) {
         if (n > 0) { a[0] = 1.0; }

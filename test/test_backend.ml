@@ -78,9 +78,7 @@ let spec name = List.find (fun k -> k.W.k_name = name) Fgv_bench.Specfp.kernels
 let s131_fast_c () =
   let k = tsvc "s131" in
   let cfgn = W.sv_versioning () in
-  let f = W.compile_for cfgn k in
-  cfgn.W.c_apply f;
-  let prog = Fgv_cfg.Lower.lower f in
+  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
   Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
 
 let read_file path =
@@ -147,9 +145,7 @@ let check_obs_equiv name (native : Interp.run_class)
 let checked_equiv (k : W.kernel) () =
   require_cc ();
   let cfgn = W.sv_versioning () in
-  let f = W.compile_for cfgn k in
-  cfgn.W.c_apply f;
-  let prog = Fgv_cfg.Lower.lower f in
+  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
   let native =
     run_native k.W.k_name prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
@@ -168,7 +164,7 @@ let test_s291_parallel_phis () =
   let k = tsvc "s291" in
   List.iter
     (fun pipeline ->
-      let f = Fgv_frontend.Lower_ast.compile k.W.k_source in
+      let f = Harness.compile k.W.k_source in
       (match Fgv_passes.Pipelines.find pipeline with
       | Some apply -> apply f
       | None -> ());
@@ -196,7 +192,7 @@ let test_s291_parallel_phis () =
 let test_native_oob_trap () =
   require_cc ();
   let source = "kernel oob(float *a, int n) { a[n] = 1.0; }" in
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict source in
+  let f = Harness.compile ~restrict:false source in
   let prog = Fgv_cfg.Lower.lower f in
   let heap = 8 in
   let mem () = Array.init heap (fun _ -> Value.VFloat 0.0) in
@@ -218,7 +214,7 @@ let test_native_oob_trap () =
    pairwise by the differential contract. *)
 let test_three_executors_classify_alike () =
   require_cc ();
-  let compile = Fgv_frontend.Lower_ast.compile_no_restrict in
+  let compile = Harness.compile ~restrict:false in
   let heap = 8 and fuel = 1000 in
   let cases =
     [

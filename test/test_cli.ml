@@ -1,7 +1,8 @@
 (* The fgvc driver's answers to bad [--run] inputs: each is a typed
    message with a documented exit status (2 for a malformed flag, 6 for
-   an interpreter trap), never an uncaught exception.  And the driver's
-   [--emit-c] output is the compile service's [emit_c] artifact. *)
+   an interpreter trap), never an uncaught exception.  And fgvc agrees
+   with the compile service: its [--emit-c] output is the service's
+   [emit_c] artifact, and its frontend errors are the service's. *)
 
 (* the driver dune builds next to this test's directory *)
 let fgvc =
@@ -93,10 +94,70 @@ let test_emit_c_matches_service () =
     Alcotest.(check string) "the service's C" c emitted
   | r -> Alcotest.failf "service answered %s" (P.response_line r)
 
+(* A source that does not lex, parse or lower: fgvc exits 1 and prints
+   after [fgvc: FILE: ] exactly the [error] the compile service answers
+   for it.  With an unknown pipeline as well, the usage error wins: exit
+   2, before the file is read. *)
+let bad_sources =
+  [
+    "kernel k(float* a) { a[0] = $; }\n";
+    "kernel k(float* a) { a[0] = ; }\n";
+    "kernel k(float* a) { a[0] = zz; }\n";
+  ]
+
+let test_frontend_errors_match_service () =
+  let module S = Fgv_service.Service in
+  let module P = Fgv_service.Protocol in
+  List.iter
+    (fun src ->
+      let file = Filename.temp_file "bad" ".c" in
+      let oc = open_out file in
+      output_string oc src;
+      close_out oc;
+      let fgvc_run pipeline =
+        let err = Filename.temp_file "fgvc" ".err" in
+        let rc =
+          Sys.command
+            (Filename.quote_command fgvc ~stdout:Filename.null ~stderr:err
+               [ file; "-p"; pipeline ])
+        in
+        let msg = read_file err in
+        Sys.remove err;
+        (rc, msg)
+      in
+      let rc, msg = fgvc_run "sv+v" in
+      Alcotest.(check int) (src ^ ": exit status") 1 rc;
+      let service =
+        match
+          S.handle_request (S.create ~jobs:1 ())
+            {
+              P.rq_id = "";
+              rq_source = src;
+              rq_pipeline = "sv+v";
+              rq_no_restrict = false;
+              rq_emit_c = false;
+              rq_heap = P.default_heap;
+            }
+        with
+        | P.Failed { error; _ } -> error
+        | r -> Alcotest.failf "service answered %s" (P.response_line r)
+      in
+      Alcotest.(check string) (src ^ ": message")
+        (Printf.sprintf "fgvc: %s: %s\n" file service)
+        msg;
+      let rc, msg = fgvc_run "bogus" in
+      Alcotest.(check int) (src ^ " -p bogus: exit status") 2 rc;
+      if not (starts_with "unknown pipeline bogus" msg) then
+        Alcotest.failf "%s -p bogus: got %S" src msg;
+      Sys.remove file)
+    bad_sources
+
 let suite =
   [
     Alcotest.test_case "--run user errors exit with typed messages" `Quick
       test_run_user_errors;
     Alcotest.test_case "--emit-c equals the service's emit_c artifact" `Quick
       test_emit_c_matches_service;
+    Alcotest.test_case "frontend errors equal the service's" `Quick
+      test_frontend_errors_match_service;
   ]

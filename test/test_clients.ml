@@ -62,7 +62,7 @@ let test_dse_golden_s222 () =
   (* without restrict, the e-recurrence may alias a: forwarding the
      second a[i] load and killing the first a[i] store both need the
      versioned separation from the e accesses *)
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s222") in
+  let f = Harness.compile ~restrict:false (tsvc "s222") in
   let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
   Alcotest.(check int) "forwarded" 1 (work "pass.dse.forwarded");
   Alcotest.(check int) "killed" 1 (work "pass.dse.killed");
@@ -76,7 +76,7 @@ let test_dse_golden_s222 () =
     (decisions remarks)
 
 let test_distribute_golden_s2251 () =
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
+  let f = Harness.compile ~restrict:false (tsvc "s2251") in
   let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
   Alcotest.(check int) "loops split" 1 (work "pass.distribute.split");
   Alcotest.(check int) "pieces" 2 (work "pass.distribute.pieces");
@@ -95,7 +95,7 @@ let test_distribute_golden_s2251 () =
 (* with restrict the arrays are statically disjoint: both clients fire
    without any run-time condition *)
 let test_dse_static_restrict () =
-  let f = Fgv_frontend.Lower_ast.compile (tsvc "s222") in
+  let f = Harness.compile (tsvc "s222") in
   let work, remarks =
     run_pipeline (P.Pipelines.dse_pipeline ~versioning:false) f
   in
@@ -126,7 +126,7 @@ let test_kill_denied_unversionable () =
          a[0] = 3.0;
        } |}
   in
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict src in
+  let f = Harness.compile ~restrict:false src in
   let before = count_stores f in
   let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
   Alcotest.(check int) "nothing forwarded" 0 (work "pass.dse.forwarded");
@@ -139,7 +139,7 @@ let test_distribute_no_candidate_on_flow () =
   (* s221: the second statement consumes a[i], which the first statement
      writes — a genuine flow dependence, so the statement groups fuse
      and there is nothing to distribute (not even a wish to deny) *)
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s221") in
+  let f = Harness.compile ~restrict:false (tsvc "s221") in
   let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
   Alcotest.(check int) "no split" 0 (work "pass.distribute.split");
   Alcotest.(check (list string))
@@ -151,7 +151,7 @@ let test_distribute_no_candidate_on_flow () =
 let test_distribute_denied_without_versioning () =
   (* the s2251 split needs run-time checks; with versioning off the
      wish must be denied and the loop left fused *)
-  let f = Fgv_frontend.Lower_ast.compile_no_restrict (tsvc "s2251") in
+  let f = Harness.compile ~restrict:false (tsvc "s2251") in
   let work, remarks =
     run_pipeline (P.Pipelines.distribute_pipeline ~versioning:false) f
   in
@@ -173,11 +173,11 @@ let clients_fingerprint jobs =
   ignore
     (Pool.map ~jobs
        (fun src ->
-         let f = Fgv_frontend.Lower_ast.compile_no_restrict src in
+         let f = Harness.compile ~restrict:false src in
          ignore (P.Pipelines.dse_pipeline f);
-         let g = Fgv_frontend.Lower_ast.compile_no_restrict src in
+         let g = Harness.compile ~restrict:false src in
          ignore (P.Pipelines.distribute_pipeline g);
-         let h = Fgv_frontend.Lower_ast.compile_no_restrict src in
+         let h = Harness.compile ~restrict:false src in
          ignore (P.Pipelines.combined h))
        (determinism_sources ()));
   let remarks = Tr.remarks_jsonl () in

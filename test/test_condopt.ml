@@ -110,7 +110,7 @@ let test_cut_prefers_conditional () =
      between: the cut must contain only conditional (intersection)
      edges, and removing them separates the stores *)
   let f =
-    Fgv_frontend.Lower_ast.compile_no_restrict
+    Harness.compile ~restrict:false
       {|
       kernel k(float* a, float* b, int m) {
         a[0] = 1.0;
@@ -154,7 +154,7 @@ let test_cut_infeasible_on_ssa_dep () =
   (* a store that reads the other store's... a load chain: making a store
      independent of the load it consumes is impossible *)
   let f =
-    Fgv_frontend.Lower_ast.compile_no_restrict
+    Harness.compile ~restrict:false
       "kernel k(float* a) { float x = a[0]; a[1] = x; }"
   in
   let scev = Scev.create f in
@@ -175,7 +175,7 @@ let test_cut_infeasible_on_ssa_dep () =
 let test_profile_weighted_cut () =
   (* with profile weights, the cut prefers the unlikely edge *)
   let f =
-    Fgv_frontend.Lower_ast.compile_no_restrict
+    Harness.compile ~restrict:false
       {|
       kernel k(float* a, float* b, float* c) {
         a[0] = 1.0;
@@ -230,11 +230,10 @@ let test_profile_weighted_cut () =
 module Tm = Fgv_support.Telemetry
 module W = Fgv_bench.Workload
 
-let condopt_golden ~config ~apply name kernels expected =
+let condopt_golden ~config name kernels expected =
   let k = List.find (fun k -> k.W.k_name = name) kernels in
   Tm.reset ();
-  let f = W.compile_for config k in
-  ignore (apply f);
+  ignore (W.compile config k);
   let actual = Tm.counters () in
   List.iter
     (fun (name, want) ->
@@ -245,7 +244,7 @@ let condopt_golden ~config ~apply name kernels expected =
 let test_golden_condopt_s131 () =
   condopt_golden
     ~config:(W.sv_versioning ())
-    ~apply:Fgv_passes.Pipelines.sv_versioning "s131" Fgv_bench.Tsvc.kernels
+    "s131" Fgv_bench.Tsvc.kernels
     [
       ("condopt.eliminated", 12);
       ("condopt.coalesced", 8);
@@ -257,7 +256,7 @@ let test_golden_condopt_s131 () =
 let test_golden_condopt_lbm_rle () =
   condopt_golden
     ~config:(W.cfg "rle" (fun f -> Fgv_passes.Pipelines.rle_pipeline f))
-    ~apply:Fgv_passes.Pipelines.rle_pipeline "lbm_r" Fgv_bench.Specfp.kernels
+    "lbm_r" Fgv_bench.Specfp.kernels
     [
       ("condopt.eliminated", 0);
       ("condopt.coalesced", 0);

@@ -145,14 +145,58 @@ let test_ternary () =
       (float_at out.memory (8 + i))
   done
 
+module Compile = Fgv_frontend.Compile
+
 let test_parse_errors () =
   let bad = [ "kernel f( { }"; "kernel f() { x = 1; }"; "kernel f() { int x = ; }" ] in
   List.iter
     (fun src ->
-      match compile src with
-      | exception (Fgv_frontend.Parser.Error _ | Fgv_frontend.Lower_ast.Error _ | Fgv_frontend.Lexer.Error _) -> ()
+      match Compile.source ignore src with
+      | Error (Compile.Lex _ | Compile.Parse _ | Compile.Lower _) -> ()
       | _ -> Alcotest.failf "expected error for %s" src)
     bad
+
+(* Each stage's refusal is its own constructor, rendered in the
+   compile service's wording: the bad sources of CI's frontend-error
+   step, a pipeline that raises, and one that breaks the IR (whose
+   message goes on with the verifier's own text). *)
+let test_compile_outcomes () =
+  let stage = function
+    | Compile.Lex _ -> "Lex"
+    | Compile.Parse _ -> "Parse"
+    | Compile.Lower _ -> "Lower"
+    | Compile.Crashed _ -> "Crashed"
+    | Compile.Ill_formed _ -> "Ill_formed"
+  in
+  (* delete the first instruction that another one uses *)
+  let break_ir (f : Ir.func) =
+    let used = ref None in
+    Ir.iter_insts f (fun i ->
+        List.iter
+          (fun v -> if !used = None then used := Some v)
+          (Ir.all_operands i));
+    Ir.remove_inst f (Option.get !used)
+  in
+  List.iter
+    (fun (src, pipeline, want_stage, want) ->
+      match Compile.source pipeline src with
+      | Ok _ -> Alcotest.failf "%s: compiled" want_stage
+      | Error e ->
+        Alcotest.(check string) "stage" want_stage (stage e);
+        let m = Compile.message e in
+        if not (String.starts_with ~prefix:want m) then
+          Alcotest.failf "%s: expected %S, got %S" want_stage want m)
+    [
+      ("kernel k(float* a) { a[0] = $; }\n", ignore, "Lex",
+       "lex error: line 1: unexpected character $");
+      ("kernel k(float* a) { a[0] = ; }\n", ignore, "Parse",
+       "parse error: expected expression, got ';'");
+      ("kernel k(float* a) { a[0] = zz; }\n", ignore, "Lower",
+       "lowering error: undefined variable zz");
+      (sum_src, (fun _ -> failwith "boom"), "Crashed",
+       "pipeline crashed: Failure(\"boom\")");
+      (sum_src, break_ir, "Ill_formed", "optimized IR is ill-formed: ");
+    ]
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -176,5 +220,7 @@ let suite =
     Alcotest.test_case "running example (alias)" `Quick test_running_example_alias;
     Alcotest.test_case "ternary" `Quick test_ternary;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "compile outcomes are typed" `Quick
+      test_compile_outcomes;
     Alcotest.test_case "printer smoke" `Quick test_printer_roundtrip_smoke;
   ]

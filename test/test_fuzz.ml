@@ -146,13 +146,13 @@ let test_generator_feeds_clients () =
   for seed = 0 to total - 1 do
     let cfg = G.vary G.default_config ~seed in
     let src = G.render (G.generate ~config:cfg ~seed ()) in
-    let f = Lower_ast.compile_no_restrict src in
+    let f = Harness.compile ~restrict:false src in
     let (), work =
       Tm.capture (fun () -> Fgv_passes.Pipelines.dse_pipeline f)
     in
     forwarded := !forwarded + W.count work "pass.dse.forwarded";
     killed := !killed + W.count work "pass.dse.killed";
-    let g = Lower_ast.compile_no_restrict src in
+    let g = Harness.compile ~restrict:false src in
     let (), work =
       Tm.capture (fun () -> Fgv_passes.Pipelines.distribute_pipeline g)
     in
@@ -180,10 +180,11 @@ let test_render_roundtrip () =
     let fd = G.generate ~config:cfg ~seed () in
     let direct = Lower_ast.lower_fdecl fd in
     let reparsed =
-      try Lower_ast.compile (G.render fd)
-      with Lower_ast.Error msg ->
-        Alcotest.failf "seed %d: rendered program does not parse: %s\n%s" seed
-          msg (G.render fd)
+      match Fgv_frontend.Compile.source ignore (G.render fd) with
+      | Ok f -> f
+      | Error e ->
+        Alcotest.failf "seed %d: rendered program does not compile: %s\n%s"
+          seed (Fgv_frontend.Compile.message e) (G.render fd)
     in
     List.iter
       (fun layout ->

@@ -161,13 +161,17 @@ let run_campaign jobs =
   Tm.reset ();
   let outcome = Campaign.run ~jobs ~n:20 ~seed:42 () in
   let report = Fgv_support.Json.to_string (Campaign.report_json outcome) in
+  let counters = Tm.counters () in
   Tm.reset ();
-  report
+  (report, counters)
 
 let test_campaign_determinism () =
+  let report1, counters1 = run_campaign 1 in
+  let report4, counters4 = run_campaign 4 in
   Alcotest.(check string)
-    "fuzz report byte-identical at jobs 1 vs 4" (run_campaign 1)
-    (run_campaign 4)
+    "fuzz report byte-identical at jobs 1 vs 4" report1 report4;
+  Alcotest.(check (list (pair string int)))
+    "campaign counters identical at jobs 1 vs 4" counters1 counters4
 
 let run_figure jobs =
   Tm.reset ();

@@ -37,7 +37,7 @@ let pipeline_prop ?(count = 800) ?(restrict = false) name pipeline =
   QCheck2.Test.make ~name ~print:(print_seed ~restrict) ~count gen_seed
     (fun seed ->
       let cfg, fd = case_of_seed ~restrict seed in
-      match O.check_pipeline ~config:cfg fd pipeline with
+      match O.check ~pipelines:[ pipeline ] ~config:cfg fd with
       | None -> true
       | Some m -> QCheck2.Test.fail_reportf "%s" (O.mismatch_to_string m))
 
@@ -91,7 +91,7 @@ let prop_rle = pipeline_prop "rle pipeline on random programs" "rle"
 
 (* The wish-spec clients: store forwarding/elimination, loop
    distribution, and the combined pipeline that stacks both under SLP.
-   check_pipeline gives memory + impure-trace equivalence against the
+   Oracle.check gives memory + impure-trace equivalence against the
    unoptimized baseline across random layouts, and runs the Verifier on
    every per-pass intermediate. *)
 let prop_dse = pipeline_prop ~count:200 "dse pipeline on random programs" "dse"
@@ -124,7 +124,7 @@ let prop_restrict_rle =
     "rle pipeline on restrict-qualified programs" "rle"
 
 (* Property 3: CFG lowering of the optimized program still agrees.
-   (check_pipeline's third oracle lowers the transformed function to the
+   (Oracle.check's third oracle lowers the transformed function to the
    CFG and diffs it against the PSSA reference under every layout.) *)
 let prop_cfg =
   pipeline_prop ~count:120 "CFG lowering of versioned random programs" "sv+v"
@@ -147,7 +147,7 @@ let test_native_differential () =
     (fun pipeline ->
       for seed = 0 to 49 do
         let cfg, fd = case_of_seed ~restrict:false seed in
-        match O.check_pipeline ~native:true ~config:cfg fd pipeline with
+        match O.check ~native:true ~pipelines:[ pipeline ] ~config:cfg fd with
         | None -> ()
         | Some m ->
           Alcotest.failf "seed %d / %s: %s\n%s" seed pipeline

@@ -78,7 +78,7 @@ let check_equivalent ~what (f : Ir.func) =
 let test_sparse_equals_naive_golden () =
   List.iter
     (fun k ->
-      let f = Fgv_frontend.Lower_ast.compile k.W.k_source in
+      let f = Harness.compile k.W.k_source in
       check_equivalent ~what:k.W.k_name f)
     (golden_kernels ())
 
@@ -93,7 +93,7 @@ let test_sparse_equals_naive_fuzz () =
   List.iter
     (fun (config, seed) ->
       let src = G.render (G.generate ~config ~seed ()) in
-      let f = Fgv_frontend.Lower_ast.compile src in
+      let f = Harness.compile src in
       check_equivalent ~what:(Printf.sprintf "fuzz seed %d" seed) f)
     specs
 
@@ -101,7 +101,7 @@ let test_sparse_prunes () =
   (* the sparse builder must actually skip work on a real kernel: fewer
      Fig. 6 evaluations than the all-pairs oracle *)
   let k = find_kernel "floyd-warshall" Fgv_bench.Polybench.kernels in
-  let f = Fgv_frontend.Lower_ast.compile k.W.k_source in
+  let f = Harness.compile k.W.k_source in
   let scev = Scev.create f in
   let count build =
     let (), delta =
@@ -175,7 +175,7 @@ let pipeline_fingerprint jobs =
   ignore
     (Pool.map ~jobs
        (fun src ->
-         let f = Fgv_frontend.Lower_ast.compile src in
+         let f = Harness.compile src in
          ignore (Fgv_passes.Pipelines.sv_versioning f))
        srcs);
   let remarks = Tr.remarks_jsonl () in

@@ -69,7 +69,16 @@ let test_capture () =
     "delta has only changed counters"
     [ ("base", 3); ("fresh", 1) ]
     delta;
-  Alcotest.(check int) "registry keeps accumulating" 13 (Tm.get "base")
+  Alcotest.(check int) "registry keeps accumulating" 13 (Tm.get "base");
+  (* a running maximum reads the region's own maximum, not its rise
+     over what the caller held *)
+  Tm.set_max "plan.max_depth" 3;
+  let (), delta = Tm.capture (fun () -> Tm.set_max "plan.max_depth" 2) in
+  Alcotest.(check (list (pair string int)))
+    "max counter reads the region's maximum"
+    [ ("plan.max_depth", 2) ]
+    delta;
+  Alcotest.(check int) "caller keeps its maximum" 3 (Tm.get "plan.max_depth")
 
 (* ---------------------------------------------------------------- JSON *)
 

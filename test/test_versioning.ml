@@ -252,11 +252,10 @@ let test_infeasible () =
 module Tm = Fgv_support.Telemetry
 module W = Fgv_bench.Workload
 
-let golden_counters ~config ~apply name kernels =
+let golden_counters ~config name kernels =
   let k = List.find (fun k -> k.W.k_name = name) kernels in
   Tm.reset ();
-  let f = W.compile_for config k in
-  ignore (apply f);
+  ignore (W.compile config k);
   Tm.counters ()
 
 let check_golden expected actual =
@@ -270,7 +269,7 @@ let test_golden_stats_s131 () =
   let actual =
     golden_counters
       ~config:(W.sv_versioning ())
-      ~apply:Fgv_passes.Pipelines.sv_versioning "s131" Fgv_bench.Tsvc.kernels
+      "s131" Fgv_bench.Tsvc.kernels
   in
   check_golden
     [
@@ -294,7 +293,7 @@ let test_golden_stats_floyd_warshall () =
   let actual =
     golden_counters
       ~config:(W.sv_versioning ~restrict:false ())
-      ~apply:Fgv_passes.Pipelines.sv_versioning "floyd-warshall"
+      "floyd-warshall"
       Fgv_bench.Polybench.kernels
   in
   check_golden
