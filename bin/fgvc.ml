@@ -50,31 +50,29 @@ module Udiff = Fgv_support.Udiff
    emits; printed by --version so consumers can pin against them. *)
 let version_string = Fgv_support.Version.banner
 
-let print_stats stats =
-  match stats with
-  | None -> 0
-  | Some "json" ->
-    print_endline (Fgv_support.Json.to_string (Tm.snapshot ()));
-    0
-  | Some "text" ->
-    print_string (Tm.report ());
-    0
-  | Some other ->
-    Printf.eprintf "unknown --stats format %s (expected text or json)\n" other;
-    2
+(* The format was checked before any work ([setup_observability]). *)
+let print_stats = function
+  | None -> ()
+  | Some "json" -> print_endline (Fgv_support.Json.to_string (Tm.snapshot ()))
+  | Some _ -> print_string (Tm.report ())
 
 (* ----------------------------------------------------- observability *)
 
-(* Enable span/remark recording and the structured event log per the
-   flags; returns a finalizer that writes the trace file, prints the
-   remark stream, and closes the log. *)
-let setup_observability trace remarks log =
-  (match remarks with
-  | None | Some "text" | Some "json" -> ()
-  | Some other ->
-    Printf.eprintf "unknown --remarks format %s (expected text or json)\n"
-      other;
-    exit 2);
+(* Check the --remarks and --stats formats, then enable span/remark
+   recording and the structured event log per the flags; returns a
+   finalizer that writes the trace file, prints the remark stream, and
+   closes the log.  Runs before any work, so a bad format exits 2 with
+   nothing on stdout in every mode. *)
+let setup_observability trace remarks stats log =
+  let check flag = function
+    | None | Some "text" | Some "json" -> ()
+    | Some other ->
+      Printf.eprintf "unknown --%s format %s (expected text or json)\n" flag
+        other;
+      exit 2
+  in
+  check "remarks" remarks;
+  check "stats" stats;
   if trace <> None then Tr.set_spans true;
   if remarks <> None then Tr.set_remarks true;
   (match log with
@@ -94,9 +92,9 @@ let setup_observability trace remarks log =
     Ev.close ()
 
 (* Per-pass IR snapshots: DIR/000-input.pssa, then NNN-<pass>.pssa and a
-   unified NNN-<pass>.diff for every stage that changed the printed IR. *)
+   unified NNN-<pass>.diff for every stage that changed the printed IR.
+   DIR exists: the driver made it before compiling. *)
 let snapshot_hook dir (f0 : Ir.func) : string -> Ir.func -> unit =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write name s =
     let oc = open_out (Filename.concat dir name) in
     output_string oc s;
@@ -167,10 +165,8 @@ let run_fuzz n seed pipeline report_file stats jobs native finalize =
       f.F.Campaign.f_shrunk_stmts f.F.Campaign.f_shrink_steps
       f.F.Campaign.f_shrunk report_file);
   finalize ();
-  let rc = print_stats stats in
-  if rc <> 0 then rc
-  else if outcome.F.Campaign.c_failure <> None then 4
-  else 0
+  print_stats stats;
+  if outcome.F.Campaign.c_failure <> None then 4 else 0
 
 (* --------------------------------------------------- native execution *)
 
@@ -250,8 +246,7 @@ let run_serve socket cache_max stats jobs slow_ms finalize =
   | None -> ignore (S.serve_channel svc stdin stdout));
   Fgv_support.Obs.merge svc.S.obs;
   finalize ();
-  let rc = print_stats stats in
-  if rc <> 0 then exit rc;
+  print_stats stats;
   0
 
 (* ------------------------------------------------------- compile mode *)
@@ -259,7 +254,7 @@ let run_serve socket cache_max stats jobs slow_ms finalize =
 let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     dump_cfg run args heap no_restrict emit_c run_native stats jobs trace
     remarks serve socket cache_max log slow_ms =
-  let finalize = setup_observability trace remarks log in
+  let finalize = setup_observability trace remarks stats log in
   if serve || socket <> None then
     run_serve socket cache_max stats jobs slow_ms finalize
   else if fuzz > 0 then begin
@@ -314,6 +309,15 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       Printf.eprintf "%s\n" m;
       exit 2
   in
+  (* the snapshot directory, made now: a path that cannot be one is the
+     caller's error, not a pipeline crash *)
+  (match dump_ir with
+  | Some dir when dir <> "-" ->
+    if not (Sys.file_exists dir) then (
+      try Sys.mkdir dir 0o755 with Sys_error m -> usage_error "--dump-ir" m)
+    else if not (Sys.is_directory dir) then
+      usage_error "--dump-ir" (dir ^ ": not a directory")
+  | _ -> ());
   let source =
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -381,8 +385,7 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
       true
   in
   finalize ();
-  let rc = print_stats stats in
-  if rc <> 0 then exit rc;
+  print_stats stats;
   (* a trap is the kernel's or its -a/--heap inputs' fault, not the
      compiler's *)
   if trapped then 6 else 0
@@ -607,11 +610,16 @@ let cmd =
         "1 when FILE does not lex, parse or lower (the message names the \
          stage, as the compile service's errors do);";
       `P
-        "2 on usage errors (unknown pipeline, bad format argument, an \
-         $(b,-a) value that is not an integer or a float, $(b,--heap) \
-         below 1), reported as $(i,fgvc: -a: ...) or $(i,fgvc: --heap: \
-         ...) for those two flags; the pipeline, $(b,-a) and $(b,--heap) \
-         are checked before FILE is read;";
+        "2 on usage errors, found before any work: an unknown pipeline; \
+         a $(b,--stats) or $(b,--remarks) format other than $(b,text) or \
+         $(b,json) ($(i,unknown --stats format ...)), checked before any \
+         mode runs, so nothing is written to stdout and no fuzz campaign \
+         starts; an $(b,-a) value that is not an integer or a float, \
+         $(b,--heap) below 1, or a $(b,--dump-ir)=DIR that is not a \
+         directory and cannot be made, reported as $(i,fgvc: -a: ...), \
+         $(i,fgvc: --heap: ...) or $(i,fgvc: --dump-ir: ...); the \
+         pipeline, $(b,-a), $(b,--heap) and DIR are checked before FILE \
+         is read;";
       `P
         "3 on a compiler bug, reported as $(i,internal error: ...): a \
          pipeline that raised ($(i,pipeline crashed: ...)) or optimized \

@@ -15,32 +15,32 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
-(* Two-character punctuators must be tried before one-character ones. *)
-let puncts2 = [ "=="; "!="; "<="; ">="; "&&"; "||" ]
-let puncts1 = [ "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "?"; ":"; "=";
-                "<"; ">"; "+"; "-"; "*"; "/"; "%"; "!" ]
-
 let tokenize (src : string) : token array =
   let n = String.length src in
   let tokens = ref [] in
   let pos = ref 0 in
   let line = ref 1 in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
+  (* The byte [k] past the cursor, NUL past the end: NUL starts no
+     token, no comment and ends no two-byte punctuator, so it reads
+     exactly like the end here. *)
+  let peek k =
+    if !pos + k < n then String.unsafe_get src (!pos + k) else '\000'
+  in
   let rec skip_ws () =
     match peek 0 with
-    | Some (' ' | '\t' | '\r') ->
+    | ' ' | '\t' | '\r' ->
       incr pos;
       skip_ws ()
-    | Some '\n' ->
+    | '\n' ->
       incr pos;
       incr line;
       skip_ws ()
-    | Some '/' when peek 1 = Some '/' ->
+    | '/' when peek 1 = '/' ->
       while !pos < n && src.[!pos] <> '\n' do
         incr pos
       done;
       skip_ws ()
-    | Some '/' when peek 1 = Some '*' ->
+    | '/' when peek 1 = '*' ->
       pos := !pos + 2;
       let rec close () =
         if !pos + 1 >= n then fail "line %d: unterminated comment" !line
@@ -93,20 +93,39 @@ let tokenize (src : string) : token array =
     done;
     TIdent (String.sub src start (!pos - start))
   in
-  let try_punct () =
-    let starts_with s =
-      !pos + String.length s <= n && String.sub src !pos (String.length s) = s
+  (* Two-byte punctuators win over their one-byte prefixes. *)
+  let lex_punct c =
+    let p =
+      match (c, peek 1) with
+      | '=', '=' -> "=="
+      | '!', '=' -> "!="
+      | '<', '=' -> "<="
+      | '>', '=' -> ">="
+      | '&', '&' -> "&&"
+      | '|', '|' -> "||"
+      | '(', _ -> "("
+      | ')', _ -> ")"
+      | '{', _ -> "{"
+      | '}', _ -> "}"
+      | '[', _ -> "["
+      | ']', _ -> "]"
+      | ';', _ -> ";"
+      | ',', _ -> ","
+      | '?', _ -> "?"
+      | ':', _ -> ":"
+      | '=', _ -> "="
+      | '<', _ -> "<"
+      | '>', _ -> ">"
+      | '+', _ -> "+"
+      | '-', _ -> "-"
+      | '*', _ -> "*"
+      | '/', _ -> "/"
+      | '%', _ -> "%"
+      | '!', _ -> "!"
+      | _ -> fail "line %d: unexpected character %c" !line c
     in
-    match List.find_opt starts_with puncts2 with
-    | Some s ->
-      pos := !pos + 2;
-      Some (TPunct s)
-    | None -> (
-      match List.find_opt starts_with puncts1 with
-      | Some s ->
-        incr pos;
-        Some (TPunct s)
-      | None -> None)
+    pos := !pos + String.length p;
+    TPunct p
   in
   let continue_ = ref true in
   while !continue_ do
@@ -117,10 +136,7 @@ let tokenize (src : string) : token array =
       let tok =
         if is_digit c then lex_number ()
         else if is_ident_start c then lex_ident ()
-        else
-          match try_punct () with
-          | Some t -> t
-          | None -> fail "line %d: unexpected character %c" !line c
+        else lex_punct c
       in
       tokens := tok :: !tokens
     end

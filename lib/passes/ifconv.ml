@@ -34,6 +34,28 @@ let rec pred_value f acc (p : Pred.t) : Ir.value_id =
     let vs = List.map (pred_value f acc) ps in
     List.fold_left (fun a v -> emit (Ir.Binop (Bor, a, v))) (List.hd vs) (List.tl vs)
 
+(* Whether, on every assignment of the gates' literals, some gate holds:
+   a truth table over at most 12 literals, treated as independent (so a
+   [true] answer is sound), and conservatively [false] past that.  It
+   evaluates and never builds a predicate, so the compile's
+   [pred.hashcons_*] counters do not move. *)
+let gates_cover gates =
+  let lits =
+    Array.of_list
+      (List.sort_uniq compare (List.concat_map Pred.literals gates))
+  in
+  let k = Array.length lits in
+  let holds m v =
+    let rec bit j =
+      if lits.(j) = v then m land (1 lsl j) <> 0 else bit (j + 1)
+    in
+    bit 0
+  in
+  let rec all m =
+    m = 1 lsl k || (List.exists (Pred.eval (holds m)) gates && all (m + 1))
+  in
+  k <= 12 && all 0
+
 let convertible f lp =
   (* Speculating an instruction is only sound if everything it reads is
      actually computed on the speculated path.  Operands defined inside
@@ -52,6 +74,32 @@ let convertible f lp =
         Hashtbl.mem inside o || Pred.equal (Ir.inst f o).Ir.ipred Pred.tru)
       (Ir.all_operands i)
   in
+  (* Every in-loop operand is speculated too, but a phi is undefined
+     when none of its gates holds: unpredicated, one whose gates do not
+     cover every path (a versioning phi gated by [chk & c] and [!chk &
+     c]) reads as undef whenever [c] fails.  A masked store's [old]
+     load, or a speculated load, through an address computed from such
+     a phi would then access an undefined address. *)
+  let seen = Hashtbl.create 16 in
+  let rec reaches_partial_phi v =
+    Hashtbl.mem inside v
+    && (not (Hashtbl.mem seen v))
+    && begin
+      Hashtbl.replace seen v ();
+      let i = Ir.inst f v in
+      (match i.kind with
+      | Ir.Phi ops -> not (gates_cover (List.map fst ops))
+      | _ -> false)
+      || List.exists reaches_partial_phi (Ir.data_operands i.kind)
+    end
+  in
+  let address_defined i =
+    match i.Ir.kind with
+    | Ir.Load { addr } | Ir.Store { addr; _ } ->
+      Hashtbl.reset seen;
+      not (reaches_partial_phi addr)
+    | _ -> true
+  in
   List.for_all
     (fun item ->
       match item with
@@ -61,7 +109,9 @@ let convertible f lp =
         match i.kind with
         | Ir.Call _ -> Pred.equal i.ipred Pred.tru
         | Ir.Binop ((Ir.Div | Ir.Rem), _, _) -> Pred.equal i.ipred Pred.tru
-        | _ -> Pred.equal i.ipred Pred.tru || operands_available i))
+        | _ ->
+          Pred.equal i.ipred Pred.tru
+          || (operands_available i && address_defined i)))
     lp.Ir.body
 
 let convert_loop f lp =

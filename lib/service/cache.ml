@@ -41,34 +41,46 @@ let schema_version = Version.cache_schema
 
 (* ------------------------------------------------------ key derivation *)
 
-(* One token, rendered unambiguously: floats by IEEE bits (1.0 and 1.00
-   collide on purpose; 0.1 and 0.2 never), everything else by spelling.
-   Space-joining is injective because no token's rendering contains a
-   space. *)
-let token_repr = function
-  | Lexer.TInt n -> string_of_int n
-  | Lexer.TFloat x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
-  | Lexer.TIdent s -> s
-  | Lexer.TPunct s -> s
-  | Lexer.TEOF -> "$"
+let add_token buf = function
+  | Lexer.TInt n -> Buffer.add_string buf (string_of_int n)
+  | Lexer.TFloat x -> Printf.bprintf buf "f%Lx" (Int64.bits_of_float x)
+  | Lexer.TIdent s | Lexer.TPunct s -> Buffer.add_string buf s
+  | Lexer.TEOF -> Buffer.add_char buf '$'
 
-let flag_fields (rq : Protocol.request) : string list =
-  [
-    rq.rq_pipeline;
-    (if rq.rq_no_restrict then "no-restrict" else "restrict");
-    (if rq.rq_emit_c then Printf.sprintf "emit-c:%d" rq.rq_heap else "no-c");
-  ]
+(* A kernel's key: the MD5 of one canonical text, built in one buffer,
+   whose fields are joined by NUL:
 
-let unit_canonical (slice : Lexer.token array) : string =
-  String.concat " " (List.map token_repr (Array.to_list slice))
+   - the tool version;
+   - "unit:" and the kernel's token slice, space-joined, each token
+     rendered unambiguously: floats by IEEE bits (1.0 and 1.00 collide
+     on purpose; 0.1 and 0.2 never), everything else by spelling.
+     Space-joining is injective because no token's rendering contains a
+     space;
+   - the pipeline name, "restrict" or "no-restrict", and "emit-c:HEAP"
+     or "no-c".
 
-(* A kernel's key.  The "unit:" tag predates per-kernel keys being the
-   only kind and stays: it is part of the [cache-schema] 2 key format. *)
+   These bytes are the [cache-schema] 2 key format, which access
+   records show: the "unit:" tag predates per-kernel keys being the only
+   kind and stays. *)
 let unit_key (rq : Protocol.request) (slice : Lexer.token array) : string =
-  let fields =
-    Version.tool :: ("unit:" ^ unit_canonical slice) :: flag_fields rq
-  in
-  Digest.to_hex (Digest.string (String.concat "\x00" fields))
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf Version.tool;
+  Buffer.add_string buf "\x00unit:";
+  Array.iteri
+    (fun i tok ->
+      if i > 0 then Buffer.add_char buf ' ';
+      add_token buf tok)
+    slice;
+  Buffer.add_char buf '\x00';
+  Buffer.add_string buf rq.rq_pipeline;
+  Buffer.add_string buf
+    (if rq.rq_no_restrict then "\x00no-restrict" else "\x00restrict");
+  if rq.rq_emit_c then begin
+    Buffer.add_string buf "\x00emit-c:";
+    Buffer.add_string buf (string_of_int rq.rq_heap)
+  end
+  else Buffer.add_string buf "\x00no-c";
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ------------------------------------------------------------ the cache *)
 

@@ -207,6 +207,3 @@ let decode_line (text : string) : line =
       match decode_request j with
       | Ok r -> Single r
       | Error e -> Malformed e))
-
-let error_line (msg : string) : string =
-  response_line (Failed { id = ""; error = msg })

@@ -365,16 +365,15 @@ let handle_request (t : t) (rq : P.request) : P.response =
 
 (* ------------------------------------------------------------- control *)
 
-let ping_line (t : t) : string =
-  J.to_string ~minify:true
-    (J.Assoc
-       [
-         ("ok", J.Bool true);
-         ("version", J.String Version.banner);
-         ("protocol", J.Int P.protocol_version);
-         ("cache_schema", J.Int Cache.schema_version);
-         ("jobs", J.Int t.jobs);
-       ])
+let ping_json (t : t) : J.t =
+  J.Assoc
+    [
+      ("ok", J.Bool true);
+      ("version", J.String Version.banner);
+      ("protocol", J.Int P.protocol_version);
+      ("cache_schema", J.Int Cache.schema_version);
+      ("jobs", J.Int t.jobs);
+    ]
 
 (* The wire ledger: one row per counter field of {"op":"stats"} and
    {"op":"metrics"} (both formats) — its wire name, its Prometheus
@@ -443,16 +442,15 @@ let reuse_rate (t : t) = ratio (stat t "memo_hits") (stat t "queries_asked")
 let incremental_json (t : t) : J.t =
   J.Assoc (ints t unit_fields @ [ ("reuse_rate", J.Float (reuse_rate t)) ])
 
-let stats_line (t : t) : string =
-  J.to_string ~minify:true
-    (J.Assoc
-       ((("ok", J.Bool true) :: ints t request_fields)
-       @ [
-           ("entries", J.Int (Cache.length t.cache));
-           ("capacity", J.Int (Cache.capacity t.cache));
-         ]
-       @ ints t [ evictions ]
-       @ [ ("incremental", incremental_json t) ]))
+let stats_json (t : t) : J.t =
+  J.Assoc
+    ((("ok", J.Bool true) :: ints t request_fields)
+    @ [
+        ("entries", J.Int (Cache.length t.cache));
+        ("capacity", J.Int (Cache.capacity t.cache));
+      ]
+    @ ints t [ evictions ]
+    @ [ ("incremental", incremental_json t) ])
 
 (* {"op":"metrics"}: the same ledger plus the latency histograms and
    uptime — everything wall-derived under "timing", so the non-timing
@@ -527,58 +525,70 @@ let metrics_text (t : t) : string =
   histogram "fgv_batch_duration_seconds" t.h_batch;
   Buffer.contents buf
 
-let metrics_line (t : t) (fmt : P.metrics_format) : string =
+let metrics_reply (t : t) (fmt : P.metrics_format) : J.t =
   match fmt with
-  | P.Mjson -> J.to_string ~minify:true (metrics_json t)
+  | P.Mjson -> metrics_json t
   | P.Mtext ->
-    J.to_string ~minify:true
-      (J.Assoc
-         [
-           ("ok", J.Bool true);
-           ("schema", J.Int Version.metrics_schema);
-           ("format", J.String "text");
-           ("body", J.String (metrics_text t));
-         ])
+    J.Assoc
+      [
+        ("ok", J.Bool true);
+        ("schema", J.Int Version.metrics_schema);
+        ("format", J.String "text");
+        ("body", J.String (metrics_text t));
+      ]
 
-type step = Reply of string | Quit of string
+(* A reply document, sent minified on one wire line. *)
+type step = Reply of J.t | Quit of J.t
 
-(* One wire line in, one wire line out (plus whether to stop). *)
+(* One wire line in, one reply out (plus whether to stop). *)
 let handle_line (t : t) (text : string) : step =
   match P.decode_line text with
-  | P.Malformed e -> Reply (P.error_line e)
-  | P.Single rq -> Reply (P.response_line (handle_request t rq))
+  | P.Malformed e ->
+    Reply (P.encode_response (P.Failed { id = ""; error = e }))
+  | P.Single rq -> Reply (P.encode_response (handle_request t rq))
   | P.Batch rqs ->
-    Reply
-      (J.to_string ~minify:true
-         (J.List (List.map P.encode_response (handle_batch t rqs))))
+    Reply (J.List (List.map P.encode_response (handle_batch t rqs)))
   | P.Control c -> (
     Ev.emit Ev.Debug "control" [ ("op", J.String (P.control_name c)) ];
     match c with
-    | P.Cping -> Reply (ping_line t)
-    | P.Cstats -> Reply (stats_line t)
-    | P.Cmetrics fmt -> Reply (metrics_line t fmt)
-    | P.Cshutdown ->
-      Quit (J.to_string ~minify:true (J.Assoc [ ("ok", J.Bool true) ])))
+    | P.Cping -> Reply (ping_json t)
+    | P.Cstats -> Reply (stats_json t)
+    | P.Cmetrics fmt -> Reply (metrics_reply t fmt)
+    | P.Cshutdown -> Quit (J.Assoc [ ("ok", J.Bool true) ]))
 
 (* ----------------------------------------------------------- transports *)
 
+(* [String.trim line = ""], without the copy. *)
+let blank line =
+  String.for_all
+    (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
+    line
+
 let serve_channel (t : t) (ic : in_channel) (oc : out_channel) :
     [ `Eof | `Shutdown ] =
+  (* Each reply is encoded into [buf] and written from it, so its bytes
+     are copied once, into the channel.  [Buffer.reset] then gives back
+     any storage a reply grew past the initial 64 KiB, so the buffer
+     never keeps the largest reply sent. *)
+  let buf = Buffer.create 65536 in
+  let send j =
+    J.to_buffer ~minify:true buf j;
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf;
+    Buffer.reset buf;
+    flush oc
+  in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> `Eof
-    | line when String.trim line = "" -> loop ()
+    | line when blank line -> loop ()
     | line -> (
       match handle_line t line with
-      | Reply s ->
-        output_string oc s;
-        output_char oc '\n';
-        flush oc;
+      | Reply j ->
+        send j;
         loop ()
-      | Quit s ->
-        output_string oc s;
-        output_char oc '\n';
-        flush oc;
+      | Quit j ->
+        send j;
         `Shutdown)
   in
   loop ()

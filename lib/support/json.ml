@@ -10,23 +10,68 @@ type t =
   | List of t list
   | Assoc of (string * t) list
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Whether none of the 8 bytes of [s] at [i] needs an escape, by the
+   word-at-a-time tests for a byte below 0x20, equal to '"' or equal to
+   '\\': each sets the high bit of some byte exactly when such a byte is
+   there. *)
+let plain8 s i =
+  let open Int64 in
+  let w = String.get_int64_le s i in
+  let ones = 0x0101010101010101L in
+  let q = logxor w 0x2222222222222222L in
+  let b = logxor w 0x5c5c5c5c5c5c5c5cL in
+  let control = logand (sub w 0x2020202020202020L) (lognot w) in
+  let quote = logand (sub q ones) (lognot q) in
+  let backslash = logand (sub b ones) (lognot b) in
+  equal 0L
+    (logand 0x8080808080808080L (logor control (logor quote backslash)))
+
+(* Append [s] as a quoted string literal: plain bytes are skipped a word
+   at a time, and each run of them is copied with one
+   [Buffer.add_substring]. *)
+let add_escaped buf s =
+  let n = String.length s in
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  let start = ref 0 and i = ref 0 in
+  while !i < n do
+    if !i + 8 <= n && plain8 s !i then i := !i + 8
+    else begin
+      let stop = if !i + 8 < n then !i + 8 else n in
+      while !i < stop do
+        (match String.unsafe_get s !i with
+        | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s !start (!i - !start);
+          Buffer.add_char buf '\\';
+          (match c with
+          | '"' | '\\' -> Buffer.add_char buf c
+          | '\n' -> Buffer.add_char buf 'n'
+          | '\r' -> Buffer.add_char buf 'r'
+          | '\t' -> Buffer.add_char buf 't'
+          | c ->
+            Buffer.add_string buf "u00";
+            Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+            Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+          start := !i + 1
+        | _ -> ());
+        incr i
+      done
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
+  Buffer.add_char buf '"'
+
+(* [string_of_int n], appended without the intermediate string. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
 
 (* JSON has no NaN/Infinity; also "%.17g" can print "1e+3" style
    exponents, which are fine, but never a leading '.' or trailing '.'
@@ -39,47 +84,59 @@ let float_repr x =
   else if x = Float.neg_infinity then "-1e999"
   else Printf.sprintf "%.17g" x
 
-let to_string ?(minify = false) (j : t) : string =
+let rec emit minify buf depth j =
+  match j with
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int n -> add_int buf n
+  | Float x -> Buffer.add_string buf (float_repr x)
+  | String s -> add_escaped buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List items ->
+    Buffer.add_char buf '[';
+    emit_items minify buf (depth + 1) items;
+    newline minify buf depth;
+    Buffer.add_char buf ']'
+  | Assoc [] -> Buffer.add_string buf "{}"
+  | Assoc fields ->
+    Buffer.add_char buf '{';
+    emit_fields minify buf (depth + 1) fields;
+    newline minify buf depth;
+    Buffer.add_char buf '}'
+
+(* Pretty-printed, a newline and two spaces per level; minified,
+   nothing. *)
+and newline minify buf depth =
+  if not minify then begin
+    Buffer.add_char buf '\n';
+    for _ = 1 to depth do
+      Buffer.add_string buf "  "
+    done
+  end
+
+and emit_items minify buf depth = function
+  | [] -> ()
+  | item :: rest ->
+    newline minify buf depth;
+    emit minify buf depth item;
+    if not (List.is_empty rest) then Buffer.add_char buf ',';
+    emit_items minify buf depth rest
+
+and emit_fields minify buf depth = function
+  | [] -> ()
+  | (key, v) :: rest ->
+    newline minify buf depth;
+    add_escaped buf key;
+    Buffer.add_string buf (if minify then ":" else ": ");
+    emit minify buf depth v;
+    if not (List.is_empty rest) then Buffer.add_char buf ',';
+    emit_fields minify buf depth rest
+
+let to_buffer ?(minify = false) buf (j : t) : unit = emit minify buf 0 j
+
+let to_string ?minify (j : t) : string =
   let buf = Buffer.create 256 in
-  let pad depth = if not minify then Buffer.add_string buf (String.make (2 * depth) ' ') in
-  let nl () = if not minify then Buffer.add_char buf '\n' in
-  let rec go depth j =
-    match j with
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float x -> Buffer.add_string buf (float_repr x)
-    | String s -> Buffer.add_string buf (escape_string s)
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_char buf '[';
-      nl ();
-      List.iteri
-        (fun k item ->
-          if k > 0 then begin Buffer.add_char buf ','; nl () end;
-          pad (depth + 1);
-          go (depth + 1) item)
-        items;
-      nl ();
-      pad depth;
-      Buffer.add_char buf ']'
-    | Assoc [] -> Buffer.add_string buf "{}"
-    | Assoc fields ->
-      Buffer.add_char buf '{';
-      nl ();
-      List.iteri
-        (fun k (key, v) ->
-          if k > 0 then begin Buffer.add_char buf ','; nl () end;
-          pad (depth + 1);
-          Buffer.add_string buf (escape_string key);
-          Buffer.add_string buf (if minify then ":" else ": ");
-          go (depth + 1) v)
-        fields;
-      nl ();
-      pad depth;
-      Buffer.add_char buf '}'
-  in
-  go 0 j;
+  to_buffer ?minify buf j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------- parser *)
@@ -97,19 +154,21 @@ let of_string (s : string) : (t, string) result =
   let len = String.length s in
   let exception Parse of string in
   let fail msg = raise (Parse (Printf.sprintf "at %d: %s" !pos msg)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
+  (* The byte at the cursor, NUL past the end.  Only inside a string do
+     the two differ (a raw NUL is a control character there), so
+     [parse_string] tests for the end itself. *)
+  let peek () = if !pos < len then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
   let rec skip_ws () =
     match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
+    | ' ' | '\t' | '\n' | '\r' ->
       advance ();
       skip_ws ()
     | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if peek () = c then advance ()
+    else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     if
@@ -121,47 +180,68 @@ let of_string (s : string) : (t, string) result =
     end
     else fail ("expected " ^ word)
   in
+  (* Advance over plain string bytes: not a quote, a backslash or a
+     control character. *)
+  let rec skip_plain () =
+    if !pos < len then
+      match String.unsafe_get s !pos with
+      | '"' | '\\' | '\000' .. '\031' -> ()
+      | _ ->
+        advance ();
+        skip_plain ()
+  in
+  (* A string without escapes is one [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'u' ->
+    let start = !pos in
+    skip_plain ();
+    if peek () = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create 64 in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec go () =
+        if !pos >= len then fail "unterminated string";
+        match String.unsafe_get s !pos with
+        | '"' -> advance ()
+        | '\\' ->
           advance ();
-          if !pos + 4 > len then fail "truncated \\u escape";
-          let code =
-            match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-            | Some c -> c
-            | None -> fail "bad \\u escape"
-          in
-          (* ASCII escapes decode; anything wider is preserved as UTF-8
-             bytes would be — the emitter only escapes control chars *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_string buf (String.sub s (!pos - 2) 6);
-          pos := !pos + 4
-        | _ -> fail "bad escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> fail "raw control character in string"
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
+          (match peek () with
+          | '"' -> Buffer.add_char buf '"'; advance ()
+          | '\\' -> Buffer.add_char buf '\\'; advance ()
+          | '/' -> Buffer.add_char buf '/'; advance ()
+          | 'n' -> Buffer.add_char buf '\n'; advance ()
+          | 'r' -> Buffer.add_char buf '\r'; advance ()
+          | 't' -> Buffer.add_char buf '\t'; advance ()
+          | 'b' -> Buffer.add_char buf '\b'; advance ()
+          | 'f' -> Buffer.add_char buf '\012'; advance ()
+          | 'u' ->
+            advance ();
+            if !pos + 4 > len then fail "truncated \\u escape";
+            let code =
+              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+              | Some c -> c
+              | None -> fail "bad \\u escape"
+            in
+            (* ASCII escapes decode; anything wider is preserved as UTF-8
+               bytes would be — the emitter only escapes control chars *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else Buffer.add_string buf (String.sub s (!pos - 2) 6);
+            pos := !pos + 4
+          | _ -> fail "bad escape");
+          go ()
+        | c when Char.code c < 0x20 -> fail "raw control character in string"
+        | _ ->
+          let run = !pos in
+          skip_plain ();
+          Buffer.add_substring buf s run (!pos - run);
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -169,7 +249,7 @@ let of_string (s : string) : (t, string) result =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while (match peek () with Some c -> num_char c | None -> false) do
+    while num_char (peek ()) do
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
@@ -184,10 +264,10 @@ let of_string (s : string) : (t, string) result =
     if depth > 512 then fail "nesting too deep";
     skip_ws ();
     match peek () with
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if peek () = '}' then begin
         advance ();
         Assoc []
       end
@@ -200,20 +280,20 @@ let of_string (s : string) : (t, string) result =
           let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             fields ((key, v) :: acc)
-          | Some '}' ->
+          | '}' ->
             advance ();
             List.rev ((key, v) :: acc)
           | _ -> fail "expected ',' or '}'"
         in
         Assoc (fields [])
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if peek () = ']' then begin
         advance ();
         List []
       end
@@ -222,21 +302,21 @@ let of_string (s : string) : (t, string) result =
           let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             items (v :: acc)
-          | Some ']' ->
+          | ']' ->
             advance ();
             List.rev (v :: acc)
           | _ -> fail "expected ',' or ']'"
         in
         List (items [])
       end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
     | _ -> fail "expected a value"
   in
   match

@@ -22,8 +22,10 @@ val to_string : ?minify:bool -> t -> string
     pretty-prints with two-space indentation; floats are emitted in a
     form every JSON parser accepts (no [nan]/[inf], no bare [.5]). *)
 
-val escape_string : string -> string
-(** ["…"]-quoted JSON string literal with control characters escaped. *)
+val to_buffer : ?minify:bool -> Buffer.t -> t -> unit
+(** [to_string], appended to a buffer: every string is escaped straight
+    into it, so a caller writing the document to a channel copies it
+    once ([Buffer.output_buffer]). *)
 
 val float_repr : float -> string
 (** The float formatting [to_string] uses: integral floats as ["3.0"],

@@ -205,3 +205,388 @@ let parse_json (s : string) : J.t =
   skip_ws ();
   if !pos <> len then fail "trailing garbage";
   v
+
+(* ------------------------------ reference implementations ---------- *)
+
+(* The JSON emitter and parser and the kernel lexer as they were before
+   they were rewritten to do each byte's work once, copied verbatim (the
+   types are re-exported so values compare directly).  The rewritten
+   layers must give the same bytes, values, tokens and error texts. *)
+
+module Json_reference = struct
+  type t = J.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | List of t list
+    | Assoc of (string * t) list
+
+  let escape_string s =
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+
+  (* JSON has no NaN/Infinity; also "%.17g" can print "1e+3" style
+     exponents, which are fine, but never a leading '.' or trailing '.'
+     without digits — normalize "1." to "1.0". *)
+  let float_repr x =
+    if Float.is_nan x then "null"
+    else if Float.is_integer x && Float.abs x < 1e15 then
+      Printf.sprintf "%.1f" x
+    else if x = Float.infinity then "1e999"
+    else if x = Float.neg_infinity then "-1e999"
+    else Printf.sprintf "%.17g" x
+
+  let to_string ?(minify = false) (j : t) : string =
+    let buf = Buffer.create 256 in
+    let pad depth = if not minify then Buffer.add_string buf (String.make (2 * depth) ' ') in
+    let nl () = if not minify then Buffer.add_char buf '\n' in
+    let rec go depth j =
+      match j with
+      | Null -> Buffer.add_string buf "null"
+      | Bool b -> Buffer.add_string buf (string_of_bool b)
+      | Int n -> Buffer.add_string buf (string_of_int n)
+      | Float x -> Buffer.add_string buf (float_repr x)
+      | String s -> Buffer.add_string buf (escape_string s)
+      | List [] -> Buffer.add_string buf "[]"
+      | List items ->
+        Buffer.add_char buf '[';
+        nl ();
+        List.iteri
+          (fun k item ->
+            if k > 0 then begin Buffer.add_char buf ','; nl () end;
+            pad (depth + 1);
+            go (depth + 1) item)
+          items;
+        nl ();
+        pad depth;
+        Buffer.add_char buf ']'
+      | Assoc [] -> Buffer.add_string buf "{}"
+      | Assoc fields ->
+        Buffer.add_char buf '{';
+        nl ();
+        List.iteri
+          (fun k (key, v) ->
+            if k > 0 then begin Buffer.add_char buf ','; nl () end;
+            pad (depth + 1);
+            Buffer.add_string buf (escape_string key);
+            Buffer.add_string buf (if minify then ":" else ": ");
+            go (depth + 1) v)
+          fields;
+        nl ();
+        pad depth;
+        Buffer.add_char buf '}'
+    in
+    go 0 j;
+    Buffer.contents buf
+
+  (* ------------------------------------------------------------- parser *)
+
+  (* A strict parser for the same grammar the emitter produces (plus the
+     full standard escape set), added for the compile-service protocol:
+     requests arrive as newline-delimited JSON and must round-trip through
+     the same [t].  Errors are positions + messages, never exceptions —
+     the service answers a malformed line with an error response rather
+     than dying.  The test suite's independent parser in [test/harness.ml]
+     deliberately stays separate so emitter bugs cannot hide behind this
+     consumer. *)
+  let of_string (s : string) : (t, string) result =
+    let pos = ref 0 in
+    let len = String.length s in
+    let exception Parse of string in
+    let fail msg = raise (Parse (Printf.sprintf "at %d: %s" !pos msg)) in
+    let peek () = if !pos < len then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some d when d = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal word value =
+      if
+        !pos + String.length word <= len
+        && String.sub s !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        value
+      end
+      else fail ("expected " ^ word)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+          advance ();
+          (match peek () with
+          | Some '"' -> Buffer.add_char buf '"'; advance ()
+          | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+          | Some '/' -> Buffer.add_char buf '/'; advance ()
+          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+          | Some 't' -> Buffer.add_char buf '\t'; advance ()
+          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+          | Some 'u' ->
+            advance ();
+            if !pos + 4 > len then fail "truncated \\u escape";
+            let code =
+              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+              | Some c -> c
+              | None -> fail "bad \\u escape"
+            in
+            (* ASCII escapes decode; anything wider is preserved as UTF-8
+               bytes would be — the emitter only escapes control chars *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else Buffer.add_string buf (String.sub s (!pos - 2) 6);
+            pos := !pos + 4
+          | _ -> fail "bad escape");
+          go ()
+        | Some c when Char.code c < 0x20 -> fail "raw control character in string"
+        | Some c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let num_char = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while (match peek () with Some c -> num_char c | None -> false) do
+        advance ()
+      done;
+      let text = String.sub s start (!pos - start) in
+      match int_of_string_opt text with
+      | Some n -> Int n
+      | None -> (
+        match float_of_string_opt text with
+        | Some x -> Float x
+        | None -> fail ("bad number " ^ text))
+    in
+    let rec parse_value depth =
+      if depth > 512 then fail "nesting too deep";
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Assoc []
+        end
+        else begin
+          let rec fields acc =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              fields ((key, v) :: acc)
+            | Some '}' ->
+              advance ();
+              List.rev ((key, v) :: acc)
+            | _ -> fail "expected ',' or '}'"
+          in
+          Assoc (fields [])
+        end
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          List []
+        end
+        else begin
+          let rec items acc =
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              items (v :: acc)
+            | Some ']' ->
+              advance ();
+              List.rev (v :: acc)
+            | _ -> fail "expected ',' or ']'"
+          in
+          List (items [])
+        end
+      | Some '"' -> String (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | _ -> fail "expected a value"
+    in
+    match
+      let v = parse_value 0 in
+      skip_ws ();
+      if !pos <> len then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Parse msg -> Error msg
+end
+
+module Lexer_reference = struct
+  type token = Fgv_frontend.Lexer.token =
+    | TInt of int
+    | TFloat of float
+    | TIdent of string
+    | TPunct of string
+    | TEOF
+
+  exception Error of string
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || is_digit c
+
+  (* Two-character punctuators must be tried before one-character ones. *)
+  let puncts2 = [ "=="; "!="; "<="; ">="; "&&"; "||" ]
+  let puncts1 = [ "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "?"; ":"; "=";
+                  "<"; ">"; "+"; "-"; "*"; "/"; "%"; "!" ]
+
+  let tokenize (src : string) : token array =
+    let n = String.length src in
+    let tokens = ref [] in
+    let pos = ref 0 in
+    let line = ref 1 in
+    let peek k = if !pos + k < n then Some src.[!pos + k] else None in
+    let rec skip_ws () =
+      match peek 0 with
+      | Some (' ' | '\t' | '\r') ->
+        incr pos;
+        skip_ws ()
+      | Some '\n' ->
+        incr pos;
+        incr line;
+        skip_ws ()
+      | Some '/' when peek 1 = Some '/' ->
+        while !pos < n && src.[!pos] <> '\n' do
+          incr pos
+        done;
+        skip_ws ()
+      | Some '/' when peek 1 = Some '*' ->
+        pos := !pos + 2;
+        let rec close () =
+          if !pos + 1 >= n then fail "line %d: unterminated comment" !line
+          else if src.[!pos] = '*' && src.[!pos + 1] = '/' then pos := !pos + 2
+          else begin
+            if src.[!pos] = '\n' then incr line;
+            incr pos;
+            close ()
+          end
+        in
+        close ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let lex_number () =
+      let start = !pos in
+      while !pos < n && is_digit src.[!pos] do
+        incr pos
+      done;
+      let is_float = ref false in
+      if !pos < n && src.[!pos] = '.' then begin
+        is_float := true;
+        incr pos;
+        while !pos < n && is_digit src.[!pos] do
+          incr pos
+        done
+      end;
+      if !pos < n && (src.[!pos] = 'e' || src.[!pos] = 'E') then begin
+        is_float := true;
+        incr pos;
+        if !pos < n && (src.[!pos] = '+' || src.[!pos] = '-') then incr pos;
+        while !pos < n && is_digit src.[!pos] do
+          incr pos
+        done
+      end;
+      let text = String.sub src start (!pos - start) in
+      if !is_float then (
+        match float_of_string_opt text with
+        | Some x -> TFloat x
+        | None -> fail "line %d: malformed float literal" !line)
+      else
+        match int_of_string_opt text with
+        | Some k -> TInt k
+        | None -> fail "line %d: integer literal out of range" !line
+    in
+    let lex_ident () =
+      let start = !pos in
+      while !pos < n && is_ident_char src.[!pos] do
+        incr pos
+      done;
+      TIdent (String.sub src start (!pos - start))
+    in
+    let try_punct () =
+      let starts_with s =
+        !pos + String.length s <= n && String.sub src !pos (String.length s) = s
+      in
+      match List.find_opt starts_with puncts2 with
+      | Some s ->
+        pos := !pos + 2;
+        Some (TPunct s)
+      | None -> (
+        match List.find_opt starts_with puncts1 with
+        | Some s ->
+          incr pos;
+          Some (TPunct s)
+        | None -> None)
+    in
+    let continue_ = ref true in
+    while !continue_ do
+      skip_ws ();
+      if !pos >= n then continue_ := false
+      else begin
+        let c = src.[!pos] in
+        let tok =
+          if is_digit c then lex_number ()
+          else if is_ident_start c then lex_ident ()
+          else
+            match try_punct () with
+            | Some t -> t
+            | None -> fail "line %d: unexpected character %c" !line c
+        in
+        tokens := tok :: !tokens
+      end
+    done;
+    Array.of_list (List.rev (TEOF :: !tokens))
+end

@@ -60,6 +60,46 @@ let test_run_user_errors () =
     (Printf.sprintf "fgvc: %s: trap: out-of-bounds access" file);
   Sys.remove file
 
+(* Usage errors found before any work: a bad [--stats] format in file
+   mode and in fuzz mode, and a [--dump-ir=DIR] that cannot be made.
+   Each exits 2 with its message and writes nothing to stdout; the fuzz
+   campaign does not run, so it writes no report. *)
+let test_usage_errors_before_work () =
+  let dir = Filename.temp_dir "fgvc" "" in
+  let file = Filename.concat dir "k.c" in
+  let oc = open_out file in
+  output_string oc kernel;
+  close_out oc;
+  let expect args prefix =
+    let out = Filename.concat dir "stdout" in
+    let err = Filename.concat dir "stderr" in
+    let rc =
+      Sys.command (Filename.quote_command fgvc ~stdout:out ~stderr:err args)
+    in
+    let what = String.concat " " args in
+    Alcotest.(check int) (what ^ ": exit status") 2 rc;
+    Alcotest.(check string) (what ^ ": stdout") "" (read_file out);
+    let msg = read_file err in
+    if not (starts_with prefix msg) then
+      Alcotest.failf "%s: expected a message starting %S, got %S" what prefix
+        msg;
+    Sys.remove out;
+    Sys.remove err
+  in
+  let bad_stats = "unknown --stats format bogus (expected text or json)\n" in
+  expect [ file; "-p"; "sv+v"; "--dump-ir"; "--stats=bogus" ] bad_stats;
+  let report = Filename.concat dir "report.json" in
+  expect [ "--fuzz"; "1"; "--stats=bogus"; "--fuzz-report"; report ] bad_stats;
+  Alcotest.(check bool) "no fuzz report" false (Sys.file_exists report);
+  let missing = Filename.concat (Filename.concat dir "missing") "dir" in
+  expect
+    [ file; "-p"; "sv+v"; "--dump-ir=" ^ missing ]
+    (Printf.sprintf "fgvc: --dump-ir: %s: " missing);
+  expect [ file; "-p"; "sv+v"; "--dump-ir=" ^ file ]
+    (Printf.sprintf "fgvc: --dump-ir: %s: not a directory" file);
+  Sys.remove file;
+  Sys.rmdir dir
+
 (* [fgvc FILE -p sv+v --emit-c OUT --heap 32] writes, byte for byte, the
    C the compile service returns for the same source, pipeline and heap:
    both resolve the pipeline and bake in the heap image the same way. *)
@@ -156,6 +196,8 @@ let suite =
   [
     Alcotest.test_case "--run user errors exit with typed messages" `Quick
       test_run_user_errors;
+    Alcotest.test_case "usage errors exit 2 before any work" `Quick
+      test_usage_errors_before_work;
     Alcotest.test_case "--emit-c equals the service's emit_c artifact" `Quick
       test_emit_c_matches_service;
     Alcotest.test_case "frontend errors equal the service's" `Quick

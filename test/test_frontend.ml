@@ -198,6 +198,67 @@ let test_compile_outcomes () =
       (sum_src, break_ir, "Ill_formed", "optimized IR is ill-formed: ");
     ]
 
+(* Byte identity with the reference lexer ({!Harness.Lexer_reference}):
+   the same tokens, or the same [Lexer.Error] text with the same line. *)
+module LR = Harness.Lexer_reference
+
+let same_tokens src =
+  let mine =
+    match Fgv_frontend.Lexer.tokenize src with
+    | t -> Ok t
+    | exception Fgv_frontend.Lexer.Error m -> Error m
+  in
+  let reference =
+    match LR.tokenize src with t -> Ok t | exception LR.Error m -> Error m
+  in
+  compare mine reference = 0
+
+let paper_sources =
+  List.map
+    (fun k -> k.Fgv_bench.Workload.k_source)
+    (Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
+   @ Fgv_bench.Specfp.kernels)
+
+(* Every paper kernel, each of its truncations, and comments left open
+   at its start, its end and after each line. *)
+let test_lexer_reference_kernels () =
+  List.iter
+    (fun src ->
+      let n = String.length src in
+      let variants =
+        List.init (n + 1) (fun k -> String.sub src 0 k)
+        @ [ "/*" ^ src; src ^ "/*"; src ^ "/* x\n y *"; src ^ "//" ]
+        @ List.map
+            (fun line -> line ^ "/*\n")
+            (String.split_on_char '\n' src)
+      in
+      List.iter
+        (fun v ->
+          if not (same_tokens v) then
+            Alcotest.failf "lexer differs from the reference on %S" v)
+        variants)
+    paper_sources
+
+(* A paper kernel with punctuator bytes and NULs inserted. *)
+let gen_lexer_input =
+  QCheck2.Gen.(
+    let* src = oneofl paper_sources in
+    let* inserts =
+      list_size (int_range 1 6)
+        (pair nat (oneofl [ '/'; '*'; '='; '!'; '<'; '>'; '&'; '|'; '\000' ]))
+    in
+    pure
+      (List.fold_left
+         (fun s (at, c) ->
+           let at = at mod (String.length s + 1) in
+           String.sub s 0 at ^ String.make 1 c
+           ^ String.sub s at (String.length s - at))
+         src inserts))
+
+let prop_lexer_reference =
+  QCheck2.Test.make ~name:"lexer equals the reference lexer" ~count:2000
+    ~print:String.escaped gen_lexer_input same_tokens
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -223,4 +284,7 @@ let suite =
     Alcotest.test_case "compile outcomes are typed" `Quick
       test_compile_outcomes;
     Alcotest.test_case "printer smoke" `Quick test_printer_roundtrip_smoke;
+    Alcotest.test_case "lexer equals the reference on the paper kernels"
+      `Quick test_lexer_reference_kernels;
+    QCheck_alcotest.to_alcotest prop_lexer_reference;
   ]

@@ -232,7 +232,7 @@ let drive_mix ~jobs =
   ignore (S.handle_batch svc (mix_batch ()));
   let metrics =
     match S.handle_line svc {|{"op":"metrics"}|} with
-    | S.Reply s -> s
+    | S.Reply j -> J.to_string ~minify:true j
     | S.Quit _ -> Alcotest.fail "metrics must not quit"
   in
   Ev.close ();

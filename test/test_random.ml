@@ -103,6 +103,21 @@ let prop_combined =
   pipeline_prop ~count:200 "combined clients pipeline on random programs"
     "combined"
 
+(* Two generated programs whose [combined] compile once put an
+   if-converted store's [old] load behind a versioning phi that is
+   undefined when the store's guard fails (ifconv now refuses such a
+   loop); random QCheck seeds draw such a program rarely. *)
+let test_combined_pinned_seeds () =
+  List.iter
+    (fun seed ->
+      let cfg, fd = case_of_seed ~restrict:false seed in
+      match O.check ~pipelines:[ "combined" ] ~config:cfg fd with
+      | None -> ()
+      | Some m ->
+        Alcotest.failf "seed %d: %s\n%s" seed (O.mismatch_to_string m)
+          (G.render fd))
+    [ 875701; 891827 ]
+
 (* Property 2b: behaviour preservation must hold regardless of the
    condition-promotion setting — promotion only widens checks (more
    fallback executions), never changes what either version computes. *)
@@ -164,6 +179,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dse;
     QCheck_alcotest.to_alcotest prop_distribute;
     QCheck_alcotest.to_alcotest prop_combined;
+    Alcotest.test_case "combined on pinned ifconv seeds" `Quick
+      test_combined_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_promotion_on;
     QCheck_alcotest.to_alcotest prop_promotion_off;
     QCheck_alcotest.to_alcotest prop_restrict_svv;

@@ -93,6 +93,60 @@ let test_flags_change_key () =
   Alcotest.(check bool) "id is not in the key" true
     (base = key (rq ~id:"whatever" src))
 
+(* Unit keys show in access records and are the [cache-schema] 2 key
+   format, so their bytes must not move when the way they are built
+   does.  Recorded for every paper kernel and a two-kernel unit of
+   literal spellings, under every pipeline and four flag sets.  The tool
+   version is part of every key: bumping it re-records this golden. *)
+let test_unit_key_golden () =
+  let literals =
+    "kernel lits(float* a, int n) {\n\
+    \  a[0] = 1.0 + 1.00 + 0.1 + 1e10 + 2.5E-3 + 7. + 3e+2;\n\
+    \  a[1] = (float) (n % 4096 + 0);\n\
+     }\n\
+     kernel twin(float* a) { a[0] = 0.0 ; }\n"
+  in
+  let flags =
+    [ (false, false, 1024); (true, false, 1024); (false, true, 1024);
+      (true, true, 32) ]
+  in
+  let keys pipeline src =
+    let units = Result.get_ok (Fgv_frontend.Compile.units src) in
+    List.concat_map
+      (fun (no_restrict, emit_c, heap) ->
+        let r = rq ~pipeline ~no_restrict ~emit_c ~heap src in
+        List.map (fun (_, slice) -> C.unit_key r slice) units)
+      flags
+  in
+  let sources =
+    List.map
+      (fun k -> k.Fgv_bench.Workload.k_source)
+      (Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
+     @ Fgv_bench.Specfp.kernels)
+    @ [ literals ]
+  in
+  let all =
+    List.concat_map
+      (fun src ->
+        List.concat_map
+          (fun p -> keys p src)
+          ("none" :: Fgv_passes.Pipelines.names))
+      sources
+  in
+  Alcotest.(check int) "keys" 4160 (List.length all);
+  Alcotest.(check string) "digest of every key, one per line"
+    "4e215f994043c8ce340722cc8c120183"
+    (Digest.to_hex
+       (Digest.string (String.concat "" (List.map (fun k -> k ^ "\n") all))));
+  Alcotest.(check (list string)) "the literal unit under sv+v"
+    [
+      "97e5938a9674a56659cf9b6c2dc04b3e"; "342ef5b6dbbc86481003b43054292185";
+      "35e17ea3933a8c8174c75566d4932185"; "5b59d1ce82d2f503470fe89606a50cc0";
+      "ce38700c125dc142acf6408fef1e27e2"; "5d7ded2375c74ac6b3dd0fc5bdff7511";
+      "0c82e3e6e67b675a269ed790067553bc"; "40e53cf07522fa4ac97ad153517caec7";
+    ]
+    (keys "sv+v" literals)
+
 let test_eviction_lru () =
   let svc = S.create ~jobs:1 ~cache_max:2 () in
   ignore (S.handle_request svc (rq (src_other 1)));
@@ -193,8 +247,8 @@ let ledger_mix jobs =
   let svc = S.create ~jobs ~cache_max:4 () in
   let reply text =
     match S.handle_line svc text with
-    | S.Reply s -> s
-    | S.Quit s -> "quit:" ^ s
+    | S.Reply j -> J.to_string ~minify:true j
+    | S.Quit j -> "quit:" ^ J.to_string ~minify:true j
   in
   let send reqs =
     ignore
@@ -293,8 +347,8 @@ let test_handle_line_ops () =
   let svc = S.create ~jobs:1 () in
   let reply text =
     match S.handle_line svc text with
-    | S.Reply s -> s
-    | S.Quit s -> "quit:" ^ s
+    | S.Reply j -> J.to_string ~minify:true j
+    | S.Quit j -> "quit:" ^ J.to_string ~minify:true j
   in
   let parse s = Result.get_ok (J.of_string s) in
   let ping = parse (reply {|{"op":"ping"}|}) in
@@ -397,7 +451,7 @@ let test_unrepresentable_literal () =
   let svc = S.create ~jobs:1 () in
   let reply text =
     match S.handle_line svc text with
-    | S.Reply s -> Result.get_ok (J.of_string s)
+    | S.Reply j -> j
     | S.Quit _ -> Alcotest.fail "unexpected quit"
   in
   List.iter
@@ -473,7 +527,7 @@ let test_unknown_pipeline_at_classification () =
   let svc = S.create ~jobs:1 ~cache_max:1 () in
   let stats () =
     match S.handle_line svc {|{"op":"stats"}|} with
-    | S.Reply s -> Result.get_ok (J.of_string s)
+    | S.Reply j -> j
     | S.Quit _ -> Alcotest.fail "stats must not quit"
   in
   let unit_field name =
@@ -516,6 +570,7 @@ let suite =
       test_hit_byte_identical;
     Alcotest.test_case "canonicalization" `Quick test_canonicalization_hits;
     Alcotest.test_case "flags change the key" `Quick test_flags_change_key;
+    Alcotest.test_case "unit key golden" `Quick test_unit_key_golden;
     Alcotest.test_case "LRU eviction at cache-max" `Quick test_eviction_lru;
     Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
     Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;

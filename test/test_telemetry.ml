@@ -110,6 +110,115 @@ let test_json_escaping_roundtrip () =
       | _ -> Alcotest.fail "expected an object")
     [ true; false ]
 
+(* Byte identity with the reference codec ({!Harness.Json_reference}):
+   the emitter must give the same bytes, minified or not, and the
+   parser the same value or the same error text, position included. *)
+module Ref = Harness.Json_reference
+
+(* Strings over all 256 byte values, half of their bytes drawn from the
+   ones the emitter escapes or treats specially, at lengths around its
+   8-byte words. *)
+let gen_bytes =
+  QCheck2.Gen.(
+    string_size (int_range 0 40)
+      ~gen:
+        (oneof
+           [
+             map Char.chr (int_range 0 255);
+             oneofl
+               [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; ' '; '\127';
+                 '\128'; '\255'; 'a' ];
+           ]))
+
+let gen_json =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          pure J.Null;
+          map (fun b -> J.Bool b) bool;
+          map
+            (fun n -> J.Int n)
+            (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map
+            (fun x -> J.Float x)
+            (oneof
+               [
+                 float;
+                 oneofl
+                   [ nan; infinity; neg_infinity; 0.0; -0.0; 3.0; 0.1; 1e15;
+                     -1e15; 1e-300; max_float ];
+               ]);
+          map (fun s -> J.String s) gen_bytes;
+        ]
+    in
+    let rec doc depth =
+      if depth = 0 then leaf
+      else
+        oneof
+          [
+            leaf;
+            map
+              (fun l -> J.List l)
+              (list_size (int_range 0 4) (doc (depth - 1)));
+            map
+              (fun l -> J.Assoc l)
+              (list_size (int_range 0 4) (pair gen_bytes (doc (depth - 1))));
+          ]
+    in
+    doc 3)
+
+let prop_json_emitter_reference =
+  QCheck2.Test.make ~name:"JSON emitter equals the reference emitter"
+    ~count:1000 ~print:(Ref.to_string ~minify:true) gen_json (fun j ->
+      List.for_all
+        (fun minify -> J.to_string ~minify j = Ref.to_string ~minify j)
+        [ true; false ])
+
+(* Documents the reference emits, then up to three byte edits (replace,
+   insert, delete, truncate); and texts spliced from JSON fragments and
+   escapes the emitter never writes. *)
+let gen_json_text =
+  QCheck2.Gen.(
+    let edit text (kind, at, c) =
+      let n = String.length text in
+      let at = at mod (n + 1) in
+      match kind with
+      | 0 when at < n -> String.mapi (fun i d -> if i = at then c else d) text
+      | 1 ->
+        String.sub text 0 at ^ String.make 1 c ^ String.sub text at (n - at)
+      | 2 when at < n ->
+        String.sub text 0 at ^ String.sub text (at + 1) (n - at - 1)
+      | _ -> String.sub text 0 at
+    in
+    let encoded =
+      let* j = gen_json in
+      let* minify = bool in
+      let* edits =
+        list_size (int_range 0 3)
+          (triple (int_range 0 3) nat (map Char.chr (int_range 0 255)))
+      in
+      pure (List.fold_left edit (Ref.to_string ~minify j) edits)
+    in
+    let spliced =
+      map (String.concat "")
+        (list_size (int_range 0 12)
+           (oneofl
+              [ "{"; "}"; "["; "]"; "\""; "\\"; "\\u00e9"; "\\u0_1f"; "\\u001";
+                "\\u12"; "\\/"; "\\b"; "\\f"; "\\x"; ":"; ","; " "; "\n"; "true";
+                "tru"; "false"; "null"; "nul"; "-"; "1.5e3"; "1e999"; "-0"; "12";
+                "0x1"; "\001"; "\000"; "\xc3\xa9"; "ab" ]))
+    in
+    oneof [ encoded; spliced ])
+
+let prop_json_parser_reference =
+  QCheck2.Test.make ~name:"JSON parser equals the reference parser"
+    ~count:2000 ~print:String.escaped gen_json_text (fun text ->
+      match (J.of_string text, Ref.of_string text) with
+      | Ok a, Ok b -> compare a b = 0
+      | Error a, Error b -> a = b
+      | _ -> false)
+
 let test_snapshot_well_formed () =
   Tm.reset ();
   Tm.incr ~by:2 "cut.edges";
@@ -140,4 +249,6 @@ let suite =
     Alcotest.test_case "capture deltas" `Quick test_capture;
     Alcotest.test_case "JSON escaping round-trip" `Quick test_json_escaping_roundtrip;
     Alcotest.test_case "snapshot well-formed" `Quick test_snapshot_well_formed;
+    QCheck_alcotest.to_alcotest prop_json_emitter_reference;
+    QCheck_alcotest.to_alcotest prop_json_parser_reference;
   ]
