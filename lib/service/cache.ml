@@ -4,7 +4,8 @@
    has changed") and version_manager's fingerprint-index-eviction
    triple.
 
-   Every entry is one kernel's artifact (DESIGN §17).  Its key is a
+   Every entry is one kernel's artifact (DESIGN §17), kept in the wire
+   form every reply splices ({!Protocol.artifact}).  Its key is a
    digest of everything that determines the artifact and nothing that
    doesn't:
 

@@ -87,20 +87,62 @@ let encode_request (r : request) : J.t =
 
 (* ----------------------------------------------------------- artifacts *)
 
-(* What a compile produces, and what the cache stores: the printed
-   optimized PSSA, the optimization-remark stream the compile emitted
-   (as the same flat objects [--remarks=json] prints), the checked-mode
-   C when requested, and the per-compile telemetry counter snapshot
-   (recorded in an isolated observability context, so it is a pure
-   function of the request).  Every field is deterministic — no wall-clock anywhere
-   — which is what makes cached replies byte-identical to fresh ones. *)
+(* What a compile produces, and what the cache stores, in the form it is
+   sent.  Its members are encoded once, right after the compile,
+   minified and without the enclosing braces, in this order:
+
+   - "function": the kernel name;
+   - "ir": the printed optimized PSSA;
+   - "remarks": the optimization-remark stream the compile emitted, as
+     the same flat objects [--remarks=json] prints;
+   - "c": the checked-mode C, only when requested;
+   - "counters": the per-compile telemetry counter snapshot, recorded in
+     an isolated observability context, so it is a pure function of the
+     request.
+
+   Beside those bytes the artifact keeps only what access records read:
+   the kernel name and how many remarks and counters the bytes hold.
+   Every member is deterministic — no wall-clock anywhere — and every
+   reply splices the stored bytes, so a cached reply is byte-identical
+   to a fresh one by construction. *)
 type artifact = {
   ar_func : string;  (** kernel name, anchors the service's remarks *)
-  ar_ir : string;  (** printed optimized PSSA *)
-  ar_remarks : J.t list;
-  ar_c : string option;
-  ar_counters : (string * int) list;
+  ar_wire : string;  (** the members, minified, in the order above *)
+  ar_remark_count : int;
+  ar_counter_count : int;
 }
+
+(* The artifact's wire encoder, the one place its members are written:
+   in the worker, once per compile. *)
+let encode_artifact ~func ~ir ~(remarks : J.t list) ~(c : string option)
+    ~(counters : (string * int) list) : artifact =
+  let buf =
+    Buffer.create
+      (String.length ir + Option.fold ~none:0 ~some:String.length c + 4096)
+  in
+  let quoted prefix s =
+    Buffer.add_string buf prefix;
+    J.add_quoted buf s
+  in
+  quoted {|"function":|} func;
+  quoted {|,"ir":|} ir;
+  Buffer.add_string buf {|,"remarks":|};
+  J.to_buffer ~minify:true buf (J.List remarks);
+  Option.iter (quoted {|,"c":|}) c;
+  Buffer.add_string buf {|,"counters":{|};
+  List.iteri
+    (fun i (k, v) ->
+      quoted (if i = 0 then "" else ",") k;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int v))
+    counters;
+  Buffer.add_char buf '}';
+  {
+    ar_func = func;
+    ar_wire = Buffer.contents buf;
+    ar_remark_count = List.length remarks;
+    ar_counter_count = List.length counters;
+  }
 
 (* A multi-kernel source compiles each kernel as its own cacheable unit
    and answers with [Compiled_many] in source order; a single-kernel
@@ -111,41 +153,54 @@ type response =
   | Compiled_many of { id : string; artifacts : artifact list }
   | Failed of { id : string; error : string }
 
-let encode_artifact (a : artifact) : (string * J.t) list =
-  [
-    ("function", J.String a.ar_func);
-    ("ir", J.String a.ar_ir);
-    ("remarks", J.List a.ar_remarks);
-  ]
-  @ (match a.ar_c with None -> [] | Some c -> [ ("c", J.String c) ])
-  @ [
-      ( "counters",
-        J.Assoc (List.map (fun (k, v) -> (k, J.Int v)) a.ar_counters) );
-    ]
+(* One response's wire line, without its newline, appended to [buf]:
+   "{", the escaped "id" unless it is empty, "ok", then the error, the
+   one artifact's members, or "functions" with each artifact's members
+   in braces, and "}".  A compiled reply encodes only its id; the rest
+   is spliced from the artifacts. *)
+let write_response (buf : Buffer.t) (r : response) : unit =
+  let id =
+    match r with
+    | Compiled { id; _ } | Compiled_many { id; _ } | Failed { id; _ } -> id
+  in
+  Buffer.add_char buf '{';
+  if id <> "" then begin
+    Buffer.add_string buf {|"id":|};
+    J.add_quoted buf id;
+    Buffer.add_char buf ','
+  end;
+  (match r with
+  | Failed { error; _ } ->
+    Buffer.add_string buf {|"ok":false,"error":|};
+    J.add_quoted buf error
+  | Compiled { artifact; _ } ->
+    Buffer.add_string buf {|"ok":true,|};
+    Buffer.add_string buf artifact.ar_wire
+  | Compiled_many { artifacts; _ } ->
+    Buffer.add_string buf {|"ok":true,"functions":[|};
+    List.iteri
+      (fun i a ->
+        Buffer.add_string buf (if i = 0 then "{" else ",{");
+        Buffer.add_string buf a.ar_wire;
+        Buffer.add_char buf '}')
+      artifacts;
+    Buffer.add_char buf ']');
+  Buffer.add_char buf '}'
 
-let encode_response (r : response) : J.t =
-  match r with
-  | Failed { id; error } ->
-    J.Assoc
-      ((if id = "" then [] else [ ("id", J.String id) ])
-      @ [ ("ok", J.Bool false); ("error", J.String error) ])
-  | Compiled { id; artifact = a } ->
-    J.Assoc
-      ((if id = "" then [] else [ ("id", J.String id) ])
-      @ [ ("ok", J.Bool true) ]
-      @ encode_artifact a)
-  | Compiled_many { id; artifacts } ->
-    J.Assoc
-      ((if id = "" then [] else [ ("id", J.String id) ])
-      @ [
-          ("ok", J.Bool true);
-          ( "functions",
-            J.List (List.map (fun a -> J.Assoc (encode_artifact a)) artifacts)
-          );
-        ])
+(* A batch's responses, in request order, as one JSON array. *)
+let write_batch (buf : Buffer.t) (rs : response list) : unit =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      write_response buf r)
+    rs;
+  Buffer.add_char buf ']'
 
 let response_line (r : response) : string =
-  J.to_string ~minify:true (encode_response r)
+  let buf = Buffer.create 1024 in
+  write_response buf r;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------- control *)
 

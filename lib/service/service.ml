@@ -68,29 +68,38 @@ let count (t : t) name = Obs.get t.obs name
 
 (* One cold per-kernel compile, from the already-parsed declaration,
    through {!Fgv_frontend.Compile.fdecl}: the request's restrict setting
-   and resolved pipeline, then the optional C lowering.  Runs inside a
-   pool worker in an isolated observability context, so the counter
-   snapshot it returns is exactly this compile's.  Remarks are collected
-   rather than streamed: they belong to the artifact. *)
+   and resolved pipeline, then the optional C lowering.  Runs in a pool
+   worker, in an isolated observability context whose counters are
+   exactly this compile's; the context then merges into the worker's.
+   Remarks are collected rather than streamed: they belong to the
+   artifact.  The artifact is encoded here, once, into the wire form the
+   cache keeps and every reply splices. *)
 let compile_unit (rq : P.request) (apply : Fgv_pssa.Ir.func -> unit)
     (fd : Fgv_frontend.Ast.fdecl) : (P.artifact, string) result =
-  match
-    Obs.collect_remarks (fun () ->
-        Compile.fdecl ~restrict:(not rq.P.rq_no_restrict) apply fd)
-  with
-  | Error e, _ -> Error (Compile.message e)
-  | Ok f, remarks ->
-    Ok
-      {
-        P.ar_func = f.Fgv_pssa.Ir.fname;
-        ar_ir = Fgv_pssa.Printer.to_string f;
-        ar_remarks = List.map Tr.remark_json remarks;
-        ar_c =
-          (if rq.P.rq_emit_c then
-             Some (P.checked_c ~heap:rq.P.rq_heap (Fgv_cfg.Lower.lower f))
-           else None);
-        ar_counters = [];
-      }
+  let compiled, shard =
+    Obs.isolated (fun () ->
+        Tm.incr "service.compiles";
+        match
+          Obs.collect_remarks (fun () ->
+              Compile.fdecl ~restrict:(not rq.P.rq_no_restrict) apply fd)
+        with
+        | Error e, _ -> Error (Compile.message e)
+        | Ok f, remarks ->
+          Ok
+            ( f.Fgv_pssa.Ir.fname,
+              Fgv_pssa.Printer.to_string f,
+              remarks,
+              if rq.P.rq_emit_c then
+                Some (P.checked_c ~heap:rq.P.rq_heap (Fgv_cfg.Lower.lower f))
+              else None ))
+  in
+  Obs.merge shard;
+  Result.map
+    (fun (func, ir, remarks, c) ->
+      P.encode_artifact ~func ~ir
+        ~remarks:(List.map Tr.remark_json remarks)
+        ~c ~counters:(Obs.counters shard))
+    compiled
 
 (* ------------------------------------------------------------- batches *)
 
@@ -195,10 +204,11 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
   (* Compile the distinct misses in parallel, each in an isolated
      observability context whose counters become the artifact's.  The
      shard merges back inside the compile's span, so its pass spans nest
-     there; the pool then merges its tasks in request order, so the
-     service's counters are deterministic at any job count.  Each compile's
-     wall seconds ride back with the result for the access log (a
-     coalesced duplicate shares the one compile's duration). *)
+     there, and the artifact is encoded there too; the pool then merges
+     its tasks in request order, so the service's counters are
+     deterministic at any job count.  Each compile's wall seconds ride
+     back with the result for the access log (a coalesced duplicate
+     shares the one compile's duration). *)
   let fresh = Hashtbl.create 16 in
   (match List.rev !pending with
   | [] -> ()
@@ -212,16 +222,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
               ~args:
                 [ ("seq", J.Int sq); ("pipeline", J.String rq.P.rq_pipeline) ]
               "service.compile"
-              (fun () ->
-                let result, shard =
-                  Obs.isolated (fun () ->
-                      Tm.incr "service.compiles";
-                      compile_unit rq apply fd)
-                in
-                Obs.merge shard;
-                Result.map
-                  (fun a -> { a with P.ar_counters = Obs.counters shard })
-                  result)
+              (fun () -> compile_unit rq apply fd)
           in
           (key, result, Unix.gettimeofday () -. t0))
         pending
@@ -314,26 +315,20 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
             [
               ("ok", J.Bool true);
               ("function", String a.P.ar_func);
-              ("remarks", Int (List.length a.P.ar_remarks));
-              ("counters", Int (List.length a.P.ar_counters));
+              ("remarks", Int a.P.ar_remark_count);
+              ("counters", Int a.P.ar_counter_count);
             ]
           | P.Compiled_many { artifacts; _ } ->
+            let sum count = List.fold_left (fun n a -> n + count a) 0 in
             [
               ("ok", J.Bool true);
               ( "function",
                 String
                   (String.concat ","
                      (List.map (fun a -> a.P.ar_func) artifacts)) );
-              ( "remarks",
-                Int
-                  (List.fold_left
-                     (fun n a -> n + List.length a.P.ar_remarks)
-                     0 artifacts) );
+              ("remarks", Int (sum (fun a -> a.P.ar_remark_count) artifacts));
               ( "counters",
-                Int
-                  (List.fold_left
-                     (fun n a -> n + List.length a.P.ar_counters)
-                     0 artifacts) );
+                Int (sum (fun a -> a.P.ar_counter_count) artifacts) );
             ]
           | P.Failed { error; _ } ->
             [ ("ok", J.Bool false); ("error", String error) ])
@@ -537,24 +532,32 @@ let metrics_reply (t : t) (fmt : P.metrics_format) : J.t =
         ("body", J.String (metrics_text t));
       ]
 
-(* A reply document, sent minified on one wire line. *)
-type step = Reply of J.t | Quit of J.t
+(* What the serve loop does once a reply is sent. *)
+type step = Continue | Quit
 
-(* One wire line in, one reply out (plus whether to stop). *)
-let handle_line (t : t) (text : string) : step =
+(* One wire line in, its reply appended to [buf] without the newline:
+   a compile reply by {!Protocol.write_response}, a control reply
+   encoded from its document. *)
+let handle_line (t : t) (buf : Buffer.t) (text : string) : step =
   match P.decode_line text with
   | P.Malformed e ->
-    Reply (P.encode_response (P.Failed { id = ""; error = e }))
-  | P.Single rq -> Reply (P.encode_response (handle_request t rq))
+    P.write_response buf (P.Failed { id = ""; error = e });
+    Continue
+  | P.Single rq ->
+    P.write_response buf (handle_request t rq);
+    Continue
   | P.Batch rqs ->
-    Reply (J.List (List.map P.encode_response (handle_batch t rqs)))
-  | P.Control c -> (
+    P.write_batch buf (handle_batch t rqs);
+    Continue
+  | P.Control c ->
     Ev.emit Ev.Debug "control" [ ("op", J.String (P.control_name c)) ];
-    match c with
-    | P.Cping -> Reply (ping_json t)
-    | P.Cstats -> Reply (stats_json t)
-    | P.Cmetrics fmt -> Reply (metrics_reply t fmt)
-    | P.Cshutdown -> Quit (J.Assoc [ ("ok", J.Bool true) ]))
+    J.to_buffer ~minify:true buf
+      (match c with
+      | P.Cping -> ping_json t
+      | P.Cstats -> stats_json t
+      | P.Cmetrics fmt -> metrics_reply t fmt
+      | P.Cshutdown -> J.Assoc [ ("ok", J.Bool true) ]);
+    if c = P.Cshutdown then Quit else Continue
 
 (* ----------------------------------------------------------- transports *)
 
@@ -566,30 +569,22 @@ let blank line =
 
 let serve_channel (t : t) (ic : in_channel) (oc : out_channel) :
     [ `Eof | `Shutdown ] =
-  (* Each reply is encoded into [buf] and written from it, so its bytes
+  (* Each reply is written into [buf] and sent from it, so its bytes
      are copied once, into the channel.  [Buffer.reset] then gives back
      any storage a reply grew past the initial 64 KiB, so the buffer
      never keeps the largest reply sent. *)
   let buf = Buffer.create 65536 in
-  let send j =
-    J.to_buffer ~minify:true buf j;
-    Buffer.add_char buf '\n';
-    Buffer.output_buffer oc buf;
-    Buffer.reset buf;
-    flush oc
-  in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> `Eof
     | line when blank line -> loop ()
     | line -> (
-      match handle_line t line with
-      | Reply j ->
-        send j;
-        loop ()
-      | Quit j ->
-        send j;
-        `Shutdown)
+      let step = handle_line t buf line in
+      Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf;
+      Buffer.reset buf;
+      flush oc;
+      match step with Continue -> loop () | Quit -> `Shutdown)
   in
   loop ()
 

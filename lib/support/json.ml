@@ -29,7 +29,7 @@ let plain8 s i =
 (* Append [s] as a quoted string literal: plain bytes are skipped a word
    at a time, and each run of them is copied with one
    [Buffer.add_substring]. *)
-let add_escaped buf s =
+let add_quoted buf s =
   let n = String.length s in
   Buffer.add_char buf '"';
   let start = ref 0 and i = ref 0 in
@@ -90,7 +90,7 @@ let rec emit minify buf depth j =
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> add_int buf n
   | Float x -> Buffer.add_string buf (float_repr x)
-  | String s -> add_escaped buf s
+  | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
@@ -126,7 +126,7 @@ and emit_fields minify buf depth = function
   | [] -> ()
   | (key, v) :: rest ->
     newline minify buf depth;
-    add_escaped buf key;
+    add_quoted buf key;
     Buffer.add_string buf (if minify then ":" else ": ");
     emit minify buf depth v;
     if not (List.is_empty rest) then Buffer.add_char buf ',';
@@ -141,10 +141,10 @@ let to_string ?minify (j : t) : string =
 
 (* ------------------------------------------------------------- parser *)
 
-(* A strict parser for the same grammar the emitter produces (plus the
-   full standard escape set), added for the compile-service protocol:
-   requests arrive as newline-delimited JSON and must round-trip through
-   the same [t].  Errors are positions + messages, never exceptions —
+(* A strict parser for RFC 8259 JSON — the grammar the emitter produces
+   plus the full standard escape set, [\u] escapes decoded to UTF-8 —
+   added for the compile-service protocol: requests arrive as
+   newline-delimited JSON and must round-trip through the same [t].  Errors are positions + messages, never exceptions —
    the service answers a malformed line with an error response rather
    than dying.  The test suite's independent parser in [test/harness.ml]
    deliberately stays separate so emitter bugs cannot hide behind this
@@ -190,6 +190,44 @@ let of_string (s : string) : (t, string) result =
         advance ();
         skip_plain ()
   in
+  (* The value of the four hex digits at [i], or -1 if one of them is
+     not a hex digit. *)
+  let hex_at i =
+    let rec go k acc =
+      if k = 4 then acc
+      else
+        match String.unsafe_get s (i + k) with
+        | '0' .. '9' as c -> go (k + 1) ((acc lsl 4) + Char.code c - 48)
+        | 'a' .. 'f' as c -> go (k + 1) ((acc lsl 4) + Char.code c - 87)
+        | 'A' .. 'F' as c -> go (k + 1) ((acc lsl 4) + Char.code c - 55)
+        | _ -> -1
+    in
+    go 0 0
+  in
+  (* The code point of the [\u] escape whose digits start at the
+     cursor, which moves past them.  A high surrogate and the low one
+     escaped right after it name one code point; a surrogate without
+     its partner is an error at its own digits. *)
+  let code_point () =
+    if !pos + 4 > len then fail "truncated \\u escape";
+    let c = hex_at !pos in
+    if c < 0 then fail "bad \\u escape";
+    if c < 0xd800 || c > 0xdfff then begin
+      pos := !pos + 4;
+      c
+    end
+    else begin
+      let lo =
+        if c < 0xdc00 && !pos + 10 <= len && s.[!pos + 4] = '\\'
+           && s.[!pos + 5] = 'u'
+        then hex_at (!pos + 6)
+        else -1
+      in
+      if lo < 0xdc00 || lo > 0xdfff then fail "bad \\u escape";
+      pos := !pos + 10;
+      0x10000 + ((c - 0xd800) lsl 10) + (lo - 0xdc00)
+    end
+  in
   (* A string without escapes is one [String.sub]. *)
   let parse_string () =
     expect '"';
@@ -219,17 +257,7 @@ let of_string (s : string) : (t, string) result =
           | 'f' -> Buffer.add_char buf '\012'; advance ()
           | 'u' ->
             advance ();
-            if !pos + 4 > len then fail "truncated \\u escape";
-            let code =
-              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
-            in
-            (* ASCII escapes decode; anything wider is preserved as UTF-8
-               bytes would be — the emitter only escapes control chars *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (String.sub s (!pos - 2) 6);
-            pos := !pos + 4
+            Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int (code_point ()))
           | _ -> fail "bad escape");
           go ()
         | c when Char.code c < 0x20 -> fail "raw control character in string"
@@ -243,6 +271,11 @@ let of_string (s : string) : (t, string) result =
       Buffer.contents buf
     end
   in
+  (* A number is the longest run of number characters, checked against
+     RFC 8259's grammar: an optional minus, an integer part without
+     leading zeros, then an optional fraction and exponent, each with
+     at least one digit.  An integer becomes an [Int] when it fits one,
+     and a [Float] otherwise. *)
   let parse_number () =
     let start = !pos in
     let num_char = function
@@ -253,12 +286,29 @@ let of_string (s : string) : (t, string) result =
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some n -> Int n
-    | None -> (
-      match float_of_string_opt text with
-      | Some x -> Float x
-      | None -> fail ("bad number " ^ text))
+    let n = String.length text in
+    let digits i =
+      let j = ref i in
+      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
+        incr j
+      done;
+      if !j = i then fail ("bad number " ^ text);
+      !j
+    in
+    let i = if text.[0] = '-' then 1 else 0 in
+    let j = digits i in
+    if text.[i] = '0' && j > i + 1 then fail ("bad number " ^ text);
+    let k = if j < n && text.[j] = '.' then digits (j + 1) else j in
+    let k =
+      if k < n && (text.[k] = 'e' || text.[k] = 'E') then
+        let sign = k + 1 < n && (text.[k + 1] = '+' || text.[k + 1] = '-') in
+        digits (if sign then k + 2 else k + 1)
+      else k
+    in
+    if k < n then fail ("bad number " ^ text);
+    match if j = n then int_of_string_opt text else None with
+    | Some v -> Int v
+    | None -> Float (float_of_string text)
   in
   let rec parse_value depth =
     if depth > 512 then fail "nesting too deep";

@@ -27,6 +27,11 @@ val to_buffer : ?minify:bool -> Buffer.t -> t -> unit
     into it, so a caller writing the document to a channel copies it
     once ([Buffer.output_buffer]). *)
 
+val add_quoted : Buffer.t -> string -> unit
+(** A string as a quoted, escaped literal, appended: the bytes
+    [to_buffer] writes for [String s].  For writers that splice
+    pre-encoded members into a document of their own. *)
+
 val float_repr : float -> string
 (** The float formatting [to_string] uses: integral floats as ["3.0"],
     NaN as ["null"], infinities as out-of-range exponents (["1e999"],
@@ -38,10 +43,13 @@ val float_repr : float -> string
     exactly (pinned by a unit test in [test_obslog]). *)
 
 val of_string : string -> (t, string) result
-(** Strict parse of one JSON value (the full standard grammar; rejects
-    trailing garbage).  Returns [Error "at <pos>: <why>"] rather than
-    raising: the compile-service protocol answers malformed request
-    lines with error responses.  [test/harness.ml] keeps an independent
+(** Strict parse of one JSON value (RFC 8259; rejects trailing
+    garbage).  A [\u] escape decodes to UTF-8, a surrogate pair to one
+    code point, and a lone surrogate is an error; a number has no
+    leading zeros and no digitless fraction or exponent, and an integer
+    too large for [int] is a [Float].  Returns
+    [Error "at <pos>: <why>"] rather than raising: the compile-service
+    protocol answers malformed request lines with error responses.  [test/harness.ml] keeps an independent
     parser so the emitter is never validated only by its own inverse. *)
 
 (** {1 Object accessors}

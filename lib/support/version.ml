@@ -10,7 +10,7 @@ let tool = "fgv 0.9"
 let bench_json_schema = 8
 let fuzz_report_schema = 3
 let trace_schema = 1
-let service_protocol = 3
+let service_protocol = 4
 let cache_schema = 2
 let log_schema = 1
 let metrics_schema = 1

@@ -206,12 +206,70 @@ let parse_json (s : string) : J.t =
   if !pos <> len then fail "trailing garbage";
   v
 
+(* Generators for the JSON properties of the telemetry and service
+   suites.  Strings over all 256 byte values, half of their bytes drawn
+   from the ones the emitter escapes or treats specially, at lengths
+   around its 8-byte words; and documents of every kind of value, three
+   levels deep. *)
+let gen_bytes =
+  QCheck2.Gen.(
+    string_size (int_range 0 40)
+      ~gen:
+        (oneof
+           [
+             map Char.chr (int_range 0 255);
+             oneofl
+               [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; ' '; '\127';
+                 '\128'; '\255'; 'a' ];
+           ]))
+
+let gen_json =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          pure J.Null;
+          map (fun b -> J.Bool b) bool;
+          map
+            (fun n -> J.Int n)
+            (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map
+            (fun x -> J.Float x)
+            (oneof
+               [
+                 float;
+                 oneofl
+                   [ nan; infinity; neg_infinity; 0.0; -0.0; 3.0; 0.1; 1e15;
+                     -1e15; 1e-300; max_float ];
+               ]);
+          map (fun s -> J.String s) gen_bytes;
+        ]
+    in
+    let rec doc depth =
+      if depth = 0 then leaf
+      else
+        oneof
+          [
+            leaf;
+            map
+              (fun l -> J.List l)
+              (list_size (int_range 0 4) (doc (depth - 1)));
+            map
+              (fun l -> J.Assoc l)
+              (list_size (int_range 0 4) (pair gen_bytes (doc (depth - 1))));
+          ]
+    in
+    doc 3)
+
 (* ------------------------------ reference implementations ---------- *)
 
 (* The JSON emitter and parser and the kernel lexer as they were before
    they were rewritten to do each byte's work once, copied verbatim (the
    types are re-exported so values compare directly).  The rewritten
-   layers must give the same bytes, values, tokens and error texts. *)
+   layers must give the same bytes, values, tokens and error texts.  The
+   one later change is the parser's rule for [\u] escapes and numbers
+   (RFC 8259: escapes decode to UTF-8, surrogates pair, numbers have no
+   leading zeros and no bare '.'), made here and in the codec together. *)
 
 module Json_reference = struct
   type t = J.t =
@@ -355,15 +413,55 @@ module Json_reference = struct
           | Some 'u' ->
             advance ();
             if !pos + 4 > len then fail "truncated \\u escape";
-            let code =
-              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
+            (* a \\u escape decodes to UTF-8; a high surrogate takes the
+               low one escaped right after it, and a surrogate without
+               its partner is an error at its own digits *)
+            let hex at =
+              let digits = String.sub s at 4 in
+              if
+                String.for_all
+                  (function
+                    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                    | _ -> false)
+                  digits
+              then Some (int_of_string ("0x" ^ digits))
+              else None
             in
-            (* ASCII escapes decode; anything wider is preserved as UTF-8
-               bytes would be — the emitter only escapes control chars *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (String.sub s (!pos - 2) 6);
+            let code =
+              match hex !pos with
+              | None -> fail "bad \\u escape"
+              | Some hi when hi >= 0xd800 && hi <= 0xdbff -> (
+                let lo =
+                  if !pos + 10 <= len && String.sub s (!pos + 4) 2 = "\\u"
+                  then hex (!pos + 6)
+                  else None
+                in
+                match lo with
+                | Some lo when lo >= 0xdc00 && lo <= 0xdfff ->
+                  pos := !pos + 6;
+                  0x10000 + ((hi - 0xd800) * 0x400) + (lo - 0xdc00)
+                | _ -> fail "bad \\u escape")
+              | Some lo when lo >= 0xdc00 && lo <= 0xdfff ->
+                fail "bad \\u escape"
+              | Some c -> c
+            in
+            let byte n = Buffer.add_char buf (Char.chr n) in
+            if code < 0x80 then byte code
+            else if code < 0x800 then begin
+              byte (0xc0 lor (code lsr 6));
+              byte (0x80 lor (code land 0x3f))
+            end
+            else if code < 0x10000 then begin
+              byte (0xe0 lor (code lsr 12));
+              byte (0x80 lor ((code lsr 6) land 0x3f));
+              byte (0x80 lor (code land 0x3f))
+            end
+            else begin
+              byte (0xf0 lor (code lsr 18));
+              byte (0x80 lor ((code lsr 12) land 0x3f));
+              byte (0x80 lor ((code lsr 6) land 0x3f));
+              byte (0x80 lor (code land 0x3f))
+            end;
             pos := !pos + 4
           | _ -> fail "bad escape");
           go ()
@@ -386,12 +484,37 @@ module Json_reference = struct
         advance ()
       done;
       let text = String.sub s start (!pos - start) in
-      match int_of_string_opt text with
-      | Some n -> Int n
-      | None -> (
-        match float_of_string_opt text with
-        | Some x -> Float x
-        | None -> fail ("bad number " ^ text))
+      (* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?,
+         an integer that does not fit an int read as a float *)
+      let n = String.length text in
+      let at i c = i < n && text.[i] = c in
+      let is_digit i = i < n && text.[i] >= '0' && text.[i] <= '9' in
+      let rec skip_digits i = if is_digit i then skip_digits (i + 1) else i in
+      let some_digits i =
+        if is_digit i then Some (skip_digits i) else None
+      in
+      let after_int =
+        let i = if at 0 '-' then 1 else 0 in
+        if at i '0' then Some (i + 1) else some_digits i
+      in
+      let after_frac =
+        match after_int with
+        | Some i when at i '.' -> some_digits (i + 1)
+        | other -> other
+      in
+      let after_exp =
+        match after_frac with
+        | Some i when at i 'e' || at i 'E' ->
+          let sign = at (i + 1) '+' || at (i + 1) '-' in
+          some_digits (if sign then i + 2 else i + 1)
+        | other -> other
+      in
+      if after_exp <> Some n then fail ("bad number " ^ text)
+      else if after_int = Some n then
+        match int_of_string_opt text with
+        | Some v -> Int v
+        | None -> Float (float_of_string text)
+      else Float (float_of_string text)
     in
     let rec parse_value depth =
       if depth > 512 then fail "nesting too deep";
@@ -589,4 +712,63 @@ module Lexer_reference = struct
       end
     done;
     Array.of_list (List.rev (TEOF :: !tokens))
+end
+
+(* The compile service's reply encoder from before artifacts were kept
+   in wire form, copied verbatim with the artifact record it encoded: a
+   JSON tree per reply, sent as [J.to_string ~minify:true], and a batch
+   as the array of its replies.  The reply writer must give the same
+   bytes. *)
+module Reply_reference = struct
+  type artifact = {
+    ar_func : string;  (** kernel name, anchors the service's remarks *)
+    ar_ir : string;  (** printed optimized PSSA *)
+    ar_remarks : J.t list;
+    ar_c : string option;
+    ar_counters : (string * int) list;
+  }
+
+  type response =
+    | Compiled of { id : string; artifact : artifact }
+    | Compiled_many of { id : string; artifacts : artifact list }
+    | Failed of { id : string; error : string }
+
+  let encode_artifact (a : artifact) : (string * J.t) list =
+    [
+      ("function", J.String a.ar_func);
+      ("ir", J.String a.ar_ir);
+      ("remarks", J.List a.ar_remarks);
+    ]
+    @ (match a.ar_c with None -> [] | Some c -> [ ("c", J.String c) ])
+    @ [
+        ( "counters",
+          J.Assoc (List.map (fun (k, v) -> (k, J.Int v)) a.ar_counters) );
+      ]
+
+  let encode_response (r : response) : J.t =
+    match r with
+    | Failed { id; error } ->
+      J.Assoc
+        ((if id = "" then [] else [ ("id", J.String id) ])
+        @ [ ("ok", J.Bool false); ("error", J.String error) ])
+    | Compiled { id; artifact = a } ->
+      J.Assoc
+        ((if id = "" then [] else [ ("id", J.String id) ])
+        @ [ ("ok", J.Bool true) ]
+        @ encode_artifact a)
+    | Compiled_many { id; artifacts } ->
+      J.Assoc
+        ((if id = "" then [] else [ ("id", J.String id) ])
+        @ [
+            ("ok", J.Bool true);
+            ( "functions",
+              J.List
+                (List.map (fun a -> J.Assoc (encode_artifact a)) artifacts) );
+          ])
+
+  let response_line (r : response) : string =
+    J.to_string ~minify:true (encode_response r)
+
+  let batch_line (rs : response list) : string =
+    J.to_string ~minify:true (J.List (List.map encode_response rs))
 end

@@ -231,9 +231,10 @@ let drive_mix ~jobs =
   ignore (S.handle_batch svc (mix_batch ()));
   ignore (S.handle_batch svc (mix_batch ()));
   let metrics =
-    match S.handle_line svc {|{"op":"metrics"}|} with
-    | S.Reply j -> J.to_string ~minify:true j
-    | S.Quit _ -> Alcotest.fail "metrics must not quit"
+    let buf = Buffer.create 1024 in
+    match S.handle_line svc buf {|{"op":"metrics"}|} with
+    | S.Continue -> Buffer.contents buf
+    | S.Quit -> Alcotest.fail "metrics must not quit"
   in
   Ev.close ();
   let lines = read_lines path in

@@ -47,6 +47,19 @@ let src_other i =
 
 let line r = P.response_line r
 
+(* A wire line's reply as the serve loop sends it, without the newline;
+   "quit:" marks the reply after which the service stops. *)
+let reply svc text =
+  let buf = Buffer.create 1024 in
+  match S.handle_line svc buf text with
+  | S.Continue -> Buffer.contents buf
+  | S.Quit -> "quit:" ^ Buffer.contents buf
+
+let reply_json svc text =
+  match J.of_string (reply svc text) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "reply to %s is not JSON: %s" text e
+
 (* The cache key of a one-kernel request. *)
 let key (r : P.request) =
   match Fgv_frontend.Parser.parse_program r.P.rq_source with
@@ -197,9 +210,9 @@ let test_batch_coalescing () =
    P.Compiled { artifact = a2; _ };
    P.Compiled { artifact = a3; _ };
   ] ->
-    Alcotest.(check string) "duplicates share the one compile" a1.P.ar_ir
-      a2.P.ar_ir;
-    Alcotest.(check string) "all three agree" a1.P.ar_ir a3.P.ar_ir
+    Alcotest.(check string) "duplicates share the one compile"
+      a1.P.ar_wire a2.P.ar_wire;
+    Alcotest.(check string) "all three agree" a1.P.ar_wire a3.P.ar_wire
   | _ -> Alcotest.fail "expected three compiled responses");
   Alcotest.(check int) "one miss" 1 (S.count svc "service.requests.miss");
   Alcotest.(check int) "two coalesced, zero hits" 2
@@ -245,11 +258,7 @@ let test_protocol_lines () =
    Prometheus text up to the uptime gauge. *)
 let ledger_mix jobs =
   let svc = S.create ~jobs ~cache_max:4 () in
-  let reply text =
-    match S.handle_line svc text with
-    | S.Reply j -> J.to_string ~minify:true j
-    | S.Quit j -> "quit:" ^ J.to_string ~minify:true j
-  in
+  let reply = reply svc in
   let send reqs =
     ignore
       (reply
@@ -345,11 +354,7 @@ let ledger_prometheus_golden =
 
 let test_handle_line_ops () =
   let svc = S.create ~jobs:1 () in
-  let reply text =
-    match S.handle_line svc text with
-    | S.Reply j -> J.to_string ~minify:true j
-    | S.Quit j -> "quit:" ^ J.to_string ~minify:true j
-  in
+  let reply = reply svc in
   let parse s = Result.get_ok (J.of_string s) in
   let ping = parse (reply {|{"op":"ping"}|}) in
   Alcotest.(check (option int)) "ping reports the protocol version"
@@ -449,11 +454,7 @@ let test_failures_not_cached () =
    answers the next line. *)
 let test_unrepresentable_literal () =
   let svc = S.create ~jobs:1 () in
-  let reply text =
-    match S.handle_line svc text with
-    | S.Reply j -> j
-    | S.Quit _ -> Alcotest.fail "unexpected quit"
-  in
+  let reply = reply_json svc in
   List.iter
     (fun literal ->
       let source = Printf.sprintf "kernel k(float* a) { a[0] = %s; }" literal in
@@ -525,11 +526,7 @@ let test_parse_error_at_classification () =
    pipeline is no edit. *)
 let test_unknown_pipeline_at_classification () =
   let svc = S.create ~jobs:1 ~cache_max:1 () in
-  let stats () =
-    match S.handle_line svc {|{"op":"stats"}|} with
-    | S.Reply j -> j
-    | S.Quit _ -> Alcotest.fail "stats must not quit"
-  in
+  let stats () = reply_json svc {|{"op":"stats"}|} in
   let unit_field name =
     J.int_member name (Option.get (J.member "incremental" (stats ())))
   in
@@ -564,6 +561,139 @@ let test_unknown_pipeline_at_classification () =
   Alcotest.(check (option int)) "three recomputes" (Some 3)
     (unit_field "recomputed")
 
+(* ------------------------------------------------ the reply writer *)
+
+module R = Harness.Reply_reference
+
+(* A reference response in wire form: each artifact through the
+   service's encoder. *)
+let to_wire (r : R.response) : P.response =
+  let artifact (a : R.artifact) =
+    P.encode_artifact ~func:a.R.ar_func ~ir:a.R.ar_ir ~remarks:a.R.ar_remarks
+      ~c:a.R.ar_c ~counters:a.R.ar_counters
+  in
+  match r with
+  | R.Compiled { id; artifact = a } -> P.Compiled { id; artifact = artifact a }
+  | R.Compiled_many { id; artifacts } ->
+    P.Compiled_many { id; artifacts = List.map artifact artifacts }
+  | R.Failed { id; error } -> P.Failed { id; error }
+
+let gen_bytes = Harness.gen_bytes
+
+(* Remarks may be any JSON documents: the encoder writes them as the
+   emitter does. *)
+let gen_artifact =
+  QCheck2.Gen.(
+    let* func = gen_bytes in
+    let* ir = gen_bytes in
+    let* remarks = list_size (int_range 0 3) Harness.gen_json in
+    let* c = opt gen_bytes in
+    let* counters =
+      list_size (int_range 0 4)
+        (pair gen_bytes (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]))
+    in
+    pure
+      {
+        R.ar_func = func;
+        ar_ir = ir;
+        ar_remarks = remarks;
+        ar_c = c;
+        ar_counters = counters;
+      })
+
+let gen_response =
+  QCheck2.Gen.(
+    let* id = oneof [ pure ""; gen_bytes ] in
+    oneof
+      [
+        map (fun error -> R.Failed { id; error }) gen_bytes;
+        map (fun a -> R.Compiled { id; artifact = a }) gen_artifact;
+        map
+          (fun artifacts -> R.Compiled_many { id; artifacts })
+          (list_size (int_range 1 4) gen_artifact);
+      ])
+
+(* The writer gives the reference encoder's bytes for every response and
+   batch, and each artifact counts its remarks and counters. *)
+let prop_reply_writer_reference =
+  QCheck2.Test.make ~name:"reply writer equals the reference encoder"
+    ~count:1000
+    ~print:(fun rs -> String.escaped (R.batch_line rs))
+    QCheck2.Gen.(list_size (int_range 0 4) gen_response)
+    (fun rs ->
+      let wire = List.map to_wire rs in
+      let batch = Buffer.create 256 in
+      P.write_batch batch wire;
+      let counted (a : R.artifact) (w : P.artifact) =
+        w.P.ar_func = a.R.ar_func
+        && w.P.ar_remark_count = List.length a.R.ar_remarks
+        && w.P.ar_counter_count = List.length a.R.ar_counters
+      in
+      List.for_all2
+        (fun r w ->
+          P.response_line w = R.response_line r
+          &&
+          match (r, w) with
+          | R.Compiled { artifact = a; _ }, P.Compiled { artifact = w; _ } ->
+            counted a w
+          | R.Compiled_many { artifacts = a; _ },
+            P.Compiled_many { artifacts = w; _ } ->
+            List.for_all2 counted a w
+          | _ -> true)
+        rs wire
+      && Buffer.contents batch = R.batch_line rs)
+
+(* Every reply shape through the service: a hit on a warmed service is
+   byte for byte the reply a service that keeps one artifact compiles
+   fresh.  The shapes: ids over all 256 byte values, with and without C,
+   with no remarks (pipeline none) and with some, units of two to four
+   kernels, lex, parse, lowering and pipeline errors, and a batch. *)
+let test_hit_equals_fresh_reply () =
+  let every_byte = String.init 256 Char.chr in
+  let unit ks = String.concat "\n" (List.map src_other ks) in
+  let request r = J.to_string ~minify:true (P.encode_request r) in
+  let lines =
+    [
+      request (rq ~id:every_byte src);
+      request (rq ~id:"c" ~emit_c:true ~heap:32 (src_other 1));
+      request (rq ~id:"none" ~pipeline:"none" (src_other 2));
+      request (rq ~pipeline:"o3" ~no_restrict:true (src_other 3));
+      request (rq ~id:"two" (unit [ 11; 12 ]));
+      request
+        (rq ~id:"three" ~pipeline:"combined" ~emit_c:true
+           (unit [ 13; 14; 15 ]));
+      request (rq ~id:"four" ~pipeline:"none" (unit [ 16; 17; 18; 19 ]));
+      request (rq ~id:"lex" "kernel k(float* a) { a[0] = $; }");
+      request (rq ~id:"parse" "kernel oops(");
+      request (rq ~id:"lower" "kernel lerr(float* a) { a[0] = zz; }");
+      request (rq ~id:"pipe" ~pipeline:"warp" src);
+      J.to_string ~minify:true
+        (J.List
+           (List.map P.encode_request
+              [
+                rq ~id:("b" ^ every_byte) (src_other 4);
+                rq ~id:"dup" (src_other 4);
+                rq ~id:"bad" "kernel oops(";
+                rq ~id:"u" ~emit_c:true (unit [ 5; 6 ]);
+              ]));
+    ]
+  in
+  let warm = S.create ~jobs:1 () in
+  List.iter (fun l -> ignore (reply warm l)) lines;
+  let misses = S.count warm "service.cache.misses" in
+  let fresh = S.create ~jobs:1 ~cache_max:1 () in
+  List.iter
+    (fun l ->
+      let want = reply fresh l in
+      Alcotest.(check string) l want (reply warm l))
+    lines;
+  Alcotest.(check int) "the warmed service recompiled only the lowering error"
+    (misses + 1) (S.count warm "service.cache.misses");
+  Alcotest.(check int) "the warmed service hit every other unit" 17
+    (S.count warm "service.cache.hits");
+  Alcotest.(check int) "the one-artifact service never hit" 0
+    (S.count fresh "service.cache.hits")
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -584,4 +714,7 @@ let suite =
       test_parse_error_at_classification;
     Alcotest.test_case "unknown pipelines answer at classification" `Quick
       test_unknown_pipeline_at_classification;
+    QCheck_alcotest.to_alcotest prop_reply_writer_reference;
+    Alcotest.test_case "a hit equals a fresh reply in every shape" `Quick
+      test_hit_equals_fresh_reply;
   ]

@@ -115,58 +115,9 @@ let test_json_escaping_roundtrip () =
    parser the same value or the same error text, position included. *)
 module Ref = Harness.Json_reference
 
-(* Strings over all 256 byte values, half of their bytes drawn from the
-   ones the emitter escapes or treats specially, at lengths around its
-   8-byte words. *)
-let gen_bytes =
-  QCheck2.Gen.(
-    string_size (int_range 0 40)
-      ~gen:
-        (oneof
-           [
-             map Char.chr (int_range 0 255);
-             oneofl
-               [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; ' '; '\127';
-                 '\128'; '\255'; 'a' ];
-           ]))
-
-let gen_json =
-  QCheck2.Gen.(
-    let leaf =
-      oneof
-        [
-          pure J.Null;
-          map (fun b -> J.Bool b) bool;
-          map
-            (fun n -> J.Int n)
-            (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
-          map
-            (fun x -> J.Float x)
-            (oneof
-               [
-                 float;
-                 oneofl
-                   [ nan; infinity; neg_infinity; 0.0; -0.0; 3.0; 0.1; 1e15;
-                     -1e15; 1e-300; max_float ];
-               ]);
-          map (fun s -> J.String s) gen_bytes;
-        ]
-    in
-    let rec doc depth =
-      if depth = 0 then leaf
-      else
-        oneof
-          [
-            leaf;
-            map
-              (fun l -> J.List l)
-              (list_size (int_range 0 4) (doc (depth - 1)));
-            map
-              (fun l -> J.Assoc l)
-              (list_size (int_range 0 4) (pair gen_bytes (doc (depth - 1))));
-          ]
-    in
-    doc 3)
+(* The generators live in {!Harness} so the service suite can share
+   them. *)
+let gen_json = Harness.gen_json
 
 let prop_json_emitter_reference =
   QCheck2.Test.make ~name:"JSON emitter equals the reference emitter"
@@ -207,7 +158,8 @@ let gen_json_text =
               [ "{"; "}"; "["; "]"; "\""; "\\"; "\\u00e9"; "\\u0_1f"; "\\u001";
                 "\\u12"; "\\/"; "\\b"; "\\f"; "\\x"; ":"; ","; " "; "\n"; "true";
                 "tru"; "false"; "null"; "nul"; "-"; "1.5e3"; "1e999"; "-0"; "12";
-                "0x1"; "\001"; "\000"; "\xc3\xa9"; "ab" ]))
+                "0x1"; "\001"; "\000"; "\xc3\xa9"; "ab"; "\\ud83d";
+                "\\ude00"; "\\u00E9"; "01"; "1."; ".5"; "e5"; "E+"; "0" ]))
     in
     oneof [ encoded; spliced ])
 
@@ -218,6 +170,53 @@ let prop_json_parser_reference =
       | Ok a, Ok b -> compare a b = 0
       | Error a, Error b -> a = b
       | _ -> false)
+
+(* RFC 8259 strings and numbers: a [\u] escape decodes to UTF-8, a
+   surrogate pair to one 4-byte sequence, and a surrogate without its
+   partner is an error at its digits; numbers have no leading zeros and
+   no digitless fraction, and an integer too large for an int is a
+   float. *)
+let test_json_rfc8259 () =
+  let json =
+    Alcotest.testable
+      (fun f j -> Format.pp_print_string f (J.to_string ~minify:true j))
+      (fun a b -> compare a b = 0)
+  in
+  let check text expected =
+    Alcotest.(check (result json string)) text expected (J.of_string text)
+  in
+  check {|"\u00e9"|} (Ok (J.String "\xc3\xa9"));
+  check {|"\u00E9 \u2603"|} (Ok (J.String "\xc3\xa9 \xe2\x98\x83"));
+  check {|"\ud83d\ude00"|} (Ok (J.String "\xf0\x9f\x98\x80"));
+  check {|"a\u0000\u007f\u0080\u07ff\u0800\uffff"|}
+    (Ok (J.String "a\000\127\xc2\x80\xdf\xbf\xe0\xa0\x80\xef\xbf\xbf"));
+  check {|"\udbff\udfff"|} (Ok (J.String "\xf4\x8f\xbf\xbf"));
+  check {|"\ud83d"|} (Error "at 3: bad \\u escape");
+  check {|"\ud83dx"|} (Error "at 3: bad \\u escape");
+  check {|"ab\ud83d\u0041"|} (Error "at 5: bad \\u escape");
+  check {|"\ud83d\ud83d"|} (Error "at 3: bad \\u escape");
+  check {|"\ude00"|} (Error "at 3: bad \\u escape");
+  check {|"\ude00\ud83d"|} (Error "at 3: bad \\u escape");
+  check {|"\u0_1f"|} (Error "at 3: bad \\u escape");
+  check {|"\u+01f"|} (Error "at 3: bad \\u escape");
+  check {|"\u12"|} (Error "at 3: truncated \\u escape");
+  List.iter
+    (fun text ->
+      let at = String.length text in
+      check text (Error (Printf.sprintf "at %d: bad number %s" at text)))
+    [ "01"; "-01"; "1."; "1.e5"; "-01.e5"; "-"; "1e"; "1e+"; "00"; "1-2" ];
+  check "[01]" (Error "at 3: bad number 01");
+  check "+1" (Error "at 0: expected a value");
+  check "0" (Ok (J.Int 0));
+  check "-0" (Ok (J.Int 0));
+  check "10" (Ok (J.Int 10));
+  check "1E+2" (Ok (J.Float 100.0));
+  check "-1.5e-3" (Ok (J.Float (-0.0015)));
+  check "0.5" (Ok (J.Float 0.5));
+  check "4611686018427387903" (Ok (J.Int max_int));
+  check "-4611686018427387904" (Ok (J.Int min_int));
+  check "4611686018427387904" (Ok (J.Float 4611686018427387904.0));
+  check "99999999999999999999" (Ok (J.Float 1e20))
 
 let test_snapshot_well_formed () =
   Tm.reset ();
@@ -249,6 +248,8 @@ let suite =
     Alcotest.test_case "capture deltas" `Quick test_capture;
     Alcotest.test_case "JSON escaping round-trip" `Quick test_json_escaping_roundtrip;
     Alcotest.test_case "snapshot well-formed" `Quick test_snapshot_well_formed;
+    Alcotest.test_case "JSON strings and numbers follow RFC 8259" `Quick
+      test_json_rfc8259;
     QCheck_alcotest.to_alcotest prop_json_emitter_reference;
     QCheck_alcotest.to_alcotest prop_json_parser_reference;
   ]
