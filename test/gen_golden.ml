@@ -13,7 +13,10 @@
    The paper kernels are small, so the corpus ends with three generated
    big-region programs, the compile-time lane's [fuzz-s240-1] and
    [fuzz-s240-2] under every pipeline and [fuzz-s480-1] under [sv+v]:
-   their top-level regions hold hundreds of nodes.  [dune runtest]
+   their top-level regions hold hundreds of nodes.  Last come the
+   configurations the bench harness compiles beyond those: Fig. 22's
+   control [rle-baseline] on every paper kernel, and the clients
+   figure's static/versioned pairs without restrict.  [dune runtest]
    recomputes the corpus file and diffs it against the committed one,
    so a change that moves any pass's output or decisions fails there;
    it does so a second time under [OCAMLRUNPARAM=R], so output that
@@ -86,7 +89,25 @@ let corpus () =
   in
   fuzz 240 1 P.registry;
   fuzz 240 2 P.registry;
-  fuzz 480 1 [ ("sv+v", List.assoc "sv+v" P.registry) ]
+  fuzz 480 1 [ ("sv+v", List.assoc "sv+v" P.registry) ];
+  (* Fig. 22's control on every paper kernel, then the clients figure's
+     static/versioned pairs, without restrict as that figure compiles *)
+  List.iter
+    (fun (k : W.kernel) ->
+      line k.W.k_name k.W.k_source "rle-baseline" P.rle_baseline
+        ~restrict:true)
+    kernels;
+  List.iter
+    (fun (client, kname) ->
+      let k = Fgv_bench.Experiments.tsvc_kernel kname in
+      List.iter
+        (fun versioning ->
+          let c = Fgv_bench.Experiments.client_cfg client ~versioning in
+          line kname k.W.k_source c.W.c_name
+            (fun ?on_pass:_ f -> c.W.c_apply f)
+            ~restrict:c.W.c_restrict)
+        [ false; true ])
+    Fgv_bench.Experiments.client_specs
 
 let () =
   match Sys.argv with
