@@ -33,7 +33,6 @@ module Obs = Fgv_support.Obs
 module J = Fgv_support.Json
 module H = Fgv_support.Histogram
 module G = Fgv_fuzz.Generator
-open Fgv_pssa
 
 let section title body =
   Printf.printf "==============================================================\n";
@@ -284,18 +283,15 @@ type ct_row = {
       (* (name, total seconds, invocations) of every timer the row ran *)
 }
 
-(* A lane row: a program source plus the pipeline it is compiled with
-   (the suites time sv_versioning; the client rows time the new dse /
-   distribute pipelines on their target kernels, without restrict so the
-   versioning path actually runs). *)
+(* A lane row: a program source plus the configuration it is compiled
+   with (the suites time "sv+v"; the client rows time the client
+   pipelines on their target kernels, without restrict so the versioning
+   path actually runs). *)
 type ct_spec = {
   cs_name : string;
   cs_source : string Lazy.t;
-  cs_restrict : bool;
-  cs_apply : Ir.func -> unit;
+  cs_config : W.config;
 }
-
-let ct_sv f = Fgv_passes.Pipelines.sv_versioning f
 
 (* Fuzz-program sources for the lane: deterministic in (size, seed),
    growing statement budgets so the dependence graphs get big. *)
@@ -307,12 +303,8 @@ let ct_fuzz_specs =
         cs_source =
           lazy
             (G.render
-               (G.generate
-                  ~config:
-                    { G.default_config with G.size; max_loop_depth = 3 }
-                  ~seed ()));
-        cs_restrict = true;
-        cs_apply = ct_sv;
+               (G.generate ~config:(G.big_region_config size) ~seed ()));
+        cs_config = ("sv+v", true);
       })
     [ (30, 1); (60, 1); (120, 1); (240, 1); (240, 2); (480, 1) ]
 
@@ -320,28 +312,22 @@ let ct_kernel_specs () =
   List.map
     (fun (k : W.kernel) ->
       { cs_name = k.W.k_name; cs_source = lazy k.W.k_source;
-        cs_restrict = true; cs_apply = ct_sv })
+        cs_config = ("sv+v", true) })
     (Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
    @ Fgv_bench.Specfp.kernels)
 
 let ct_client_specs () =
   List.map
     (fun (client, kname) ->
-      let apply f =
-        match client with
-        | "dse" -> Fgv_passes.Pipelines.dse_pipeline f
-        | "distribute" -> Fgv_passes.Pipelines.distribute_pipeline f
-        | _ -> Fgv_passes.Pipelines.combined f
-      in
       {
         cs_name = kname ^ "+" ^ client;
         cs_source = lazy (E.tsvc_kernel kname).W.k_source;
-        cs_restrict = false;
-        cs_apply = apply;
+        cs_config = (client, false);
       })
     [ ("dse", "s222"); ("distribute", "s2251"); ("combined", "s222") ]
 
 let ct_run_row spec : ct_row =
+  let name, restrict = spec.cs_config in
   let src = Lazy.force spec.cs_source in
   (* an isolated context: the row's counters and timers are its own, not
      what earlier rows on the same worker left behind *)
@@ -350,8 +336,8 @@ let ct_run_row spec : ct_row =
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         (match
-           Fgv_frontend.Compile.source ~restrict:spec.cs_restrict
-             spec.cs_apply src
+           Fgv_frontend.Compile.source ~restrict
+             (Fgv_passes.Pipelines.run name) src
          with
         | Ok _ -> ()
         | Error e -> failwith (Fgv_frontend.Compile.message e));

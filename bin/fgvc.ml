@@ -122,13 +122,11 @@ let snapshot_hook dir (f0 : Ir.func) : string -> Ir.func -> unit =
 
 let run_fuzz n seed pipeline report_file stats jobs native finalize =
   let pipelines =
-    if pipeline = "none" then F.Oracle.pipeline_names
-    else if List.mem pipeline F.Oracle.pipeline_names then [ pipeline ]
-    else begin
-      Printf.eprintf "unknown fuzz pipeline %s (one of: %s)\n" pipeline
-        (String.concat ", " F.Oracle.pipeline_names);
+    match P.Pipelines.resolve pipeline with
+    | Error m ->
+      prerr_endline m;
       exit 2
-    end
+    | Ok _ -> if pipeline = "none" then P.Pipelines.names else [ pipeline ]
   in
   let jobs =
     if jobs > 0 then jobs else Fgv_support.Pool.default_jobs ()

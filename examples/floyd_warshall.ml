@@ -35,7 +35,10 @@ let fresh_mem () =
 
 let run name pipeline =
   let f =
-    match Fgv_frontend.Compile.source ~restrict:false pipeline source with
+    match
+      Fgv_frontend.Compile.source ~restrict:false (P.Pipelines.run pipeline)
+        source
+    with
     | Ok f -> f
     | Error e -> failwith (Fgv_frontend.Compile.message e)
   in
@@ -47,10 +50,10 @@ let run name pipeline =
 
 let () =
   Printf.printf "floyd-warshall, %dx%d, in-place shortest paths\n\n" n n;
-  let base = run "scalar -O3" (fun f -> ignore (P.Pipelines.o3_novec f)) in
-  let o3 = run "classic versioning" (fun f -> ignore (P.Pipelines.o3 f)) in
-  let sv = run "SLP (static)" (fun f -> ignore (P.Pipelines.sv f)) in
-  let svv = run "SLP + versioning" (fun f -> ignore (P.Pipelines.sv_versioning f)) in
+  let base = run "scalar -O3" "o3-novec" in
+  let o3 = run "classic versioning" "o3" in
+  let sv = run "SLP (static)" "sv" in
+  let svv = run "SLP + versioning" "sv+v" in
   print_newline ();
   (* all four must agree on the shortest paths *)
   List.iter

@@ -35,7 +35,7 @@ let fresh_mem () =
 
 let run name pipeline ~src ~dst =
   let f =
-    match Fgv_frontend.Compile.source pipeline source with
+    match Fgv_frontend.Compile.source (P.Pipelines.run pipeline) source with
     | Ok f -> f
     | Error e -> failwith (Fgv_frontend.Compile.message e)
   in
@@ -52,8 +52,8 @@ let run name pipeline ~src ~dst =
 let () =
   print_endline "redundant load elimination (src and dst may alias)";
   print_endline "disjoint pointers (fast path):";
-  let base = run "baseline" (fun f -> ignore (P.Pipelines.rle_baseline f)) ~src:0 ~dst:len in
-  let rle = run "RLE+version" (fun f -> ignore (P.Pipelines.rle_pipeline f)) ~src:0 ~dst:len in
+  let base = run "baseline" "rle-baseline" ~src:0 ~dst:len in
+  let rle = run "RLE+version" "rle" ~src:0 ~dst:len in
   assert (Interp.(observation_diff (observe base) (observe rle)) = None);
   Printf.printf "  -> %.1f%% of dynamic loads eliminated, %.2fx faster\n\n"
     (100.0
@@ -61,8 +61,8 @@ let () =
     /. Float.of_int base.Interp.counters.Interp.loads)
     (Interp.cost base.Interp.counters /. Interp.cost rle.Interp.counters);
   print_endline "overlapping pointers (checks fail, fallback):";
-  let base = run "baseline" (fun f -> ignore (P.Pipelines.rle_baseline f)) ~src:0 ~dst:4 in
-  let rle = run "RLE+version" (fun f -> ignore (P.Pipelines.rle_pipeline f)) ~src:0 ~dst:4 in
+  let base = run "baseline" "rle-baseline" ~src:0 ~dst:4 in
+  let rle = run "RLE+version" "rle" ~src:0 ~dst:4 in
   if Interp.(observation_diff (observe base) (observe rle)) = None then
     print_endline "  -> identical results: the fallback preserved the aliasing semantics"
   else failwith "MISMATCH"

@@ -41,11 +41,12 @@ type tsvc_row = {
 let tsvc_rows ?(check = true) ?(jobs = 1) () : tsvc_row list =
   Pool.map ~jobs
     (fun k ->
-      let base = W.run_config ~with_cfg:false (W.llvm_o3 ()) k in
-      let sv = W.run_config ~with_cfg:false (W.sv ()) k in
-      let svv = W.run_config ~with_cfg:false (W.sv_versioning ()) k in
+      let c name = (name, true) in
+      let base = W.run_config ~with_cfg:false (c "o3") k in
+      let sv = W.run_config ~with_cfg:false (c "sv") k in
+      let svv = W.run_config ~with_cfg:false (c "sv+v") k in
       if check then
-        W.check_equivalence k [ W.base_novec (); W.llvm_o3 (); W.sv (); W.sv_versioning () ];
+        W.check_equivalence k (List.map c [ "o3-novec"; "o3"; "sv"; "sv+v" ]);
       let vec r =
         r.W.r_counters.Interp.vector_stores + r.W.r_counters.Interp.vector_loads > 0
       in
@@ -89,14 +90,13 @@ type poly_row = {
 let polybench_rows ?(check = true) ?(jobs = 1) ~restrict () : poly_row list =
   Pool.map ~jobs
     (fun k ->
-      let base = W.run_config ~with_cfg:false (W.base_novec ~restrict ()) k in
-      let o3 = W.run_config ~with_cfg:false (W.llvm_o3 ~restrict ()) k in
-      let sv = W.run_config ~with_cfg:false (W.sv ~restrict ()) k in
-      let svv = W.run_config ~with_cfg:false (W.sv_versioning ~restrict ()) k in
+      let c name = (name, restrict) in
+      let base = W.run_config ~with_cfg:false (c "o3-novec") k in
+      let o3 = W.run_config ~with_cfg:false (c "o3") k in
+      let sv = W.run_config ~with_cfg:false (c "sv") k in
+      let svv = W.run_config ~with_cfg:false (c "sv+v") k in
       if check then
-        W.check_equivalence k
-          [ W.base_novec ~restrict (); W.llvm_o3 ~restrict ();
-            W.sv ~restrict (); W.sv_versioning ~restrict () ];
+        W.check_equivalence k (List.map c [ "o3-novec"; "o3"; "sv"; "sv+v" ]);
       let vec r =
         r.W.r_counters.Interp.vector_stores + r.W.r_counters.Interp.vector_loads > 0
       in
@@ -144,32 +144,23 @@ type rle_row = {
 (* Pass work is read from counters (DESIGN §8): a compile's work is the
    counters it recorded ([r_work]), and a phase's work is the difference
    of two compiles' over a shared prefix.  Both RLE pipelines begin with
-   exactly [o3_novec]'s stages, so the LICM/GVN work they do after that
+   exactly "o3-novec"'s stages, so the LICM/GVN work they do after that
    prefix — the paper's "more work after RLE" — is their work minus an
-   [o3_novec] compile's on the same kernel.  That run is isolated and its
+   "o3-novec" compile's on the same kernel.  That run is isolated and its
    shard never merged, so the figure's own counters do not see it. *)
 let prefix_work (k : W.kernel) : (string * int) list =
-  let cfgn = W.base_novec () in
   let (), shard =
-    Fgv_support.Obs.isolated (fun () -> ignore (W.compile cfgn k))
+    Fgv_support.Obs.isolated (fun () -> ignore (W.compile ("o3-novec", true) k))
   in
   Fgv_support.Obs.counters shard
 
 let rle_rows ?(check = true) ?(jobs = 1) () : rle_row list =
   Pool.map ~jobs
     (fun k ->
-      let base =
-        W.run_config
-          (W.cfg "rle-base" (fun f -> P.Pipelines.rle_baseline f))
-          k
-      in
-      let rle =
-        W.run_config (W.cfg "rle" (fun f -> P.Pipelines.rle_pipeline f)) k
-      in
+      let base = W.run_config ("rle-baseline", true) k in
+      let rle = W.run_config ("rle", true) k in
       if check then
-        W.check_equivalence k
-          [ W.cfg "rle-base" (fun f -> P.Pipelines.rle_baseline f);
-            W.cfg "rle" (fun f -> P.Pipelines.rle_pipeline f) ];
+        W.check_equivalence k [ ("rle-baseline", true); ("rle", true) ];
       let frac a b = if b = 0 then 0.0 else float_of_int (a - b) /. float_of_int a in
       let growth a b = if a = 0 then 0.0 else float_of_int (b - a) /. float_of_int a in
       let extra a b = if a = 0 then float_of_int b else growth a b in
@@ -234,20 +225,7 @@ type client_row = {
 
 let tsvc_kernel name = List.find (fun k -> k.W.k_name = name) Tsvc.kernels
 
-(* The new wish-spec clients need conditional dependences to version, so
-   the configurations compile without restrict: statically every array
-   may alias, and only versioning recovers the transformation. *)
-let client_cfg client ~versioning =
-  let name = if versioning then client else client ^ "-static" in
-  let apply f =
-    match client with
-    | "dse" -> P.Pipelines.dse_pipeline ~versioning f
-    | "distribute" -> P.Pipelines.distribute_pipeline ~versioning f
-    | "combined" -> P.Pipelines.combined ~versioning f
-    | _ -> invalid_arg ("client_cfg: " ^ client)
-  in
-  W.cfg ~restrict:false name apply
-
+(* Each client pipeline against its "-static" dual. *)
 let client_specs =
   [
     ("dse", "s222");
@@ -261,15 +239,15 @@ let clients_rows ?(check = true) ?(jobs = 1) () : client_row list =
   Pool.map ~jobs
     (fun (client, kname) ->
       let k = tsvc_kernel kname in
-      let static = W.run_config (client_cfg client ~versioning:false) k in
-      let versioned = W.run_config (client_cfg client ~versioning:true) k in
+      (* the wish-spec clients need conditional dependences to version,
+         so both compile without restrict: statically every array may
+         alias, and only versioning recovers the transformation *)
+      let c name = (name, false) in
+      let static = W.run_config (c (client ^ "-static")) k in
+      let versioned = W.run_config (c client) k in
       if check then
         W.check_equivalence k
-          [
-            W.base_novec ~restrict:false ();
-            client_cfg client ~versioning:false;
-            client_cfg client ~versioning:true;
-          ];
+          (List.map c [ "o3-novec"; client ^ "-static"; client ]);
       let vec r =
         r.W.r_counters.Interp.vector_stores
         + r.W.r_counters.Interp.vector_loads
@@ -353,10 +331,11 @@ let s258_speculation ?(jobs = 1) () : string =
     Pool.map ~jobs
       (fun (label, restrict, frac) ->
         let k = mk_kernel ~restrict ~positive_frac:frac label in
-        let base = W.run_config ~with_cfg:false (W.base_novec ~restrict ()) k in
-        let sv = W.run_config ~with_cfg:false (W.sv ~restrict ()) k in
-        let svv = W.run_config ~with_cfg:false (W.sv_versioning ~restrict ()) k in
-        W.check_equivalence k [ W.sv ~restrict (); W.sv_versioning ~restrict () ];
+        let c name = (name, restrict) in
+        let base = W.run_config ~with_cfg:false (c "o3-novec") k in
+        let sv = W.run_config ~with_cfg:false (c "sv") k in
+        let svv = W.run_config ~with_cfg:false (c "sv+v") k in
+        W.check_equivalence k [ c "sv"; c "sv+v" ];
         [ label; sp (base.W.r_cost /. sv.W.r_cost);
           sp (base.W.r_cost /. svv.W.r_cost) ])
       [
@@ -384,22 +363,14 @@ let ablation_mincut ?(jobs = 1) () : string =
     Pool.map ~jobs
       (fun (k : W.kernel) ->
       let unrolled f =
-        P.Pipelines.o3_novec f;
+        P.Pipelines.run "o3-novec" f;
         ignore (P.Ifconv.run f);
-        ignore (P.Unroll.run ~factor:4 f);
+        ignore (P.Unroll.run f);
         ignore (P.Constfold.run f)
       in
-      let f = W.compile (W.cfg ~restrict:false "unrolled" unrolled) k in
-      (* find the innermost unrolled regions and measure both strategies
-         on the store groups SLP would seed *)
-      let rec regions items acc =
-        List.fold_left
-          (fun acc item ->
-            match item with
-            | Ir.I _ -> acc
-            | Ir.L lid -> regions (Ir.loop f lid).Ir.body (Ir.Rloop lid :: acc))
-          acc items
-      in
+      let f = W.compile_with ~restrict:false unrolled k in
+      (* measure both strategies on the store groups SLP would seed, in
+         every region *)
       let min_checks = ref 0 and naive_checks = ref 0 in
       List.iter
         (fun region ->
@@ -442,7 +413,7 @@ let ablation_mincut ?(jobs = 1) () : string =
             List.iter dfs idx;
             naive_checks := !naive_checks + !conds
           end)
-        (regions f.Ir.fbody [ Ir.Rtop ]);
+        (Ir.regions f);
       (k.W.k_name, !min_checks, !naive_checks))
       Polybench.kernels
   in
@@ -474,30 +445,34 @@ let ablation_condopt ?(jobs = 1) () : string =
     Pool.map ~jobs
       (fun (k : W.kernel) ->
       let with_opt =
-        W.run_config ~with_cfg:false (W.sv_versioning ~restrict:false ()) k
+        (W.run_config ~with_cfg:false ("sv+v", false) k).W.r_cost
       in
       let without =
-        W.run_config ~with_cfg:false
-          (W.cfg ~restrict:false "SV+V-noopt" (fun f ->
-               let config =
-                 {
-                   P.Slp.default_config with
-                   condopt = Fgv_versioning.Condopt.none_config;
-                 }
-               in
-               P.Pipelines.scalar_passes f;
-               ignore (P.Ifconv.run f);
-               ignore (P.Unroll.run ~factor:4 f);
-               ignore (P.Constfold.run f);
-               ignore (P.Slp.run ~config f);
-               P.Pipelines.scalar_passes f))
-          k
+        let f =
+          W.compile_with ~restrict:false
+            (fun f ->
+              let config =
+                {
+                  P.Slp.default_config with
+                  condopt = Fgv_versioning.Condopt.none_config;
+                }
+              in
+              P.Pipelines.(run_stages f scalar_stages);
+              ignore (P.Ifconv.run f);
+              ignore (P.Unroll.run f);
+              ignore (P.Constfold.run f);
+              ignore (P.Slp.run ~config f);
+              P.Pipelines.(run_stages f scalar_stages))
+            k
+        in
+        let out = Interp.run f ~args:k.W.k_args ~mem:(W.fresh_mem k) in
+        Interp.cost out.Interp.counters
       in
-      let ratio = without.W.r_cost /. with_opt.W.r_cost in
+      let ratio = without /. with_opt in
       ( ratio,
         [ k.W.k_name;
-          Printf.sprintf "%.0f" with_opt.W.r_cost;
-          Printf.sprintf "%.0f" without.W.r_cost;
+          Printf.sprintf "%.0f" with_opt;
+          Printf.sprintf "%.0f" without;
           Printf.sprintf "%.2fx" ratio ] ))
       Polybench.kernels
   in

@@ -78,20 +78,12 @@ let mk_row ~figure ~(base : W.config) ~(vers : W.config) (k : W.kernel) : row =
     raise (W.Kernel_error (k.W.k_name ^ "/" ^ figure ^ " (native)", Failure e))
 
 let specs () =
-  List.map (fun k -> ("fig19", W.llvm_o3 (), W.sv_versioning (), k)) Tsvc.kernels
+  List.map (fun k -> ("fig19", ("o3", true), ("sv+v", true), k)) Tsvc.kernels
   @ List.map
-      (fun k ->
-        ( "fig16",
-          W.llvm_o3 ~restrict:false (),
-          W.sv_versioning ~restrict:false (),
-          k ))
+      (fun k -> ("fig16", ("o3", false), ("sv+v", false), k))
       Polybench.kernels
   @ List.map
-      (fun k ->
-        ( "fig22",
-          W.cfg "rle-base" (fun f -> P.Pipelines.rle_baseline f),
-          W.cfg "rle" (fun f -> P.Pipelines.rle_pipeline f),
-          k ))
+      (fun k -> ("fig22", ("rle-baseline", true), ("rle", true), k))
       Specfp.kernels
 
 (* [?kernels] filters by kernel name (all when omitted) — CI smoke runs

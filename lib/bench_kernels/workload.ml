@@ -22,24 +22,9 @@ let mk ?(note = "") ~name ~source ~args ~heap ?(init = fun i ->
 
 (* ------------------------------------------------------------- configs *)
 
-type config = {
-  c_name : string;
-  c_restrict : bool; (* honour restrict qualifiers in the source *)
-  c_apply : Ir.func -> unit;
-}
-
-let cfg ?(restrict = true) name apply =
-  { c_name = name; c_restrict = restrict; c_apply = apply }
-
-let base_novec ?(restrict = true) () =
-  cfg ~restrict "O3-novec" (fun f -> P.Pipelines.o3_novec f)
-
-let llvm_o3 ?(restrict = true) () = cfg ~restrict "O3" (fun f -> P.Pipelines.o3 f)
-
-let sv ?(restrict = true) () = cfg ~restrict "SV" (fun f -> P.Pipelines.sv f)
-
-let sv_versioning ?(restrict = true) () =
-  cfg ~restrict "SV+V" (fun f -> P.Pipelines.sv_versioning f)
+(* A configuration: a {!Fgv_passes.Pipelines} name, and whether the
+   source's restrict qualifiers are honoured. *)
+type config = string * bool
 
 (* --------------------------------------------------------------- runs *)
 
@@ -59,16 +44,18 @@ let count (counters : (string * int) list) name =
 
 exception Kernel_error of string * exn
 
-(* [k] through the one compile path under [cfgn]: its restrict setting
-   and pipeline, verified.  A kernel that does not compile is a harness
-   bug, raised as [Failure] with the path's message. *)
-let compile (cfgn : config) (k : kernel) : Ir.func =
-  match
-    Fgv_frontend.Compile.source ~restrict:cfgn.c_restrict cfgn.c_apply
-      k.k_source
-  with
+(* [k] through the one compile path, its restrict qualifiers kept iff
+   [restrict], optimized by [apply] and verified.  A kernel that does
+   not compile is a harness bug, raised as [Failure] with the path's
+   message.  The ablations pass hand-assembled pass sequences here;
+   everything else compiles a configuration. *)
+let compile_with ~restrict apply (k : kernel) : Ir.func =
+  match Fgv_frontend.Compile.source ~restrict apply k.k_source with
   | Ok f -> f
   | Error e -> failwith (Fgv_frontend.Compile.message e)
+
+let compile ((name, restrict) : config) k =
+  compile_with ~restrict (P.Pipelines.run name) k
 
 let fresh_mem k = Array.init k.k_heap (fun i -> Value.VFloat (k.k_init i))
 
@@ -93,7 +80,7 @@ let run_config ?(with_cfg = true) (cfgn : config) (k : kernel) : run_result =
       r_work = work;
       r_outcome = outcome;
     }
-  with e -> raise (Kernel_error (k.k_name ^ "/" ^ cfgn.c_name, e))
+  with e -> raise (Kernel_error (k.k_name ^ "/" ^ fst cfgn, e))
 
 (* Check that every configuration computes the same result as the
    unoptimized program (the harness refuses to report wrong-code
@@ -102,7 +89,7 @@ let check_equivalence (k : kernel) (cfgs : config list) : unit =
   let observe f =
     Interp.observe (Interp.run f ~args:k.k_args ~mem:(fresh_mem k))
   in
-  let ref_obs = observe (compile (cfg ~restrict:false "reference" ignore) k) in
+  let ref_obs = observe (compile ("none", false) k) in
   List.iter
     (fun c ->
       match Interp.observation_diff ref_obs (observe (compile c k)) with
@@ -110,5 +97,5 @@ let check_equivalence (k : kernel) (cfgs : config list) : unit =
       | Some detail ->
         failwith
           (Printf.sprintf "%s/%s computes a different result! (%s)" k.k_name
-             c.c_name detail))
+             (fst c) detail))
     cfgs

@@ -171,7 +171,8 @@ let run_parallel ~native ~config ~pipelines ~jobs ~n ~seed () : outcome =
   }
 
 let run ?(native = false) ?(config = Generator.default_config)
-    ?(pipelines = Oracle.pipeline_names) ?(jobs = 1) ~n ~seed () : outcome =
+    ?(pipelines = Fgv_passes.Pipelines.names) ?(jobs = 1) ~n ~seed () :
+    outcome =
   Tm.time "fuzz.campaign" (fun () ->
       if n <= 0 then
         { c_programs = 0; c_seed = seed; c_pipelines = pipelines;

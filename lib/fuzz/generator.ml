@@ -47,6 +47,11 @@ let default_config =
     allow_calls = true;
   }
 
+(* The big-region shape of the compile-time lane's programs and the
+   corpus golden's: [size] statements, loops nested three deep, so at
+   [size] 240 a top-level region holds hundreds of nodes. *)
+let big_region_config size = { default_config with size; max_loop_depth = 3 }
+
 (* ------------------------------------------------------------ geometry *)
 
 (* Each pointer's accesses stay within [base, base+span).  Float

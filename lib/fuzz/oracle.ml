@@ -69,13 +69,6 @@ let mismatch_to_string m =
 
 (* ----------------------------------------------------------- pipelines *)
 
-(* Every pipeline in {!Fgv_passes.Pipelines.registry}, under the same
-   names the [fgvc] driver and the compile service use — the oracle
-   sweep is exactly the shared registry (including "sv+v-nopromo", which
-   pins condition promotion off so both promotion settings are fuzzed),
-   always with the per-pass verifier hook. *)
-let pipeline_names = P.Pipelines.names
-
 let verify_after_each_pass pass f =
   match Verifier.verify_or_message f with
   | None -> ()
@@ -186,13 +179,10 @@ let compile_mismatch name = function
    check the oracles under every layout against [reference]'s runs. *)
 let check_pipeline ~native ~(config : Generator.config) ~reference
     (fd : Ast.fdecl) (name : string) : mismatch option =
-  let apply =
-    match P.Pipelines.find name with
-    | Some apply -> apply ~on_pass:verify_after_each_pass
-    | None -> invalid_arg ("Oracle.check: unknown pipeline " ^ name)
-  in
   let layouts = Generator.layouts_for config in
-  match Compile.fdecl apply fd with
+  match
+    Compile.fdecl (P.Pipelines.run name ~on_pass:verify_after_each_pass) fd
+  with
   | Error e -> compile_mismatch name e
   | Ok subject -> (
     match
@@ -215,11 +205,12 @@ let check_pipeline ~native ~(config : Generator.config) ~reference
             check_native ~config ~layouts ~name reference prog
           else None)))
 
-(* Check one program against every requested pipeline; first mismatch
-   wins.  The reference is lowered once, and runs once per layout, not
-   once per pipeline and oracle.  A program that does not lower is
-   rejected once per pipeline. *)
-let check ?(native = false) ?(pipelines = pipeline_names)
+(* Check one program against every requested pipeline (by default the
+   whole registry, so both promotion settings of "sv+v" are fuzzed);
+   first mismatch wins.  The reference is lowered once, and runs once
+   per layout, not once per pipeline and oracle.  A program that does
+   not lower is rejected once per pipeline. *)
+let check ?(native = false) ?(pipelines = P.Pipelines.names)
     ~(config : Generator.config) (fd : Ast.fdecl) : mismatch option =
   Tm.incr "fuzz.programs";
   match Compile.fdecl ignore fd with

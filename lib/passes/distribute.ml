@@ -289,11 +289,6 @@ let apply_candidate (f : Ir.func) (region : Ir.region) (c : candidate) =
   (* the original loop becomes the keeper piece *)
   prune_loop f (Ir.loop f c.dl_loop) (Hashtbl.mem c.dl_keeper)
 
-let granted ~ok = function
-  | V.Wish.Granted_static -> true
-  | V.Wish.Granted_versioned _ -> ok
-  | V.Wish.Denied -> false
-
 let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
     (stats : stats) : unit =
   let spec =
@@ -319,7 +314,7 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
           let f = s.V.Api.s_func in
           List.iter
             (fun (c, o) ->
-              if granted ~ok o then begin
+              if V.Wish.granted ~ok o then begin
                 apply_candidate f s.V.Api.s_region c;
                 stats.loops_split <- stats.loops_split + 1;
                 stats.pieces <- stats.pieces + c.dl_pieces;
@@ -343,5 +338,5 @@ let run ?(versioning = true) (f : Ir.func) : stats =
   let stats = new_stats () in
   List.iter
     (fun region -> run_region ~versioning f region stats)
-    (V.Wish.all_regions f);
+    (Ir.regions f);
   stats

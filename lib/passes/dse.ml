@@ -212,11 +212,6 @@ let delete_inst (f : Ir.func) (v : Ir.value_id) =
 
 (* --------------------------------------------------------------- pass *)
 
-let granted ~ok = function
-  | V.Wish.Granted_static -> true
-  | V.Wish.Granted_versioned _ -> ok
-  | V.Wish.Denied -> false
-
 let tally stats ~ok outcomes =
   List.iter
     (function
@@ -246,7 +241,7 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
           let users = Ir.compute_users f in
           List.iter
             (fun (c, o) ->
-              if granted ~ok o then begin
+              if V.Wish.granted ~ok o then begin
                 let target = subst c.fw_value in
                 List.iter
                   (fun u ->
@@ -277,7 +272,7 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
           tally stats ~ok decided;
           List.iter
             (fun (c, o) ->
-              if granted ~ok o then begin
+              if V.Wish.granted ~ok o then begin
                 delete_inst f c.kl_store;
                 stats.killed <- stats.killed + 1
               end)
@@ -297,5 +292,5 @@ let run ?(versioning = true) (f : Ir.func) : stats =
   let stats = new_stats () in
   List.iter
     (fun region -> run_region ~versioning f region stats)
-    (V.Wish.all_regions f);
+    (Ir.regions f);
   stats

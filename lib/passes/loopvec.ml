@@ -89,7 +89,7 @@ let region_of_loop f lid =
   | Some r -> r
   | None -> invalid_arg "Loopvec: loop not placed"
 
-let vectorize_loop ?(vl = 4) (f : Ir.func) (lid : Ir.loop_id) : outcome =
+let vectorize_loop (f : Ir.func) (lid : Ir.loop_id) : outcome =
   let scev = Scev.create f in
   if not (Unroll.eligible f scev lid) then Not_vectorized "not a counted innermost loop"
   else
@@ -116,14 +116,14 @@ let vectorize_loop ?(vl = 4) (f : Ir.func) (lid : Ir.loop_id) : outcome =
       if not versioned_ok then Not_vectorized "versioning failed to materialize"
       else begin
         (* unroll the fast-path loop (the original keeps its id) *)
-        let n = Unroll.run ~factor:vl ~select:(fun l -> l = lid) f in
+        let n = Unroll.run ~select:(fun l -> l = lid) f in
         if n = 0 then Not_vectorized "unroll failed"
         else Vectorized
       end
 
 (* Vectorize every innermost loop, then run the static packer.  Returns
    the number of loops vectorized. *)
-let run ?(vl = 4) (f : Ir.func) : int =
+let run (f : Ir.func) : int =
   (* snapshot the loops first: the transform rewrites the body *)
   let rec innermost items acc =
     List.fold_left
@@ -140,7 +140,7 @@ let run ?(vl = 4) (f : Ir.func) : int =
   let vectorized =
     List.fold_left
       (fun n lid ->
-        match vectorize_loop ~vl f lid with
+        match vectorize_loop f lid with
         | Vectorized -> n + 1
         | Not_vectorized _ -> n)
       0 loops

@@ -1,19 +1,27 @@
-(* Standard optimization pipelines used by the evaluation harness.
+(* The optimization pipelines, declared once as data.
 
-   - [o3_novec]: the scalar baseline ("LLVM -O3 without vectorization"):
+   [registry] is the one name -> pipeline table: the fgvc driver's [-p],
+   the compile service's request decoder, the fuzz oracle's sweep, the
+   bench harness, the examples, the tests and the doc-lint check that
+   keeps README's pipeline table honest all name pipelines from it.
+   Each row is a span/timer label and a list of named stages:
+
+   - "o3-novec": the scalar baseline ("LLVM -O3 without vectorization"):
      constant folding, GVN (including static redundant-load reuse), LICM
-     and DCE to a fixpoint.
-   - [o3]: the full baseline ("LLVM -O3"): scalar pipeline plus the loop
-     vectorizer with classic loop versioning plus the static SLP packer.
-   - [sv]: SuperVectorization without versioning: scalar pipeline, then
-     unroll-by-VL of innermost loops and the static SLP packer.
-   - [sv_versioning]: the paper's configuration: as [sv] but the packer
-     consults the fine-grained versioning framework.
-   - [rle_*]: the redundant-load-elimination pipelines of Fig. 22.
+     and DCE;
+   - "o3": the full baseline ("LLVM -O3"): the scalar pipeline, then the
+     loop vectorizer with classic loop versioning plus the static SLP
+     packer;
+   - "sv": SuperVectorization without versioning: the scalar pipeline,
+     then unroll by the vector width and the static SLP packer;
+   - "sv+v": the paper's configuration: as "sv", but the packer consults
+     the fine-grained versioning framework ("sv+v-nopromo" keeps
+     condition promotion off);
+   - "rle", "dse", "distribute", "combined": the versioning clients, and
+     their "-static" duals, which transform only what holds statically.
 
-   Every pipeline is one list of named stages, and every entry point
-   takes an optional [?on_pass] observer invoked as [on_pass name f]
-   after each individual stage.  The differential-fuzzing oracle uses
+   [run] takes an optional [?on_pass] observer invoked as [on_pass name
+   f] after each individual stage.  The differential-fuzzing oracle uses
    the hook to run {!Fgv_pssa.Verifier} after every pass, so an IR
    invariant broken by one transform is reported against that transform
    rather than at the end of the pipeline.
@@ -30,19 +38,19 @@ module Tr = Fgv_support.Trace
 (* ------------------------------------------------------------- stages *)
 
 (* A stage is a named unit of pipeline work; observers hook in between.
-   The closure returns the work the pass did as labelled counts, which
+   The function returns the work the pass did as labelled counts, which
    feeds the optimization-remark stream ([Pass_applied]/[Pass_skipped],
    see trace.mli).  Every stage runs inside a span and a
    "pass.<stage>.time" timer, so [--stats=json] and the compiletime
    lane's per-row timers give per-pass time without a trace. *)
-type stage = string * (unit -> (string * int) list)
+type stage = string * (Ir.func -> (string * int) list)
 
 let run_stages ?on_pass (f : Ir.func) (stages : stage list) : unit =
   List.iter
     (fun (name, run) ->
       let work =
         Tm.time ("pass." ^ name ^ ".time") (fun () ->
-            Tr.with_span ~cat:"pass" name run)
+            Tr.with_span ~cat:"pass" name (fun () -> run f))
       in
       if Tr.remarks_recording () then begin
         let a = Tr.anchor f.Ir.fname in
@@ -58,220 +66,174 @@ let run_stages ?on_pass (f : Ir.func) (stages : stage list) : unit =
    counters. *)
 let counted name run : stage =
   ( name,
-    fun () ->
-      let work = run () in
+    fun f ->
+      let work = run f in
       List.iter
         (fun (label, n) -> Tm.incr ~by:n ("pass." ^ name ^ "." ^ label))
         work;
       work )
 
-let st_constfold f : stage =
-  ("constfold", fun () -> [ ("folded", Constfold.run f) ])
+let st_constfold : stage =
+  ("constfold", fun f -> [ ("folded", Constfold.run f) ])
 
-let st_dce f = counted "dce" (fun () -> [ ("removed", Dce.run f) ])
+let st_dce = counted "dce" (fun f -> [ ("removed", Dce.run f) ])
 
-let st_gvn f = counted "gvn" (fun () -> [ ("deleted", Gvn.run f) ])
+let st_gvn = counted "gvn" (fun f -> [ ("deleted", Gvn.run f) ])
 
-let st_licm f = counted "licm" (fun () -> [ ("hoisted", Licm.run f) ])
+let st_licm = counted "licm" (fun f -> [ ("hoisted", Licm.run f) ])
 
-let cleanup_stages f = [ st_constfold f; st_dce f ]
+let cleanup_stages = [ st_constfold; st_dce ]
 
-let scalar_stages f = [ st_constfold f; st_gvn f; st_licm f ] @ cleanup_stages f
+let scalar_stages = [ st_constfold; st_gvn; st_licm ] @ cleanup_stages
 
-let st_ifconv f : stage = ("ifconv", fun () -> [ ("converted", Ifconv.run f) ])
+let st_ifconv : stage = ("ifconv", fun f -> [ ("converted", Ifconv.run f) ])
 
-let st_loopvec ~vl f =
-  counted "loopvec" (fun () -> [ ("loops", Loopvec.run ~vl f) ])
+let st_loopvec = counted "loopvec" (fun f -> [ ("loops", Loopvec.run f) ])
 
-let st_unroll ~factor f : stage =
-  ("unroll", fun () -> [ ("unrolled", Unroll.run ~factor f) ])
+let st_unroll : stage = ("unroll", fun f -> [ ("unrolled", Unroll.run f) ])
 
-(* The packer either consults the versioning framework, promoting its
-   checks out of enclosing loops iff [promotion], or packs only what is
-   statically independent. *)
-let slp_config ~vl ~versioning ~promotion =
-  if versioning then
-    {
-      Slp.default_config with
-      vl;
-      condopt = { Fgv_versioning.Condopt.default_config with promotion };
-    }
-  else { Slp.static_config with vl }
-
-let st_slp ~config f =
-  counted "slp" (fun () ->
+let st_slp config =
+  counted "slp" (fun f ->
       let vectors, plans = Slp.run ~config f in
       [ ("vectors", vectors); ("plans", plans) ])
 
-let st_rle ~versioning f =
-  counted "rle" (fun () ->
+(* The packer consulting the versioning framework, promoting its checks
+   out of enclosing loops iff [promotion]. *)
+let versioned_slp ~promotion =
+  {
+    Slp.default_config with
+    condopt = { Fgv_versioning.Condopt.default_config with promotion };
+  }
+
+let st_rle ~versioning =
+  counted "rle" (fun f ->
       let rs = Rle.run ~versioning f in
       [
         ("eliminated", rs.Rle.loads_eliminated);
         ("groups", rs.Rle.groups_found);
       ])
 
-let st_dse ~versioning f =
-  counted "dse" (fun () ->
+let st_dse ~versioning =
+  counted "dse" (fun f ->
       let ds = Dse.run ~versioning f in
       (* counted, but not part of the remark's work *)
       Tm.incr ~by:ds.Dse.versioned "pass.dse.versioned";
       [ ("forwarded", ds.Dse.forwarded); ("killed", ds.Dse.killed) ])
 
-let st_distribute ~versioning f =
-  counted "distribute" (fun () ->
+let st_distribute ~versioning =
+  counted "distribute" (fun f ->
       let ds = Distribute.run ~versioning f in
       [
         ("split", ds.Distribute.loops_split);
         ("pieces", ds.Distribute.pieces);
       ])
 
-(* The scalar sub-pipeline as a plain function, for harness code that
-   composes custom configurations (e.g. the condopt ablation). *)
-let scalar_passes ?on_pass f = run_stages ?on_pass f (scalar_stages f)
+(* The vectorizing shape: the scalar pipeline, the client stages [pre],
+   unroll by the vector width and pack with [slp], then the scalar
+   pipeline again, which hoists loop-invariant check code and cleans up
+   the scalar remains. *)
+let vectorizing pre slp =
+  scalar_stages @ pre
+  @ [ st_ifconv; st_unroll; st_constfold; st_slp slp ]
+  @ scalar_stages
+
+(* The harvesting shape: the scalar pipeline first (so trivially dead
+   code does not inflate a client's candidate set), the client stages,
+   then LICM and GVN again to harvest what the client exposed (Fig. 22
+   reports how much *more* work they do after RLE).  Every such pipeline
+   begins with exactly "o3-novec"'s stages: Fig. 22 counts the
+   downstream work by subtracting an "o3-novec" run's counters. *)
+let harvesting client =
+  scalar_stages @ client @ [ st_constfold; st_licm; st_gvn ] @ cleanup_stages
 
 (* ---------------------------------------------------------- pipelines *)
 
-let pipeline name ?on_pass (f : Ir.func) (stages : stage list) : unit =
-  Tm.time ("pipeline." ^ name) (fun () ->
-      Tr.with_span ~cat:"pipeline" name (fun () ->
-          run_stages ?on_pass f stages))
+(* A pipeline: [label] names its span and "pipeline.<label>" timer. *)
+type row = { label : string; stages : stage list }
 
-let o3_novec ?on_pass (f : Ir.func) : unit =
-  pipeline "o3_novec" ?on_pass f (scalar_stages f)
-
-let o3 ?(vl = 4) ?on_pass (f : Ir.func) : unit =
-  pipeline "o3" ?on_pass f
-    (scalar_stages f @ [ st_ifconv f; st_loopvec ~vl f ] @ scalar_stages f)
-
-let sv ?(vl = 4) ?(versioning = false) ?(promotion = false) ?on_pass
-    (f : Ir.func) : unit =
-  pipeline
-    (if versioning then "sv_versioning" else "sv")
-    ?on_pass f
-    (scalar_stages f
-    @ [
-        st_ifconv f;
-        st_unroll ~factor:vl f;
-        st_constfold f;
-        st_slp ~config:(slp_config ~vl ~versioning ~promotion) f;
-      ]
-    (* hoist loop-invariant check code, then clean up the scalar
-       remains *)
-    @ scalar_stages f)
-
-let sv_versioning ?(vl = 4) ?(promotion = true) ?on_pass f =
-  sv ~vl ~versioning:true ~promotion ?on_pass f
-
-(* ------------------------------------------------------ RLE pipelines *)
-
-(* Fig. 22 configuration: scalar pipeline, versioning-based RLE, then
-   LICM and GVN run again downstream (the paper reports how much *more*
-   work they do after RLE).  Both RLE pipelines begin with exactly
-   [o3_novec]'s stages: Fig. 22 counts the downstream work by
-   subtracting an [o3_novec] run's counters. *)
-let rle_pipeline ?(versioning = true) ?on_pass (f : Ir.func) : unit =
-  pipeline "rle" ?on_pass f
-    (scalar_stages f
-    @ [ st_rle ~versioning f; st_constfold f; st_licm f; st_gvn f ]
-    @ cleanup_stages f)
-
-(* The baseline for Fig. 22: the same downstream passes, no RLE. *)
-let rle_baseline ?on_pass (f : Ir.func) : unit =
-  pipeline "rle_baseline" ?on_pass f
-    (scalar_stages f
-    @ [ st_constfold f; st_licm f; st_gvn f ]
-    @ cleanup_stages f)
-
-(* ----------------------------------------- DSE / distribution pipelines *)
-
-(* Versioned dead-store elimination: scalar pipeline first (so trivially
-   dead code doesn't inflate the candidate set), then DSE and the scalar
-   passes again to harvest what forwarding exposed.  With [versioning =
-   false] only statically provable stores are eliminated. *)
-let dse_pipeline ?(versioning = true) ?on_pass (f : Ir.func) : unit =
-  pipeline "dse" ?on_pass f
-    (scalar_stages f
-    @ [ st_dse ~versioning f; st_constfold f; st_licm f; st_gvn f ]
-    @ cleanup_stages f)
-
-(* Versioned loop distribution feeding the SLP vectorizer: distribution
-   splits the versionable recurrence away, then unroll+SLP vectorize the
-   clean sub-loop.  The packer consults versioning iff the distributor
-   does, so [versioning = false] is the fully static baseline. *)
-let distribute_pipeline ?(vl = 4) ?(versioning = true) ?on_pass (f : Ir.func)
-    : unit =
-  pipeline "distribute" ?on_pass f
-    (scalar_stages f
-    @ [
-        st_distribute ~versioning f;
-        st_ifconv f;
-        st_unroll ~factor:vl f;
-        st_constfold f;
-        st_slp ~config:(slp_config ~vl ~versioning ~promotion:true) f;
-      ]
-    @ scalar_stages f)
-
-(* Every versioning client in one pipeline: DSE, then distribution, then
-   SLP — the "all clients" configuration the fuzz oracle cross-checks. *)
-let combined ?(vl = 4) ?(versioning = true) ?on_pass (f : Ir.func) : unit =
-  pipeline "combined" ?on_pass f
-    (scalar_stages f
-    @ [
-        st_dse ~versioning f;
-        st_distribute ~versioning f;
-        st_ifconv f;
-        st_unroll ~factor:vl f;
-        st_constfold f;
-        st_slp ~config:(slp_config ~vl ~versioning ~promotion:true) f;
-      ]
-    @ scalar_stages f)
-
-(* ------------------------------------------------------- the registry *)
-
-(* The single name → pipeline table every consumer shares: the fgvc
-   driver's [-p] flag, the fuzz oracle's sweep, the compile service's
-   request decoder, and the doc-lint check that keeps README's pipeline
-   table honest all read this list.  Adding a pipeline here is the whole
-   registration step (plus a README row, which doc-lint enforces). *)
-let registry :
-    (string * (?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit)) list
-    =
+(* Adding a pipeline here is the whole registration step (plus a README
+   row, which doc-lint enforces).  The "-static" duals share their
+   versioned row's label, so their timers and spans read the same. *)
+let registry : (string * row) list =
   [
-    ("o3-novec", o3_novec);
-    ("o3", fun ?on_pass f -> o3 ?on_pass f);
-    ("sv", fun ?on_pass f -> sv ?on_pass f);
-    ("sv+v", fun ?on_pass f -> sv_versioning ?on_pass f);
+    ("o3-novec", { label = "o3_novec"; stages = scalar_stages });
+    ( "o3",
+      { label = "o3";
+        stages = scalar_stages @ [ st_ifconv; st_loopvec ] @ scalar_stages } );
+    ("sv", { label = "sv"; stages = vectorizing [] Slp.static_config });
+    ( "sv+v",
+      { label = "sv_versioning";
+        stages = vectorizing [] (versioned_slp ~promotion:true) } );
     ( "sv+v-nopromo",
-      fun ?on_pass f -> sv_versioning ~promotion:false ?on_pass f );
-    ("rle", fun ?on_pass f -> rle_pipeline ?on_pass f);
-    ("rle-static", fun ?on_pass f -> rle_pipeline ~versioning:false ?on_pass f);
-    ("dse", fun ?on_pass f -> dse_pipeline ?on_pass f);
-    ("dse-static", fun ?on_pass f -> dse_pipeline ~versioning:false ?on_pass f);
-    ("distribute", fun ?on_pass f -> distribute_pipeline ?on_pass f);
+      { label = "sv_versioning";
+        stages = vectorizing [] (versioned_slp ~promotion:false) } );
+    ("rle", { label = "rle"; stages = harvesting [ st_rle ~versioning:true ] });
+    ( "rle-static",
+      { label = "rle"; stages = harvesting [ st_rle ~versioning:false ] } );
+    ("dse", { label = "dse"; stages = harvesting [ st_dse ~versioning:true ] });
+    ( "dse-static",
+      { label = "dse"; stages = harvesting [ st_dse ~versioning:false ] } );
+    (* distribution splits the versionable recurrence away, then the
+       packer vectorizes the clean sub-loop; it consults versioning iff
+       the distributor does *)
+    ( "distribute",
+      { label = "distribute";
+        stages =
+          vectorizing
+            [ st_distribute ~versioning:true ]
+            (versioned_slp ~promotion:true) } );
     ( "distribute-static",
-      fun ?on_pass f -> distribute_pipeline ~versioning:false ?on_pass f );
-    ("combined", fun ?on_pass f -> combined ?on_pass f);
+      { label = "distribute";
+        stages =
+          vectorizing [ st_distribute ~versioning:false ] Slp.static_config } );
+    (* every versioning client in one pipeline: DSE, then distribution,
+       then SLP *)
+    ( "combined",
+      { label = "combined";
+        stages =
+          vectorizing
+            [ st_dse ~versioning:true; st_distribute ~versioning:true ]
+            (versioned_slp ~promotion:true) } );
   ]
 
 let names = List.map fst registry
 
-let find (name : string) :
-    (?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit) option =
-  List.assoc_opt name registry
+(* Rows only the bench harness runs, which [-p], the compile service and
+   the fuzz sweep do not offer: Fig. 22's control (the RLE pipeline's
+   stages without RLE) and the clients figure's static dual of
+   "combined". *)
+let harness_rows =
+  [
+    ("rle-baseline", { label = "rle_baseline"; stages = harvesting [] });
+    ( "combined-static",
+      { label = "combined";
+        stages =
+          vectorizing
+            [ st_dse ~versioning:false; st_distribute ~versioning:false ]
+            Slp.static_config } );
+  ]
 
-(* A requested pipeline: a registry name, or "none" for the identity.
-   The driver's [-p] and the compile service both resolve through here,
-   so they accept the same names and reject the rest with the same text. *)
-let resolve (name : string) :
-    ( ?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit,
-      string )
-    result =
-  if name = "none" then Ok (fun ?on_pass:_ _ -> ())
+(* The pipeline [name]: a registry or harness row, run inside its
+   "pipeline.<label>" timer and span, or "none", the identity.  An
+   unknown name is a caller's bug: [Invalid_argument]. *)
+let run name : ?on_pass:(string -> Ir.func -> unit) -> Ir.func -> unit =
+  if name = "none" then fun ?on_pass:_ _ -> ()
   else
-    match find name with
-    | Some apply -> Ok apply
-    | None ->
-      Error
-        (Printf.sprintf "unknown pipeline %s (one of: %s)" name
-           (String.concat ", " ("none" :: names)))
+    match List.assoc_opt name (registry @ harness_rows) with
+    | None -> invalid_arg ("Pipelines.run: unknown pipeline " ^ name)
+    | Some row ->
+      fun ?on_pass f ->
+        Tm.time ("pipeline." ^ row.label) (fun () ->
+            Tr.with_span ~cat:"pipeline" row.label (fun () ->
+                run_stages ?on_pass f row.stages))
+
+(* A requested pipeline: a registry name, or "none".  The driver's [-p]
+   and [--fuzz --pipeline] and the compile service all resolve through
+   here, so they accept the same names and reject the rest with the
+   same text. *)
+let resolve name =
+  if name = "none" || List.mem_assoc name registry then Ok (run name)
+  else
+    Error
+      (Printf.sprintf "unknown pipeline %s (one of: %s)" name
+         (String.concat ", " ("none" :: names)))

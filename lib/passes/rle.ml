@@ -110,13 +110,7 @@ let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
           List.iter
             (fun ((leader, group), o) ->
               stats.groups_found <- stats.groups_found + 1;
-              let collapse =
-                match o with
-                | V.Wish.Granted_static -> true
-                | V.Wish.Granted_versioned _ -> ok
-                | V.Wish.Denied -> false
-              in
-              if collapse then begin
+              if V.Wish.granted ~ok o then begin
                 let target = subst leader in
                 List.iter
                   (fun l ->
@@ -140,5 +134,5 @@ let run ?(versioning = true) (f : Ir.func) : stats =
   let stats = new_stats () in
   List.iter
     (fun region -> run_region ~versioning f region stats)
-    (V.Wish.all_regions f);
+    (Ir.regions f);
   stats

@@ -8,9 +8,10 @@
       instructions the pack must be scheduled across);
    2. all accepted plans are materialized before vector code generation.
 
-   Packing is bottom-up from groups of [vl] stores to consecutive
-   addresses; operand chains pack when isomorphic (same opcode, same
-   predicate) and legal, and fall back to gathers (vecbuild) otherwise.
+   Packing is bottom-up from groups of {!Interp.vector_width} stores to
+   consecutive addresses; operand chains pack when isomorphic (same
+   opcode, same predicate) and legal, and fall back to gathers
+   (vecbuild) otherwise.
    Scalar code made dead by vectorization is left for DCE. *)
 
 open Fgv_pssa
@@ -18,13 +19,11 @@ open Fgv_analysis
 module V = Fgv_versioning
 
 type config = {
-  vl : int;
   versioning : bool; (* fine-grained versioning for conditional deps *)
   condopt : V.Condopt.config;
 }
 
-let default_config =
-  { vl = 4; versioning = true; condopt = V.Condopt.default_config }
+let default_config = { versioning = true; condopt = V.Condopt.default_config }
 
 let static_config = { default_config with versioning = false }
 
@@ -303,7 +302,8 @@ let rec try_pack s (vs : Ir.value_id list) : bool =
     end
   end
 
-(* Store seeds: windows of [vl] consecutive same-predicate stores. *)
+(* Store seeds: windows of {!Interp.vector_width} consecutive
+   same-predicate stores. *)
 let find_seeds s : Ir.value_id list list =
   let f = s.func in
   let stores =
@@ -339,17 +339,17 @@ let find_seeds s : Ir.value_id list list =
       let sorted = List.sort compare entries in
       (* consecutive windows *)
       let rec windows acc = function
-        | (k0, v0) :: rest when List.length rest >= s.cfg.vl - 1 ->
+        | (k0, v0) :: rest when List.length rest >= Interp.vector_width - 1 ->
           let rec take n expect = function
             | _ when n = 0 -> Some []
             | (k, v) :: tl when k = expect ->
               Option.map (fun l -> v :: l) (take (n - 1) (expect + 1) tl)
             | _ -> None
           in
-          (match take (s.cfg.vl - 1) (k0 + 1) rest with
+          (match take (Interp.vector_width - 1) (k0 + 1) rest with
           | Some tail ->
             windows ((v0 :: tail) :: acc)
-              (List.filteri (fun i _ -> i >= s.cfg.vl - 1) rest)
+              (List.filteri (fun i _ -> i >= Interp.vector_width - 1) rest)
           | None -> windows acc rest)
         | _ :: rest -> windows acc rest
         | [] -> List.rev acc
@@ -438,7 +438,7 @@ let codegen s : int =
           buf := Ir.I i.id :: !buf;
           i.id
         in
-        let vec_ty elem = Ir.Tvec (elem, s.cfg.vl) in
+        let vec_ty elem = Ir.Tvec (elem, Interp.vector_width) in
         (* resolve a lane list of scalar values into one vector value *)
         let resolve vs =
           match Hashtbl.find_opt vector_of_pack vs with
@@ -628,17 +628,7 @@ let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
 let run ?(config = default_config) (f : Ir.func) : int * int =
   let plans_used = ref 0 in
   let total = ref 0 in
-  let rec regions_of items acc =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Ir.I _ -> acc
-        | Ir.L lid -> regions_of (Ir.loop f lid).body (Ir.Rloop lid :: acc))
-      acc items
-  in
-  let all_regions = regions_of f.Ir.fbody [ Ir.Rtop ] in
-  (* innermost first: regions_of accumulates outer-to-inner, so reverse *)
   List.iter
     (fun region -> total := !total + run_region ~config f region plans_used)
-    all_regions;
+    (Ir.regions f);
   (!total, !plans_used)

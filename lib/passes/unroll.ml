@@ -1,4 +1,4 @@
-(* Loop unrolling by a constant factor for innermost counted loops.
+(* Loop unrolling by the vector width for innermost counted loops.
 
    for-loops become:
 
@@ -64,8 +64,12 @@ let eligible f scev lid =
   && Scev.trip scev lp <> None
   && List.for_all (fun (_, v) -> List.mem v lp.mus) (loop_etas f lid)
 
+(* The unroll factor F: the vector width, so one main-loop iteration
+   holds a full vector of each store the packer seeds from. *)
+let factor = Interp.vector_width
+
 (* Unroll one eligible loop; returns the replacement items. *)
-let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) ~factor :
+let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
     Ir.item list =
   let lp = Ir.loop f lid in
   let trip = Option.get (Scev.trip scev lp) in
@@ -212,8 +216,7 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) ~factor :
   List.rev em.acc @ [ Ir.L main.lid ] @ List.rev after_em.acc @ [ epi_item ]
 
 (* Unroll every eligible innermost loop satisfying [select]. *)
-let run ?(factor = 4) ?(select = fun (_ : Ir.loop_id) -> true) (f : Ir.func) :
-    int =
+let run ?(select = fun (_ : Ir.loop_id) -> true) (f : Ir.func) : int =
   let scev = Scev.create f in
   let count = ref 0 in
   let rec walk items =
@@ -229,7 +232,7 @@ let run ?(factor = 4) ?(select = fun (_ : Ir.loop_id) -> true) (f : Ir.func) :
           end
           else if eligible f scev lid && select lid then begin
             incr count;
-            unroll_loop f scev lid ~factor
+            unroll_loop f scev lid
           end
           else [ item ])
       items

@@ -418,11 +418,15 @@ let runs_agree (reference : run_class) (subject : run_class) : string option =
     Some
       (Printf.sprintf "reference %s, subject %s" (class_name x) (class_name y))
 
+(* The modelled machine's SIMD width: the lanes of every vector the
+   vectorizers emit, and the factor they unroll by. *)
+let vector_width = 4
+
 (* Architectural cost model: what the speedup tables are computed from.
    A vector operation costs the same as a scalar one (the machine has
-   4-wide SIMD); memory operations are slightly more expensive; calls are
-   expensive.  Loop iteration overhead models the branch/induction cost a
-   real CPU pays per iteration. *)
+   [vector_width]-wide SIMD); memory operations are slightly more
+   expensive; calls are expensive.  Loop iteration overhead models the
+   branch/induction cost a real CPU pays per iteration. *)
 let cost (c : counters) =
   float_of_int c.scalar_ops
   +. float_of_int c.vector_ops

@@ -302,6 +302,20 @@ let set_region_items f region items =
   | Rtop -> f.fbody <- items
   | Rloop lid -> (loop f lid).body <- items
 
+(* Every region of [f], the walk each region-at-a-time pass uses: every
+   loop before the loops around it, later sibling loops before earlier
+   ones, and the function body last. *)
+let regions f =
+  let rec walk items acc =
+    List.fold_left
+      (fun acc item ->
+        match item with
+        | I _ -> acc
+        | L lid -> walk (loop f lid).body (Rloop lid :: acc))
+      acc items
+  in
+  walk f.fbody [ Rtop ]
+
 (* The loops enclosing a placed loop, innermost first, found by walking
    the loop tree from the top; [None] when the loop is not placed. *)
 let loop_ancestors f target =

@@ -109,8 +109,6 @@ let length (c : t) = Hashtbl.length c.tbl
 
 let capacity (c : t) = c.max_entries
 
-let mem (c : t) (k : string) = Hashtbl.mem c.tbl k
-
 (* Lookup bumps recency; call order therefore defines the LRU order, so
    the service touches entries in request order (deterministic at any
    job count — workers never touch the cache). *)

@@ -115,15 +115,21 @@ let spec_anchor (s : Api.session) =
           | Ir.Rtop -> None)
     s.Api.s_func.Ir.fname
 
+(* Whether a candidate with outcome [o] may be rewritten, given whether
+   the session materialized ([ok]): the rule [sp_apply] must follow. *)
+let granted ~ok = function
+  | Granted_static -> true
+  | Granted_versioned _ -> ok
+  | Denied -> false
+
 (* Run one spec over one region: enumerate, decide, materialize, apply.
    Returns the per-candidate outcomes so callers can aggregate stats. *)
-let run_spec ?(versioning = true) ?condopt ?scev (spec : 'a spec)
-    (f : Ir.func) (region : Ir.region) : ('a * outcome) list =
-  let condopt =
-    Option.value condopt
-      ~default:{ Condopt.default_config with promotion = true }
+let run_spec ?(versioning = true) (spec : 'a spec) (f : Ir.func)
+    (region : Ir.region) : ('a * outcome) list =
+  let s =
+    Api.create ~condopt:{ Condopt.default_config with promotion = true } f
+      region
   in
-  let s = Api.create ~condopt ?scev f region in
   let anchor = spec_anchor s in
   let decided =
     List.map
@@ -154,16 +160,3 @@ let run_spec ?(versioning = true) ?condopt ?scev (spec : 'a spec)
   in
   spec.sp_apply s ~ok ~subst decided;
   decided
-
-(* The standard region walk every region-at-a-time client uses: the
-   function body first, then each loop body, deterministically. *)
-let all_regions (f : Ir.func) : Ir.region list =
-  let rec regions items acc =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Ir.I _ -> acc
-        | Ir.L lid -> regions (Ir.loop f lid).Ir.body (Ir.Rloop lid :: acc))
-      acc items
-  in
-  regions f.Ir.fbody [ Ir.Rtop ]

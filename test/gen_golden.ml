@@ -30,8 +30,7 @@ let s131 () =
   let k =
     List.find (fun k -> k.W.k_name = "s131") Fgv_bench.Tsvc.kernels
   in
-  let cfgn = W.sv_versioning () in
-  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
+  let prog = Fgv_cfg.Lower.lower (W.compile ("sv+v", true) k) in
   print_string (Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k))
 
 let corpus () =
@@ -39,13 +38,11 @@ let corpus () =
     Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
     @ Fgv_bench.Specfp.kernels
   in
-  let line kname source name apply ~restrict =
+  let line kname source name ~restrict =
     let f, remarks =
       match
         Fgv_support.Obs.collect_remarks (fun () ->
-            Fgv_frontend.Compile.source ~restrict
-              (fun f -> apply ?on_pass:None f)
-              source)
+            Fgv_frontend.Compile.source ~restrict (P.run name) source)
       with
       | Ok f, remarks -> (f, remarks)
       | Error e, _ -> failwith (Fgv_frontend.Compile.message e)
@@ -67,46 +64,35 @@ let corpus () =
   List.iter
     (fun (k : W.kernel) ->
       let line = line k.W.k_name k.W.k_source in
-      List.iter (fun (name, apply) -> line name apply ~restrict:true) P.registry;
-      List.iter
-        (fun name -> line name (List.assoc name P.registry) ~restrict:false)
-        [ "o3"; "sv+v" ])
+      List.iter (fun name -> line name ~restrict:true) P.names;
+      List.iter (fun name -> line name ~restrict:false) [ "o3"; "sv+v" ])
     kernels;
-  (* the compile-time lane's generator settings (bench/main.ml) *)
-  let fuzz size seed pipelines =
+  let fuzz size seed names =
     let module G = Fgv_fuzz.Generator in
     let source =
-      G.render
-        (G.generate
-           ~config:{ G.default_config with G.size; max_loop_depth = 3 }
-           ~seed ())
+      G.render (G.generate ~config:(G.big_region_config size) ~seed ())
     in
     List.iter
-      (fun (name, apply) ->
-        line (Printf.sprintf "fuzz-s%d-%d" size seed) source name apply
+      (fun name ->
+        line (Printf.sprintf "fuzz-s%d-%d" size seed) source name
           ~restrict:true)
-      pipelines
+      names
   in
-  fuzz 240 1 P.registry;
-  fuzz 240 2 P.registry;
-  fuzz 480 1 [ ("sv+v", List.assoc "sv+v" P.registry) ];
+  fuzz 240 1 P.names;
+  fuzz 240 2 P.names;
+  fuzz 480 1 [ "sv+v" ];
   (* Fig. 22's control on every paper kernel, then the clients figure's
      static/versioned pairs, without restrict as that figure compiles *)
   List.iter
     (fun (k : W.kernel) ->
-      line k.W.k_name k.W.k_source "rle-baseline" P.rle_baseline
-        ~restrict:true)
+      line k.W.k_name k.W.k_source "rle-baseline" ~restrict:true)
     kernels;
   List.iter
     (fun (client, kname) ->
       let k = Fgv_bench.Experiments.tsvc_kernel kname in
       List.iter
-        (fun versioning ->
-          let c = Fgv_bench.Experiments.client_cfg client ~versioning in
-          line kname k.W.k_source c.W.c_name
-            (fun ?on_pass:_ f -> c.W.c_apply f)
-            ~restrict:c.W.c_restrict)
-        [ false; true ])
+        (fun name -> line kname k.W.k_source name ~restrict:false)
+        [ client ^ "-static"; client ])
     Fgv_bench.Experiments.client_specs
 
 let () =

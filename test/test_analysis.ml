@@ -338,7 +338,7 @@ let compile_versioned () =
   List.map
     (fun (k : Fgv_bench.Workload.kernel) ->
       let f = compile k.Fgv_bench.Workload.k_source in
-      List.assoc "sv+v" Fgv_passes.Pipelines.registry ?on_pass:None f;
+      Fgv_passes.Pipelines.run "sv+v" f;
       (k.Fgv_bench.Workload.k_name, f))
     (Fgv_bench.Tsvc.kernels @ Fgv_bench.Polybench.kernels
    @ Fgv_bench.Specfp.kernels)

@@ -77,8 +77,7 @@ let spec name = List.find (fun k -> k.W.k_name = name) Fgv_bench.Specfp.kernels
    diff. *)
 let s131_fast_c () =
   let k = tsvc "s131" in
-  let cfgn = W.sv_versioning () in
-  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
+  let prog = Fgv_cfg.Lower.lower (W.compile ("sv+v", true) k) in
   Fgv_backend.Emit.fast prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
 
 let read_file path =
@@ -144,8 +143,7 @@ let check_obs_equiv name (native : Interp.run_class)
    impure-call trace) with the CFG interpreter. *)
 let checked_equiv (k : W.kernel) () =
   require_cc ();
-  let cfgn = W.sv_versioning () in
-  let prog = Fgv_cfg.Lower.lower (W.compile cfgn k) in
+  let prog = Fgv_cfg.Lower.lower (W.compile ("sv+v", true) k) in
   let iout = Fgv_cfg.Cinterp.run prog ~args:k.W.k_args ~mem:(W.fresh_mem k) in
   let native =
     run_native k.W.k_name prog ~args:k.W.k_args ~mem:(W.fresh_mem k)
@@ -165,9 +163,7 @@ let test_s291_parallel_phis () =
   List.iter
     (fun pipeline ->
       let f = Harness.compile k.W.k_source in
-      (match Fgv_passes.Pipelines.find pipeline with
-      | Some apply -> apply f
-      | None -> ());
+      Fgv_passes.Pipelines.run pipeline f;
       let name = "s291/" ^ pipeline in
       let pssa = Interp.run f ~args:k.W.k_args ~mem:(W.fresh_mem k) in
       let prog = Fgv_cfg.Lower.lower f in

@@ -104,7 +104,7 @@ let test_named_kernel_differential () =
       let k = List.find (fun k -> k.W.k_name = name) pool in
       let reference = compile k.W.k_source in
       let subject = compile k.W.k_source in
-      ignore (Fgv_passes.Pipelines.sv_versioning subject);
+      Fgv_passes.Pipelines.run "sv+v" subject;
       let mem = float_mem k.W.k_heap k.W.k_init in
       let a = run_pssa reference ~args:k.W.k_args ~mem in
       let b = run_cfg subject ~args:k.W.k_args ~mem in

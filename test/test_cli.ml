@@ -90,6 +90,10 @@ let test_usage_errors_before_work () =
   expect [ file; "-p"; "sv+v"; "--dump-ir"; "--stats=bogus" ] bad_stats;
   let report = Filename.concat dir "report.json" in
   expect [ "--fuzz"; "1"; "--stats=bogus"; "--fuzz-report"; report ] bad_stats;
+  (* --fuzz --pipeline resolves like -p; harness-only rows are unknown *)
+  expect
+    [ "--fuzz"; "1"; "--pipeline"; "rle-baseline"; "--fuzz-report"; report ]
+    "unknown pipeline rle-baseline (one of: none, o3-novec, ";
   Alcotest.(check bool) "no fuzz report" false (Sys.file_exists report);
   let missing = Filename.concat (Filename.concat dir "missing") "dir" in
   expect

@@ -42,11 +42,12 @@ let decisions remarks =
       | _ -> None)
     remarks
 
-(* Run a pipeline with remarks collected; return its remarks and a
-   reader of its counter delta (the passes' work). *)
-let run_pipeline pipeline f =
+(* Run the pipeline [name] with remarks collected; return its remarks
+   and a reader of its counter delta (the passes' work). *)
+let run_pipeline name f =
   let ((), remarks), work =
-    Tm.capture (fun () -> Obs.collect_remarks (fun () -> pipeline f))
+    Tm.capture (fun () ->
+        Obs.collect_remarks (fun () -> P.Pipelines.run name f))
   in
   (W.count work, remarks)
 
@@ -63,7 +64,7 @@ let test_dse_golden_s222 () =
      second a[i] load and killing the first a[i] store both need the
      versioned separation from the e accesses *)
   let f = Harness.compile ~restrict:false (tsvc "s222") in
-  let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
+  let work, remarks = run_pipeline "dse" f in
   Alcotest.(check int) "forwarded" 1 (work "pass.dse.forwarded");
   Alcotest.(check int) "killed" 1 (work "pass.dse.killed");
   Alcotest.(check (list string))
@@ -77,7 +78,7 @@ let test_dse_golden_s222 () =
 
 let test_distribute_golden_s2251 () =
   let f = Harness.compile ~restrict:false (tsvc "s2251") in
-  let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
+  let work, remarks = run_pipeline "distribute" f in
   Alcotest.(check int) "loops split" 1 (work "pass.distribute.split");
   Alcotest.(check int) "pieces" 2 (work "pass.distribute.pieces");
   let dist =
@@ -96,9 +97,7 @@ let test_distribute_golden_s2251 () =
    without any run-time condition *)
 let test_dse_static_restrict () =
   let f = Harness.compile (tsvc "s222") in
-  let work, remarks =
-    run_pipeline (P.Pipelines.dse_pipeline ~versioning:false) f
-  in
+  let work, remarks = run_pipeline "dse-static" f in
   Alcotest.(check int) "forwarded" 1 (work "pass.dse.forwarded");
   Alcotest.(check int) "killed" 1 (work "pass.dse.killed");
   Alcotest.(check (list string))
@@ -128,7 +127,7 @@ let test_kill_denied_unversionable () =
   in
   let f = Harness.compile ~restrict:false src in
   let before = count_stores f in
-  let work, remarks = run_pipeline P.Pipelines.dse_pipeline f in
+  let work, remarks = run_pipeline "dse" f in
   Alcotest.(check int) "nothing forwarded" 0 (work "pass.dse.forwarded");
   Alcotest.(check int) "nothing killed" 0 (work "pass.dse.killed");
   Alcotest.(check int) "stores untouched" before (count_stores f);
@@ -140,7 +139,7 @@ let test_distribute_no_candidate_on_flow () =
      writes — a genuine flow dependence, so the statement groups fuse
      and there is nothing to distribute (not even a wish to deny) *)
   let f = Harness.compile ~restrict:false (tsvc "s221") in
-  let work, remarks = run_pipeline P.Pipelines.distribute_pipeline f in
+  let work, remarks = run_pipeline "distribute" f in
   Alcotest.(check int) "no split" 0 (work "pass.distribute.split");
   Alcotest.(check (list string))
     "no distribute decisions" []
@@ -152,9 +151,7 @@ let test_distribute_denied_without_versioning () =
   (* the s2251 split needs run-time checks; with versioning off the
      wish must be denied and the loop left fused *)
   let f = Harness.compile ~restrict:false (tsvc "s2251") in
-  let work, remarks =
-    run_pipeline (P.Pipelines.distribute_pipeline ~versioning:false) f
-  in
+  let work, remarks = run_pipeline "distribute-static" f in
   Alcotest.(check int) "no split" 0 (work "pass.distribute.split");
   Alcotest.(check (list string))
     "denied" [ "distribute denied" ]
@@ -174,11 +171,11 @@ let clients_fingerprint jobs =
     (Pool.map ~jobs
        (fun src ->
          let f = Harness.compile ~restrict:false src in
-         ignore (P.Pipelines.dse_pipeline f);
+         P.Pipelines.run "dse" f;
          let g = Harness.compile ~restrict:false src in
-         ignore (P.Pipelines.distribute_pipeline g);
+         P.Pipelines.run "distribute" g;
          let h = Harness.compile ~restrict:false src in
-         ignore (P.Pipelines.combined h))
+         P.Pipelines.run "combined" h)
        (determinism_sources ()));
   let remarks = Tr.remarks_jsonl () in
   let counters =

@@ -243,7 +243,7 @@ let condopt_golden ~config name kernels expected =
 
 let test_golden_condopt_s131 () =
   condopt_golden
-    ~config:(W.sv_versioning ())
+    ~config:("sv+v", true)
     "s131" Fgv_bench.Tsvc.kernels
     [
       ("condopt.eliminated", 12);
@@ -255,7 +255,7 @@ let test_golden_condopt_s131 () =
 
 let test_golden_condopt_lbm_rle () =
   condopt_golden
-    ~config:(W.cfg "rle" (fun f -> Fgv_passes.Pipelines.rle_pipeline f))
+    ~config:("rle", true)
     "lbm_r" Fgv_bench.Specfp.kernels
     [
       ("condopt.eliminated", 0);

@@ -148,13 +148,13 @@ let test_generator_feeds_clients () =
     let src = G.render (G.generate ~config:cfg ~seed ()) in
     let f = Harness.compile ~restrict:false src in
     let (), work =
-      Tm.capture (fun () -> Fgv_passes.Pipelines.dse_pipeline f)
+      Tm.capture (fun () -> Fgv_passes.Pipelines.run "dse" f)
     in
     forwarded := !forwarded + W.count work "pass.dse.forwarded";
     killed := !killed + W.count work "pass.dse.killed";
     let g = Harness.compile ~restrict:false src in
     let (), work =
-      Tm.capture (fun () -> Fgv_passes.Pipelines.distribute_pipeline g)
+      Tm.capture (fun () -> Fgv_passes.Pipelines.run "distribute" g)
     in
     split := !split + W.count work "pass.distribute.split";
     pieces := !pieces + W.count work "pass.distribute.pieces"

@@ -99,26 +99,14 @@ let kernels =
 
 let mem_for size = float_mem size (fun i -> Float.of_int ((i * 13 mod 29) - 7) *. 0.5)
 
-let pipelines : (string * (Ir.func -> unit)) list =
-  [
-    ("o3_novec", fun f -> ignore (P.Pipelines.o3_novec f));
-    ("o3", fun f -> ignore (P.Pipelines.o3 f));
-    ("sv", fun f -> ignore (P.Pipelines.sv f));
-    ("sv+versioning", fun f -> ignore (P.Pipelines.sv_versioning f));
-    ("sv+versioning nopromo",
-     fun f -> ignore (P.Pipelines.sv_versioning ~promotion:false f));
-    ("rle", fun f -> ignore (P.Pipelines.rle_pipeline f));
-    ("rle static", fun f -> ignore (P.Pipelines.rle_pipeline ~versioning:false f));
-  ]
-
 let test_pipelines_preserve_semantics () =
   List.iter
     (fun (kname, src, arg_sets, size) ->
       let reference = compile src in
       List.iter
-        (fun (pname, pipeline) ->
+        (fun pname ->
           let f = compile src in
-          pipeline f;
+          P.Pipelines.run pname f;
           (match Verifier.verify_or_message f with
           | None -> ()
           | Some msg ->
@@ -132,7 +120,7 @@ let test_pipelines_preserve_semantics () =
               then
                 Alcotest.failf "%s changed behaviour of %s" pname kname)
             arg_sets)
-        pipelines)
+        P.Pipelines.names)
     kernels
 
 let test_pipelines_preserve_semantics_cfg () =
@@ -141,7 +129,7 @@ let test_pipelines_preserve_semantics_cfg () =
     (fun (kname, src, arg_sets, size) ->
       let reference = compile src in
       let f = compile src in
-      ignore (P.Pipelines.sv_versioning f);
+      P.Pipelines.run "sv+v" f;
       List.iter
         (fun args ->
           let mem = mem_for size in
@@ -157,7 +145,7 @@ let test_unroll_trips () =
   List.iter
     (fun n ->
       let f = compile sum_src in
-      let unrolled = P.Unroll.run ~factor:4 f in
+      let unrolled = P.Unroll.run f in
       Alcotest.(check int) "one loop unrolled" 1 unrolled;
       (match Verifier.verify_or_message f with
       | None -> ()
@@ -179,7 +167,7 @@ let test_slp_vectorizes_disjoint () =
   |}
   in
   let f = compile src in
-  ignore (P.Pipelines.sv f);
+  P.Pipelines.run "sv" f;
   let mem = mem_for 128 in
   let out = run_pssa f ~args:[ VInt 0; VInt 32; VInt 64; VInt 16; VFloat 2.0 ] ~mem in
   Alcotest.(check bool) "vector stores executed" true
@@ -189,9 +177,9 @@ let test_versioning_beats_static_slp () =
   (* without restrict, static SLP must reject (may-alias crossers), while
      versioning vectorizes with run-time checks *)
   let f_static = compile saxpy_src in
-  ignore (P.Pipelines.sv f_static);
+  P.Pipelines.run "sv" f_static;
   let f_versioned = compile saxpy_src in
-  ignore (P.Pipelines.sv_versioning f_versioned);
+  P.Pipelines.run "sv+v" f_versioned;
   let args = [ Value.VInt 0; VInt 32; VInt 64; VInt 16; VFloat 2.0 ] in
   let out_s = run_pssa f_static ~args ~mem:(mem_for 128) in
   let out_v = run_pssa f_versioned ~args ~mem:(mem_for 128) in
@@ -204,7 +192,7 @@ let test_loopvec_classic () =
   (* the classic loop vectorizer handles may-alias saxpy with upfront
      checks *)
   let f = compile saxpy_src in
-  P.Pipelines.o3_novec f;
+  P.Pipelines.run "o3-novec" f;
   Alcotest.(check int) "one loop vectorized" 1 (P.Loopvec.run f);
   let args = [ Value.VInt 0; VInt 32; VInt 64; VInt 16; VFloat 2.0 ] in
   let out = run_pssa f ~args ~mem:(mem_for 128) in
@@ -219,7 +207,7 @@ let test_loopvec_rejects_floyd () =
      rows overlap whenever i = k, and path[i][k] always falls in the
      written row's window), so the vector body never executes *)
   let f = compile fw_src in
-  ignore (P.Pipelines.o3_novec f);
+  P.Pipelines.run "o3-novec" f;
   ignore (P.Loopvec.run f);
   let out = run_pssa f ~args:(ints [ 0; 8 ]) ~mem:(mem_for 128) in
   Alcotest.(check int) "floyd-warshall never runs vector code" 0
@@ -227,16 +215,16 @@ let test_loopvec_rejects_floyd () =
 
 let test_sv_versioning_vectorizes_floyd () =
   let f = compile fw_src in
-  ignore (P.Pipelines.sv_versioning f);
+  P.Pipelines.run "sv+v" f;
   let out = run_pssa f ~args:(ints [ 0; 8 ]) ~mem:(mem_for 128) in
   Alcotest.(check bool) "floyd-warshall vectorized with versioning" true
     (out.counters.vector_stores > 0)
 
 let test_rle_removes_loads () =
   let f_base = compile redundant_loads_src in
-  ignore (P.Pipelines.rle_baseline f_base);
+  P.Pipelines.run "rle-baseline" f_base;
   let f_rle = compile redundant_loads_src in
-  ignore (P.Pipelines.rle_pipeline f_rle);
+  P.Pipelines.run "rle" f_rle;
   let args = ints [ 0; 8; 40; 8 ] in
   let out_base = run_pssa f_base ~args ~mem:(mem_for 64) in
   let out_rle = run_pssa f_rle ~args ~mem:(mem_for 64) in
@@ -247,33 +235,28 @@ let test_rle_removes_loads () =
     (out_rle.counters.loads < out_base.counters.loads)
 
 (* Fig. 22 counts the LICM/GVN work both RLE pipelines do after their
-   shared scalar prefix by subtracting an [o3_novec] run's counters, so
-   the prefix must be exactly [o3_novec]'s stages, in order. *)
+   shared scalar prefix by subtracting an "o3-novec" run's counters, so
+   the prefix must be exactly "o3-novec"'s stages, in order. *)
 let test_rle_pipelines_start_with_o3_novec () =
-  let stage_names run =
+  let stage_names pipeline =
     let f = compile redundant_loads_src in
     let names = ref [] in
-    run ~on_pass:(fun name _ -> names := name :: !names) f;
+    P.Pipelines.run pipeline ~on_pass:(fun name _ -> names := name :: !names) f;
     List.rev !names
   in
-  let prefix =
-    stage_names (fun ~on_pass f -> P.Pipelines.o3_novec ~on_pass f)
-  in
+  let prefix = stage_names "o3-novec" in
   List.iter
-    (fun (label, run) ->
-      let names = stage_names run in
+    (fun pipeline ->
+      let names = stage_names pipeline in
       Alcotest.(check (list string))
-        (label ^ " begins with o3_novec's stages")
+        (pipeline ^ " begins with o3-novec's stages")
         prefix
         (List.filteri (fun i _ -> i < List.length prefix) names);
       Alcotest.(check bool)
-        (label ^ " runs stages after the prefix")
+        (pipeline ^ " runs stages after the prefix")
         true
         (List.length names > List.length prefix))
-    [
-      ("rle_pipeline", fun ~on_pass f -> P.Pipelines.rle_pipeline ~on_pass f);
-      ("rle_baseline", fun ~on_pass f -> P.Pipelines.rle_baseline ~on_pass f);
-    ]
+    [ "rle"; "rle-baseline" ]
 
 (* The figure cells that count pass work: Fig. 22's LICM+/GVN+ (every
    baseline count is 0, so a cell is the RLE pipeline's post-prefix

@@ -28,17 +28,6 @@ let golden_kernels () =
     find_kernel "lbm_r" Fgv_bench.Specfp.kernels;
   ]
 
-(* every region of the function: top level plus each loop, recursively *)
-let all_regions (f : Ir.func) : Ir.region list =
-  let rec loops items =
-    List.concat_map
-      (function
-        | Ir.I _ -> []
-        | Ir.L l -> l :: loops (Ir.loop f l).Ir.body)
-      items
-  in
-  Ir.Rtop :: List.map (fun l -> Ir.Rloop l) (loops f.Ir.fbody)
-
 let edge_equal (a : Depgraph.edge) (b : Depgraph.edge) =
   a.Depgraph.e_id = b.Depgraph.e_id
   && a.Depgraph.e_src = b.Depgraph.e_src
@@ -73,7 +62,7 @@ let check_equivalent ~what (f : Ir.func) =
             Alcotest.failf "%s %s: edge %d differs between sparse and naive"
               what rname k)
         sparse.Depgraph.edges)
-    (all_regions f)
+    (Ir.regions f)
 
 let test_sparse_equals_naive_golden () =
   List.iter
@@ -88,7 +77,7 @@ let test_sparse_equals_naive_fuzz () =
   let specs =
     List.init 200 (fun seed -> (G.default_config, seed))
     @ List.init 8 (fun seed ->
-          ({ G.default_config with G.size = 30; max_loop_depth = 3 }, seed))
+          (G.big_region_config 30, seed))
   in
   List.iter
     (fun (config, seed) ->
@@ -106,7 +95,7 @@ let test_sparse_prunes () =
   let count build =
     let (), delta =
       Tm.capture (fun () ->
-          List.iter (fun r -> ignore (build f scev r)) (all_regions f))
+          List.iter (fun r -> ignore (build f scev r)) (Ir.regions f))
     in
     match List.assoc_opt "depcond.compute_calls" delta with
     | Some n -> n
@@ -176,7 +165,7 @@ let pipeline_fingerprint jobs =
     (Pool.map ~jobs
        (fun src ->
          let f = Harness.compile src in
-         ignore (Fgv_passes.Pipelines.sv_versioning f))
+         Fgv_passes.Pipelines.run "sv+v" f)
        srcs);
   let remarks = Tr.remarks_jsonl () in
   let counters =

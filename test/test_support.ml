@@ -1,21 +1,8 @@
 (* Tests for the support utilities. *)
 
-module DS = Fgv_support.Disjoint_set
 module Stats = Fgv_support.Stats
 module Table = Fgv_support.Table
 module Digraph = Fgv_graph.Digraph
-
-let test_disjoint_set () =
-  let d = DS.create 8 in
-  DS.union d 0 1;
-  DS.union d 2 3;
-  DS.union d 1 3;
-  Alcotest.(check bool) "0 ~ 3" true (DS.same d 0 3);
-  Alcotest.(check bool) "0 !~ 4" false (DS.same d 0 4);
-  let groups = DS.groups d in
-  Alcotest.(check bool) "one group of four" true
-    (List.exists (fun g -> List.sort compare g = [ 0; 1; 2; 3 ]) groups);
-  Alcotest.(check int) "five groups" 5 (List.length groups)
 
 let test_stats () =
   Alcotest.(check (float 1e-9)) "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ]);
@@ -63,7 +50,6 @@ let test_digraph_cycle () =
 
 let suite =
   [
-    Alcotest.test_case "disjoint set" `Quick test_disjoint_set;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "digraph reachability" `Quick test_digraph_reachability;

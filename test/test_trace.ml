@@ -237,7 +237,7 @@ let t131_src =
 let test_golden_s131_decisions () =
   let f = Harness.compile s131_src in
   let (), remarks =
-    Obs.collect_remarks (fun () -> P.sv_versioning f)
+    Obs.collect_remarks (fun () -> P.run "sv+v" f)
   in
   let decisions =
     List.filter_map

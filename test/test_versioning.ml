@@ -268,7 +268,7 @@ let check_golden expected actual =
 let test_golden_stats_s131 () =
   let actual =
     golden_counters
-      ~config:(W.sv_versioning ())
+      ~config:("sv+v", true)
       "s131" Fgv_bench.Tsvc.kernels
   in
   check_golden
@@ -292,7 +292,7 @@ let test_golden_stats_s131 () =
 let test_golden_stats_floyd_warshall () =
   let actual =
     golden_counters
-      ~config:(W.sv_versioning ~restrict:false ())
+      ~config:("sv+v", false)
       "floyd-warshall"
       Fgv_bench.Polybench.kernels
   in
