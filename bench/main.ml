@@ -335,12 +335,7 @@ let ct_run_row spec : ct_row =
     Obs.isolated (fun () ->
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
-        (match
-           Fgv_frontend.Compile.source ~restrict
-             (Fgv_passes.Pipelines.run name) src
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Fgv_frontend.Compile.message e));
+        ignore (W.compile_with ~restrict (Fgv_passes.Pipelines.run name) src);
         let wall = Unix.gettimeofday () -. t0 in
         (wall, Gc.minor_words () -. m0, Tm.timers ()))
   in

@@ -368,7 +368,7 @@ let ablation_mincut ?(jobs = 1) () : string =
         ignore (P.Unroll.run f);
         ignore (P.Constfold.run f)
       in
-      let f = W.compile_with ~restrict:false unrolled k in
+      let f = W.compile_with ~restrict:false unrolled k.W.k_source in
       (* measure both strategies on the store groups SLP would seed, in
          every region *)
       let min_checks = ref 0 and naive_checks = ref 0 in
@@ -463,7 +463,7 @@ let ablation_condopt ?(jobs = 1) () : string =
               ignore (P.Constfold.run f);
               ignore (P.Slp.run ~config f);
               P.Pipelines.(run_stages f scalar_stages))
-            k
+            k.W.k_source
         in
         let out = Interp.run f ~args:k.W.k_args ~mem:(W.fresh_mem k) in
         Interp.cost out.Interp.counters

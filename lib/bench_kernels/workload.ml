@@ -44,18 +44,18 @@ let count (counters : (string * int) list) name =
 
 exception Kernel_error of string * exn
 
-(* [k] through the one compile path, its restrict qualifiers kept iff
-   [restrict], optimized by [apply] and verified.  A kernel that does
-   not compile is a harness bug, raised as [Failure] with the path's
-   message.  The ablations pass hand-assembled pass sequences here;
-   everything else compiles a configuration. *)
-let compile_with ~restrict apply (k : kernel) : Ir.func =
-  match Fgv_frontend.Compile.source ~restrict apply k.k_source with
+(* [source] through the one compile path, its restrict qualifiers kept
+   iff [restrict], optimized by [apply] and verified.  A program that
+   does not compile is a harness bug, raised as [Failure] with the
+   path's message.  The ablations pass hand-assembled pass sequences
+   here; everything else compiles a configuration. *)
+let compile_with ~restrict apply source : Ir.func =
+  match Fgv_frontend.Compile.source ~restrict apply source with
   | Ok f -> f
   | Error e -> failwith (Fgv_frontend.Compile.message e)
 
 let compile ((name, restrict) : config) k =
-  compile_with ~restrict (P.Pipelines.run name) k
+  compile_with ~restrict (P.Pipelines.run name) k.k_source
 
 let fresh_mem k = Array.init k.k_heap (fun i -> Value.VFloat (k.k_init i))
 
