@@ -6,9 +6,11 @@
    Without arguments it prints the fast-mode C of s131 under
    sv+versioning, which pins the emitter's exact output.  [corpus]
    prints one line per paper kernel and registry pipeline: the MD5 of
-   the optimized PSSA as printed and the MD5 of the pipeline's remark
+   the optimized PSSA as printed, the MD5 of the pipeline's remark
    stream (one JSON object per line, as [fgvc --remarks=json] prints
-   it).  Kernels compile with restrict as declared, plus without
+   it) and the MD5 of the compile's counters (one "name value" line
+   each, sorted by name, zero-valued counters included, no timers).
+   Kernels compile with restrict as declared, plus without
    restrict for [o3] and [sv+v], the pairs the paper's tables compare.
    The paper kernels are small, so the corpus ends with three generated
    big-region programs, the compile-time lane's [fuzz-s240-1] and
@@ -25,6 +27,7 @@
 
 module W = Fgv_bench.Workload
 module P = Fgv_passes.Pipelines
+module Obs = Fgv_support.Obs
 
 let s131 () =
   let k =
@@ -39,27 +42,35 @@ let corpus () =
     @ Fgv_bench.Specfp.kernels
   in
   let line kname source name ~restrict =
-    let f, remarks =
-      match
-        Fgv_support.Obs.collect_remarks (fun () ->
-            Fgv_frontend.Compile.source ~restrict (P.run name) source)
-      with
-      | Ok f, remarks -> (f, remarks)
-      | Error e, _ -> failwith (Fgv_frontend.Compile.message e)
+    (* the compile records into a fresh context, so its counters are
+       its own and not what earlier lines left behind *)
+    let (result, remarks), obs =
+      Obs.isolated (fun () ->
+          Obs.collect_remarks (fun () ->
+              Fgv_frontend.Compile.source ~restrict (P.run name) source))
     in
+    let f =
+      match result with
+      | Ok f -> f
+      | Error e -> failwith (Fgv_frontend.Compile.message e)
+    in
+    let lines render xs = String.concat "" (List.map render xs) in
     let stream =
-      String.concat ""
-        (List.map
-           (fun r ->
-             Fgv_support.Json.to_string ~minify:true
-               (Fgv_support.Trace.remark_json r)
-             ^ "\n")
-           remarks)
+      lines
+        (fun r ->
+          Fgv_support.Json.to_string ~minify:true
+            (Fgv_support.Trace.remark_json r)
+          ^ "\n")
+        remarks
     in
-    Printf.printf "%s %s%s %s %s\n" kname name
+    let counters =
+      lines (fun (k, n) -> Printf.sprintf "%s %d\n" k n) (Obs.counters obs)
+    in
+    let md5 s = Digest.to_hex (Digest.string s) in
+    Printf.printf "%s %s%s %s %s %s\n" kname name
       (if restrict then "" else " no-restrict")
-      (Digest.to_hex (Digest.string (Fgv_pssa.Printer.to_string f)))
-      (Digest.to_hex (Digest.string stream))
+      (md5 (Fgv_pssa.Printer.to_string f))
+      (md5 stream) (md5 counters)
   in
   List.iter
     (fun (k : W.kernel) ->
