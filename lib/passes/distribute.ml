@@ -26,13 +26,6 @@ open Fgv_analysis
 module V = Fgv_versioning
 module Tr = Fgv_support.Trace
 
-type stats = {
-  mutable loops_split : int;
-  mutable pieces : int;
-}
-
-let new_stats () = { loops_split = 0; pieces = 0 }
-
 (* One distributable statement group: the stores anchoring it and the
    operand closure (in-loop values) it needs to compute them. *)
 type group = {
@@ -289,54 +282,49 @@ let apply_candidate (f : Ir.func) (region : Ir.region) (c : candidate) =
   (* the original loop becomes the keeper piece *)
   prune_loop f (Ir.loop f c.dl_loop) (Hashtbl.mem c.dl_keeper)
 
-let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
-    (stats : stats) : unit =
-  let spec =
-    {
-      V.Wish.sp_client = "distribute";
-      (* the wish already targets whole-loop granularity *)
-      sp_loop_upgrade = false;
-      sp_enumerate =
-        (fun s ->
-          List.filter_map
-            (function Ir.I _ -> None | Ir.L lid -> analyze s lid)
-            (Ir.region_items s.V.Api.s_func s.V.Api.s_region));
-      sp_want =
-        (fun _ c ->
-          V.Wish.Guarded_loop
-            { loop = c.dl_loop; atoms = c.dl_atoms; pairs = c.dl_pairs });
-      sp_describe =
-        (fun c ->
-          Printf.sprintf "distribute L%d into %d sub-loops" c.dl_loop
-            c.dl_pieces);
-      sp_apply =
-        (fun s ~ok ~subst:_ decided ->
-          let f = s.V.Api.s_func in
-          List.iter
-            (fun (c, o) ->
-              if V.Wish.granted ~ok o then begin
-                apply_candidate f s.V.Api.s_region c;
-                stats.loops_split <- stats.loops_split + 1;
-                stats.pieces <- stats.pieces + c.dl_pieces;
-                Tr.remark
-                  (Tr.anchor ~loop:c.dl_loop f.Ir.fname)
-                  (Tr.Loop_distributed
-                     {
-                       pieces = c.dl_pieces;
-                       conds =
-                         (match o with
-                         | V.Wish.Granted_versioned { conds } -> conds
-                         | _ -> 0);
-                     })
-              end)
-            decided);
-    }
-  in
-  ignore (V.Wish.run_spec ~versioning spec f region)
+(* Distribution as a wish spec: each candidate loop wishes itself
+   guarded by its cross-group disjointness checks.  The work is the
+   loops split and the sub-loops they became. *)
+let spec : candidate V.Wish.spec =
+  {
+    V.Wish.sp_client = "distribute";
+    (* the wish already targets whole-loop granularity *)
+    sp_loop_upgrade = false;
+    sp_enumerate =
+      (fun s ->
+        List.filter_map
+          (function Ir.I _ -> None | Ir.L lid -> analyze s lid)
+          (Ir.region_items s.V.Api.s_func s.V.Api.s_region));
+    sp_want =
+      (fun c ->
+        V.Wish.Guarded_loop
+          { loop = c.dl_loop; atoms = c.dl_atoms; pairs = c.dl_pairs });
+    sp_describe =
+      (fun _ c ->
+        Printf.sprintf "distribute L%d into %d sub-loops" c.dl_loop c.dl_pieces);
+    sp_apply =
+      (fun s ~ok ~subst:_ decided ->
+        let f = s.V.Api.s_func in
+        let split = ref 0 and pieces = ref 0 in
+        List.iter
+          (fun (c, o) ->
+            if V.Wish.granted ~ok o then begin
+              apply_candidate f s.V.Api.s_region c;
+              incr split;
+              pieces := !pieces + c.dl_pieces;
+              Tr.remark
+                (Tr.anchor ~loop:c.dl_loop f.Ir.fname)
+                (Tr.Loop_distributed
+                   {
+                     pieces = c.dl_pieces;
+                     conds =
+                       (match o with
+                       | V.Wish.Granted_versioned { conds } -> conds
+                       | _ -> 0);
+                   })
+            end)
+          decided;
+        [ ("split", !split); ("pieces", !pieces) ]);
+  }
 
-let run ?(versioning = true) (f : Ir.func) : stats =
-  let stats = new_stats () in
-  List.iter
-    (fun region -> run_region ~versioning f region stats)
-    (Ir.regions f);
-  stats
+let run ~versioning = V.Wish.run ~versioning spec

@@ -28,15 +28,8 @@
 open Fgv_pssa
 open Fgv_analysis
 module V = Fgv_versioning
+module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
-
-type stats = {
-  mutable forwarded : int;
-  mutable killed : int;
-  mutable versioned : int;
-}
-
-let new_stats () = { forwarded = 0; killed = 0; versioned = 0 }
 
 (* Symbolic address key of a scalar memory access: the linear expression
    of the address plus the accessed type (same keying as RLE). *)
@@ -212,85 +205,73 @@ let delete_inst (f : Ir.func) (v : Ir.value_id) =
 
 (* --------------------------------------------------------------- pass *)
 
-let tally stats ~ok outcomes =
-  List.iter
-    (function
-      | _, V.Wish.Granted_versioned _ when ok ->
-        stats.versioned <- stats.versioned + 1
-      | _ -> ())
-    outcomes
-
-let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
-    (stats : stats) : unit =
-  let before = (stats.forwarded, stats.killed) in
-  (* wish 1: forward stored values to same-address loads *)
-  let forward_spec =
-    {
-      V.Wish.sp_client = "dse-forward";
-      sp_loop_upgrade = true;
-      sp_enumerate = enumerate_forward;
-      sp_want =
-        (fun _ c ->
-          V.Wish.Separated { nodes = [ Ir.NI c.fw_load ]; from_ = c.fw_blockers });
-      sp_describe =
-        (fun c -> "forward store to " ^ Ir.value_name f c.fw_load);
-      sp_apply =
-        (fun s ~ok ~subst decided ->
-          let f = s.V.Api.s_func in
-          tally stats ~ok decided;
-          let users = Ir.compute_users f in
-          List.iter
-            (fun (c, o) ->
-              if V.Wish.granted ~ok o then begin
-                let target = subst c.fw_value in
-                List.iter
-                  (fun u ->
-                    if u <> target then
-                      Ir.replace_uses_in_inst f ~user:u ~old_v:c.fw_load
-                        ~new_v:target)
-                  (users c.fw_load);
-                stats.forwarded <- stats.forwarded + 1
-              end)
-            decided);
-    }
+(* Apply the granted candidates with [rewrite] and report how many
+   were, under [label].  Candidates granted by a materialized plan also
+   count towards "pass.dse.versioned", bumped here, zero included: it is
+   a pass counter but not part of the remark's work. *)
+let apply_granted ~label ~ok decided rewrite : V.Wish.work =
+  let versioned =
+    List.filter
+      (function _, V.Wish.Granted_versioned _ -> ok | _ -> false)
+      decided
   in
-  ignore (V.Wish.run_spec ~versioning forward_spec f region);
-  (* wish 2 (fresh session: the function changed): kill overwritten
-     stores whose intervening readers are versioned away *)
-  let kill_spec =
-    {
-      V.Wish.sp_client = "dse-kill";
-      sp_loop_upgrade = true;
-      sp_enumerate = enumerate_kill;
-      sp_want =
-        (fun _ c ->
-          V.Wish.Separated { nodes = c.kl_readers; from_ = [ Ir.NI c.kl_store ] });
-      sp_describe = (fun c -> "kill store " ^ Ir.value_name f c.kl_store);
-      sp_apply =
-        (fun s ~ok ~subst:_ decided ->
-          let f = s.V.Api.s_func in
-          tally stats ~ok decided;
-          List.iter
-            (fun (c, o) ->
-              if V.Wish.granted ~ok o then begin
-                delete_inst f c.kl_store;
-                stats.killed <- stats.killed + 1
-              end)
-            decided);
-    }
-  in
-  ignore (V.Wish.run_spec ~versioning kill_spec f region);
-  let df = stats.forwarded - fst before and dk = stats.killed - snd before in
-  if df > 0 || dk > 0 then
-    Tr.remark
-      (Tr.anchor
-         ?loop:(match region with Ir.Rloop l -> Some l | Ir.Rtop -> None)
-         f.Ir.fname)
-      (Tr.Store_eliminated { forwarded = df; killed = dk })
+  Tm.incr ~by:(List.length versioned) "pass.dse.versioned";
+  let granted = List.filter (fun (_, o) -> V.Wish.granted ~ok o) decided in
+  List.iter (fun (c, _) -> rewrite c) granted;
+  [ (label, List.length granted) ]
 
-let run ?(versioning = true) (f : Ir.func) : stats =
-  let stats = new_stats () in
-  List.iter
-    (fun region -> run_region ~versioning f region stats)
-    (Ir.regions f);
-  stats
+(* Wish 1: forward stored values to same-address loads. *)
+let forward_spec : forward V.Wish.spec =
+  {
+    V.Wish.sp_client = "dse-forward";
+    sp_loop_upgrade = true;
+    sp_enumerate = enumerate_forward;
+    sp_want =
+      (fun c ->
+        V.Wish.Separated { nodes = [ Ir.NI c.fw_load ]; from_ = c.fw_blockers });
+    sp_describe = (fun f c -> "forward store to " ^ Ir.value_name f c.fw_load);
+    sp_apply =
+      (fun s ~ok ~subst decided ->
+        let f = s.V.Api.s_func in
+        let users = Ir.compute_users f in
+        apply_granted ~label:"forwarded" ~ok decided (fun c ->
+            let target = subst c.fw_value in
+            List.iter
+              (fun u ->
+                if u <> target then
+                  Ir.replace_uses_in_inst f ~user:u ~old_v:c.fw_load
+                    ~new_v:target)
+              (users c.fw_load)));
+  }
+
+(* Wish 2 (a fresh session: the function changed): kill overwritten
+   stores whose intervening readers are versioned away. *)
+let kill_spec : kill V.Wish.spec =
+  {
+    V.Wish.sp_client = "dse-kill";
+    sp_loop_upgrade = true;
+    sp_enumerate = enumerate_kill;
+    sp_want =
+      (fun c ->
+        V.Wish.Separated { nodes = c.kl_readers; from_ = [ Ir.NI c.kl_store ] });
+    sp_describe = (fun f c -> "kill store " ^ Ir.value_name f c.kl_store);
+    sp_apply =
+      (fun s ~ok ~subst:_ decided ->
+        apply_granted ~label:"killed" ~ok decided (fun c ->
+            delete_inst s.V.Api.s_func c.kl_store));
+  }
+
+(* Both wishes on each region in turn, then the region's remark. *)
+let run ~versioning (f : Ir.func) : V.Wish.work =
+  V.Wish.over_regions f (fun region ->
+      let forward = V.Wish.run_spec ~versioning forward_spec f region in
+      let kill = V.Wish.run_spec ~versioning kill_spec f region in
+      let forwarded = List.assoc "forwarded" forward
+      and killed = List.assoc "killed" kill in
+      if forwarded > 0 || killed > 0 then
+        Tr.remark
+          (Tr.anchor
+             ?loop:(match region with Ir.Rloop l -> Some l | Ir.Rtop -> None)
+             f.Ir.fname)
+          (Tr.Store_eliminated { forwarded; killed });
+      forward @ kill)

@@ -14,8 +14,8 @@
    Mechanically the pass:
    1. computes the pairwise whole-loop disjointness checks (bailing if
       any needed check is not loop-invariant);
-   2. versions the loop on those checks (reusing the framework's
-      materializer with a hand-built, non-nested plan whose scope pairs
+   2. versions the loop on those checks (the framework's materializer
+      on a {!Fgv_versioning.Plan.whole_loop} plan, whose scope pairs
       record the established disjointness);
    3. unrolls the fast-path loop by the vector width; and
    4. runs the *static* SLP packer over the function, which now sees the
@@ -98,20 +98,10 @@ let vectorize_loop (f : Ir.func) (lid : Ir.loop_id) : outcome =
     | Some (atoms, pairs) ->
       let region = region_of_loop f lid in
       let versioned_ok =
-        if atoms = [] then true
-        else begin
-          let plan =
-            {
-              V.Plan.p_nodes = [ Ir.NL lid ];
-              p_inputs = [ Ir.NL lid ];
-              p_conds = atoms;
-              p_cut_edge_ids = [];
-              p_secondaries = [];
-              p_scope_pairs = pairs;
-            }
-          in
-          fst (V.Materialize.run f region [ plan ])
-        end
+        atoms = []
+        || fst
+             (V.Materialize.run f region
+                [ V.Plan.whole_loop lid ~conds:atoms ~pairs ])
       in
       if not versioned_ok then Not_vectorized "versioning failed to materialize"
       else begin

@@ -105,28 +105,12 @@ let versioned_slp ~promotion =
     condopt = { Fgv_versioning.Condopt.default_config with promotion };
   }
 
-let st_rle ~versioning =
-  counted "rle" (fun f ->
-      let rs = Rle.run ~versioning f in
-      [
-        ("eliminated", rs.Rle.loads_eliminated);
-        ("groups", rs.Rle.groups_found);
-      ])
+let st_rle ~versioning = counted "rle" (Rle.run ~versioning)
 
-let st_dse ~versioning =
-  counted "dse" (fun f ->
-      let ds = Dse.run ~versioning f in
-      (* counted, but not part of the remark's work *)
-      Tm.incr ~by:ds.Dse.versioned "pass.dse.versioned";
-      [ ("forwarded", ds.Dse.forwarded); ("killed", ds.Dse.killed) ])
+let st_dse ~versioning = counted "dse" (Dse.run ~versioning)
 
 let st_distribute ~versioning =
-  counted "distribute" (fun f ->
-      let ds = Distribute.run ~versioning f in
-      [
-        ("split", ds.Distribute.loops_split);
-        ("pieces", ds.Distribute.pieces);
-      ])
+  counted "distribute" (Distribute.run ~versioning)
 
 (* The vectorizing shape: the scalar pipeline, the client stages [pre],
    unroll by the vector width and pack with [slp], then the scalar

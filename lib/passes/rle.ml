@@ -9,10 +9,9 @@
    2. groups that are not already independent are handed to the
       versioning framework (and dropped when versioning is infeasible);
    3. plans are materialized;
-   4. the leader is hoisted before the other loads (requesting a further
-      separation plan when instructions it depends on sit in between)
-      and every other load's uses are redirected to the leader; the dead
-      loads are left for DCE.
+   4. every other load's uses are redirected to the leader (to its
+      versioned image, where materialization cloned it); the dead loads
+      are left for DCE.
 
    With [versioning = false] the pass only eliminates groups that are
    *statically* independent — the baseline a standard compiler achieves. *)
@@ -20,13 +19,6 @@
 open Fgv_pssa
 open Fgv_analysis
 module V = Fgv_versioning
-
-type stats = {
-  mutable groups_found : int;
-  mutable loads_eliminated : int;
-}
-
-let new_stats () = { groups_found = 0; loads_eliminated = 0 }
 
 (* Region-level scalar loads grouped by symbolic address and type, each
    group in program order and the groups in the program order of their
@@ -81,58 +73,51 @@ let leader_of (f : Ir.func) (group : Ir.value_id list) : Ir.value_id option =
    outermost versioning phi is the value valid on every path, since the
    raw leader's predicate was narrowed by the checks.  When
    materialization failed ([ok = false]), only the groups that were
-   independent *without* versioning may be collapsed. *)
-let run_region ?(versioning = true) (f : Ir.func) (region : Ir.region)
-    (stats : stats) : unit =
-  let spec =
-    {
-      V.Wish.sp_client = "rle";
-      sp_loop_upgrade = true;
-      sp_enumerate =
-        (fun s ->
-          List.filter_map
-            (fun group ->
-              match leader_of f group with
-              | None -> None
-              | Some leader -> Some (leader, group))
-            (load_groups f s.V.Api.s_scev s.V.Api.s_region));
-      sp_want =
-        (fun _ (_, group) ->
-          V.Wish.Independent (List.map (fun v -> Ir.NI v) group));
-      sp_describe =
-        (fun (leader, group) ->
-          Printf.sprintf "independence of %d loads at %s" (List.length group)
-            (Ir.value_name f leader));
-      sp_apply =
-        (fun s ~ok ~subst decided ->
-          let f = s.V.Api.s_func in
-          let users = Ir.compute_users f in
-          List.iter
-            (fun ((leader, group), o) ->
-              stats.groups_found <- stats.groups_found + 1;
-              if V.Wish.granted ~ok o then begin
-                let target = subst leader in
-                List.iter
-                  (fun l ->
-                    if l <> leader then begin
-                      List.iter
-                        (fun u ->
-                          if u <> target then
-                            Ir.replace_uses_in_inst f ~user:u ~old_v:l
-                              ~new_v:target)
-                        (users l);
-                      stats.loads_eliminated <- stats.loads_eliminated + 1
-                    end)
-                  group
-              end)
-            decided);
-    }
-  in
-  ignore (V.Wish.run_spec ~versioning spec f region)
+   independent *without* versioning may be collapsed.  The work is the
+   loads eliminated and the groups considered. *)
+let spec : (Ir.value_id * Ir.value_id list) V.Wish.spec =
+  {
+    V.Wish.sp_client = "rle";
+    sp_loop_upgrade = true;
+    sp_enumerate =
+      (fun s ->
+        let f = s.V.Api.s_func in
+        List.filter_map
+          (fun group ->
+            match leader_of f group with
+            | None -> None
+            | Some leader -> Some (leader, group))
+          (load_groups f s.V.Api.s_scev s.V.Api.s_region));
+    sp_want =
+      (fun (_, group) -> V.Wish.Independent (List.map (fun v -> Ir.NI v) group));
+    sp_describe =
+      (fun f (leader, group) ->
+        Printf.sprintf "independence of %d loads at %s" (List.length group)
+          (Ir.value_name f leader));
+    sp_apply =
+      (fun s ~ok ~subst decided ->
+        let f = s.V.Api.s_func in
+        let users = Ir.compute_users f in
+        let eliminated = ref 0 in
+        List.iter
+          (fun ((leader, group), o) ->
+            if V.Wish.granted ~ok o then begin
+              let target = subst leader in
+              List.iter
+                (fun l ->
+                  if l <> leader then begin
+                    List.iter
+                      (fun u ->
+                        if u <> target then
+                          Ir.replace_uses_in_inst f ~user:u ~old_v:l
+                            ~new_v:target)
+                      (users l);
+                    incr eliminated
+                  end)
+                group
+            end)
+          decided;
+        [ ("eliminated", !eliminated); ("groups", List.length decided) ]);
+  }
 
-let run ?(versioning = true) (f : Ir.func) : stats =
-  let stats = new_stats () in
-  List.iter
-    (fun region -> run_region ~versioning f region stats)
-    (Ir.regions f);
-  stats
+let run ~versioning = V.Wish.run ~versioning spec

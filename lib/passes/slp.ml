@@ -190,8 +190,8 @@ let schedulable s (vs : Ir.value_id list) : bool =
         if interacting = [] then None
         else
           match
-            V.Api.request_separation ~record:false (Lazy.force s.vsession)
-              ~nodes:interacting ~input_nodes:nodes
+            V.Api.request_separation (Lazy.force s.vsession) ~nodes:interacting
+              ~input_nodes:nodes
           with
           | None -> raise Exit (* sentinel: rejected *)
           | Some p when has_control_conds p -> raise Exit
@@ -536,7 +536,7 @@ let codegen s : int =
 
 (* Vectorize one region. Returns the number of vector instructions
    emitted. *)
-let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
+let run_region ~config (f : Ir.func) (region : Ir.region)
     (plans_used : int ref) : int =
   let scev = lazy (Scev.create f) in
   let vsession =
@@ -589,19 +589,7 @@ let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
     let invariant_plan =
       match region with
       | Ir.Rtop -> fun _ -> false
-      | Ir.Rloop lid ->
-        (* one order table for every plan; [compute_order] walks the
-           whole function *)
-        let order = Ir.compute_order f in
-        let loop_start = order (Ir.NL lid) in
-        fun p ->
-          p.V.Plan.p_secondaries = []
-          && List.for_all
-               (fun a ->
-                 List.for_all
-                   (fun v -> order (Ir.NI v) < loop_start)
-                   (Fgv_analysis.Depcond.atom_operands a))
-               p.V.Plan.p_conds
+      | Ir.Rloop lid -> V.Plan.before_loop f lid
     in
     let invariant, residual = List.partition invariant_plan s.pending in
     let record ~extra plans =
@@ -625,7 +613,7 @@ let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
 (* Vectorize every region of the function (innermost loops first).
    Returns the vector instructions emitted and the non-trivial plans
    committed. *)
-let run ?(config = default_config) (f : Ir.func) : int * int =
+let run ~config (f : Ir.func) : int * int =
   let plans_used = ref 0 in
   let total = ref 0 in
   List.iter

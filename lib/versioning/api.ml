@@ -41,39 +41,34 @@ let already_independent s (nodes : Ir.node list) : bool =
   let idx = List.map (Depgraph.node_index s.s_graph) nodes in
   not (Depgraph.depends_on s.s_graph ~excluded:(fun _ -> false) idx idx)
 
-(* Paper interface function 1: infer a versioning plan that makes the
-   given nodes pairwise independent.  On success the plan is recorded in
-   the session (call [materialize] to lower all recorded plans); [None]
-   means versioning is infeasible. *)
-let request_independence ?(record = true) s (nodes : Ir.node list) :
-    Plan.t option =
-  match Plan.infer_for_nodes s.s_graph nodes with
-  | None -> None
-  | Some plan ->
-    let plan =
-      Condopt.optimize_plan ~config:s.s_condopt s.s_scev
-        ~enclosing:s.s_enclosing plan
-    in
-    if record && not (Plan.is_trivial plan) then s.s_plans <- plan :: s.s_plans;
-    Some plan
-
-(* Make [nodes] independent of [input_nodes] (the general form). *)
-let request_separation ?(record = true) s ~(nodes : Ir.node list)
-    ~(input_nodes : Ir.node list) : Plan.t option =
-  match Plan.infer s.s_graph ~nodes ~input_nodes with
-  | None -> None
-  | Some plan ->
-    let plan =
-      Condopt.optimize_plan ~config:s.s_condopt s.s_scev
-        ~enclosing:s.s_enclosing plan
-    in
-    if record && not (Plan.is_trivial plan) then s.s_plans <- plan :: s.s_plans;
-    Some plan
-
-(* Record a plan obtained with [record:false] (e.g. after a client's own
-   acceptance logic ran). *)
+(* Record a plan: materialized by the next [materialize].  A trivial
+   plan (the independence already holds) needs nothing lowered. *)
 let record_plan s (plan : Plan.t) =
   if not (Plan.is_trivial plan) then s.s_plans <- plan :: s.s_plans
+
+(* Infer a plan over the session's graph and optimize its conditions;
+   [None] means versioning is infeasible. *)
+let request ~record s infer : Plan.t option =
+  match infer s.s_graph with
+  | None -> None
+  | Some plan ->
+    let plan =
+      Condopt.optimize_plan ~config:s.s_condopt s.s_scev
+        ~enclosing:s.s_enclosing plan
+    in
+    if record then record_plan s plan;
+    Some plan
+
+(* Paper interface function 1: infer a versioning plan that makes the
+   given nodes pairwise independent, by default recording it. *)
+let request_independence ?(record = true) s (nodes : Ir.node list) =
+  request ~record s (fun g -> Plan.infer_for_nodes g nodes)
+
+(* Make [nodes] independent of [input_nodes] (the general form); the
+   caller decides whether to record the plan. *)
+let request_separation s ~(nodes : Ir.node list) ~(input_nodes : Ir.node list)
+    =
+  request ~record:false s (fun g -> Plan.infer g ~nodes ~input_nodes)
 
 (* A plan's independence guarantee (its nodes' memory accesses vs its
    inputs', plus its client-specified pairs) as explicit access pairs:
@@ -191,20 +186,9 @@ let materialize ?(loop_upgrade = false) (s : session) :
     let plans = merge_plans f (List.rev s.s_plans) in
     let upgraded, direct =
       match s.s_region with
-      | Ir.Rloop lid when loop_upgrade ->
-        let order = Ir.compute_order f in
-        let loop_start = order (Ir.NL lid) in
-        let invariant p =
-          p.Plan.p_secondaries = []
-          && List.for_all
-               (fun a ->
-                 List.for_all
-                   (fun v -> order (Ir.NI v) < loop_start)
-                   (Depcond.atom_operands a))
-               p.Plan.p_conds
-        in
-        let up, rest = List.partition invariant plans in
-        (match up with
+      | Ir.Rloop lid when loop_upgrade -> (
+        let up, rest = List.partition (Plan.before_loop f lid) plans in
+        match up with
         | [] -> (None, rest)
         | _ ->
           let conds =
@@ -215,17 +199,7 @@ let materialize ?(loop_upgrade = false) (s : session) :
             List.sort_uniq compare
               (List.concat_map (fun p -> p.Plan.p_scope_pairs) up)
           in
-          ( Some
-              ( lid,
-                {
-                  Plan.p_nodes = [ Ir.NL lid ];
-                  p_inputs = [];
-                  p_conds = conds;
-                  p_cut_edge_ids = [];
-                  p_secondaries = [];
-                  p_scope_pairs = pairs;
-                } ),
-            rest ))
+          (Some (lid, Plan.whole_loop lid ~conds ~pairs), rest))
       | _ -> (None, plans)
     in
     let ok1, subst1 =

@@ -37,15 +37,14 @@ val request_independence :
     the session's {!Condopt.config}.  [None] = infeasible. *)
 
 val request_separation :
-  ?record:bool ->
-  session ->
-  nodes:Ir.node list ->
-  input_nodes:Ir.node list ->
-  Plan.t option
-(** The general form: no node of [nodes] depends on [input_nodes]. *)
+  session -> nodes:Ir.node list -> input_nodes:Ir.node list -> Plan.t option
+(** The general form: no node of [nodes] depends on [input_nodes].  The
+    plan is inferred and optimized as above but not recorded: the caller
+    decides, with {!record_plan}. *)
 
 val record_plan : session -> Plan.t -> unit
-(** Record a plan previously obtained with [~record:false]. *)
+(** Record a plan for {!materialize}; a trivial one needs nothing
+    lowered and is dropped. *)
 
 val merge_plans : Ir.func -> Plan.t list -> Plan.t list
 (** Merge secondary-free plans whose condition sets are equivalent

@@ -28,6 +28,30 @@ type t = {
 
 let is_trivial p = p.p_conds = [] && p.p_secondaries = []
 
+let whole_loop lid ~conds ~pairs =
+  {
+    p_nodes = [ Ir.NL lid ];
+    p_inputs = [];
+    p_conds = conds;
+    p_cut_edge_ids = [];
+    p_secondaries = [];
+    p_scope_pairs = pairs;
+  }
+
+let before_loop (f : Ir.func) lid =
+  (* one order table for every plan: [compute_order] walks the whole
+     function *)
+  let order = Ir.compute_order f in
+  let loop_start = order (Ir.NL lid) in
+  fun p ->
+    p.p_secondaries = []
+    && List.for_all
+         (fun a ->
+           List.for_all
+             (fun v -> order (Ir.NI v) < loop_start)
+             (Depcond.atom_operands a))
+         p.p_conds
+
 let iter_access_pairs (f : Ir.func) p k =
   let mems node =
     Ir.memory_insts f (match node with Ir.NI v -> Ir.I v | Ir.NL l -> Ir.L l)

@@ -32,6 +32,23 @@ type t = {
 val is_trivial : t -> bool
 (** No conditions and no secondaries: the request was already satisfied. *)
 
+val whole_loop :
+  Ir.loop_id ->
+  conds:Depcond.atom list ->
+  pairs:(Ir.value_id * Ir.value_id) list ->
+  t
+(** Version the whole loop under one check of [conds], evaluated before
+    it in its parent region, with the loop's clone as the fallback: the
+    shape of classic loop versioning.  The guarantee is within the loop,
+    so it is [pairs] alone, as scope pairs. *)
+
+val before_loop : Ir.func -> Ir.loop_id -> t -> bool
+(** [before_loop f lid p]: [p] has no secondaries and every operand of
+    its conditions is defined before loop [lid] starts, so one check
+    before the loop can guard it ({!whole_loop}).  Partially applied to
+    [f] and [lid], it computes the program order once for any number of
+    plans. *)
+
 val iter_access_pairs :
   Ir.func -> t -> (Ir.node -> Ir.value_id -> Ir.value_id -> unit) -> unit
 (** [k node a b] for every memory access [a] of a versioned [node] and

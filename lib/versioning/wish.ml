@@ -6,9 +6,10 @@
    from that store", "guard this loop with these condition atoms"),
    hand the wishes to plan inference, materialize the accepted plans,
    and apply the rewrite only where the wish was granted.  This module
-   factors the skeleton so a client is a [spec] — data plus a rewrite —
-   rather than a bespoke traversal: RLE, DSE, and loop distribution are
-   all registered through {!run_spec}.
+   is that skeleton, so a client is a [spec] — data plus a rewrite —
+   and the framework runs it: {!run_spec} on one region, {!run} on
+   every region of a function.  RLE, DSE and loop distribution are
+   specs.
 
    Outcome discipline (shared by every client):
    - [Granted_static]    — the wish already holds; the rewrite is safe
@@ -43,29 +44,34 @@ type outcome =
   | Granted_versioned of { conds : int }
   | Denied
 
+(* The work a rewrite did, as labelled counts: what a pipeline stage
+   returns. *)
+type work = (string * int) list
+
 type 'a spec = {
   sp_client : string;  (** telemetry / remark namespace *)
   sp_loop_upgrade : bool;  (** materialize with loop-granularity upgrade *)
   sp_enumerate : Api.session -> 'a list;
       (** candidates, in deterministic program order *)
-  sp_want : Api.session -> 'a -> want;
-  sp_describe : 'a -> string;  (** short label for the remark stream *)
+  sp_want : 'a -> want;
+  sp_describe : Ir.func -> 'a -> string;
+      (** short label for the remark stream *)
   sp_apply :
     Api.session ->
     ok:bool ->
     subst:(Ir.value_id -> Ir.value_id) ->
     ('a * outcome) list ->
-    unit;
-      (** the rewrite: called once after materialization with every
-          candidate's outcome.  [ok] is false when materialization
+    work;
+      (** the rewrite: called once per region after materialization with
+          every candidate's outcome, returning the work it did (every
+          label, zeros included).  [ok] is false when materialization
           failed — then only [Granted_static] candidates may be
           rewritten.  Uses redirected to a versioned value must go
           through [subst]. *)
 }
 
 (* Decide one wish against the session.  Only non-trivial plans are
-   recorded (trivial means the independence already holds), mirroring
-   what [Api.request_independence] does internally. *)
+   recorded (trivial means the independence already holds). *)
 let decide ~versioning (s : Api.session) (w : want) : outcome =
   match w with
   | Independent nodes ->
@@ -78,9 +84,7 @@ let decide ~versioning (s : Api.session) (w : want) : outcome =
   | Separated { nodes; from_ } ->
     if nodes = [] || from_ = [] then Granted_static
     else (
-      match
-        Api.request_separation ~record:false s ~nodes ~input_nodes:from_
-      with
+      match Api.request_separation s ~nodes ~input_nodes:from_ with
       | Some plan when Plan.is_trivial plan -> Granted_static
       | Some plan ->
         if versioning then begin
@@ -93,19 +97,9 @@ let decide ~versioning (s : Api.session) (w : want) : outcome =
   | Guarded_loop { loop; atoms; pairs } ->
     if not versioning then Denied
     else begin
-      let atoms = Plan.dedup_atoms atoms in
-      let plan =
-        {
-          Plan.p_nodes = [ Ir.NL loop ];
-          p_inputs = [ Ir.NL loop ];
-          p_conds = atoms;
-          p_cut_edge_ids = [];
-          p_secondaries = [];
-          p_scope_pairs = pairs;
-        }
-      in
-      Api.record_plan s plan;
-      Granted_versioned { conds = List.length atoms }
+      let conds = Plan.dedup_atoms atoms in
+      Api.record_plan s (Plan.whole_loop loop ~conds ~pairs);
+      Granted_versioned { conds = List.length conds }
     end
 
 let spec_anchor (s : Api.session) =
@@ -123,9 +117,9 @@ let granted ~ok = function
   | Denied -> false
 
 (* Run one spec over one region: enumerate, decide, materialize, apply.
-   Returns the per-candidate outcomes so callers can aggregate stats. *)
-let run_spec ?(versioning = true) (spec : 'a spec) (f : Ir.func)
-    (region : Ir.region) : ('a * outcome) list =
+   Returns the work the rewrite reports. *)
+let run_spec ~versioning (spec : 'a spec) (f : Ir.func) (region : Ir.region) :
+    work =
   let s =
     Api.create ~condopt:{ Condopt.default_config with promotion = true } f
       region
@@ -134,8 +128,8 @@ let run_spec ?(versioning = true) (spec : 'a spec) (f : Ir.func)
   let decided =
     List.map
       (fun c ->
-        let o = decide ~versioning s (spec.sp_want s c) in
-        let wanted = spec.sp_describe c in
+        let o = decide ~versioning s (spec.sp_want c) in
+        let wanted = spec.sp_describe f c in
         (match o with
         | Granted_static ->
           Tm.incr ("wish." ^ spec.sp_client ^ ".granted_static");
@@ -158,5 +152,25 @@ let run_spec ?(versioning = true) (spec : 'a spec) (f : Ir.func)
     | Some subst -> (true, subst)
     | None -> (false, fun v -> v)
   in
-  spec.sp_apply s ~ok ~subst decided;
-  decided
+  spec.sp_apply s ~ok ~subst decided
+
+(* Add [work] into [total] label by label; a new label goes last, so the
+   sum keeps the labels in first-seen order. *)
+let add_work (total : work) (work : work) : work =
+  List.fold_left
+    (fun total (label, n) ->
+      if List.mem_assoc label total then
+        List.map (fun (l, m) -> if l = label then (l, m + n) else (l, m)) total
+      else total @ [ (label, n) ])
+    total work
+
+(* Run [step] on every region of [f] — the regions as listed before the
+   first step runs, every loop before the loops around it and the
+   function body last — and sum the work it reports. *)
+let over_regions (f : Ir.func) (step : Ir.region -> work) : work =
+  List.fold_left (fun total region -> add_work total (step region)) []
+    (Ir.regions f)
+
+(* A client that is one spec: run it on every region. *)
+let run ~versioning (spec : 'a spec) (f : Ir.func) : work =
+  over_regions f (run_spec ~versioning spec f)

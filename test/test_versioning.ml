@@ -236,7 +236,7 @@ let test_infeasible () =
     |> Option.get
   in
   let store = List.hd (top_stores f) in
-  match V.Api.request_separation ~record:false s ~nodes:[ store ] ~input_nodes:[ load ] with
+  match V.Api.request_separation s ~nodes:[ store ] ~input_nodes:[ load ] with
   | None -> () (* hmm: store depends on load via operand: infeasible *)
   | Some plan ->
     if not (V.Plan.is_trivial plan) then
