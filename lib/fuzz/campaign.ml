@@ -15,7 +15,7 @@
      first one found on the wall clock.  A shared lowest-failing-index
      cell lets in-flight workers skip indices above a known failure,
      while every index below it is still checked — so the minimum is
-     exact, matching what the sequential scan stops at;
+     exact, matching what a left-to-right scan stops at;
    - each program is checked under {!Fgv_support.Obs.isolated}, and
      only the shards of the sequential prefix [0 .. failing index] (all
      of them on a clean campaign) are merged back, in index order.
@@ -23,7 +23,7 @@
      match the [--jobs 1] run exactly; work done speculatively past a
      failure is discarded;
    - shrinking runs on the calling domain after the workers join, on
-     the same program the sequential campaign would shrink. *)
+     the same program a left-to-right scan would shrink. *)
 
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
@@ -97,34 +97,13 @@ let mk_failure ~native ~config ~index ~pseed (fd : Fgv_frontend.Ast.fdecl)
     f_remarks = remarks;
   }
 
-(* The original sequential scan: stop at the first mismatch. *)
-let run_sequential ~native ~config ~pipelines ~n ~seed () : outcome =
-  let failure = ref None in
-  let i = ref 0 in
-  while !failure = None && !i < n do
-    let pseed = seed + !i in
-    let cfg = Generator.vary config ~seed:pseed in
-    let fd = Generator.generate ~config:cfg ~seed:pseed () in
-    (match Oracle.check ~native ~pipelines ~config:cfg fd with
-    | None -> ()
-    | Some m ->
-      failure := Some (mk_failure ~native ~config:cfg ~index:!i ~pseed fd m));
-    incr i
-  done;
-  {
-    c_programs = !i;
-    c_seed = seed;
-    c_pipelines = pipelines;
-    c_native = native;
-    c_failure = !failure;
-  }
-
-(* Parallel scan over all indices with an early-exit watermark.  A task
-   bails only when its index is ABOVE the best (lowest) failing index
-   known so far; the watermark only ever decreases, so every index at
-   or below the final minimum is guaranteed to have run — the minimum
-   is exact, not a race winner. *)
-let run_parallel ~native ~config ~pipelines ~jobs ~n ~seed () : outcome =
+(* Scan over all indices with an early-exit watermark.  A task bails
+   only when its index is ABOVE the best (lowest) failing index known so
+   far; the watermark only ever decreases, so every index at or below
+   the final minimum is guaranteed to have run — the minimum is exact,
+   not a race winner.  At one job the pool runs the tasks inline and in
+   order, so the scan stops checking at the first mismatch. *)
+let scan ~native ~config ~pipelines ~jobs ~n ~seed : outcome =
   let watermark = Atomic.make max_int in
   let rec lower_to i =
     let cur = Atomic.get watermark in
@@ -177,9 +156,7 @@ let run ?(native = false) ?(config = Generator.default_config)
       if n <= 0 then
         { c_programs = 0; c_seed = seed; c_pipelines = pipelines;
           c_native = native; c_failure = None }
-      else if jobs <= 1 then
-        run_sequential ~native ~config ~pipelines ~n ~seed ()
-      else run_parallel ~native ~config ~pipelines ~jobs ~n ~seed ())
+      else scan ~native ~config ~pipelines ~jobs ~n ~seed)
 
 (* ------------------------------------------------------------- report *)
 
