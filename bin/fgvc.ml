@@ -222,12 +222,10 @@ let run_native_differential (prog : Fgv_cfg.Cir.prog) ~(argv : Value.t list)
 
 (* ------------------------------------------------------- service mode *)
 
-let run_serve socket cache_max stats jobs slow_ms finalize =
+let run_serve socket cache_max stats jobs finalize =
   let module S = Fgv_service.Service in
   let svc =
-    S.create
-      ?jobs:(if jobs = 0 then None else Some jobs)
-      ?slow_ms ~cache_max ()
+    S.create ?jobs:(if jobs = 0 then None else Some jobs) ~cache_max ()
   in
   (* No jobs field here: the serve-start record is part of the log's
      deterministic (non-timing) projection, which must not vary with
@@ -251,10 +249,10 @@ let run_serve socket cache_max stats jobs slow_ms finalize =
 
 let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     dump_cfg run args heap no_restrict emit_c run_native stats jobs trace
-    remarks serve socket cache_max log slow_ms =
+    remarks serve socket cache_max log =
   let finalize = setup_observability trace remarks stats log in
   if serve || socket <> None then
-    run_serve socket cache_max stats jobs slow_ms finalize
+    run_serve socket cache_max stats jobs finalize
   else if fuzz > 0 then begin
     Ev.emit Ev.Info "fuzz-campaign"
       [
@@ -556,16 +554,6 @@ let log_opt =
            event's $(b,timing) member, so the rest of the log is \
            byte-identical at any --jobs count")
 
-let slow_ms_opt =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "slow-ms" ] ~docv:"MS"
-        ~doc:
-          "with the compile service: emit a warn-level $(b,slow-request) \
-           event to the $(b,--log) file for every request that takes longer \
-           than $(docv) milliseconds")
-
 let cmd =
   let doc = "compile and run mini-C kernels with fine-grained program versioning" in
   let man =
@@ -600,8 +588,7 @@ let cmd =
          before/after IR snapshots and unified diffs per pass.  \
          $(b,--stats)[=$(b,json)] prints the telemetry counters and \
          timers, each timer with a latency histogram.  $(b,--log) \
-         FILE[=LEVEL] writes the structured event log; $(b,--slow-ms) N \
-         flags slow service requests in it.";
+         FILE[=LEVEL] writes the structured event log.";
       `S Manpage.s_exit_status;
       `P "0 on success;";
       `P
@@ -643,6 +630,6 @@ let cmd =
       $ fuzz_native_opt $ pipeline $ dump_ir $ dump_cfg $ run_flag $ args_opt
       $ heap_opt $ no_restrict $ emit_c_opt $ run_native_opt $ stats_opt
       $ jobs_opt $ trace_opt $ remarks_opt $ serve_opt $ socket_opt
-      $ cache_max_opt $ log_opt $ slow_ms_opt)
+      $ cache_max_opt $ log_opt)
 
 let () = exit (Cmd.eval' cmd)

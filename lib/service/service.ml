@@ -37,8 +37,6 @@ module P = Protocol
 type t = {
   cache : Cache.t;
   jobs : int;
-  slow_ms : float option;
-      (** emit a warn-level event when a request exceeds this *)
   started : float;  (** wall clock at {!create}, for metrics uptime *)
   h_request : H.t;  (** per-request service latency (coordinator-only) *)
   h_batch : H.t;  (** whole-batch wall time (coordinator-only) *)
@@ -49,11 +47,10 @@ type t = {
       (** kernel name -> unit key of its last compiled content *)
 }
 
-let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
+let create ?(jobs = Pool.default_jobs ()) ?cache_max () : t =
   {
     cache = Cache.create ?max_entries:cache_max ();
     jobs = max 1 jobs;
-    slow_ms;
     started = Unix.gettimeofday ();
     h_request = H.create ();
     h_batch = H.create ();
@@ -128,7 +125,7 @@ type resolution =
           evict it, plus the lookup's wall seconds *)
   | Await of [ `Miss | `Coalesced ]
 
-(* Outcome slug for access-log records, slow-request warnings and the
+(* Outcome slug for access-log records and the
    [service.requests.<outcome>] counter.  A multi-unit request reports
    the most expensive outcome any of its units had: one recompiled
    kernel makes the request a miss however many siblings hit.  A
@@ -332,18 +329,7 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
             ]
           | P.Failed { error; _ } ->
             [ ("ok", J.Bool false); ("error", String error) ])
-          ~timing:[ ("duration_s", J.Float dur) ];
-      match t.slow_ms with
-      | Some threshold when dur *. 1000.0 > threshold ->
-        Ev.emit Ev.Warn "slow-request"
-          [
-            ("seq", J.Int (seq i));
-            ("outcome", String outcome);
-            ("key", String key);
-            ("threshold_ms", Float threshold);
-          ]
-          ~timing:[ ("duration_s", J.Float dur) ]
-      | _ -> ())
+          ~timing:[ ("duration_s", J.Float dur) ])
     (List.combine keyed (List.combine plan responses));
   let batch_dur = Unix.gettimeofday () -. batch_start in
   H.record t.h_batch batch_dur;

@@ -16,9 +16,8 @@
     input stream.  Consequently the non-[timing] projection of the log
     (each line with its ["timing"] member deleted) is byte-identical
     across runs at any [--jobs] level, and CI diffs it the same way it
-    diffs fuzz reports.  Events that exist {e because} of a timing
-    measurement ([--slow-ms] warnings) are the documented exception:
-    the contract holds with [--slow-ms] unset.
+    diffs fuzz reports.  No event exists {e because} of a timing
+    measurement, so the contract holds for every log.
 
     The sink is global and [Mutex]-guarded: any domain may emit, lines
     never interleave.  The coordinator alone emits order-sensitive
