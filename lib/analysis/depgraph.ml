@@ -20,7 +20,8 @@ type t = {
   g_ctx : Depcond.ctx;
   nodes : Ir.node array; (* in program order *)
   index : (Ir.node, int) Hashtbl.t;
-  mutable edges : edge array;
+  edges : edge array;
+  succ : edge list array; (* per node, its edges in descending id order *)
 }
 
 let node_index t n =
@@ -37,6 +38,14 @@ let prepare (f : Ir.func) (scev : Scev.t) (region : Ir.region) =
   let index = Hashtbl.create (max 1 (Array.length nodes)) in
   Array.iteri (fun k n -> Hashtbl.replace index n k) nodes;
   (ctx, nodes, index)
+
+(* The graph over [edges], an array in id order, with each node's
+   successor list built once. *)
+let make ctx nodes index edges =
+  let edges = Array.of_list (List.rev edges) in
+  let succ = Array.make (Array.length nodes) [] in
+  Array.iter (fun e -> succ.(e.e_src) <- e :: succ.(e.e_src)) edges;
+  { g_ctx = ctx; nodes; index; edges; succ }
 
 (* The reference builder: Fig. 6 on every pair.  Quadratic in the region
    size; kept as the oracle for the sparse-equivalence property test and
@@ -59,7 +68,7 @@ let build_naive (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
         incr next_id
     done
   done;
-  { g_ctx = ctx; nodes; index; edges = Array.of_list (List.rev !edges) }
+  make ctx nodes index !edges
 
 (* Sparse construction.  For each node i the candidate dependees are
 
@@ -196,23 +205,13 @@ let build (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
        f.Ir.fname)
     (Tr.Graph_sparsity
        { nodes = n; edges = !next_id; pairs_pruned = pruned });
-  { g_ctx = ctx; nodes; index; edges = Array.of_list (List.rev !edges) }
-
-(* Successor lists along dependence direction (src -> dst), optionally
-   excluding a set of edges (by id). *)
-let dependence_succ t ~(excluded : int -> bool) =
-  let succ = Array.make (Array.length t.nodes) [] in
-  Array.iter
-    (fun e -> if not (excluded e.e_id) then succ.(e.e_src) <- e :: succ.(e.e_src))
-    t.edges;
-  succ
+  make ctx nodes index !edges
 
 (* Is any node of [targets] reachable from [sources] along dependence
    edges, ignoring edges in [excluded]?  Used by tests and by clients to
    ask "are these already independent". *)
 let depends_on t ~(excluded : int -> bool) (sources : int list)
     (targets : int list) : bool =
-  let succ = dependence_succ t ~excluded in
   let n = Array.length t.nodes in
   let target = Array.make n false in
   List.iter (fun i -> target.(i) <- true) targets;
@@ -225,10 +224,12 @@ let depends_on t ~(excluded : int -> bool) (sources : int list)
     if not seen.(v) then begin
       seen.(v) <- true;
       if target.(v) then found := true;
-      List.iter (fun e -> go e.e_dst) succ.(v)
+      walk v
     end
+  and walk v =
+    List.iter (fun e -> if not (excluded e.e_id) then go e.e_dst) t.succ.(v)
   in
-  List.iter (fun s -> List.iter (fun e -> go e.e_dst) succ.(s)) sources;
+  List.iter walk sources;
   !found
 
 let to_string t =

@@ -19,7 +19,9 @@ type t = {
   g_ctx : Depcond.ctx;
   nodes : Ir.node array;  (** region items in program order *)
   index : (Ir.node, int) Hashtbl.t;
-  mutable edges : edge array;
+  edges : edge array;  (** in id order: [edges.(k).e_id = k] *)
+  succ : edge list array;
+      (** each node's outgoing dependence edges, in descending id order *)
 }
 
 val node_index : t -> Ir.node -> int
@@ -36,9 +38,6 @@ val build : Ir.func -> Scev.t -> Ir.region -> t
 val build_naive : Ir.func -> Scev.t -> Ir.region -> t
 (** Reference builder: Fig. 6 on every pair (quadratic).  Oracle for the
     sparse-equivalence property test. *)
-
-val dependence_succ : t -> excluded:(int -> bool) -> edge list array
-(** Per-node outgoing dependence edges, omitting the excluded edge ids. *)
 
 val depends_on : t -> excluded:(int -> bool) -> int list -> int list -> bool
 (** Is any target reachable from a source along dependence edges (through

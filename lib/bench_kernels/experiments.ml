@@ -395,7 +395,6 @@ let ablation_mincut ?(jobs = 1) () : string =
             (* naive: every conditional edge in the subgraph reachable
                from the stores *)
             let idx = List.map (Depgraph.node_index g) stores in
-            let succ = Depgraph.dependence_succ g ~excluded:(fun _ -> false) in
             let seen = Array.make (Array.length g.Depgraph.nodes) false in
             let conds = ref 0 in
             let rec dfs v =
@@ -407,7 +406,7 @@ let ablation_mincut ?(jobs = 1) () : string =
                     | Some atoms -> conds := !conds + List.length atoms
                     | None -> ());
                     dfs e.Depgraph.e_dst)
-                  succ.(v)
+                  g.Depgraph.succ.(v)
               end
             in
             List.iter dfs idx;

@@ -11,9 +11,30 @@
 
 open Fgv_pssa
 
+(* Structural hash keys.  A float constant is keyed by its bits, except
+   that every NaN of one sign is one key: exactly the values an exact
+   hexadecimal rendering (%h) tells apart, so [-0.0] and [0.0] stay
+   distinct and so do [nan] and [-nan]. *)
+type const_key = Kint of int | Kfloat of int64 | Kbool of bool | Kundef
+
+type key =
+  | Kconst of Ir.ty * const_key (* the result type tells 1 from 1.0 *)
+  | Kbin of Ir.binop * Ir.value_id * Ir.value_id
+  | Kcmp of Ir.cmpop * Ir.value_id * Ir.value_id
+  | Kcast of Ir.ty * Ir.value_id
+  | Ksel of Ir.value_id * Ir.value_id * Ir.value_id
+  | Ksplat of Ir.value_id * Ir.ty
+  | Kext of Ir.value_id * int
+  | Kload of Ir.value_id * Ir.ty * int (* address, type, memory generation *)
+
+let float_key x =
+  Kfloat
+    (Int64.bits_of_float
+       (if Float.is_nan x then Float.copy_sign Float.nan x else x))
+
 (* Canonical key for a pure instruction: kind with operands rewritten to
    their representatives, commutative operands sorted. *)
-let key_of f repr v : string option =
+let key_of f repr v : key option =
   let i = Ir.inst f v in
   let r x = try Hashtbl.find repr x with Not_found -> x in
   let commutative = function
@@ -22,27 +43,24 @@ let key_of f repr v : string option =
   in
   match i.kind with
   | Ir.Const c ->
-    (* the key must distinguish Cint 1 from Cfloat 1.0: use an exact
-       hexadecimal rendering for floats and tag with the type *)
     let body =
       match c with
-      | Ir.Cfloat x -> Printf.sprintf "f%h" x
-      | Ir.Cint n -> Printf.sprintf "i%d" n
-      | Ir.Cbool b -> Printf.sprintf "b%b" b
-      | Ir.Cundef _ -> "undef"
+      | Ir.Cfloat x -> float_key x
+      | Ir.Cint n -> Kint n
+      | Ir.Cbool b -> Kbool b
+      | Ir.Cundef _ -> Kundef
     in
-    Some (Printf.sprintf "const:%s:%s" (Ir.string_of_ty i.ty) body)
+    Some (Kconst (i.ty, body))
   | Ir.Binop (op, a, b) ->
     let a = r a and b = r b in
     let a, b = if commutative op && b < a then (b, a) else (a, b) in
-    Some (Printf.sprintf "bin:%s:%d:%d" (Ir.string_of_binop op) a b)
-  | Ir.Cmp (op, a, b) ->
-    Some (Printf.sprintf "cmp:%s:%d:%d" (Ir.string_of_cmpop op) (r a) (r b))
-  | Ir.Cast (t, a) -> Some (Printf.sprintf "cast:%s:%d" (Ir.string_of_ty t) (r a))
+    Some (Kbin (op, a, b))
+  | Ir.Cmp (op, a, b) -> Some (Kcmp (op, r a, r b))
+  | Ir.Cast (t, a) -> Some (Kcast (t, r a))
   | Ir.Select { cond; if_true; if_false } ->
-    Some (Printf.sprintf "sel:%d:%d:%d" (r cond) (r if_true) (r if_false))
-  | Ir.Splat a -> Some (Printf.sprintf "splat:%d:%s" (r a) (Ir.string_of_ty i.ty))
-  | Ir.Extract (a, k) -> Some (Printf.sprintf "ext:%d:%d" (r a) k)
+    Some (Ksel (r cond, r if_true, r if_false))
+  | Ir.Splat a -> Some (Ksplat (r a, i.ty))
+  | Ir.Extract (a, k) -> Some (Kext (r a, k))
   | _ -> None
 
 type entry = { e_value : Ir.value_id; e_pred : Pred.t }
@@ -76,8 +94,7 @@ let run (f : Ir.func) : int =
     match i.kind with
     | Ir.Load { addr } when not (Ir.may_write_inst i) ->
       let r x = try Hashtbl.find repr x with Not_found -> x in
-      let key = Printf.sprintf "load:%d:%s:%d" (r addr) (Ir.string_of_ty i.ty) !memgen in
-      lookup_or_add load_table key v i.ipred
+      lookup_or_add load_table (Kload (r addr, i.ty, !memgen)) v i.ipred
     | _ -> (
       match key_of f repr v with
       | None -> ()

@@ -94,9 +94,6 @@ type session = {
   (* item index of each region-level instruction ([items] is fixed
      during packing, so one table replaces a linear scan per query) *)
   item_pos : (Ir.value_id, int) Hashtbl.t;
-  (* dependence successors per graph node, built on first use (the
-     graph is immutable during packing) *)
-  mutable dep_succ : Depgraph.edge list array option;
   plans_used : int ref; (* non-trivial plans committed, over all regions *)
   mutable pending : V.Plan.t list;
   mutable accepted : (Ir.value_id list, pack) Hashtbl.t;
@@ -107,17 +104,6 @@ type session = {
 }
 
 let position s v = Hashtbl.find_opt s.item_pos v
-
-let dep_succ s =
-  match s.dep_succ with
-  | Some a -> a
-  | None ->
-    let a =
-      Depgraph.dependence_succ (Lazy.force s.vsession).V.Api.s_graph
-        ~excluded:(fun _ -> false)
-    in
-    s.dep_succ <- Some a;
-    a
 
 (* All members must be distinct region-level instruction items with the
    same predicate. *)
@@ -159,14 +145,13 @@ let schedulable s (vs : Ir.value_id list) : bool =
            | _ -> None)
   in
   (* restrict to crossers that actually interact with members *)
-  let succ = dep_succ s in
   let interacting =
     List.filter
       (fun c ->
         let ci = Depgraph.node_index g c in
         List.exists
           (fun e -> List.mem e.Depgraph.e_dst member_idx)
-          succ.(ci))
+          g.Depgraph.succ.(ci))
       crossers
   in
   (* packs that would need control-flow speculation (predicate
@@ -559,7 +544,6 @@ let run_region ~config (f : Ir.func) (region : Ir.region)
       vsession;
       items;
       item_pos;
-      dep_succ = None;
       plans_used;
       pending = [];
       accepted = Hashtbl.create 8;

@@ -14,28 +14,70 @@ let range_offset (r1 : Scev.range) (r2 : Scev.range) : int option =
   | Some a, Some b when a = b -> Some a
   | _ -> None
 
+(* A key for [atoms_equivalent]'s classes.  A predicate keys itself.  An
+   intersection check keys the term lists of its four bounds plus the
+   other three constants' offsets from the first lower bound's, so two
+   checks shifted by one common constant get one key; of the two
+   operand orders the lesser key is taken, so swapped operands get one
+   key too.  Two atoms are equivalent exactly when their keys are
+   equal. *)
+type key =
+  | Kpred of Pred.t
+  | Krange of {
+      terms : (Ir.value_id * int) list list; (* a.lo, a.hi, b.lo, b.hi *)
+      offsets : int * int * int; (* a.hi, b.lo, b.hi minus a.lo *)
+    }
+
+module Key = struct
+  type t = key
+
+  let equal x y =
+    match x, y with
+    | Kpred p, Kpred q -> Pred.equal p q
+    | Krange a, Krange b -> a.terms = b.terms && a.offsets = b.offsets
+    | _ -> false
+
+  (* equal predicates mention the same literals *)
+  let hash = function
+    | Kpred p -> Hashtbl.hash (Pred.literals p)
+    | Krange { terms; offsets } -> Hashtbl.hash (terms, offsets)
+end
+
+module Keys = Hashtbl.Make (Key)
+
+let oriented_key (a : Scev.range) (b : Scev.range) =
+  let k = Linexp.constant a.Scev.lo in
+  Krange
+    {
+      terms = List.map Linexp.terms [ a.Scev.lo; a.Scev.hi; b.Scev.lo; b.Scev.hi ];
+      offsets =
+        ( Linexp.constant a.Scev.hi - k,
+          Linexp.constant b.Scev.lo - k,
+          Linexp.constant b.Scev.hi - k );
+    }
+
+let key = function
+  | Depcond.Apred p -> Kpred p
+  | Depcond.Aintersect (a, b) -> min (oriented_key a b) (oriented_key b a)
+
 (* Two intersection checks are equivalent when both sides are shifted by
-   the same constant (possibly with the operands swapped). *)
-let atoms_equivalent a b =
-  match a, b with
-  | Depcond.Apred p, Depcond.Apred q -> Pred.equal p q
-  | Depcond.Aintersect (ra, rb), Depcond.Aintersect (rx, ry) ->
-    (match range_offset rx ra, range_offset ry rb with
-    | Some d1, Some d2 when d1 = d2 -> true
-    | _ -> (
-      match range_offset rx rb, range_offset ry ra with
-      | Some d1, Some d2 when d1 = d2 -> true
-      | _ -> false))
-  | _ -> false
+   the same constant (possibly with the operands swapped); two
+   predicates when they are equal. *)
+let atoms_equivalent a b = Key.equal (key a) (key b)
 
 (* Redundant condition elimination: keep one representative per
-   equivalence class. *)
+   equivalence class, the first. *)
 let eliminate_redundant atoms =
-  List.fold_left
-    (fun kept atom ->
-      if List.exists (atoms_equivalent atom) kept then kept else atom :: kept)
-    [] atoms
-  |> List.rev
+  let seen = Keys.create 16 in
+  List.filter
+    (fun atom ->
+      let k = key atom in
+      if Keys.mem seen k then false
+      else begin
+        Keys.add seen k ();
+        true
+      end)
+    atoms
 
 (* Hull of two ranges whose bounds differ by constants. *)
 let range_hull r1 r2 =
@@ -53,42 +95,49 @@ let range_hull r1 r2 =
   | Some lo, Some hi -> Some { Scev.lo; hi }
   | _ -> None
 
-(* Condition coalescing: replace two intersection checks with a single
-   over-approximating check when both sides can be hulled.  The result
-   is cheaper but may fail when the originals would pass, so this runs
-   after redundant-condition elimination (paper SIV-A). *)
-let coalesce atoms =
-  let try_merge a b =
-    match a, b with
-    | Depcond.Aintersect (ra, rb), Depcond.Aintersect (rx, ry) -> (
-      match range_hull ra rx, range_hull rb ry with
+(* Merge two intersection checks whose bounds' term lists agree, in the
+   given operand order or else swapped. *)
+let try_merge a b =
+  match a, b with
+  | Depcond.Aintersect (ra, rb), Depcond.Aintersect (rx, ry) -> (
+    match range_hull ra rx, range_hull rb ry with
+    | Some h1, Some h2 -> Some (Depcond.Aintersect (h1, h2))
+    | _ -> (
+      match range_hull ra ry, range_hull rb rx with
       | Some h1, Some h2 -> Some (Depcond.Aintersect (h1, h2))
-      | _ -> (
-        match range_hull ra ry, range_hull rb rx with
-        | Some h1, Some h2 -> Some (Depcond.Aintersect (h1, h2))
-        | _ -> None))
-    | _ -> None
-  in
-  let rec fixpoint atoms =
-    let rec scan acc = function
-      | [] -> None
-      | atom :: rest -> (
-        let merged =
-          List.find_map
-            (fun other ->
-              match try_merge atom other with
-              | Some m -> Some (other, m)
-              | None -> None)
-            rest
-        in
-        match merged with
-        | Some (other, m) ->
-          Some (acc @ (m :: List.filter (fun x -> x != other) rest))
-        | None -> scan (acc @ [ atom ]) rest)
-    in
-    match scan [] atoms with Some atoms' -> fixpoint atoms' | None -> atoms
-  in
-  fixpoint atoms
+      | _ -> None))
+  | _ -> None
+
+(* The merge-compatibility class of an intersection check: its four
+   bounds' term lists, the lesser of the two operand orders.  A merge
+   keeps its first operand's term lists, so it stays in the class. *)
+let merge_key (a : Scev.range) (b : Scev.range) =
+  let t (r : Scev.range) = (Linexp.terms r.Scev.lo, Linexp.terms r.Scev.hi) in
+  min (t a, t b) (t b, t a)
+
+(* Condition coalescing: replace intersection checks with a single
+   over-approximating check when their sides can be hulled.  The result
+   is cheaper but may fail when the originals would pass, so this runs
+   after redundant-condition elimination (paper SIV-A).  Each class of
+   mergeable checks folds, left to right, into its first member's
+   place. *)
+let coalesce atoms =
+  let atoms = Array.of_list atoms in
+  let first = Hashtbl.create 16 in
+  let absorbed = Array.make (Array.length atoms) false in
+  Array.iteri
+    (fun k atom ->
+      match atom with
+      | Depcond.Apred _ -> ()
+      | Depcond.Aintersect (a, b) -> (
+        let c = merge_key a b in
+        match Hashtbl.find_opt first c with
+        | None -> Hashtbl.add first c k
+        | Some j ->
+          atoms.(j) <- Option.get (try_merge atoms.(j) atom);
+          absorbed.(k) <- true))
+    atoms;
+  List.filteri (fun k _ -> not absorbed.(k)) (Array.to_list atoms)
 
 (* Condition promotion: rewrite each intersection check so that it no
    longer depends on the iteration of the given loops (typically the

@@ -4,8 +4,10 @@
    *conditional* dependence edges whose removal makes every node of T
    unreachable from S along dependence edges.  Construction:
 
-   - a DFS from S discovers the relevant subgraph;
-   - every discovered node is split into an in-node and an out-node
+   - a DFS from S discovers the relevant subgraph, and its S -> T
+     corridor (the discovered nodes in T or reaching T) forms the
+     network: no other node can carry flow;
+   - every corridor node is split into an in-node and an out-node
      joined by a high-capacity auxiliary edge; a dependence edge i -> j
      becomes out(i) -> in(j);
    - source -> out(s) for s in S, in(t) -> sink for t in T;
@@ -45,14 +47,22 @@ let already_independent = { cut_edges = []; source_nodes = [] }
 let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
     ~(excluded : int -> bool) ~(s : int list) ~(t : int list) : result option =
   Tr.with_span ~cat:"versioning" "cut.find" @@ fun () ->
-  let succ = Depgraph.dependence_succ g ~excluded in
+  let succ = g.Depgraph.succ in
   let n_nodes = Array.length g.Depgraph.nodes in
-  (* 1. discover the subgraph reachable from S *)
+  (* 1. discover the subgraph reachable from S, deciding each edge's
+     exclusion once *)
+  let live = Array.make (Array.length g.Depgraph.edges) false in
   let discovered = Array.make n_nodes false in
   let rec dfs v =
     if not discovered.(v) then begin
       discovered.(v) <- true;
-      List.iter (fun e -> dfs e.Depgraph.e_dst) succ.(v)
+      List.iter
+        (fun e ->
+          if not (excluded e.Depgraph.e_id) then begin
+            live.(e.Depgraph.e_id) <- true;
+            dfs e.Depgraph.e_dst
+          end)
+        succ.(v)
     end
   in
   List.iter dfs s;
@@ -61,62 +71,81 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
     "cut.graph_nodes";
   let target = Array.make n_nodes false in
   List.iter (fun k -> target.(k) <- true) t;
-  let into_t v = List.exists (fun e -> target.(e.Depgraph.e_dst)) succ.(v) in
-  (* T is reachable from S through at least one edge exactly when a
-     discovered node has an edge into T *)
-  let depends = ref false in
-  Array.iteri (fun v d -> if d && into_t v then depends := true) discovered;
-  if not !depends then begin
+  (* [reaches_t.(v)]: T is reachable from discovered [v] through at
+     least one live edge.  An edge always points to an earlier node
+     (Depgraph), so one ascending pass sees every successor first. *)
+  let reaches_t = Array.make n_nodes false in
+  for v = 0 to n_nodes - 1 do
+    if discovered.(v) then
+      reaches_t.(v) <-
+        List.exists
+          (fun e ->
+            live.(e.Depgraph.e_id)
+            && (target.(e.Depgraph.e_dst) || reaches_t.(e.Depgraph.e_dst)))
+          succ.(v)
+  done;
+  if not (List.exists (fun k -> reaches_t.(k)) s) then begin
     Tm.incr "cut.already_independent";
     Some already_independent
   end
   else begin
-    (* 2. build the flow network over discovered nodes; one walk of the
-       edges collects those in scope (in id order) and their totals *)
+    (* 2. the flow network holds only the corridor: discovered nodes in
+       T or reaching T, and the live edges among them.  No other node
+       can carry flow or lie on a shortest residual path to one, so
+       Dinic pushes the same paths as over every discovered node, and
+       no cut edge touches one (DESIGN §12).  The capacities still
+       count every live edge. *)
     let n_uncond = ref 0 and total_weight = ref 0 in
-    let edges_in_scope =
-      Array.fold_right
-        (fun e acc ->
-          if
-            (not (excluded e.Depgraph.e_id))
-            && discovered.(e.Depgraph.e_src)
-            && discovered.(e.Depgraph.e_dst)
-          then begin
-            (match e.Depgraph.e_cond with
-            | None -> incr n_uncond
-            | Some _ -> total_weight := !total_weight + weight e);
-            e :: acc
-          end
-          else acc)
-        g.Depgraph.edges []
-    in
+    Array.iter
+      (fun e ->
+        if live.(e.Depgraph.e_id) then
+          match e.Depgraph.e_cond with
+          | None -> incr n_uncond
+          | Some _ -> total_weight := !total_weight + weight e)
+      g.Depgraph.edges;
     let total_weight = !total_weight in
     let big = !n_uncond + total_weight + 1 in
-    let in_node k = 2 * k and out_node k = (2 * k) + 1 in
-    let net = Fgv_graph.Maxflow.create (2 * n_nodes) in
+    (* corridor nodes, numbered densely in ascending order *)
+    let slot = Array.make n_nodes (-1) in
+    let n_corridor = ref 0 in
+    for k = 0 to n_nodes - 1 do
+      if discovered.(k) && (target.(k) || reaches_t.(k)) then begin
+        slot.(k) <- !n_corridor;
+        incr n_corridor
+      end
+    done;
+    let in_node k = 2 * slot.(k) and out_node k = (2 * slot.(k)) + 1 in
+    let net = Fgv_graph.Maxflow.create (2 * !n_corridor) in
     let source = Fgv_graph.Maxflow.add_node net in
     let sink = Fgv_graph.Maxflow.add_node net in
-    Array.iteri
-      (fun k disc ->
-        if disc then
-          Fgv_graph.Maxflow.add_edge net ~src:(in_node k) ~dst:(out_node k) ~cap:big)
-      discovered;
-    List.iter
+    (* the insertion order below fixes each node's arc order, and with
+       it Dinic's paths: auxiliary edges, dependence edges in id order,
+       then the source and sink edges in node order *)
+    for k = 0 to n_nodes - 1 do
+      if slot.(k) >= 0 then
+        Fgv_graph.Maxflow.add_edge net ~src:(in_node k) ~dst:(out_node k) ~cap:big
+    done;
+    Array.iter
       (fun e ->
-        let cap =
-          match e.Depgraph.e_cond with None -> big | Some _ -> max 1 (weight e)
-        in
-        Fgv_graph.Maxflow.add_edge ~tag:e.Depgraph.e_id net
-          ~src:(out_node e.Depgraph.e_src) ~dst:(in_node e.Depgraph.e_dst) ~cap)
-      edges_in_scope;
+        if
+          live.(e.Depgraph.e_id)
+          && slot.(e.Depgraph.e_src) >= 0
+          && slot.(e.Depgraph.e_dst) >= 0
+        then
+          let cap =
+            match e.Depgraph.e_cond with None -> big | Some _ -> max 1 (weight e)
+          in
+          Fgv_graph.Maxflow.add_edge ~tag:e.Depgraph.e_id net
+            ~src:(out_node e.Depgraph.e_src) ~dst:(in_node e.Depgraph.e_dst) ~cap)
+      g.Depgraph.edges;
     List.iter
       (fun k ->
-        if discovered.(k) then
+        if slot.(k) >= 0 then
           Fgv_graph.Maxflow.add_edge net ~src:source ~dst:(out_node k) ~cap:big)
       (List.sort_uniq compare s);
     List.iter
       (fun k ->
-        if discovered.(k) then
+        if slot.(k) >= 0 then
           Fgv_graph.Maxflow.add_edge net ~src:(in_node k) ~dst:sink ~cap:big)
       (List.sort_uniq compare t);
     let flow = Fgv_graph.Maxflow.solve net ~source ~sink in
@@ -130,40 +159,20 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
       None
     end
     else begin
-      (* 3. recover the cut (edge ids are dense array indices) *)
+      (* 3. recover the cut: the tags are edge ids, sorted, and ids index
+         [edges] *)
       let side = Fgv_graph.Maxflow.source_side net ~source in
-      let in_cut = Array.make (Array.length g.Depgraph.edges) false in
-      List.iter
-        (fun id -> in_cut.(id) <- true)
-        (Fgv_graph.Maxflow.cut_edge_tags net ~side);
       let cut_edges =
-        List.filter (fun e -> in_cut.(e.Depgraph.e_id))
-          (Array.to_list g.Depgraph.edges)
+        List.map
+          (fun id -> g.Depgraph.edges.(id))
+          (Fgv_graph.Maxflow.cut_edge_tags net ~side)
       in
       assert (List.for_all (fun e -> e.Depgraph.e_cond <> None) cut_edges);
       (* nodes on the source side that can reach T in the (uncut)
          dependence graph, excluding trivial self-reachability *)
-      let reaches_t =
-        let memo = Array.make n_nodes (-1) in
-        (* -1 unknown, 0 no, 1 yes *)
-        let rec reach v =
-          if memo.(v) >= 0 then memo.(v) = 1
-          else begin
-            memo.(v) <- 0;
-            let r =
-              List.exists
-                (fun e -> target.(e.Depgraph.e_dst) || reach e.Depgraph.e_dst)
-                succ.(v)
-            in
-            if r then memo.(v) <- 1;
-            r
-          end
-        in
-        reach
-      in
       let source_nodes =
         List.filter
-          (fun k -> discovered.(k) && side.(out_node k) && reaches_t k)
+          (fun k -> reaches_t.(k) && side.(out_node k))
           (List.init n_nodes (fun k -> k))
       in
       Tm.incr ~by:(List.length cut_edges) "cut.edges";

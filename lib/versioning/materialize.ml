@@ -264,9 +264,6 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
        conditions of the dependences it crosses) — a rare shape, so the
        quadratic construction is deferred to first use *)
     let g = lazy (Depgraph.build f scev region) in
-    let succ =
-      lazy (Depgraph.dependence_succ (Lazy.force g) ~excluded:(fun _ -> false))
-    in
     List.iter
       (fun (conds, group_nodes) ->
         let items = Ir.region_items f region in
@@ -334,7 +331,7 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                          conflicts with code below the insertion point"
                   end
                 | _ -> ())
-              (Lazy.force succ).(idx)
+              gg.Depgraph.succ.(idx)
           end
         in
         let rec saturate () =
