@@ -5,7 +5,13 @@
    [2^e·(1+s/8), 2^e·(1+(s+1)/8)).  With e_min = -30 and e_max = 10
    that spans ~0.93 ns .. 1024 s in 40·8 = 320 regular buckets, plus
    one underflow bucket [0, 2^-30) at index 0 and one overflow bucket
-   [2^10, ∞) at the end — 322 ints per histogram.
+   [2^10, ∞) at the end: 322 buckets.
+
+   Storage follows what a histogram holds.  A fresh one keeps only its
+   non-empty buckets, as sorted (index, count) arrays: most live for one
+   compile and see a sample or two.  Past [sparse_max] non-empty buckets
+   it switches, once, to one count per bucket, so a long-lived
+   histogram's [record] is an array increment and allocates nothing.
 
    Indexing is [frexp]: for v > 0, [frexp v = (m, e')] with m in
    [0.5, 1), so v = m·2^e' lies in octave e'-1 and the sub-bucket is
@@ -26,15 +32,32 @@ let n_regular = (e_max - e_min) * sub_buckets
 let n_buckets = n_regular + 2 (* + underflow + overflow *)
 let overflow = n_buckets - 1
 
+(* [Sparse]: the first [used] slots of [keys] (ascending bucket
+   indices) and [counts] (each > 0).  [Dense]: every bucket's count. *)
+type repr =
+  | Sparse of {
+      mutable keys : int array;
+      mutable counts : int array;
+      mutable used : int;
+    }
+  | Dense of int array
+
 type t = {
-  counts : int array; (* length n_buckets *)
+  mutable repr : repr;
   mutable total : int;
   mutable mn : float; (* nan when empty *)
   mutable mx : float;
 }
 
+let sparse_max = 16
+
 let create () =
-  { counts = Array.make n_buckets 0; total = 0; mn = nan; mx = nan }
+  {
+    repr = Sparse { keys = [||]; counts = [||]; used = 0 };
+    total = 0;
+    mn = nan;
+    mx = nan;
+  }
 
 let index_of v =
   if not (v > 0.0) then 0 (* ≤ 0, NaN *)
@@ -59,9 +82,50 @@ let bucket_lo i =
 
 let bucket_hi i = if i = overflow then infinity else bucket_lo (i + 1)
 
+let densify h =
+  match h.repr with
+  | Dense counts -> counts
+  | Sparse sp ->
+    let counts = Array.make n_buckets 0 in
+    for p = 0 to sp.used - 1 do
+      counts.(sp.keys.(p)) <- sp.counts.(p)
+    done;
+    h.repr <- Dense counts;
+    counts
+
+(* Add [c > 0] samples to bucket [i]. *)
+let add h i c =
+  match h.repr with
+  | Dense counts -> counts.(i) <- counts.(i) + c
+  | Sparse sp ->
+    let p = ref 0 in
+    while !p < sp.used && sp.keys.(!p) < i do
+      incr p
+    done;
+    let p = !p in
+    if p < sp.used && sp.keys.(p) = i then sp.counts.(p) <- sp.counts.(p) + c
+    else if sp.used = sparse_max then begin
+      let counts = densify h in
+      counts.(i) <- counts.(i) + c
+    end
+    else begin
+      if sp.used = Array.length sp.keys then begin
+        let cap = min sparse_max (max 2 (2 * sp.used)) in
+        let keys = Array.make cap 0 and counts = Array.make cap 0 in
+        Array.blit sp.keys 0 keys 0 sp.used;
+        Array.blit sp.counts 0 counts 0 sp.used;
+        sp.keys <- keys;
+        sp.counts <- counts
+      end;
+      Array.blit sp.keys p sp.keys (p + 1) (sp.used - p);
+      Array.blit sp.counts p sp.counts (p + 1) (sp.used - p);
+      sp.keys.(p) <- i;
+      sp.counts.(p) <- c;
+      sp.used <- sp.used + 1
+    end
+
 let record h v =
-  let i = index_of v in
-  h.counts.(i) <- h.counts.(i) + 1;
+  add h (index_of v) 1;
   h.total <- h.total + 1;
   (* NaN samples count but do not disturb min/max. *)
   if Float.is_nan v then ()
@@ -75,9 +139,16 @@ let min_sample h = h.mn
 let max_sample h = h.mx
 
 let merge_into ~into src =
-  for i = 0 to n_buckets - 1 do
-    into.counts.(i) <- into.counts.(i) + src.counts.(i)
-  done;
+  (match src.repr with
+  | Sparse sp ->
+    for p = 0 to sp.used - 1 do
+      add into sp.keys.(p) sp.counts.(p)
+    done
+  | Dense counts ->
+    let into_counts = densify into in
+    for i = 0 to n_buckets - 1 do
+      into_counts.(i) <- into_counts.(i) + counts.(i)
+    done);
   into.total <- into.total + src.total;
   if not (Float.is_nan src.mn) then
     if Float.is_nan into.mn || src.mn < into.mn then into.mn <- src.mn;
@@ -96,18 +167,29 @@ let quantile h q =
     if rank <= 1 && not (Float.is_nan h.mn) then h.mn
     else if rank >= h.total && not (Float.is_nan h.mx) then h.mx
     else begin
-    let i = ref 0 and cum = ref h.counts.(0) in
-    while !cum < rank do
-      incr i;
-      cum := !cum + h.counts.(!i)
-    done;
-    let i = !i in
-    (* Interpolate linearly inside the bucket: the rank'th sample of
-       the [counts.(i)] samples here, assuming uniform spread. *)
-    let below = !cum - h.counts.(i) in
-    let frac =
-      float_of_int (rank - below) /. float_of_int h.counts.(i)
+    (* the first non-empty bucket [i], holding [c] samples, at which
+       the running count reaches [rank] *)
+    let i, c, cum =
+      match h.repr with
+      | Dense counts ->
+        let i = ref 0 and cum = ref counts.(0) in
+        while !cum < rank do
+          incr i;
+          cum := !cum + counts.(!i)
+        done;
+        (!i, counts.(!i), !cum)
+      | Sparse sp ->
+        let p = ref 0 and cum = ref sp.counts.(0) in
+        while !cum < rank do
+          incr p;
+          cum := !cum + sp.counts.(!p)
+        done;
+        (sp.keys.(!p), sp.counts.(!p), !cum)
     in
+    (* Interpolate linearly inside the bucket: the rank'th sample of
+       the [c] samples here, assuming uniform spread. *)
+    let below = cum - c in
+    let frac = float_of_int (rank - below) /. float_of_int c in
     let lo = bucket_lo i in
     let hi = bucket_hi i in
     let v =
@@ -123,10 +205,16 @@ let quantile h q =
 
 let buckets h =
   let acc = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if h.counts.(i) > 0 then
-      acc := (bucket_lo i, bucket_hi i, h.counts.(i)) :: !acc
-  done;
+  let bucket i c = acc := (bucket_lo i, bucket_hi i, c) :: !acc in
+  (match h.repr with
+  | Dense counts ->
+    for i = n_buckets - 1 downto 0 do
+      if counts.(i) > 0 then bucket i counts.(i)
+    done
+  | Sparse sp ->
+    for p = sp.used - 1 downto 0 do
+      bucket sp.keys.(p) sp.counts.(p)
+    done);
   !acc
 
 let to_json h =

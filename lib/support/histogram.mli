@@ -4,8 +4,10 @@
     (seconds) into exponential buckets: each power-of-two octave is
     split into {!sub_buckets} linear sub-buckets, so every bucket's
     width is at most 1/{!sub_buckets} of its lower bound (≤ 12.5%
-    relative quantile error) while the whole range from ~1 ns to ~17
-    minutes costs a few hundred ints.  Bucket bounds are exact binary
+    relative quantile error) over the whole range from ~1 ns to ~17
+    minutes, in 322 buckets.  A histogram stores only its non-empty
+    buckets until it has more than 16; then it keeps one int per
+    bucket, and {!record} allocates nothing.  Bucket bounds are exact binary
     floats (built with [ldexp]), so they serialize round-trippably
     through {!Json.float_repr} and are identical on every platform.
 
@@ -35,7 +37,9 @@ val create : unit -> t
 val record : t -> float -> unit
 (** Add one sample.  Samples ≤ 0, NaN, and samples below the smallest
     bound land in the underflow bucket; samples past the largest bound
-    land in the overflow bucket.  O(1), allocation-free. *)
+    land in the overflow bucket.  O(1); allocation-free once the
+    histogram keeps one int per bucket, and until then only when a
+    sample opens a bucket. *)
 
 val count : t -> int
 (** Total samples recorded (including under/overflow). *)
