@@ -772,3 +772,544 @@ module Reply_reference = struct
   let batch_line (rs : response list) : string =
     J.to_string ~minify:true (J.List (List.map encode_response rs))
 end
+
+(* The max-flow, cut and condition-optimization code and the latency
+   histogram as they were before versioning queries were sized to their
+   S->T corridor, copied verbatim: Dinic over per-node arrays of edge
+   records, [Cut.find] over every node discovered from S (with the
+   successor lists it used to build per query), the pairwise
+   redundant-condition elimination and fixpoint coalescing, and the
+   histogram with one int per bucket from the start.  The rewritten
+   code must give the same flows, augmenting paths, cuts, counters,
+   atom lists and JSON. *)
+module Maxflow_reference = struct
+  type edge = {
+    dst : int;
+    mutable cap : int;
+    rev : int;           (* index of the reverse edge in adj.(dst) *)
+    original_cap : int;
+    tag : int;           (* client tag, -1 for internal/reverse edges *)
+  }
+
+  type t = {
+    mutable nodes : int;
+    mutable adj : edge array array;   (* filled at [solve] time *)
+    mutable staged : (int * int * int * int) list;  (* src, dst, cap, tag *)
+    mutable frozen : bool;
+    mutable augmenting : int;         (* augmenting paths found by [solve] *)
+  }
+
+  let create n =
+    { nodes = n; adj = [||]; staged = []; frozen = false; augmenting = 0 }
+
+  let add_node t =
+    if t.frozen then invalid_arg "Maxflow.add_node: already solved";
+    let id = t.nodes in
+    t.nodes <- t.nodes + 1;
+    id
+
+  let add_edge ?(tag = -1) t ~src ~dst ~cap =
+    if t.frozen then invalid_arg "Maxflow.add_edge: already solved";
+    if cap < 0 then invalid_arg "Maxflow.add_edge: negative capacity";
+    t.staged <- (src, dst, cap, tag) :: t.staged
+
+  let freeze t =
+    if not t.frozen then begin
+      let counts = Array.make t.nodes 0 in
+      List.iter
+        (fun (s, d, _, _) ->
+          counts.(s) <- counts.(s) + 1;
+          counts.(d) <- counts.(d) + 1)
+        t.staged;
+      t.adj <-
+        Array.init t.nodes (fun i ->
+            Array.make counts.(i)
+              { dst = -1; cap = 0; rev = -1; original_cap = 0; tag = -1 });
+      let fill = Array.make t.nodes 0 in
+      (* staged list is reversed insertion order; order is irrelevant *)
+      List.iter
+        (fun (s, d, cap, tag) ->
+          let is_ = fill.(s) and id_ = fill.(d) in
+          t.adj.(s).(is_) <- { dst = d; cap; rev = id_; original_cap = cap; tag };
+          t.adj.(d).(id_) <- { dst = s; cap = 0; rev = is_; original_cap = 0; tag = -1 };
+          fill.(s) <- is_ + 1;
+          fill.(d) <- id_ + 1)
+        t.staged;
+      t.frozen <- true
+    end
+
+  let bfs t ~source ~sink level =
+    Array.fill level 0 (Array.length level) (-1);
+    let q = Queue.create () in
+    level.(source) <- 0;
+    Queue.add source q;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      Array.iter
+        (fun e ->
+          if e.cap > 0 && level.(e.dst) < 0 then begin
+            level.(e.dst) <- level.(v) + 1;
+            Queue.add e.dst q
+          end)
+        t.adj.(v)
+    done;
+    level.(sink) >= 0
+
+  let rec dfs t ~sink level iter v pushed =
+    if v = sink then pushed
+    else begin
+      let result = ref 0 in
+      let continue = ref true in
+      while !continue && iter.(v) < Array.length t.adj.(v) do
+        let e = t.adj.(v).(iter.(v)) in
+        if e.cap > 0 && level.(e.dst) = level.(v) + 1 then begin
+          let d = dfs t ~sink level iter e.dst (min pushed e.cap) in
+          if d > 0 then begin
+            e.cap <- e.cap - d;
+            let r = t.adj.(e.dst).(e.rev) in
+            r.cap <- r.cap + d;
+            result := d;
+            continue := false
+          end
+          else iter.(v) <- iter.(v) + 1
+        end
+        else iter.(v) <- iter.(v) + 1
+      done;
+      !result
+    end
+
+  let solve t ~source ~sink =
+    freeze t;
+    let level = Array.make t.nodes (-1) in
+    let flow = ref 0 in
+    while bfs t ~source ~sink level do
+      let iter = Array.make t.nodes 0 in
+      let pushed = ref (dfs t ~sink level iter source max_int) in
+      while !pushed > 0 do
+        flow := !flow + !pushed;
+        t.augmenting <- t.augmenting + 1;
+        pushed := dfs t ~sink level iter source max_int
+      done
+    done;
+    !flow
+
+  let augmenting_paths t = t.augmenting
+
+  (* Source side of the min cut: nodes reachable from the source in the
+     residual graph.  Must be called after [solve].  Explicit worklist
+     rather than recursion: residual reachability can chain through every
+     node, and a deep graph must not overflow the stack. *)
+  let source_side t ~source =
+    if not t.frozen then invalid_arg "Maxflow.source_side: call solve first";
+    let seen = Array.make t.nodes false in
+    let stack = ref [ source ] in
+    seen.(source) <- true;
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | v :: rest ->
+        stack := rest;
+        Array.iter
+          (fun e ->
+            if e.cap > 0 && not seen.(e.dst) then begin
+              seen.(e.dst) <- true;
+              stack := e.dst :: !stack
+            end)
+          t.adj.(v)
+    done;
+    seen
+
+  (* Tags of saturated forward edges crossing the cut (source side ->
+     sink side), excluding untagged edges; [side] is the [source_side]. *)
+  let cut_edge_tags t ~side =
+    let tags = ref [] in
+    Array.iteri
+      (fun v edges ->
+        if side.(v) then
+          Array.iter
+            (fun e ->
+              if e.tag >= 0 && e.original_cap > 0 && not side.(e.dst) then
+                tags := e.tag :: !tags)
+            edges)
+      t.adj;
+    List.sort_uniq compare !tags
+end
+
+module Cut_reference = struct
+  open Fgv_analysis
+  open Fgv_versioning
+  module Ir = Fgv_pssa.Ir
+  module Tm = Fgv_support.Telemetry
+  module Tr = Fgv_support.Trace
+
+  (* Remark anchor for a cut query: the region's function and loop. *)
+  let cut_anchor (g : Depgraph.t) =
+    let ctx = g.Depgraph.g_ctx in
+    Tr.anchor
+      ?loop:(match ctx.Depcond.cregion with
+            | Ir.Rloop l -> Some l
+            | Ir.Rtop -> None)
+      ctx.Depcond.cf.Ir.fname
+
+  let already_independent = Cut.already_independent
+
+  (* [weight] lets profile information bias the cut toward checking
+     dependencies that are unlikely to occur (paper SIII-A, last
+     paragraph); the default weight 1 minimizes the number of checks. *)
+  let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
+      ~(excluded : int -> bool) ~(s : int list) ~(t : int list) : Cut.result option =
+    Tr.with_span ~cat:"versioning" "cut.find" @@ fun () ->
+    let succ = Array.make (Array.length g.Depgraph.nodes) [] in
+    Array.iter
+      (fun e ->
+        if not (excluded e.Depgraph.e_id) then
+          succ.(e.Depgraph.e_src) <- e :: succ.(e.Depgraph.e_src))
+      g.Depgraph.edges;
+    let n_nodes = Array.length g.Depgraph.nodes in
+    (* 1. discover the subgraph reachable from S *)
+    let discovered = Array.make n_nodes false in
+    let rec dfs v =
+      if not discovered.(v) then begin
+        discovered.(v) <- true;
+        List.iter (fun e -> dfs e.Depgraph.e_dst) succ.(v)
+      end
+    in
+    List.iter dfs s;
+    Tm.incr "cut.queries";
+    Tm.incr ~by:(Array.fold_left (fun a d -> if d then a + 1 else a) 0 discovered)
+      "cut.graph_nodes";
+    let target = Array.make n_nodes false in
+    List.iter (fun k -> target.(k) <- true) t;
+    let into_t v = List.exists (fun e -> target.(e.Depgraph.e_dst)) succ.(v) in
+    (* T is reachable from S through at least one edge exactly when a
+       discovered node has an edge into T *)
+    let depends = ref false in
+    Array.iteri (fun v d -> if d && into_t v then depends := true) discovered;
+    if not !depends then begin
+      Tm.incr "cut.already_independent";
+      Some already_independent
+    end
+    else begin
+      (* 2. build the flow network over discovered nodes; one walk of the
+         edges collects those in scope (in id order) and their totals *)
+      let n_uncond = ref 0 and total_weight = ref 0 in
+      let edges_in_scope =
+        Array.fold_right
+          (fun e acc ->
+            if
+              (not (excluded e.Depgraph.e_id))
+              && discovered.(e.Depgraph.e_src)
+              && discovered.(e.Depgraph.e_dst)
+            then begin
+              (match e.Depgraph.e_cond with
+              | None -> incr n_uncond
+              | Some _ -> total_weight := !total_weight + weight e);
+              e :: acc
+            end
+            else acc)
+          g.Depgraph.edges []
+      in
+      let total_weight = !total_weight in
+      let big = !n_uncond + total_weight + 1 in
+      let in_node k = 2 * k and out_node k = (2 * k) + 1 in
+      let net = Maxflow_reference.create (2 * n_nodes) in
+      let source = Maxflow_reference.add_node net in
+      let sink = Maxflow_reference.add_node net in
+      Array.iteri
+        (fun k disc ->
+          if disc then
+            Maxflow_reference.add_edge net ~src:(in_node k) ~dst:(out_node k) ~cap:big)
+        discovered;
+      List.iter
+        (fun e ->
+          let cap =
+            match e.Depgraph.e_cond with None -> big | Some _ -> max 1 (weight e)
+          in
+          Maxflow_reference.add_edge ~tag:e.Depgraph.e_id net
+            ~src:(out_node e.Depgraph.e_src) ~dst:(in_node e.Depgraph.e_dst) ~cap)
+        edges_in_scope;
+      List.iter
+        (fun k ->
+          if discovered.(k) then
+            Maxflow_reference.add_edge net ~src:source ~dst:(out_node k) ~cap:big)
+        (List.sort_uniq compare s);
+      List.iter
+        (fun k ->
+          if discovered.(k) then
+            Maxflow_reference.add_edge net ~src:(in_node k) ~dst:sink ~cap:big)
+        (List.sort_uniq compare t);
+      let flow = Maxflow_reference.solve net ~source ~sink in
+      Tm.incr ~by:(Maxflow_reference.augmenting_paths net) "cut.maxflow_augmenting";
+      (* a cut consisting solely of conditional edges costs at most
+         [total_weight]; more flow means an unconditional dependence must
+         be severed, so versioning is infeasible *)
+      if flow > total_weight then begin
+        Tm.incr "cut.infeasible";
+        Tr.remark (cut_anchor g) (Tr.Cut_infeasible { flow });
+        None
+      end
+      else begin
+        (* 3. recover the cut (edge ids are dense array indices) *)
+        let side = Maxflow_reference.source_side net ~source in
+        let in_cut = Array.make (Array.length g.Depgraph.edges) false in
+        List.iter
+          (fun id -> in_cut.(id) <- true)
+          (Maxflow_reference.cut_edge_tags net ~side);
+        let cut_edges =
+          List.filter (fun e -> in_cut.(e.Depgraph.e_id))
+            (Array.to_list g.Depgraph.edges)
+        in
+        assert (List.for_all (fun e -> e.Depgraph.e_cond <> None) cut_edges);
+        (* nodes on the source side that can reach T in the (uncut)
+           dependence graph, excluding trivial self-reachability *)
+        let reaches_t =
+          let memo = Array.make n_nodes (-1) in
+          (* -1 unknown, 0 no, 1 yes *)
+          let rec reach v =
+            if memo.(v) >= 0 then memo.(v) = 1
+            else begin
+              memo.(v) <- 0;
+              let r =
+                List.exists
+                  (fun e -> target.(e.Depgraph.e_dst) || reach e.Depgraph.e_dst)
+                  succ.(v)
+              in
+              if r then memo.(v) <- 1;
+              r
+            end
+          in
+          reach
+        in
+        let source_nodes =
+          List.filter
+            (fun k -> discovered.(k) && side.(out_node k) && reaches_t k)
+            (List.init n_nodes (fun k -> k))
+        in
+        Tm.incr ~by:(List.length cut_edges) "cut.edges";
+        Tr.remark (cut_anchor g)
+          (Tr.Cut_found { edges = List.length cut_edges; capacity = flow });
+        Some { Cut.cut_edges; source_nodes }
+      end
+    end
+end
+
+module Condopt_reference = struct
+  open Fgv_pssa
+  open Fgv_analysis
+
+  (* Constant offset between two ranges, defined only when the lower and
+     upper bounds shift by the same amount. *)
+  let range_offset (r1 : Scev.range) (r2 : Scev.range) : int option =
+    match Linexp.diff r1.Scev.lo r2.Scev.lo, Linexp.diff r1.Scev.hi r2.Scev.hi with
+    | Some a, Some b when a = b -> Some a
+    | _ -> None
+
+  (* Two intersection checks are equivalent when both sides are shifted by
+     the same constant (possibly with the operands swapped). *)
+  let atoms_equivalent a b =
+    match a, b with
+    | Depcond.Apred p, Depcond.Apred q -> Pred.equal p q
+    | Depcond.Aintersect (ra, rb), Depcond.Aintersect (rx, ry) ->
+      (match range_offset rx ra, range_offset ry rb with
+      | Some d1, Some d2 when d1 = d2 -> true
+      | _ -> (
+        match range_offset rx rb, range_offset ry ra with
+        | Some d1, Some d2 when d1 = d2 -> true
+        | _ -> false))
+    | _ -> false
+
+  (* Redundant condition elimination: keep one representative per
+     equivalence class. *)
+  let eliminate_redundant atoms =
+    List.fold_left
+      (fun kept atom ->
+        if List.exists (atoms_equivalent atom) kept then kept else atom :: kept)
+      [] atoms
+    |> List.rev
+
+  (* Hull of two ranges whose bounds differ by constants. *)
+  let range_hull r1 r2 =
+    let pick_lo =
+      match Linexp.diff r1.Scev.lo r2.Scev.lo with
+      | Some d -> Some (if d <= 0 then r1.Scev.lo else r2.Scev.lo)
+      | None -> None
+    in
+    let pick_hi =
+      match Linexp.diff r1.Scev.hi r2.Scev.hi with
+      | Some d -> Some (if d >= 0 then r1.Scev.hi else r2.Scev.hi)
+      | None -> None
+    in
+    match pick_lo, pick_hi with
+    | Some lo, Some hi -> Some { Scev.lo; hi }
+    | _ -> None
+
+  (* Condition coalescing: replace two intersection checks with a single
+     over-approximating check when both sides can be hulled.  The result
+     is cheaper but may fail when the originals would pass, so this runs
+     after redundant-condition elimination (paper SIV-A). *)
+  let coalesce atoms =
+    let try_merge a b =
+      match a, b with
+      | Depcond.Aintersect (ra, rb), Depcond.Aintersect (rx, ry) -> (
+        match range_hull ra rx, range_hull rb ry with
+        | Some h1, Some h2 -> Some (Depcond.Aintersect (h1, h2))
+        | _ -> (
+          match range_hull ra ry, range_hull rb rx with
+          | Some h1, Some h2 -> Some (Depcond.Aintersect (h1, h2))
+          | _ -> None))
+      | _ -> None
+    in
+    let rec fixpoint atoms =
+      let rec scan acc = function
+        | [] -> None
+        | atom :: rest -> (
+          let merged =
+            List.find_map
+              (fun other ->
+                match try_merge atom other with
+                | Some m -> Some (other, m)
+                | None -> None)
+              rest
+          in
+          match merged with
+          | Some (other, m) ->
+            Some (acc @ (m :: List.filter (fun x -> x != other) rest))
+          | None -> scan (acc @ [ atom ]) rest)
+      in
+      match scan [] atoms with Some atoms' -> fixpoint atoms' | None -> atoms
+    in
+    fixpoint atoms
+end
+
+module Histogram_reference = struct
+  module Json = Fgv_support.Json
+
+  let sub_buckets = 8
+  let e_min = -30
+  let e_max = 10
+  let n_regular = (e_max - e_min) * sub_buckets
+  let n_buckets = n_regular + 2 (* + underflow + overflow *)
+  let overflow = n_buckets - 1
+
+  type t = {
+    counts : int array; (* length n_buckets *)
+    mutable total : int;
+    mutable mn : float; (* nan when empty *)
+    mutable mx : float;
+  }
+
+  let create () =
+    { counts = Array.make n_buckets 0; total = 0; mn = nan; mx = nan }
+
+  let index_of v =
+    if not (v > 0.0) then 0 (* ≤ 0, NaN *)
+    else
+      let m, e' = Float.frexp v in
+      let oct = e' - 1 in
+      if oct < e_min then 0
+      else if oct >= e_max then overflow
+      else
+        let sub = int_of_float (((m *. 2.0) -. 1.0) *. float_of_int sub_buckets) in
+        let sub = if sub >= sub_buckets then sub_buckets - 1 else sub in
+        1 + ((oct - e_min) * sub_buckets) + sub
+
+  (* Inverse of [index_of] for regular buckets: exact binary bounds. *)
+  let bucket_lo i =
+    if i = 0 then 0.0
+    else if i = overflow then Float.ldexp 1.0 e_max
+    else
+      let r = i - 1 in
+      let oct = e_min + (r / sub_buckets) and sub = r mod sub_buckets in
+      Float.ldexp (1.0 +. (float_of_int sub /. float_of_int sub_buckets)) oct
+
+  let bucket_hi i = if i = overflow then infinity else bucket_lo (i + 1)
+
+  let record h v =
+    let i = index_of v in
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.total <- h.total + 1;
+    (* NaN samples count but do not disturb min/max. *)
+    if Float.is_nan v then ()
+    else begin
+      if Float.is_nan h.mn || v < h.mn then h.mn <- v;
+      if Float.is_nan h.mx || v > h.mx then h.mx <- v
+    end
+
+  let count h = h.total
+  let min_sample h = h.mn
+  let max_sample h = h.mx
+
+  let merge_into ~into src =
+    for i = 0 to n_buckets - 1 do
+      into.counts.(i) <- into.counts.(i) + src.counts.(i)
+    done;
+    into.total <- into.total + src.total;
+    if not (Float.is_nan src.mn) then
+      if Float.is_nan into.mn || src.mn < into.mn then into.mn <- src.mn;
+    if not (Float.is_nan src.mx) then
+      if Float.is_nan into.mx || src.mx > into.mx then into.mx <- src.mx
+
+  let quantile h q =
+    if h.total = 0 then nan
+    else begin
+      let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
+      let rank =
+        let r = int_of_float (Float.ceil (q *. float_of_int h.total)) in
+        if r < 1 then 1 else r
+      in
+      (* The 1st and the last order statistic are known exactly. *)
+      if rank <= 1 && not (Float.is_nan h.mn) then h.mn
+      else if rank >= h.total && not (Float.is_nan h.mx) then h.mx
+      else begin
+      let i = ref 0 and cum = ref h.counts.(0) in
+      while !cum < rank do
+        incr i;
+        cum := !cum + h.counts.(!i)
+      done;
+      let i = !i in
+      (* Interpolate linearly inside the bucket: the rank'th sample of
+         the [counts.(i)] samples here, assuming uniform spread. *)
+      let below = !cum - h.counts.(i) in
+      let frac =
+        float_of_int (rank - below) /. float_of_int h.counts.(i)
+      in
+      let lo = bucket_lo i in
+      let hi = bucket_hi i in
+      let v =
+        if i = overflow then lo (* no finite width to spread over *)
+        else lo +. (frac *. (hi -. lo))
+      in
+      (* Clamp to observed extremes: buckets overshoot real samples. *)
+      let v = if not (Float.is_nan h.mn) && v < h.mn then h.mn else v in
+      let v = if not (Float.is_nan h.mx) && v > h.mx then h.mx else v in
+      v
+      end
+    end
+
+  let buckets h =
+    let acc = ref [] in
+    for i = n_buckets - 1 downto 0 do
+      if h.counts.(i) > 0 then
+        acc := (bucket_lo i, bucket_hi i, h.counts.(i)) :: !acc
+    done;
+    !acc
+
+  let to_json h =
+    let fl v : Json.t = if Float.is_nan v then Null else Float v in
+    let q p = if h.total = 0 then Json.Null else fl (quantile h p) in
+    Json.Assoc
+      [
+        ("count", Int h.total);
+        ("min", fl h.mn);
+        ("max", fl h.mx);
+        ("p50", q 0.5);
+        ("p90", q 0.9);
+        ("p99", q 0.99);
+        ( "buckets",
+          List
+            (List.map
+               (fun (lo, hi, c) ->
+                 Json.Assoc [ ("lo", Float lo); ("hi", Float hi); ("count", Int c) ])
+               (buckets h)) );
+      ]
+end

@@ -103,6 +103,76 @@ let prop_coalesce_overapproximates =
           [ 0; 5; 10; 15; 25; 40 ]
       | _ -> true (* not coalescible: nothing to check *))
 
+(* The hashed elimination and coalescing against the pairwise ones they
+   replaced (Harness.Condopt_reference), on random atom lists: a few
+   base checks over two arguments and constants, copies of them shifted
+   by one constant, swapped, or with their bounds stretched apart (the
+   coalescing candidates), and predicates, in random order and with
+   repeats. *)
+let random_atoms a b rng =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let small () = Random.State.int rng 17 - 8 in
+  let terms () =
+    pick
+      [ Linexp.const 0; Linexp.of_value a; Linexp.of_value b;
+        Linexp.add (Linexp.of_value a) (Linexp.scale 2 (Linexp.of_value b)) ]
+  in
+  let range () =
+    let lo = terms () in
+    let hi = if Random.State.int rng 4 = 0 then terms () else lo in
+    { Scev.lo = Linexp.add_const (small ()) lo; hi = Linexp.add_const (small ()) hi }
+  in
+  let shift d (r : Scev.range) =
+    { Scev.lo = Linexp.add_const d r.Scev.lo; hi = Linexp.add_const d r.Scev.hi }
+  in
+  let stretch (r : Scev.range) =
+    { Scev.lo = Linexp.add_const (small ()) r.Scev.lo;
+      hi = Linexp.add_const (small ()) r.Scev.hi }
+  in
+  let bases =
+    List.init (1 + Random.State.int rng 3) (fun _ -> (range (), range ()))
+  in
+  let atom () =
+    let r1, r2 = pick bases in
+    let r1, r2 =
+      match Random.State.int rng 3 with
+      | 0 -> (r1, r2)
+      | 1 ->
+        let d = small () in
+        (shift d r1, shift d r2)
+      | _ -> (stretch r1, stretch r2)
+    in
+    if Random.State.int rng 6 = 0 then
+      Depcond.Apred (Pred.lit ~positive:(Random.State.bool rng) (pick [ a; b ]))
+    else if Random.State.bool rng then Depcond.Aintersect (r2, r1)
+    else Depcond.Aintersect (r1, r2)
+  in
+  let fresh = List.init (Random.State.int rng 10) (fun _ -> atom ()) in
+  (* repeats share the atom physically, as a concatenation would *)
+  if fresh <> [] && Random.State.int rng 3 = 0 then fresh @ [ pick fresh ]
+  else fresh
+
+let prop_condopt_matches_reference =
+  QCheck2.Test.make
+    ~name:"hashed elimination and coalescing equal the pairwise reference"
+    ~count:1000 (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let module R = Harness.Condopt_reference in
+      let _, a, b = mk_func () in
+      let atoms = random_atoms a b (Random.State.make [| seed |]) in
+      let same xs ys =
+        List.equal (fun x y -> Depcond.compare_atom x y = 0) xs ys
+      in
+      let kept = V.Condopt.eliminate_redundant atoms in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y -> V.Condopt.atoms_equivalent x y = R.atoms_equivalent x y)
+            atoms)
+        atoms
+      && same kept (R.eliminate_redundant atoms)
+      && same (V.Condopt.coalesce kept) (R.coalesce kept)
+      && same (V.Condopt.coalesce atoms) (R.coalesce atoms))
+
 (* ------------------------------------------------------------- cuts *)
 
 let test_cut_prefers_conditional () =
@@ -281,4 +351,5 @@ let suite =
     Alcotest.test_case "golden condopt stats: s131" `Quick test_golden_condopt_s131;
     Alcotest.test_case "golden condopt stats: lbm_r RLE" `Quick
       test_golden_condopt_lbm_rle;
+    QCheck_alcotest.to_alcotest prop_condopt_matches_reference;
   ]

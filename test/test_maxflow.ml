@@ -130,6 +130,47 @@ let prop_cut_separates =
         edges;
       not (Fgv_graph.Digraph.reachable dg [ source ]).(sink))
 
+(* The flat-array Dinic against the record-based one it replaced
+   (Harness.Maxflow_reference): on the same insertion sequence, the same
+   flow, augmenting paths, residual source side and cut tags.  Zero
+   capacities, untagged edges, parallel edges and nodes added after
+   [create] are all drawn. *)
+let reference_network_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 12 in
+  let* extra = int_range 0 2 in
+  let* nedges = int_range 0 40 in
+  let+ edges =
+    list_size (return nedges)
+      (tup4 (int_range 0 (n + extra - 1)) (int_range 0 (n + extra - 1))
+         (int_range 0 12) (int_range (-1) 6))
+  in
+  (n, extra, List.filter (fun (s, d, _, _) -> s <> d) edges)
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"flat-array Dinic equals the record-based reference"
+    ~count:500 reference_network_gen (fun (n, extra, edges) ->
+      let module R = Harness.Maxflow_reference in
+      let g = Maxflow.create n and r = R.create n in
+      for _ = 1 to extra do
+        ignore (Maxflow.add_node g);
+        ignore (R.add_node r)
+      done;
+      List.iter
+        (fun (src, dst, cap, tag) ->
+          Maxflow.add_edge ~tag g ~src ~dst ~cap;
+          R.add_edge ~tag r ~src ~dst ~cap)
+        edges;
+      let source = 0 and sink = n + extra - 1 in
+      let flow = Maxflow.solve g ~source ~sink in
+      let flow_r = R.solve r ~source ~sink in
+      let side = Maxflow.source_side g ~source in
+      let side_r = R.source_side r ~source in
+      flow = flow_r
+      && Maxflow.augmenting_paths g = R.augmenting_paths r
+      && side = side_r
+      && Maxflow.cut_edge_tags g ~side = R.cut_edge_tags r ~side:side_r)
+
 let suite =
   [
     Alcotest.test_case "single edge" `Quick test_single_edge;
@@ -139,4 +180,5 @@ let suite =
     Alcotest.test_case "cut tags" `Quick test_cut_tags;
     QCheck_alcotest.to_alcotest prop_matches_edmonds_karp;
     QCheck_alcotest.to_alcotest prop_cut_separates;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

@@ -124,6 +124,53 @@ let prop_merge_assoc_comm =
       && hist_json ab = hist_json ba
       && hist_json left = hist_json flat)
 
+(* Sparse-then-dense storage against the dense histogram it replaced
+   (Harness.Histogram_reference): three histograms of each kind take
+   the same records and merges, and serialize to the same bytes after
+   every step.  Samples span every octave and the under/overflow
+   buckets, so histograms cross from sparse to dense, merges meet both
+   kinds, and long runs stay dense. *)
+let prop_histogram_matches_reference =
+  let module R = Harness.Histogram_reference in
+  let sample =
+    QCheck2.Gen.(
+      frequency
+        [
+          (12, map (fun e -> Float.pow 2.0 e) (float_range (-34.0) 13.0));
+          (1, oneofl [ 0.0; -1.0; nan; infinity; 1e-300 ]);
+        ])
+  in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, map2 (fun i v -> `Record (i, v)) (int_bound 2) sample);
+          (1, map2 (fun i j -> `Merge (i, j)) (int_bound 2) (int_bound 2));
+        ])
+  in
+  QCheck2.Test.make ~name:"histogram equals the dense reference" ~count:300
+    QCheck2.Gen.(list_size (int_bound 120) op)
+    (fun ops ->
+      let hs = Array.init 3 (fun _ -> H.create ()) in
+      let rs = Array.init 3 (fun _ -> R.create ()) in
+      let same k =
+        hist_json hs.(k) = J.to_string ~minify:true (R.to_json rs.(k))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Record (i, v) ->
+            H.record hs.(i) v;
+            R.record rs.(i) v;
+            same i
+          | `Merge (i, j) ->
+            if i <> j then begin
+              H.merge_into ~into:hs.(i) hs.(j);
+              R.merge_into ~into:rs.(i) rs.(j)
+            end;
+            same i && same j)
+        ops)
+
 (* --------------------------------------------------------- float repr *)
 
 let test_float_round_trip () =
@@ -345,4 +392,5 @@ let suite =
       test_access_log_golden;
     Alcotest.test_case "telemetry timer histograms" `Quick
       test_telemetry_timer_histograms;
+    QCheck_alcotest.to_alcotest prop_histogram_matches_reference;
   ]

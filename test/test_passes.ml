@@ -319,6 +319,49 @@ let test_gvn_dedups () =
   let out = run_pssa f ~args:(ints [ 0; 4 ]) ~mem:(float_mem 8 (fun _ -> 3.0)) in
   Alcotest.(check (float 1e-9)) "b[0]" 12.0 (float_at out.memory 4)
 
+(* GVN keys a float constant by what an exact rendering tells apart:
+   [0.0] and [-0.0] are two values, and so are [nan] and [-nan]; a
+   repeated [-0.0], or a NaN with another payload of the same sign, is
+   the same value. *)
+let test_gvn_float_keys () =
+  let open Builder in
+  let b = create ~name:"fk" ~params:[ ("a", Ir.Tint) ] in
+  let a = arg b 0 ~ty:Ir.Tint in
+  let consts =
+    [
+      0.0;
+      -0.0;
+      Float.nan;
+      -.Float.nan;
+      -0.0;
+      Int64.float_of_bits 0x7ff0000000000002L;
+    ]
+  in
+  let stores =
+    List.mapi
+      (fun k x ->
+        let v = const_float b x in
+        store b ~addr:(add b a (const_int b k)) ~value:v)
+      consts
+  in
+  let f = finish b in
+  Alcotest.(check int) "two repeats merged" 2 (P.Gvn.run f);
+  let stored =
+    List.map
+      (fun s ->
+        match (Ir.inst f s).kind with
+        | Ir.Store { value; _ } -> value
+        | _ -> Alcotest.fail "not a store")
+      stores
+  in
+  match stored with
+  | [ pz; nz; pn; nn; nz'; pn' ] ->
+    Alcotest.(check int) "distinct values"
+      4 (List.length (List.sort_uniq compare [ pz; nz; pn; nn ]));
+    Alcotest.(check int) "-0.0 repeat" nz nz';
+    Alcotest.(check int) "positive NaN repeat" pn pn'
+  | _ -> Alcotest.fail "six stores"
+
 let test_licm_hoists () =
   let f =
     compile
@@ -483,4 +526,5 @@ let suite =
       `Quick test_licm_variant_predicate_needs_speculation;
     Alcotest.test_case "LICM keeps guarded division in-loop" `Quick
       test_licm_keeps_guarded_division;
+    Alcotest.test_case "GVN float constant keys" `Quick test_gvn_float_keys;
   ]

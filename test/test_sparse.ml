@@ -107,6 +107,68 @@ let test_sparse_prunes () =
     (Printf.sprintf "sparse computes fewer conditions (%d < %d)" sparse naive)
     true (sparse < naive)
 
+(* ------------------------------- corridor cut = full-network cut *)
+
+(* [Cut.find] solves max-flow over the S->T corridor only; the reference
+   (Harness.Cut_reference) is the earlier [Cut.find] over every node
+   discovered from S, with the record-based Dinic.  On the region graphs
+   of generated programs, with random S, T, exclusions and weights, the
+   two must return the same cut and source nodes and bump the same
+   [cut.*] counters. *)
+let cut_ids (r : Fgv_versioning.Cut.result option) =
+  Option.map
+    (fun r ->
+      ( List.map (fun e -> e.Depgraph.e_id) r.Fgv_versioning.Cut.cut_edges,
+        r.Fgv_versioning.Cut.source_nodes ))
+    r
+
+let prop_cut_matches_reference =
+  QCheck2.Test.make ~name:"corridor Cut.find equals the full-network reference"
+    ~count:60
+    QCheck2.Gen.(triple (int_bound 100_000) (int_bound 3) (int_bound 1_000_000))
+    (fun (seed, shape, pick) ->
+      let config =
+        if shape = 0 then G.big_region_config 30 else G.default_config
+      in
+      let f = Harness.compile (G.render (G.generate ~config ~seed ())) in
+      let scev = Scev.create f in
+      let rng = Random.State.make [| pick |] in
+      let subset n p =
+        List.filter (fun _ -> Random.State.float rng 1.0 < p) (List.init n Fun.id)
+      in
+      List.for_all
+        (fun region ->
+          let g = Depgraph.build f scev region in
+          let n = Array.length g.Depgraph.nodes in
+          n = 0
+          || List.for_all
+               (fun _ ->
+                 let s = Random.State.int rng n :: subset n 0.1 in
+                 let t =
+                   if Random.State.bool rng then s
+                   else Random.State.int rng n :: subset n 0.1
+                 in
+                 let cut =
+                   subset (Array.length g.Depgraph.edges)
+                     (if Random.State.bool rng then 0.1 else 0.5)
+                 in
+                 let excluded id = List.mem id cut in
+                 let weight =
+                   if Random.State.bool rng then None
+                   else Some (fun (e : Depgraph.edge) -> 1 + (e.Depgraph.e_id mod 3))
+                 in
+                 let r, c =
+                   Tm.capture (fun () ->
+                       Fgv_versioning.Cut.find ?weight g ~excluded ~s ~t)
+                 in
+                 let r', c' =
+                   Tm.capture (fun () ->
+                       Harness.Cut_reference.find ?weight g ~excluded ~s ~t)
+                 in
+                 cut_ids r = cut_ids r' && c = c')
+               (List.init 4 Fun.id))
+        (Ir.regions f))
+
 (* --------------------------------------------------- hash-cons basics *)
 
 let test_hashcons_physical_equality () =
@@ -205,4 +267,5 @@ let suite =
       test_hashcons_counters;
     Alcotest.test_case "pipeline deterministic at jobs 1 vs 4" `Quick
       test_jobs_determinism;
+    QCheck_alcotest.to_alcotest prop_cut_matches_reference;
   ]
