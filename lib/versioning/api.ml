@@ -36,10 +36,18 @@ let create ?(condopt = Condopt.default_config) ?scev (f : Ir.func)
   { s_func = f; s_region = region; s_scev = scev; s_graph = graph;
     s_plans = []; s_condopt = condopt; s_enclosing = enclosing }
 
+(* Does no node of [nodes] depend on [input_nodes] already (no
+   versioning needed)? *)
+let already_separated s ~(nodes : Ir.node list) ~(input_nodes : Ir.node list)
+    : bool =
+  let idx = List.map (Depgraph.node_index s.s_graph) in
+  not
+    (Depgraph.depends_on s.s_graph ~excluded:(fun _ -> false) (idx nodes)
+       (idx input_nodes))
+
 (* Are the nodes already pairwise independent (no versioning needed)? *)
 let already_independent s (nodes : Ir.node list) : bool =
-  let idx = List.map (Depgraph.node_index s.s_graph) nodes in
-  not (Depgraph.depends_on s.s_graph ~excluded:(fun _ -> false) idx idx)
+  already_separated s ~nodes ~input_nodes:nodes
 
 (* Record a plan: materialized by the next [materialize].  A trivial
    plan (the independence already holds) needs nothing lowered. *)

@@ -30,6 +30,11 @@ val create :
 val already_independent : session -> Ir.node list -> bool
 (** Pairwise independent without any versioning? *)
 
+val already_separated :
+  session -> nodes:Ir.node list -> input_nodes:Ir.node list -> bool
+(** No node of [nodes] depends on [input_nodes] without any versioning?
+    Exactly when {!request_separation} would return a trivial plan. *)
+
 val request_independence :
   ?record:bool -> session -> Ir.node list -> Plan.t option
 (** Paper interface function 1: infer (and by default record) a plan

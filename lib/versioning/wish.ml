@@ -83,15 +83,15 @@ let decide ~versioning (s : Api.session) (w : want) : outcome =
       | None -> Denied)
   | Separated { nodes; from_ } ->
     if nodes = [] || from_ = [] then Granted_static
+    else if not versioning then
+      if Api.already_separated s ~nodes ~input_nodes:from_ then Granted_static
+      else Denied
     else (
       match Api.request_separation s ~nodes ~input_nodes:from_ with
       | Some plan when Plan.is_trivial plan -> Granted_static
       | Some plan ->
-        if versioning then begin
-          Api.record_plan s plan;
-          Granted_versioned { conds = Plan.conds_count plan }
-        end
-        else Denied
+        Api.record_plan s plan;
+        Granted_versioned { conds = Plan.conds_count plan }
       | None -> Denied)
   | Guarded_loop { atoms = []; _ } -> Granted_static
   | Guarded_loop { loop; atoms; pairs } ->
