@@ -209,21 +209,30 @@ let bucket_disjoint a1 a2 =
 
 (* Memory condition between two nodes: union over write-involving pairs
    of member accesses, pruning pairs whose restrict buckets prove them
-   disjoint. *)
+   disjoint.  The union is decided once it is [Always] ([join] absorbs
+   everything into it), so the walk stops there: pairs after that point
+   are neither asked nor counted as pruned. *)
 let memory_cond ctx i j =
-  let is1 = accesses ctx i and is2 = accesses ctx j in
-  List.fold_left
-    (fun acc a1 ->
-      List.fold_left
-        (fun acc a2 ->
-          if not (a1.acc_write || a2.acc_write) then acc
+  let is2 = accesses ctx j in
+  let rec rows acc = function
+    | [] -> acc
+    | a1 :: rest ->
+      let rec pairs acc = function
+        | [] -> rows acc rest
+        | a2 :: more ->
+          if not (a1.acc_write || a2.acc_write) then pairs acc more
           else if bucket_disjoint a1 a2 then begin
             Tm.incr "depcond.mem_pairs_pruned";
-            acc
+            pairs acc more
           end
-          else join acc (memory_pair ctx a1.acc_v a2.acc_v))
-        acc is2)
-    Never is1
+          else (
+            match join acc (memory_pair ctx a1.acc_v a2.acc_v) with
+            | Always -> Always
+            | acc -> pairs acc more)
+      in
+      pairs acc is2
+  in
+  rows Never (accesses ctx i)
 
 (* Values a node reads that it does not define (register inputs).
    Memoized per node: the loop-node case walks the whole loop body. *)
@@ -321,7 +330,7 @@ let compute ctx (i : Ir.node) (j : Ir.node) : cond =
         if Pred.equal ji.ipred Pred.fls then Never else When [ Apred ji.ipred ]
       else memory_pair ctx iv jv)
   | _ ->
-    (* at least one loop node: register inputs are unconditional;
-       memory dependencies are the union over member accesses *)
-    let reg = if reads_from ctx i j then Always else Never in
-    join reg (memory_cond ctx i j)
+    (* at least one loop node: register inputs are unconditional, and
+       decide the dependence before any memory pair is asked; otherwise
+       it is the union over member accesses *)
+    if reads_from ctx i j then Always else memory_cond ctx i j
