@@ -1313,3 +1313,299 @@ module Histogram_reference = struct
                (buckets h)) );
       ]
 end
+
+(* LICM, DCE and the PSSA printer as they were before each became one
+   walk, copied verbatim (DCE with its dead-nest fix): LICM re-sweeps
+   the function until a sweep hoists nothing, DCE until a sweep removes
+   nothing, and the printer formats every operand through [Printf].
+   The rewritten passes must print the same IR, return the same counts
+   and move the same counters, [pred.hashcons_*] included; the printer
+   must write the same bytes. *)
+module Licm_reference = struct
+  open Fgv_analysis
+
+  let run (f : Ir.func) : int =
+    let hoisted = ref 0 in
+    let changed = ref true in
+    let scev = Scev.create f in
+    let eff = Ir.effective_preds f in
+    let scopes = Ir.indep_scope_index f in
+    while !changed do
+      changed := false;
+      let order = Ir.compute_order f in
+      (* hoist from [lp]'s body into the parent's item list; returns the
+         rewritten parent items *)
+      let rec process_items items =
+        List.concat_map
+          (fun item ->
+            match item with
+            | Ir.I _ -> [ item ]
+            | Ir.L lid ->
+              let lp = Ir.loop f lid in
+              lp.body <- process_items lp.body;
+              let loop_start = order (Ir.NL lid) in
+              let defined_outside v = order (Ir.NI v) < loop_start in
+              let writes =
+                List.filter
+                  (fun m -> Ir.may_write_inst (Ir.inst f m))
+                  (Ir.memory_insts f (Ir.L lid))
+              in
+              let load_safe v =
+                match Scev.range_of_access scev v with
+                | None -> false
+                | Some r ->
+                  List.for_all
+                    (fun w ->
+                      Ir.in_indep_scope ~eff ~scopes v w
+                      ||
+                      match Scev.range_of_access scev w with
+                      | None -> false
+                      | Some rw -> Alias.relate f r rw = Alias.Disjoint)
+                    writes
+              in
+              let hoistable v =
+                let i = Ir.inst f v in
+                let pure_ok =
+                  match i.kind with
+                  | Ir.Const _ | Ir.Arg _ | Ir.Binop _ | Ir.Cmp _ | Ir.Cast _
+                  | Ir.Select _ | Ir.Splat _ | Ir.Vecbuild _ | Ir.Extract _ ->
+                    true
+                  | Ir.Load _ -> load_safe v
+                  | Ir.Call { effect = Ir.Pure; _ } -> true
+                  | _ -> false
+                in
+                pure_ok
+                && List.for_all defined_outside (Ir.all_operands i)
+                (* division can trap; keep it guarded inside the loop unless
+                   the divisor is a nonzero constant *)
+                && (match i.kind with
+                   | Ir.Binop ((Ir.Div | Ir.Rem), _, b) -> (
+                     match (Ir.inst f b).kind with
+                     | Ir.Const (Ir.Cint n) -> n <> 0
+                     | _ -> false)
+                   | _ -> true)
+              in
+              let to_hoist, kept =
+                List.partition
+                  (fun it ->
+                    match it with Ir.I v -> hoistable v | Ir.L _ -> false)
+                  lp.body
+              in
+              if to_hoist = [] then [ item ]
+              else begin
+                changed := true;
+                hoisted := !hoisted + List.length to_hoist;
+                lp.body <- kept;
+                (* hoisted code runs under the loop guard *)
+                List.iter
+                  (fun it ->
+                    match it with
+                    | Ir.I v ->
+                      let i = Ir.inst f v in
+                      i.ipred <- Pred.and_ lp.lpred i.ipred
+                    | Ir.L _ -> ())
+                  to_hoist;
+                to_hoist @ [ item ]
+              end)
+          items
+      in
+      f.Ir.fbody <- process_items f.Ir.fbody
+    done;
+    !hoisted
+end
+
+module Dce_reference = struct
+  let has_side_effect f v =
+    let i = Ir.inst f v in
+    match i.kind with
+    | Ir.Store _ -> true
+    | Ir.Call { effect = Ir.Impure; _ } -> true
+    | Ir.Call { effect = Ir.Readonly; _ } -> false
+    | _ -> false
+
+  (* Drop a dead loop and every loop nested in it from the loop arena:
+     a nested loop left there would keep its guard and continue literals
+     counting as uses. *)
+  let rec remove_nest f lid =
+    List.iter
+      (function Ir.L l -> remove_nest f l | Ir.I _ -> ())
+      (Ir.loop f lid).body;
+    Ir.remove_loop f lid
+
+  (* Sweep number [s]; returns the number of items removed.  [users] is
+     the users table of the function as [run] found it, and [gone.(v)] the
+     sweep that removed [v] ([max_int] while it is in the arena): a user
+     counts only if it was in the arena when this sweep began, as in a
+     users table rebuilt now. *)
+  let sweep (f : Ir.func) ~users ~gone s : int =
+    let present u = gone.(u) >= s in
+    (* values read by loop guards / continue predicates count as uses *)
+    let pred_uses = Hashtbl.create 16 in
+    Ir.iter_loops f (fun lp ->
+        List.iter
+          (fun v -> Hashtbl.replace pred_uses v ())
+          (Pred.literals lp.Ir.lpred @ Pred.literals lp.Ir.cont));
+    let used v =
+      List.exists present (Ir.users_in users v) || Hashtbl.mem pred_uses v
+    in
+    let remove v =
+      Ir.remove_inst f v;
+      gone.(v) <- s
+    in
+    let removed = ref 0 in
+    let rec live_loop lid =
+      let lp = Ir.loop f lid in
+      let defs = Ir.defined_values f (Ir.L lid) in
+      let inside = Hashtbl.create 64 in
+      List.iter (fun v -> Hashtbl.replace inside v ()) defs;
+      let escapes =
+        (* defined values used by instructions outside the loop: etas *)
+        List.exists
+          (fun v ->
+            List.exists
+              (fun u -> present u && not (Hashtbl.mem inside u))
+              (Ir.users_in users v))
+          defs
+      in
+      escapes
+      || List.exists
+           (fun item ->
+             match item with
+             | Ir.I v -> has_side_effect f v
+             | Ir.L l -> live_loop l)
+           lp.body
+    in
+    let rec clean items =
+      List.filter_map
+        (fun item ->
+          match item with
+          | Ir.I v ->
+            if has_side_effect f v || used v then Some item
+            else begin
+              remove v;
+              incr removed;
+              None
+            end
+          | Ir.L lid ->
+            if live_loop lid then begin
+              let lp = Ir.loop f lid in
+              lp.body <- clean lp.body;
+              Some item
+            end
+            else begin
+              List.iter remove (Ir.defined_values f item);
+              remove_nest f lid;
+              incr removed;
+              None
+            end)
+        items
+    in
+    f.Ir.fbody <- clean f.Ir.fbody;
+    !removed
+
+  (* Sweep to a fixpoint over one users table: nothing DCE does adds a use,
+     so the table built once, read through the sweep stamps, decides every
+     sweep as a fresh table would. *)
+  let run (f : Ir.func) : int =
+    let users = Ir.users_table f in
+    let gone = Array.make f.Ir.next_value max_int in
+    let total = ref 0 in
+    let s = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let n = sweep f ~users ~gone !s in
+      total := !total + n;
+      incr s;
+      continue_ := n > 0
+    done;
+    !total
+end
+
+module Printer_reference = struct
+  open Ir
+
+  let rec string_of_const = function
+    | Cint n -> string_of_int n
+    | Cfloat x -> Printf.sprintf "%g" x
+    | Cbool b -> string_of_bool b
+    | Cundef t -> "undef:" ^ string_of_ty t
+
+  and string_of_kind f kind =
+    let v = value_name f in
+    match kind with
+    | Const c -> "const " ^ string_of_const c
+    | Arg n ->
+      let pname = try fst (List.nth f.params n) with _ -> string_of_int n in
+      Printf.sprintf "arg %d (%s)" n pname
+    | Binop (op, a, b) -> Printf.sprintf "%s %s, %s" (string_of_binop op) (v a) (v b)
+    | Cmp (op, a, b) -> Printf.sprintf "cmp %s %s, %s" (string_of_cmpop op) (v a) (v b)
+    | Cast (t, a) -> Printf.sprintf "cast %s to %s" (v a) (string_of_ty t)
+    | Select { cond; if_true; if_false } ->
+      Printf.sprintf "select %s, %s, %s" (v cond) (v if_true) (v if_false)
+    | Phi ops ->
+      let parts =
+        List.map
+          (fun (p, x) -> Printf.sprintf "%s: %s" (Pred.to_string v p) (v x))
+          ops
+      in
+      "phi(" ^ String.concat ", " parts ^ ")"
+    | Mu { init; recur; loop } ->
+      Printf.sprintf "mu(%s, %s) @L%d" (v init) (v recur) loop
+    | Eta { loop; value } -> Printf.sprintf "eta L%d %s" loop (v value)
+    | Load { addr } -> Printf.sprintf "load [%s]" (v addr)
+    | Store { addr; value } -> Printf.sprintf "store [%s], %s" (v addr) (v value)
+    | Call { callee; args; effect } ->
+      let e =
+        match effect with Pure -> "pure " | Readonly -> "readonly " | Impure -> ""
+      in
+      Printf.sprintf "call %s%s(%s)" e callee (String.concat ", " (List.map v args))
+    | Splat a -> Printf.sprintf "splat %s" (v a)
+    | Vecbuild vs -> "vec(" ^ String.concat ", " (List.map v vs) ^ ")"
+    | Extract (a, n) -> Printf.sprintf "extract %s, %d" (v a) n
+
+  let string_of_inst f i =
+    let v = value_name f in
+    let lhs = if i.ty = Tvoid then "" else Printf.sprintf "%s = " (v i.id) in
+    Printf.sprintf "%s%s ; %s" lhs (string_of_kind f i.kind)
+      (Pred.to_string v i.ipred)
+
+  let to_string f =
+    let buf = Buffer.create 1024 in
+    let v = value_name f in
+    let indent n = String.make (2 * n) ' ' in
+    let rec pp_items depth items =
+      List.iter
+        (fun item ->
+          match item with
+          | I id ->
+            Buffer.add_string buf (indent depth);
+            Buffer.add_string buf (string_of_inst f (inst f id));
+            Buffer.add_char buf '\n'
+          | L lid ->
+            let lp = loop f lid in
+            Buffer.add_string buf (indent depth);
+            Buffer.add_string buf
+              (Printf.sprintf "loop L%d ; %s\n" lp.lid (Pred.to_string v lp.lpred));
+            List.iter
+              (fun m ->
+                Buffer.add_string buf (indent (depth + 1));
+                Buffer.add_string buf (string_of_inst f (inst f m));
+                Buffer.add_char buf '\n')
+              lp.mus;
+            pp_items (depth + 1) lp.body;
+            Buffer.add_string buf (indent depth);
+            Buffer.add_string buf
+              (Printf.sprintf "while %s\n" (Pred.to_string v lp.cont)))
+        items
+    in
+    let params =
+      String.concat ", "
+        (List.map (fun (n, t) -> Printf.sprintf "%s: %s" n (string_of_ty t)) f.params)
+    in
+    Buffer.add_string buf (Printf.sprintf "func %s(%s) {\n" f.fname params);
+    pp_items 1 f.fbody;
+    Buffer.add_string buf "}\n";
+    Buffer.contents buf
+
+  let print f = print_string (to_string f)
+end
