@@ -1,89 +1,209 @@
 (* Textual rendering of PSSA functions, close to the paper's notation:
-   each line is "<def> = <op> ...  ; <predicate>". *)
+   each line is "<def> = <op> ...  ; <predicate>".
+
+   Everything is appended straight into one buffer, names, types and
+   predicates included; only float constants go through [Printf] ("%g").
+   The text is [Ir.value_name], [Ir.string_of_ty] and [Pred.to_string]'s,
+   byte for byte. *)
 
 open Ir
 
-let rec string_of_const = function
-  | Cint n -> string_of_int n
-  | Cfloat x -> Printf.sprintf "%g" x
-  | Cbool b -> string_of_bool b
-  | Cundef t -> "undef:" ^ string_of_ty t
+let add_int b n = Buffer.add_string b (string_of_int n)
 
-and string_of_kind f kind =
-  let v = value_name f in
+let add_value f b v =
+  match inst_opt f v with
+  | Some i when i.name <> "" ->
+    Buffer.add_char b '%';
+    Buffer.add_string b i.name;
+    Buffer.add_char b '.';
+    add_int b v
+  | Some _ ->
+    Buffer.add_string b "%v";
+    add_int b v
+  | None ->
+    Buffer.add_string b "%DEAD.";
+    add_int b v
+
+let rec add_ty b = function
+  | Tvec (t, n) ->
+    Buffer.add_char b '<';
+    add_int b n;
+    Buffer.add_string b " x ";
+    add_ty b t;
+    Buffer.add_char b '>'
+  | t -> Buffer.add_string b (string_of_ty t)
+
+(* [xs] with [sep] between them. *)
+let add_list b sep add xs =
+  List.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_string b sep;
+      add x)
+    xs
+
+let rec add_pred f b p =
+  match Pred.view p with
+  | Pred.Ptrue -> Buffer.add_string b "true"
+  | Pred.Pfalse -> Buffer.add_string b "false"
+  | Pred.Plit { v; positive } ->
+    if not positive then Buffer.add_char b '!';
+    add_value f b v
+  | Pred.Pand xs -> add_junction f b " & " xs
+  | Pred.Por xs -> add_junction f b " | " xs
+
+and add_junction f b sep xs =
+  Buffer.add_char b '(';
+  add_list b sep (add_pred f b) xs;
+  Buffer.add_char b ')'
+
+let add_const b = function
+  | Cint n -> add_int b n
+  | Cfloat x -> Buffer.add_string b (Printf.sprintf "%g" x)
+  | Cbool x -> Buffer.add_string b (string_of_bool x)
+  | Cundef t ->
+    Buffer.add_string b "undef:";
+    add_ty b t
+
+let add_kind f b kind =
+  let s = Buffer.add_string b and v = add_value f b in
+  let two a c =
+    v a;
+    s ", ";
+    v c
+  in
   match kind with
-  | Const c -> "const " ^ string_of_const c
+  | Const c ->
+    s "const ";
+    add_const b c
   | Arg n ->
-    let pname = try fst (List.nth f.params n) with _ -> string_of_int n in
-    Printf.sprintf "arg %d (%s)" n pname
-  | Binop (op, a, b) -> Printf.sprintf "%s %s, %s" (string_of_binop op) (v a) (v b)
-  | Cmp (op, a, b) -> Printf.sprintf "cmp %s %s, %s" (string_of_cmpop op) (v a) (v b)
-  | Cast (t, a) -> Printf.sprintf "cast %s to %s" (v a) (string_of_ty t)
+    s "arg ";
+    add_int b n;
+    s " (";
+    s (try fst (List.nth f.params n) with _ -> string_of_int n);
+    s ")"
+  | Binop (op, a, c) ->
+    s (string_of_binop op);
+    s " ";
+    two a c
+  | Cmp (op, a, c) ->
+    s "cmp ";
+    s (string_of_cmpop op);
+    s " ";
+    two a c
+  | Cast (t, a) ->
+    s "cast ";
+    v a;
+    s " to ";
+    add_ty b t
   | Select { cond; if_true; if_false } ->
-    Printf.sprintf "select %s, %s, %s" (v cond) (v if_true) (v if_false)
+    s "select ";
+    v cond;
+    s ", ";
+    two if_true if_false
   | Phi ops ->
-    let parts =
-      List.map
-        (fun (p, x) -> Printf.sprintf "%s: %s" (Pred.to_string v p) (v x))
-        ops
-    in
-    "phi(" ^ String.concat ", " parts ^ ")"
+    s "phi(";
+    add_list b ", "
+      (fun (p, x) ->
+        add_pred f b p;
+        s ": ";
+        v x)
+      ops;
+    s ")"
   | Mu { init; recur; loop } ->
-    Printf.sprintf "mu(%s, %s) @L%d" (v init) (v recur) loop
-  | Eta { loop; value } -> Printf.sprintf "eta L%d %s" loop (v value)
-  | Load { addr } -> Printf.sprintf "load [%s]" (v addr)
-  | Store { addr; value } -> Printf.sprintf "store [%s], %s" (v addr) (v value)
+    s "mu(";
+    two init recur;
+    s ") @L";
+    add_int b loop
+  | Eta { loop; value } ->
+    s "eta L";
+    add_int b loop;
+    s " ";
+    v value
+  | Load { addr } ->
+    s "load [";
+    v addr;
+    s "]"
+  | Store { addr; value } ->
+    s "store [";
+    v addr;
+    s "], ";
+    v value
   | Call { callee; args; effect } ->
-    let e =
-      match effect with Pure -> "pure " | Readonly -> "readonly " | Impure -> ""
-    in
-    Printf.sprintf "call %s%s(%s)" e callee (String.concat ", " (List.map v args))
-  | Splat a -> Printf.sprintf "splat %s" (v a)
-  | Vecbuild vs -> "vec(" ^ String.concat ", " (List.map v vs) ^ ")"
-  | Extract (a, n) -> Printf.sprintf "extract %s, %d" (v a) n
+    s "call ";
+    s (match effect with Pure -> "pure " | Readonly -> "readonly " | Impure -> "");
+    s callee;
+    s "(";
+    add_list b ", " v args;
+    s ")"
+  | Splat a ->
+    s "splat ";
+    v a
+  | Vecbuild vs ->
+    s "vec(";
+    add_list b ", " v vs;
+    s ")"
+  | Extract (a, n) ->
+    s "extract ";
+    v a;
+    s ", ";
+    add_int b n
+
+let add_inst f b i =
+  if i.ty <> Tvoid then begin
+    add_value f b i.id;
+    Buffer.add_string b " = "
+  end;
+  add_kind f b i.kind;
+  Buffer.add_string b " ; ";
+  add_pred f b i.ipred
 
 let string_of_inst f i =
-  let v = value_name f in
-  let lhs = if i.ty = Tvoid then "" else Printf.sprintf "%s = " (v i.id) in
-  Printf.sprintf "%s%s ; %s" lhs (string_of_kind f i.kind)
-    (Pred.to_string v i.ipred)
+  let b = Buffer.create 64 in
+  add_inst f b i;
+  Buffer.contents b
 
 let to_string f =
-  let buf = Buffer.create 1024 in
-  let v = value_name f in
-  let indent n = String.make (2 * n) ' ' in
-  let rec pp_items depth items =
-    List.iter
-      (fun item ->
-        match item with
-        | I id ->
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf (string_of_inst f (inst f id));
-          Buffer.add_char buf '\n'
-        | L lid ->
-          let lp = loop f lid in
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf
-            (Printf.sprintf "loop L%d ; %s\n" lp.lid (Pred.to_string v lp.lpred));
-          List.iter
-            (fun m ->
-              Buffer.add_string buf (indent (depth + 1));
-              Buffer.add_string buf (string_of_inst f (inst f m));
-              Buffer.add_char buf '\n')
-            lp.mus;
-          pp_items (depth + 1) lp.body;
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf
-            (Printf.sprintf "while %s\n" (Pred.to_string v lp.cont)))
-      items
+  let b = Buffer.create 4096 in
+  let indent depth =
+    for _ = 1 to depth do
+      Buffer.add_string b "  "
+    done
   in
-  let params =
-    String.concat ", "
-      (List.map (fun (n, t) -> Printf.sprintf "%s: %s" n (string_of_ty t)) f.params)
+  let line depth i =
+    indent depth;
+    add_inst f b (inst f i);
+    Buffer.add_char b '\n'
   in
-  Buffer.add_string buf (Printf.sprintf "func %s(%s) {\n" f.fname params);
-  pp_items 1 f.fbody;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let rec items depth =
+    List.iter (function
+      | I id -> line depth id
+      | L lid ->
+        let lp = loop f lid in
+        indent depth;
+        Buffer.add_string b "loop L";
+        add_int b lp.lid;
+        Buffer.add_string b " ; ";
+        add_pred f b lp.lpred;
+        Buffer.add_char b '\n';
+        List.iter (line (depth + 1)) lp.mus;
+        items (depth + 1) lp.body;
+        indent depth;
+        Buffer.add_string b "while ";
+        add_pred f b lp.cont;
+        Buffer.add_char b '\n')
+  in
+  Buffer.add_string b "func ";
+  Buffer.add_string b f.fname;
+  Buffer.add_char b '(';
+  add_list b ", "
+    (fun (n, t) ->
+      Buffer.add_string b n;
+      Buffer.add_string b ": ";
+      add_ty b t)
+    f.params;
+  Buffer.add_string b ") {\n";
+  items 1 f.fbody;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
 
 let print f = print_string (to_string f)
