@@ -330,9 +330,13 @@ let ct_run_row spec : ct_row =
   let name, restrict = spec.cs_config in
   let src = Lazy.force spec.cs_source in
   (* an isolated context: the row's counters and timers are its own, not
-     what earlier rows on the same worker left behind *)
+     what earlier rows on the same worker left behind.  The domain's
+     predicate tables are reset before the window opens: making them on
+     a worker's first row, or shrinking what the previous row grew, is
+     not this row's compile, and which row pays it depends on --jobs. *)
   let (wall, words, timers), shard =
     Obs.isolated (fun () ->
+        Fgv_pssa.Pred.reset ();
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         ignore (W.compile_with ~restrict (Fgv_passes.Pipelines.run name) src);
