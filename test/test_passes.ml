@@ -542,7 +542,7 @@ let test_printer_every_shape () =
   let c = cmp ~name:"c" b Ir.Lt a far in
   let d = cmp b Ir.Fgt x x in
   let e = const_bool b false in
-  let p_or = Pred.or_ (Pred.lit c) (Pred.lit ~positive:false d) in
+  let p_or = Pred.or_list [ Pred.lit c; Pred.lit ~positive:false d ] in
   let p_and = Pred.and_ (Pred.lit ~positive:false c) (Pred.lit e) in
   let mixed = Pred.and_ p_or (Pred.lit d) in
   List.iter
@@ -587,13 +587,13 @@ let test_printer_every_shape () =
         (Printer_reference.string_of_inst fn i)
         (Printer.string_of_inst fn i))
 
-(* ------------------------- LICM, DCE and the printer vs references *)
+(* -------------------- LICM, DCE, SLP and the printer vs references *)
 
-(* LICM and DCE each run as one walk, and the printer appends into one
-   buffer; the sweeping passes and the [Printf] printer they replaced
-   are kept in the harness.  Generated programs go through every
-   registry pipeline, under the campaign's default shape and under the
-   big-region one. *)
+(* LICM and DCE each run as one walk, SLP places its vector code in one
+   pass, and the printer appends into one buffer; the passes and the
+   [Printf] printer they replaced are kept in the harness.  Generated
+   programs go through every registry pipeline, under the campaign's
+   default shape and under the big-region one. *)
 
 module G = Fgv_fuzz.Generator
 
@@ -602,23 +602,23 @@ let onewalk_configs =
 
 let generated config seed = G.generate ~config:(G.vary config ~seed) ~seed ()
 
-(* One compile of [fd] under pipeline [name] whose licm and dce stages
-   run [licm] and [dce]: per such stage, its name, the count it
-   returned, the counters it moved ([pred.hashcons_*] included) and the
-   IR it left, printed.  Each compile starts its own predicate
-   generation. *)
-let stage_trace ~licm ~dce name fd =
+(* One compile of [fd] under pipeline [name], its stages replaced by the
+   [swap] stage of the same name: per stage named in [traced], its name,
+   the work it returned, the counters it moved ([pred.hashcons_*]
+   included) and the IR it left, printed; then the compile's outcome.
+   Each compile starts its own predicate generation. *)
+let stage_trace ~traced ?(swap = []) name fd =
   let row = List.assoc name P.Pipelines.registry in
   let trace = ref [] in
   let pipeline f =
     List.iter
       (fun (stage, run) ->
-        match stage with
-        | "licm" | "dce" ->
-          let pass = if stage = "licm" then licm else dce in
-          let n, moved = Fgv_support.Telemetry.capture (fun () -> pass f) in
-          trace := (stage, n, moved, Printer.to_string f) :: !trace
-        | _ -> ignore (run f))
+        let run = Option.value ~default:run (List.assoc_opt stage swap) in
+        if List.mem stage traced then begin
+          let work, moved = Fgv_support.Telemetry.capture (fun () -> run f) in
+          trace := (stage, work, moved, Printer.to_string f) :: !trace
+        end
+        else ignore (run f))
       row.P.Pipelines.stages
   in
   let outcome =
@@ -626,7 +626,72 @@ let stage_trace ~licm ~dce name fd =
     | Ok _ -> "ok"
     | Error e -> Fgv_frontend.Compile.message e
   in
-  List.rev (("outcome", 0, [], outcome) :: !trace)
+  List.rev (("outcome", [], [], outcome) :: !trace)
+
+(* The first difference between two stage traces, as a report. *)
+let trace_difference name reference candidate =
+  let counts l =
+    String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l)
+  in
+  if List.length reference <> List.length candidate then
+    Some
+      (Printf.sprintf "%s: %d traced stages vs %d" name (List.length reference)
+         (List.length candidate))
+  else
+    List.find_map
+      (fun ((stage, work, moved, ir), (_, work', moved', ir')) ->
+        if (work, moved, ir) = (work', moved', ir') then None
+        else
+          Some
+            (Printf.sprintf
+               "%s, %s stage: work %s vs %s, counters %s vs %s, IR\n%s\nvs\n%s"
+               name stage (counts work) (counts work') (counts moved)
+               (counts moved') ir ir'))
+      (List.combine reference candidate)
+
+(* The reference LICM and DCE as the registry's stages: same names, work
+   labels and "pass.<stage>.<label>" counters. *)
+let reference_licm =
+  P.Pipelines.counted "licm" (fun f -> [ ("hoisted", Licm_reference.run f) ])
+
+let reference_dce =
+  P.Pipelines.counted "dce" (fun f -> [ ("removed", Dce_reference.run f) ])
+
+(* The reference packer as pipeline [name]'s slp stage: the static
+   packer for the "-static" duals and "sv", the versioning one (with
+   promotion unless "-nopromo") for the others.  A wrong guess here
+   fails the property, since the other side runs the registry's own
+   stage. *)
+let reference_slp name =
+  let config =
+    match name with
+    | "sv" | "distribute-static" -> Slp_reference.static_config
+    | _ ->
+      {
+        Slp_reference.default_config with
+        condopt =
+          {
+            Fgv_versioning.Condopt.default_config with
+            promotion = name <> "sv+v-nopromo";
+          };
+      }
+  in
+  [
+    P.Pipelines.counted "slp" (fun f ->
+        let vectors, plans = Slp_reference.run ~config f in
+        [ ("vectors", vectors); ("plans", plans) ]);
+  ]
+
+(* Every registry pipeline compiles [fd] alike with the [swap] stages and
+   with its own, compared at the [traced] stages. *)
+let stages_match_reference ~traced ~swap fd =
+  List.for_all
+    (fun name ->
+      let reference = stage_trace ~traced ~swap:(swap name) name fd in
+      match trace_difference name reference (stage_trace ~traced name fd) with
+      | Some report -> QCheck2.Test.fail_report report
+      | None -> true)
+    P.Pipelines.names
 
 let prop_passes_match_reference (label, config) =
   QCheck2.Test.make
@@ -635,30 +700,64 @@ let prop_passes_match_reference (label, config) =
     ~print:(fun seed -> G.render (generated config seed))
     (QCheck2.Gen.int_range 0 1_000_000)
     (fun seed ->
-      let fd = generated config seed in
-      List.for_all
-        (fun name ->
-          let reference =
-            stage_trace ~licm:Licm_reference.run ~dce:Dce_reference.run name fd
-          in
-          let onewalk = stage_trace ~licm:P.Licm.run ~dce:P.Dce.run name fd in
-          if List.length reference <> List.length onewalk then
-            QCheck2.Test.fail_reportf "%s: %d traced stages vs %d" name
-              (List.length reference) (List.length onewalk);
-          List.iter2
-            (fun (stage, n, moved, ir) (_, n', moved', ir') ->
-              if (n, moved, ir) <> (n', moved', ir') then
-                QCheck2.Test.fail_reportf
-                  "%s, %s stage: count %d vs %d, counters %s vs %s, IR\n%s\nvs\n%s"
-                  name stage n n'
-                  (String.concat " "
-                     (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) moved))
-                  (String.concat " "
-                     (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) moved'))
-                  ir ir')
-            reference onewalk;
-          true)
-        P.Pipelines.names)
+      stages_match_reference ~traced:[ "licm"; "dce" ]
+        ~swap:(fun _ -> [ reference_licm; reference_dce ])
+        (generated config seed))
+
+let prop_slp_matches_reference (label, config) =
+  QCheck2.Test.make
+    ~name:("SLP matches its per-pack reference: " ^ label)
+    ~count:25
+    ~print:(fun seed -> G.render (generated config seed))
+    (QCheck2.Gen.int_range 0 1_000_000)
+    (fun seed ->
+      stages_match_reference ~traced:[ "slp" ] ~swap:reference_slp
+        (generated config seed))
+
+(* DCE removes a dead loop whose body lost instructions in earlier
+   sweeps.  The loop's only escaping value feeds [u]: [u] dies in the
+   first sweep, the eta in the second and the loop in the third.  The
+   body's chain dies one link a sweep, [w] first, so [r] dies in the
+   loop's own sweep and must not count; and [w], gone two sweeps
+   earlier, must not be taken again with the loop, which would release
+   [x] a second time and remove it from under the store. *)
+let test_dce_dead_loop_after_body_sweep () =
+  let fd =
+    Fgv_frontend.Parser.parse
+      {|
+      kernel dl(float* a, float* b, int n, float x) {
+        float s = 0.0;
+        for (int i = 0; i < n; i = i + 1) {
+          float r = s * 2.0;
+          float t = r * 2.0;
+          float w = t * x;
+          s = s + b[i];
+        }
+        float u = s * 3.0;
+        a[0] = x;
+      }
+    |}
+  in
+  let reference =
+    stage_trace ~traced:[ "dce" ] ~swap:[ reference_dce ] "o3-novec" fd
+  in
+  let onewalk = stage_trace ~traced:[ "dce" ] "o3-novec" fd in
+  (match trace_difference "o3-novec" reference onewalk with
+  | Some report -> Alcotest.fail report
+  | None -> ());
+  match onewalk with
+  | [ ("dce", work, _, ir); ("outcome", _, _, outcome) ] ->
+    Alcotest.(check string) "the compile verifies" "ok" outcome;
+    Alcotest.(check (list (pair string int))) "removed" [ ("removed", 17) ] work;
+    Alcotest.(check (list string))
+      "only the store and its operands are left"
+      [ "func dl(a: int, b: int, n: int, x: float) {";
+        "  %a.0 = arg 0 (a) ; true";
+        "  %x.3 = arg 3 (x) ; true";
+        "  store [%a.0], %x.3 ; true";
+        "}" ]
+      (String.split_on_char '\n' (String.trim ir))
+  | _ -> Alcotest.fail "expected one dce stage and the outcome"
 
 let prop_printer_matches_reference (label, config) =
   QCheck2.Test.make
@@ -715,6 +814,8 @@ let suite =
     Alcotest.test_case "DCE" `Quick test_dce_removes_dead;
     Alcotest.test_case "DCE removes a dead loop nest" `Quick
       test_dce_removes_dead_nest;
+    Alcotest.test_case "DCE removes a dead loop after its body shrank" `Quick
+      test_dce_dead_loop_after_body_sweep;
     Alcotest.test_case "constant folding" `Quick test_constfold;
     Alcotest.test_case "GVN" `Quick test_gvn_dedups;
     Alcotest.test_case "LICM" `Quick test_licm_hoists;
@@ -732,6 +833,7 @@ let suite =
       (fun config ->
         [
           QCheck_alcotest.to_alcotest (prop_passes_match_reference config);
+          QCheck_alcotest.to_alcotest (prop_slp_matches_reference config);
           QCheck_alcotest.to_alcotest (prop_printer_matches_reference config);
         ])
       onewalk_configs
