@@ -135,5 +135,5 @@ let run (f : Ir.func) : int =
         | Not_vectorized _ -> n)
       0 loops
   in
-  if vectorized > 0 then ignore (Slp.run ~config:Slp.static_config f);
+  if vectorized > 0 then ignore (Slp.run ~config:None f);
   vectorized

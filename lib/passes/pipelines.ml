@@ -100,10 +100,7 @@ let st_slp config =
 (* The packer consulting the versioning framework, promoting its checks
    out of enclosing loops iff [promotion]. *)
 let versioned_slp ~promotion =
-  {
-    Slp.default_config with
-    condopt = { Fgv_versioning.Condopt.default_config with promotion };
-  }
+  Some { Fgv_versioning.Condopt.default_config with promotion }
 
 let st_rle ~versioning = counted "rle" (Rle.run ~versioning)
 
@@ -144,7 +141,7 @@ let registry : (string * row) list =
     ( "o3",
       { label = "o3";
         stages = scalar_stages @ [ st_ifconv; st_loopvec ] @ scalar_stages } );
-    ("sv", { label = "sv"; stages = vectorizing [] Slp.static_config });
+    ("sv", { label = "sv"; stages = vectorizing [] None });
     ( "sv+v",
       { label = "sv_versioning";
         stages = vectorizing [] (versioned_slp ~promotion:true) } );
@@ -169,7 +166,7 @@ let registry : (string * row) list =
     ( "distribute-static",
       { label = "distribute";
         stages =
-          vectorizing [ st_distribute ~versioning:false ] Slp.static_config } );
+          vectorizing [ st_distribute ~versioning:false ] None } );
     (* every versioning client in one pipeline: DSE, then distribution,
        then SLP *)
     ( "combined",
@@ -194,7 +191,7 @@ let harness_rows =
         stages =
           vectorizing
             [ st_dse ~versioning:false; st_distribute ~versioning:false ]
-            Slp.static_config } );
+            None } );
   ]
 
 (* The pipeline [name]: a registry or harness row, run inside its

@@ -18,16 +18,10 @@ open Fgv_pssa
 open Fgv_analysis
 module V = Fgv_versioning
 
-type config = {
-  versioning : bool; (* fine-grained versioning for conditional deps *)
-  condopt : V.Condopt.config;
-}
-
-let default_config = { versioning = true; condopt = V.Condopt.default_config }
-
-let static_config = { default_config with versioning = false }
-
-type pack = { members : Ir.value_id list (* lane order *) }
+(* [Some condopt] packs with fine-grained versioning for conditional
+   dependences, its plans' conditions optimized under [condopt]; [None]
+   is the static packer, which never asks for a plan. *)
+type config = V.Condopt.config option
 
 (* ------------------------------------------------------------ helpers *)
 
@@ -50,6 +44,38 @@ let load_addr f v =
   match (Ir.inst f v).kind with
   | Ir.Load { addr } -> addr
   | _ -> invalid_arg "load_addr"
+
+(* The scalar operands of a pack as lane lists, operand by operand: a
+   store's stored values, an arithmetic instruction's data operands, and
+   nothing for a load.  Members share their opcode, so every member has
+   as many operands. *)
+let lane_operands f vs =
+  let operands v =
+    match (Ir.inst f v).kind with
+    | Ir.Store { value; _ } -> [ value ]
+    | Ir.Load _ -> []
+    | kind -> Ir.data_operands kind
+  in
+  let rec transpose = function
+    | [] :: _ | [] -> []
+    | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
+  in
+  transpose (List.map operands vs)
+
+(* The vector form of a pack whose first member is [i], over the vectors
+   of its lane operands: its name, kind and type. *)
+let vector_inst (i : Ir.inst) ops =
+  let vec elem = Ir.Tvec (elem, Interp.vector_width) in
+  match (i.kind, ops) with
+  | Ir.Store { addr; _ }, [ value ] ->
+    ("vstore", Ir.Store { addr; value }, Ir.Tvoid)
+  | Ir.Load _, [] -> ("vload", i.kind, vec i.ty)
+  | Ir.Binop (op, _, _), [ a; b ] -> ("vbin", Ir.Binop (op, a, b), vec i.ty)
+  | Ir.Cmp (op, _, _), [ a; b ] -> ("vcmp", Ir.Cmp (op, a, b), vec Ir.Tbool)
+  | Ir.Select _, [ cond; if_true; if_false ] ->
+    ("vsel", Ir.Select { cond; if_true; if_false }, vec i.ty)
+  | Ir.Cast (t, _), [ a ] -> ("vcast", Ir.Cast (t, a), vec t)
+  | _ -> invalid_arg "Slp.vector_inst"
 
 (* Are the addresses consecutive with the given stride (in cells)?
    Returns the list re-ordered by address, or None. *)
@@ -96,11 +122,10 @@ type session = {
   item_pos : (Ir.value_id, int) Hashtbl.t;
   plans_used : int ref; (* non-trivial plans committed, over all regions *)
   mutable pending : V.Plan.t list;
-  mutable accepted : (Ir.value_id list, pack) Hashtbl.t;
-  mutable packed_values : (Ir.value_id, unit) Hashtbl.t;
+  accepted : (Ir.value_id list, unit) Hashtbl.t; (* members, lane order *)
   (* position of the last member of the pack containing each packed
      value (vector instructions are emitted there) *)
-  mutable pack_last : (Ir.value_id, int) Hashtbl.t;
+  pack_last : (Ir.value_id, int) Hashtbl.t;
 }
 
 let position s v = Hashtbl.find_opt s.item_pos v
@@ -164,7 +189,7 @@ let schedulable s (vs : Ir.value_id list) : bool =
       p.V.Plan.p_conds
     || List.exists has_control_conds p.V.Plan.p_secondaries
   in
-  if s.cfg.versioning then begin
+  if Option.is_some s.cfg then begin
     match
       V.Api.request_independence ~record:false (Lazy.force s.vsession) nodes
     with
@@ -202,7 +227,7 @@ let schedulable s vs = try schedulable s vs with Exit -> false
 (* Try to form a pack from candidate members (already in lane order). *)
 let rec try_pack s (vs : Ir.value_id list) : bool =
   if Hashtbl.mem s.accepted vs then true
-  else if List.exists (Hashtbl.mem s.packed_values) vs then false
+  else if List.exists (Hashtbl.mem s.pack_last) vs then false
   else if not (uniform_region_insts s vs) then false
   else begin
     let f = s.func in
@@ -230,57 +255,16 @@ let rec try_pack s (vs : Ir.value_id list) : bool =
         && schedulable s vs
         &&
         begin
-          Hashtbl.replace s.accepted vs { members = vs };
+          Hashtbl.replace s.accepted vs ();
           let last_pos =
             List.fold_left
               (fun acc v ->
                 match position s v with Some p -> max acc p | None -> acc)
               0 vs
           in
-          List.iter
-            (fun v ->
-              Hashtbl.replace s.packed_values v ();
-              Hashtbl.replace s.pack_last v last_pos)
-            vs;
+          List.iter (fun v -> Hashtbl.replace s.pack_last v last_pos) vs;
           (* recurse into operand chains (best effort) *)
-          let operand_lists =
-            match (Ir.inst f (List.hd vs)).kind with
-            | Ir.Store _ ->
-              [ List.map (fun v -> snd (store_parts f v)) vs ]
-            | Ir.Binop _ ->
-              let op k v =
-                match (Ir.inst f v).kind with
-                | Ir.Binop (_, a, b) -> if k = 0 then a else b
-                | _ -> assert false
-              in
-              [ List.map (op 0) vs; List.map (op 1) vs ]
-            | Ir.Cmp _ ->
-              let op k v =
-                match (Ir.inst f v).kind with
-                | Ir.Cmp (_, a, b) -> if k = 0 then a else b
-                | _ -> assert false
-              in
-              [ List.map (op 0) vs; List.map (op 1) vs ]
-            | Ir.Select _ ->
-              let op k v =
-                match (Ir.inst f v).kind with
-                | Ir.Select { cond; if_true; if_false } ->
-                  List.nth [ cond; if_true; if_false ] k
-                | _ -> assert false
-              in
-              [ List.map (op 0) vs; List.map (op 1) vs; List.map (op 2) vs ]
-            | Ir.Cast _ ->
-              [
-                List.map
-                  (fun v ->
-                    match (Ir.inst f v).kind with
-                    | Ir.Cast (_, a) -> a
-                    | _ -> assert false)
-                  vs;
-              ]
-            | _ -> []
-          in
-          List.iter (fun ops -> ignore (try_pack s ops)) operand_lists;
+          List.iter (fun ops -> ignore (try_pack s ops)) (lane_operands f vs);
           true
         end
       end
@@ -349,172 +333,89 @@ let find_seeds s : Ir.value_id list list =
 
 (* ----------------------------------------------------------- codegen *)
 
-exception Skip_pack
-
+(* Emit each pack's vector code after its last member, packs in the
+   order of that position, and drop the members of store packs; the
+   region's item list is rebuilt once.  Packs are disjoint, and neither
+   an insertion nor a removal reorders the other items, so the positions
+   read once after materialization order the packs and place their code
+   as editing the list pack by pack would. *)
 let codegen s : int =
   let f = s.func in
-  (* refresh item list after materialization *)
-  let items = ref (Ir.region_items f s.region) in
-  let pos_of v =
-    let rec go k = function
-      | [] -> None
-      | Ir.I w :: _ when w = v -> Some k
-      | _ :: rest -> go (k + 1) rest
-    in
-    go 0 !items
-  in
-  let vector_of_pack : (Ir.value_id list, Ir.value_id) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  (* packs ordered by the position of their last member *)
+  let items = Ir.region_items f s.region in
+  let pos = Hashtbl.create 64 in
+  List.iteri
+    (fun k item ->
+      match item with Ir.I v -> Hashtbl.replace pos v k | Ir.L _ -> ())
+    items;
+  (* the packs still whole in the region, keyed by the position of their
+     program-order-last member (lane order is address order, which runs
+     backwards in descending loops) *)
   let packs =
-    Hashtbl.fold (fun _ p acc -> p :: acc) s.accepted []
-    |> List.filter_map (fun p ->
-           let ps = List.filter_map pos_of p.members in
-           if List.length ps = List.length p.members then
-             Some (List.fold_left max 0 ps, p)
-           else None)
+    Hashtbl.fold
+      (fun members () acc ->
+        if List.for_all (Hashtbl.mem pos) members then
+          let at v = (Hashtbl.find pos v, v) in
+          let last = List.fold_left (fun m v -> max m (at v)) (-1, -1) members in
+          (last, members) :: acc
+        else acc)
+      s.accepted []
     |> List.sort compare
   in
+  let vector_of_pack = Hashtbl.create 8 in
+  let code_after = Hashtbl.create 8 and dropped = Hashtbl.create 8 in
   let emitted = ref 0 in
-  let insert_after_value anchor new_items =
-    let rec go = function
-      | [] -> invalid_arg "Slp.codegen: anchor vanished"
-      | (Ir.I w as it) :: rest when w = anchor -> it :: (new_items @ rest)
-      | it :: rest -> it :: go rest
-    in
-    items := go !items
-  in
-  let remove_values vs =
-    items :=
-      List.filter
-        (fun item ->
-          match item with Ir.I v -> not (List.mem v vs) | Ir.L _ -> true)
-        !items
-  in
   List.iter
-    (fun (_, p) ->
-      try
-        let members = p.members in
-        let f0 = Ir.inst f (List.hd members) in
-        let pred0 = f0.ipred in
-        if
-          not
-            (List.for_all
-               (fun v -> Pred.equal (Ir.inst f v).ipred pred0)
-               members)
-        then raise Skip_pack;
-        (* the vector instruction is emitted at the program-order-last
-           member (lane order is address order, which runs backwards in
-           descending loops) *)
-        let last =
-          fst
-            (List.fold_left
-               (fun (best, bp) v ->
-                 match pos_of v with
-                 | Some p when p > bp -> (v, p)
-                 | _ -> (best, bp))
-               (List.hd members, -1)
-               members)
-        in
-        let buf = ref [] in
-        let emit ?(name = "") kind ty =
-          let i = Ir.new_inst ~name f ~kind ~ty ~pred:pred0 in
-          buf := Ir.I i.id :: !buf;
+    (fun ((_, last), members) ->
+      let i0 = Ir.inst f (List.hd members) in
+      if List.for_all (fun v -> Pred.equal (Ir.inst f v).ipred i0.ipred) members
+      then begin
+        let code = ref [] in
+        let emit name kind ty =
+          let i = Ir.new_inst ~name f ~kind ~ty ~pred:i0.ipred in
+          code := Ir.I i.id :: !code;
           i.id
         in
-        let vec_ty elem = Ir.Tvec (elem, Interp.vector_width) in
-        (* resolve a lane list of scalar values into one vector value *)
+        (* a lane list of scalar values as one vector value *)
         let resolve vs =
           match Hashtbl.find_opt vector_of_pack vs with
           | Some v -> v
-          | None -> (
-            match vs with
-            | v0 :: rest when List.for_all (fun v -> v = v0) rest ->
-              emit ~name:"splat" (Ir.Splat v0) (vec_ty (Ir.inst f v0).ty)
-            | _ ->
-              emit ~name:"gather" (Ir.Vecbuild vs)
-                (vec_ty (Ir.inst f (List.hd vs)).ty))
+          | None ->
+            let v0 = List.hd vs in
+            let ty = Ir.Tvec ((Ir.inst f v0).ty, Interp.vector_width) in
+            if List.for_all (fun v -> v = v0) vs then
+              emit "splat" (Ir.Splat v0) ty
+            else emit "gather" (Ir.Vecbuild vs) ty
         in
-        let vec =
-          match f0.kind with
-          | Ir.Store _ ->
-            let parts = List.map (store_parts f) members in
-            let addr0 = fst (List.hd parts) in
-            let value_vec = resolve (List.map snd parts) in
-            let st =
-              emit ~name:"vstore"
-                (Ir.Store { addr = addr0; value = value_vec })
-                Ir.Tvoid
-            in
-            st
-          | Ir.Load _ ->
-            let addr0 = load_addr f (List.hd members) in
-            emit ~name:"vload" (Ir.Load { addr = addr0 }) (vec_ty f0.ty)
-          | Ir.Binop (op, _, _) ->
-            let ops k =
-              List.map
-                (fun v ->
-                  match (Ir.inst f v).kind with
-                  | Ir.Binop (_, a, b) -> if k = 0 then a else b
-                  | _ -> assert false)
-                members
-            in
-            let a = resolve (ops 0) in
-            let b = resolve (ops 1) in
-            emit ~name:"vbin" (Ir.Binop (op, a, b)) (vec_ty f0.ty)
-          | Ir.Cmp (op, _, _) ->
-            let ops k =
-              List.map
-                (fun v ->
-                  match (Ir.inst f v).kind with
-                  | Ir.Cmp (_, a, b) -> if k = 0 then a else b
-                  | _ -> assert false)
-                members
-            in
-            let a = resolve (ops 0) in
-            let b = resolve (ops 1) in
-            emit ~name:"vcmp" (Ir.Cmp (op, a, b)) (vec_ty Ir.Tbool)
-          | Ir.Select _ ->
-            let ops k =
-              List.map
-                (fun v ->
-                  match (Ir.inst f v).kind with
-                  | Ir.Select { cond; if_true; if_false } ->
-                    List.nth [ cond; if_true; if_false ] k
-                  | _ -> assert false)
-                members
-            in
-            let c = resolve (ops 0) in
-            let a = resolve (ops 1) in
-            let b = resolve (ops 2) in
-            emit ~name:"vsel"
-              (Ir.Select { cond = c; if_true = a; if_false = b })
-              (vec_ty f0.ty)
-          | Ir.Cast (t, _) ->
-            let ops =
-              List.map
-                (fun v ->
-                  match (Ir.inst f v).kind with
-                  | Ir.Cast (_, a) -> a
-                  | _ -> assert false)
-                members
-            in
-            let a = resolve ops in
-            emit ~name:"vcast" (Ir.Cast (t, a)) (vec_ty t)
-          | _ -> raise Skip_pack
+        (* operands resolve left to right, which fixes the ids their
+           splats and gathers take *)
+        let name, kind, ty =
+          vector_inst i0 (List.map resolve (lane_operands f members))
         in
-        insert_after_value last (List.rev !buf);
+        let vec = emit name kind ty in
+        Hashtbl.replace code_after last (List.rev !code);
         Hashtbl.replace vector_of_pack members vec;
-        (match f0.kind with
+        (match i0.kind with
         | Ir.Store _ ->
-          remove_values members;
-          List.iter (Ir.remove_inst f) members
+          List.iter
+            (fun v ->
+              Hashtbl.replace dropped v ();
+              Ir.remove_inst f v)
+            members
         | _ -> ());
         incr emitted
-      with Skip_pack -> ())
+      end)
     packs;
-  Ir.set_region_items f s.region !items;
+  Ir.set_region_items f s.region
+    (List.concat_map
+       (fun item ->
+         match item with
+         | Ir.L _ -> [ item ]
+         | Ir.I v ->
+           let code =
+             Option.value ~default:[] (Hashtbl.find_opt code_after v)
+           in
+           if Hashtbl.mem dropped v then code else item :: code)
+       items);
   !emitted
 
 (* --------------------------------------------------------------- run *)
@@ -525,7 +426,7 @@ let run_region ~config (f : Ir.func) (region : Ir.region)
     (plans_used : int ref) : int =
   let scev = lazy (Scev.create f) in
   let vsession =
-    lazy (V.Api.create ~condopt:config.condopt ~scev:(Lazy.force scev) f region)
+    lazy (V.Api.create ?condopt:config ~scev:(Lazy.force scev) f region)
   in
   let items = Ir.region_items f region in
   let item_pos = Hashtbl.create (max 16 (List.length items)) in
@@ -547,7 +448,6 @@ let run_region ~config (f : Ir.func) (region : Ir.region)
       plans_used;
       pending = [];
       accepted = Hashtbl.create 8;
-      packed_values = Hashtbl.create 32;
       pack_last = Hashtbl.create 32;
     }
   in
@@ -563,7 +463,7 @@ let run_region ~config (f : Ir.func) (region : Ir.region)
        clones. *)
     let members =
       Hashtbl.fold
-        (fun _ p acc -> List.map (fun v -> Ir.NI v) p.members @ acc)
+        (fun members () acc -> List.map (fun v -> Ir.NI v) members @ acc)
         s.accepted []
     in
     (* split the plans into those whose conditions are loop-invariant
