@@ -14,7 +14,7 @@
    structurally equal predicates are one physical value.  This buys:
 
    - [equal] that answers by physical equality on its fast path;
-   - [and_]/[or_]/[not_]/[implies]/[literals] memoized on intern ids,
+   - [and_]/[implies]/[literals] memoized on intern ids,
      which turns the quadratic re-normalization work the dependence
      analysis used to do into table lookups.
 
@@ -88,8 +88,6 @@ type state = {
   mutable next_pid : int;
   intern : t H.t;
   and_memo : (int * int, t) Hashtbl.t;
-  or_memo : (int * int, t) Hashtbl.t;
-  not_memo : (int, t) Hashtbl.t;
   implies_memo : (int * int, bool) Hashtbl.t;
   literals_memo : (int, value_id list) Hashtbl.t;
 }
@@ -99,8 +97,6 @@ let fresh_state () =
     next_pid = 2;
     intern = H.create 256;
     and_memo = Hashtbl.create 256;
-    or_memo = Hashtbl.create 64;
-    not_memo = Hashtbl.create 64;
     implies_memo = Hashtbl.create 256;
     literals_memo = Hashtbl.create 64;
   }
@@ -112,8 +108,6 @@ let reset () =
   let s = state () in
   H.reset s.intern;
   Hashtbl.reset s.and_memo;
-  Hashtbl.reset s.or_memo;
-  Hashtbl.reset s.not_memo;
   Hashtbl.reset s.implies_memo;
   Hashtbl.reset s.literals_memo
 (* next_pid deliberately survives: ids stay unique across generations,
@@ -248,40 +242,6 @@ let and_ a b =
       let r = and_list [ a; b ] in
       Hashtbl.add s.and_memo k r;
       r
-
-let or_ a b =
-  if a == b then a
-  else if a == fls then b
-  else if b == fls then a
-  else if a == tru || b == tru then tru
-  else
-    let s = state () in
-    let k = if a.pid <= b.pid then (a.pid, b.pid) else (b.pid, a.pid) in
-    match Hashtbl.find_opt s.or_memo k with
-    | Some r -> r
-    | None ->
-      let r = or_list [ a; b ] in
-      Hashtbl.add s.or_memo k r;
-      r
-
-let rec not_ p =
-  match p.node with
-  | Ptrue -> fls
-  | Pfalse -> tru
-  | _ -> (
-    let s = state () in
-    match Hashtbl.find_opt s.not_memo p.pid with
-    | Some r -> r
-    | None ->
-      let r =
-        match p.node with
-        | Ptrue | Pfalse -> assert false
-        | Plit { v; positive } -> intern (Plit { v; positive = not positive })
-        | Pand xs -> or_list (List.map not_ xs)
-        | Por xs -> and_list (List.map not_ xs)
-      in
-      Hashtbl.add s.not_memo p.pid r;
-      r)
 
 (* ---------------------------------------------------------- analyses *)
 

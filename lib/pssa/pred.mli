@@ -2,8 +2,8 @@
     over boolean SSA values, kept in a normalized structural form and
     hash-consed: within one intern generation (see {!reset}) two
     structurally equal predicates are one physical value, so {!equal}
-    answers by physical equality and the connectives and {!implies} are
-    memoized on intern ids.
+    answers by physical equality and {!and_}, {!implies} and {!literals}
+    are memoized on intern ids.
 
     Concurrency: intern and memo tables are per-domain ([Domain.DLS]);
     predicates must not cross domains (except {!tru}/{!fls}, which are
@@ -39,11 +39,7 @@ val lit : ?positive:bool -> value_id -> t
 
 val and_ : t -> t -> t
 val and_list : t list -> t
-val or_ : t -> t -> t
 val or_list : t list -> t
-
-val not_ : t -> t
-(** Negation (De Morgan over the structure). *)
 
 val equal : t -> t -> bool
 (** Structural equality; physical equality on the fast path (complete

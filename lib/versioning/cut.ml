@@ -11,11 +11,12 @@
      joined by a high-capacity auxiliary edge; a dependence edge i -> j
      becomes out(i) -> in(j);
    - source -> out(s) for s in S, in(t) -> sink for t in T;
-   - conditional edges have capacity 1 (or a profile weight), everything
-     else n+1 where n is the number of unconditional edges discovered.
+   - conditional edges have capacity 1, everything else n+1 where n is
+     the number of live edges discovered.
 
-   If the max-flow exceeds n, separating S from T would require cutting
-   an unconditional dependence: versioning is infeasible. *)
+   If the max-flow exceeds the number of conditional edges, separating S
+   from T would require cutting an unconditional dependence: versioning
+   is infeasible. *)
 
 open Fgv_analysis
 module Ir = Fgv_pssa.Ir
@@ -41,11 +42,10 @@ type result = {
 
 let already_independent = { cut_edges = []; source_nodes = [] }
 
-(* [weight] lets profile information bias the cut toward checking
-   dependencies that are unlikely to occur (paper SIII-A, last
-   paragraph); the default weight 1 minimizes the number of checks. *)
-let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
-    ~(excluded : int -> bool) ~(s : int list) ~(t : int list) : result option =
+(* Every conditional edge costs 1, so a minimum cut needs the fewest
+   checks. *)
+let find (g : Depgraph.t) ~(excluded : int -> bool) ~(s : int list)
+    ~(t : int list) : result option =
   Tr.with_span ~cat:"versioning" "cut.find" @@ fun () ->
   let succ = g.Depgraph.succ in
   let n_nodes = Array.length g.Depgraph.nodes in
@@ -95,16 +95,16 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
        Dinic pushes the same paths as over every discovered node, and
        no cut edge touches one (DESIGN §12).  The capacities still
        count every live edge. *)
-    let n_uncond = ref 0 and total_weight = ref 0 in
+    let n_uncond = ref 0 and n_cond = ref 0 in
     Array.iter
       (fun e ->
         if live.(e.Depgraph.e_id) then
           match e.Depgraph.e_cond with
           | None -> incr n_uncond
-          | Some _ -> total_weight := !total_weight + weight e)
+          | Some _ -> incr n_cond)
       g.Depgraph.edges;
-    let total_weight = !total_weight in
-    let big = !n_uncond + total_weight + 1 in
+    let n_cond = !n_cond in
+    let big = !n_uncond + n_cond + 1 in
     (* corridor nodes, numbered densely in ascending order *)
     let slot = Array.make n_nodes (-1) in
     let n_corridor = ref 0 in
@@ -132,9 +132,7 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
           && slot.(e.Depgraph.e_src) >= 0
           && slot.(e.Depgraph.e_dst) >= 0
         then
-          let cap =
-            match e.Depgraph.e_cond with None -> big | Some _ -> max 1 (weight e)
-          in
+          let cap = match e.Depgraph.e_cond with None -> big | Some _ -> 1 in
           Fgv_graph.Maxflow.add_edge ~tag:e.Depgraph.e_id net
             ~src:(out_node e.Depgraph.e_src) ~dst:(in_node e.Depgraph.e_dst) ~cap)
       g.Depgraph.edges;
@@ -151,9 +149,9 @@ let find ?(weight = fun (_ : Depgraph.edge) -> 1) (g : Depgraph.t)
     let flow = Fgv_graph.Maxflow.solve net ~source ~sink in
     Tm.incr ~by:(Fgv_graph.Maxflow.augmenting_paths net) "cut.maxflow_augmenting";
     (* a cut consisting solely of conditional edges costs at most
-       [total_weight]; more flow means an unconditional dependence must
-       be severed, so versioning is infeasible *)
-    if flow > total_weight then begin
+       [n_cond]; more flow means an unconditional dependence must be
+       severed, so versioning is infeasible *)
+    if flow > n_cond then begin
       Tm.incr "cut.infeasible";
       Tr.remark (cut_anchor g) (Tr.Cut_infeasible { flow });
       None

@@ -2,8 +2,8 @@
 
     Finds a set of *conditional* dependence edges whose removal makes
     every node of T unreachable from S along dependence edges, using
-    node-splitting and Dinic max-flow with capacity 1 (or a profile
-    weight) on conditional edges and n+1 elsewhere. *)
+    node-splitting and Dinic max-flow with capacity 1 on conditional
+    edges and n+1 elsewhere. *)
 
 open Fgv_analysis
 
@@ -21,15 +21,9 @@ val already_independent : result
 (** The empty cut returned when no node of T is reachable from S. *)
 
 val find :
-  ?weight:(Depgraph.edge -> int) ->
-  Depgraph.t ->
-  excluded:(int -> bool) ->
-  s:int list ->
-  t:int list ->
+  Depgraph.t -> excluded:(int -> bool) -> s:int list -> t:int list ->
   result option
 (** [find g ~excluded ~s ~t] computes a minimum cut separating [s] from
-    [t] over the dependence edges not in [excluded].  [weight] biases the
-    cut using profile information (the likelihood of each conditional
-    dependence occurring; default 1, minimizing the number of checks).
-    [None] when separation would require severing an unconditional
-    edge — versioning is infeasible (SIII-A). *)
+    [t] over the dependence edges not in [excluded], with the fewest
+    conditional edges.  [None] when separation would require severing an
+    unconditional edge — versioning is infeasible (SIII-A). *)

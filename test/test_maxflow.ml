@@ -122,13 +122,19 @@ let prop_cut_separates =
       let source = 0 and sink = n - 1 in
       ignore (Maxflow.solve g ~source ~sink);
       let cut = Maxflow.cut_edge_tags g ~side:(Maxflow.source_side g ~source) in
-      (* residual reachability without the cut edges must not reach t *)
-      let dg = Fgv_graph.Digraph.create n in
-      List.iteri
-        (fun tag (s, d, _) ->
-          if not (List.mem tag cut) then Fgv_graph.Digraph.add_edge dg ~src:s ~dst:d)
-        edges;
-      not (Fgv_graph.Digraph.reachable dg [ source ]).(sink))
+      (* reachability without the cut edges must not reach t *)
+      let kept = List.filteri (fun tag _ -> not (List.mem tag cut)) edges in
+      let seen = Array.make n false in
+      let rec visit = function
+        | [] -> ()
+        | v :: rest when seen.(v) -> visit rest
+        | v :: rest ->
+          seen.(v) <- true;
+          let succ = List.filter (fun (s, _, _) -> s = v) kept in
+          visit (List.map (fun (_, d, _) -> d) succ @ rest)
+      in
+      visit [ source ];
+      not seen.(sink))
 
 (* The flat-array Dinic against the record-based one it replaced
    (Harness.Maxflow_reference): on the same insertion sequence, the same

@@ -22,9 +22,11 @@ let pred_gen =
             oneof
               [
                 map (fun v -> Pred.lit v) (int_range 0 4);
+                map (fun v -> Pred.lit ~positive:false v) (int_range 0 4);
                 map2 Pred.and_ (self (n / 2)) (self (n / 2));
-                map2 Pred.or_ (self (n / 2)) (self (n / 2));
-                map Pred.not_ (self (n - 1));
+                map2
+                  (fun p q -> Pred.or_list [ p; q ])
+                  (self (n / 2)) (self (n / 2));
               ])
         (min size 8))
 
@@ -40,41 +42,41 @@ let test_basics () =
   check "p & !p = false" true
     (Pred.equal (Pred.and_ (Pred.lit 0) (Pred.lit ~positive:false 0)) Pred.fls);
   check "p | !p = true" true
-    (Pred.equal (Pred.or_ (Pred.lit 0) (Pred.lit ~positive:false 0)) Pred.tru);
+    (Pred.equal
+       (Pred.or_list [ Pred.lit 0; Pred.lit ~positive:false 0 ])
+       Pred.tru);
   check "and is commutative" true
     (Pred.equal
        (Pred.and_ (Pred.lit 0) (Pred.lit 1))
-       (Pred.and_ (Pred.lit 1) (Pred.lit 0)));
-  check "demorgan" true
-    (Pred.equal
-       (Pred.not_ (Pred.and_ (Pred.lit 0) (Pred.lit 1)))
-       (Pred.or_ (Pred.lit ~positive:false 0) (Pred.lit ~positive:false 1)))
+       (Pred.and_ (Pred.lit 1) (Pred.lit 0)))
 
 let test_implies_basics () =
   let a = Pred.lit 0 and b = Pred.lit 1 in
   check "a&b implies a" true (Pred.implies (Pred.and_ a b) a);
-  check "a implies a|b" true (Pred.implies a (Pred.or_ a b));
+  check "a implies a|b" true (Pred.implies a (Pred.or_list [ a; b ]));
   check "a does not imply a&b" false (Pred.implies a (Pred.and_ a b));
   check "false implies anything" true (Pred.implies Pred.fls a);
   check "anything implies true" true (Pred.implies b Pred.tru)
 
 let test_literals () =
-  let p = Pred.and_ (Pred.lit 3) (Pred.or_ (Pred.lit 1) (Pred.lit ~positive:false 3)) in
+  let p =
+    Pred.and_ (Pred.lit 3)
+      (Pred.or_list [ Pred.lit 1; Pred.lit ~positive:false 3 ])
+  in
   Alcotest.(check (list int)) "literals" [ 1; 3 ] (Pred.literals p)
 
 (* Properties *)
 
 let prop_normalization_sound =
-  QCheck2.Test.make ~name:"and_/or_/not_ preserve semantics under eval"
+  QCheck2.Test.make ~name:"and_/or_list preserve semantics under eval"
     ~count:500
     QCheck2.Gen.(tup2 pred_gen pred_gen)
     (fun (p, q) ->
-      let conj = Pred.and_ p q and disj = Pred.or_ p q and neg = Pred.not_ p in
+      let conj = Pred.and_ p q and disj = Pred.or_list [ p; q ] in
       List.for_all
         (fun env ->
           Pred.eval env conj = (Pred.eval env p && Pred.eval env q)
-          && Pred.eval env disj = (Pred.eval env p || Pred.eval env q)
-          && Pred.eval env neg = not (Pred.eval env p))
+          && Pred.eval env disj = (Pred.eval env p || Pred.eval env q))
         envs)
 
 let prop_implies_sound =

@@ -112,9 +112,9 @@ let test_sparse_prunes () =
 (* [Cut.find] solves max-flow over the S->T corridor only; the reference
    (Harness.Cut_reference) is the earlier [Cut.find] over every node
    discovered from S, with the record-based Dinic.  On the region graphs
-   of generated programs, with random S, T, exclusions and weights, the
-   two must return the same cut and source nodes and bump the same
-   [cut.*] counters. *)
+   of generated programs, with random S, T and exclusions, the two must
+   return the same cut and source nodes and bump the same [cut.*]
+   counters. *)
 let cut_ids (r : Fgv_versioning.Cut.result option) =
   Option.map
     (fun r ->
@@ -153,17 +153,13 @@ let prop_cut_matches_reference =
                      (if Random.State.bool rng then 0.1 else 0.5)
                  in
                  let excluded id = List.mem id cut in
-                 let weight =
-                   if Random.State.bool rng then None
-                   else Some (fun (e : Depgraph.edge) -> 1 + (e.Depgraph.e_id mod 3))
-                 in
                  let r, c =
                    Tm.capture (fun () ->
-                       Fgv_versioning.Cut.find ?weight g ~excluded ~s ~t)
+                       Fgv_versioning.Cut.find g ~excluded ~s ~t)
                  in
                  let r', c' =
                    Tm.capture (fun () ->
-                       Harness.Cut_reference.find ?weight g ~excluded ~s ~t)
+                       Harness.Cut_reference.find g ~excluded ~s ~t)
                  in
                  cut_ids r = cut_ids r' && c = c')
                (List.init 4 Fun.id))
@@ -177,10 +173,10 @@ let test_hashcons_physical_equality () =
   let p2 = Pred.and_ (Pred.lit 1) (Pred.lit ~positive:false 2) in
   Alcotest.(check bool) "same structure, same object" true (p1 == p2);
   Alcotest.(check int) "same intern id" (Pred.id p1) (Pred.id p2);
-  let q = Pred.or_ p1 (Pred.lit 3) in
+  let q = Pred.or_list [ p1; Pred.lit 3 ] in
   Alcotest.(check bool)
     "rebuilt disjunction interned" true
-    (q == Pred.or_ p2 (Pred.lit 3))
+    (q == Pred.or_list [ p2; Pred.lit 3 ])
 
 let test_hashcons_reset_generations () =
   Pred.reset ();
