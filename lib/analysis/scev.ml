@@ -90,25 +90,19 @@ let mu_affine t m : mu_affine option =
     Hashtbl.replace t.mu_memo m r;
     r
 
-(* Trip count of a counted loop (given that its guard held), as a linear
-   expression over values defined before the loop; None when the loop is
-   not recognizably counted. *)
-let rec trip t (lp : Ir.loop) : Linexp.t option =
-  match Hashtbl.find_opt t.trip_memo lp.lid with
-  | Some r -> r
-  | None ->
-    let r = compute_trip t lp in
-    Hashtbl.replace t.trip_memo lp.lid r;
-    r
-
-and compute_trip t lp =
+(* A counting loop: its continue predicate is one positive literal, a
+   compare whose tested side holds exactly one affine mu of the loop,
+   with coefficient 1, and whose base (the tested side on iteration 0)
+   and bound are defined before the loop.  Returns the compare, the mu's
+   stride, the base and the bound. *)
+let counting t (lp : Ir.loop) :
+    (Ir.cmpop * int * Linexp.t * Linexp.t) option =
   let open Ir in
   match Pred.view lp.cont with
   | Pred.Plit { v = c; positive = true } -> (
     match (inst t.func c).kind with
     | Cmp (op, x, bound) -> (
       let ex = linexp t x and eb = linexp t bound in
-      (* find the single mu term of this loop in ex *)
       let mu_terms =
         List.filter
           (fun (v, _) ->
@@ -118,30 +112,43 @@ and compute_trip t lp =
           (Linexp.terms ex)
       in
       match mu_terms with
-      | [ (m, 1) ] -> (
+      | [ (m, 1) ] ->
         let ma = Option.get (mu_affine t m) in
-        (* base of the tested expression on iteration 0 *)
         let base = Linexp.subst m ex ma.ma_init in
-        (* the bound and base must be loop-invariant: their terms must be
-           defined before the loop *)
         let invariant e =
           List.for_all
             (fun v -> t.order (NI v) < t.order (NL lp.lid))
             (Linexp.values e)
         in
-        if not (invariant base && invariant eb) then None
-        else
-          match op, ma.ma_stride with
-          (* ascending: tested value = base + k *)
-          | Lt, 1 -> Some (Linexp.add_const 1 (Linexp.sub eb base))
-          | Le, 1 -> Some (Linexp.add_const 2 (Linexp.sub eb base))
-          (* descending: tested value = base - k *)
-          | Gt, -1 -> Some (Linexp.add_const 1 (Linexp.sub base eb))
-          | Ge, -1 -> Some (Linexp.add_const 2 (Linexp.sub base eb))
-          | _ -> None)
+        if invariant base && invariant eb then Some (op, ma.ma_stride, base, eb)
+        else None
       | _ -> None)
     | _ -> None)
   | _ -> None
+
+(* Trip count of a counted loop (given that its guard held), as a linear
+   expression over values defined before the loop; None when the loop is
+   not recognizably counted. *)
+let trip t (lp : Ir.loop) : Linexp.t option =
+  match Hashtbl.find_opt t.trip_memo lp.lid with
+  | Some r -> r
+  | None ->
+    let r =
+      match counting t lp with
+      (* ascending: tested value = base + k *)
+      | Some (Lt, 1, base, bound) ->
+        Some (Linexp.add_const 1 (Linexp.sub bound base))
+      | Some (Le, 1, base, bound) ->
+        Some (Linexp.add_const 2 (Linexp.sub bound base))
+      (* descending: tested value = base - k *)
+      | Some (Gt, -1, base, bound) ->
+        Some (Linexp.add_const 1 (Linexp.sub base bound))
+      | Some (Ge, -1, base, bound) ->
+        Some (Linexp.add_const 2 (Linexp.sub base bound))
+      | _ -> None
+    in
+    Hashtbl.replace t.trip_memo lp.lid r;
+    r
 
 (* ------------------------------------------------------------- ranges *)
 
@@ -170,50 +177,20 @@ let range_of_access t v : range option =
    Works for strides beyond 1 (e.g. unrolled loops counting by the
    unroll factor). *)
 let loop_advance t (lp : Ir.loop) : (Linexp.t * int) option =
-  let open Ir in
-  match Pred.view lp.cont with
-  | Pred.Plit { v = c; positive = true } -> (
-    match (inst t.func c).kind with
-    | Cmp (op, x, bound) -> (
-      let ex = linexp t x and eb = linexp t bound in
-      let mu_terms =
-        List.filter
-          (fun (v, _) ->
-            match mu_affine t v with
-            | Some ma -> ma.ma_loop = lp.lid
-            | None -> false)
-          (Linexp.terms ex)
-      in
-      match mu_terms with
-      | [ (m, 1) ] -> (
-        let ma = Option.get (mu_affine t m) in
-        let base = Linexp.subst m ex ma.ma_init in
-        let invariant e =
-          List.for_all
-            (fun v -> t.order (NI v) < t.order (NL lp.lid))
-            (Linexp.values e)
-        in
-        if not (invariant base && invariant eb) || ma.ma_stride = 0 then None
-        else
-          (* do-while: iteration T-2 still satisfied the condition, so
-             (T-1)*|sc| <= (condition slack) + |sc| *)
-          match op, ma.ma_stride > 0 with
-          | Lt, true ->
-            Some
-              ( Linexp.add_const (ma.ma_stride - 1) (Linexp.sub eb base),
-                ma.ma_stride )
-          | Le, true ->
-            Some (Linexp.add_const ma.ma_stride (Linexp.sub eb base), ma.ma_stride)
-          | Gt, false ->
-            Some
-              ( Linexp.add_const (-ma.ma_stride - 1) (Linexp.sub base eb),
-                -ma.ma_stride )
-          | Ge, false ->
-            Some (Linexp.add_const (-ma.ma_stride) (Linexp.sub base eb), -ma.ma_stride)
-          | _ -> None)
-      | _ -> None)
+  match counting t lp with
+  | None | Some (_, 0, _, _) -> None
+  | Some (op, stride, base, bound) -> (
+    (* do-while: iteration T-2 still satisfied the condition, so
+       (T-1)*|sc| <= (condition slack) + |sc| *)
+    match (op, stride > 0) with
+    | Lt, true ->
+      Some (Linexp.add_const (stride - 1) (Linexp.sub bound base), stride)
+    | Le, true -> Some (Linexp.add_const stride (Linexp.sub bound base), stride)
+    | Gt, false ->
+      Some (Linexp.add_const (-stride - 1) (Linexp.sub base bound), -stride)
+    | Ge, false ->
+      Some (Linexp.add_const (-stride) (Linexp.sub base bound), -stride)
     | _ -> None)
-  | _ -> None
 
 (* All values a range's bounds mention (the "operands" of an intersection
    dependence condition). *)

@@ -56,8 +56,6 @@ let item_writes f = function
   | Ir.I v -> Ir.may_write_inst (Ir.inst f v)
   | Ir.L lid -> Ir.node_may_write f (Ir.NL lid)
 
-let node_of_item = function Ir.I v -> Ir.NI v | Ir.L l -> Ir.NL l
-
 (* ------------------------------------------------------- forward wish *)
 
 type forward = {
@@ -121,7 +119,7 @@ let enumerate_forward (s : V.Api.session) : forward list =
                   :: !cands
             | item, _ ->
               if item_writes f item then
-                blockers := node_of_item item :: !blockers;
+                blockers := Ir.node_of_item item :: !blockers;
               back (i - 1)
           end
         in
@@ -184,7 +182,7 @@ let enumerate_kill (s : V.Api.session) : kill list =
                   { kl_store = s1; kl_readers = List.rev !readers } :: !cands
             | item, _ ->
               if live_reader f users item then
-                readers := node_of_item item :: !readers;
+                readers := Ir.node_of_item item :: !readers;
               fwd (j + 1)
           end
         in

@@ -20,29 +20,7 @@
 open Fgv_pssa
 open Fgv_analysis
 
-(* simple sequential emitter *)
-type em = { ef : Ir.func; mutable acc : Ir.item list }
-
-let emit ?(name = "") em kind ty =
-  let i = Ir.new_inst ~name em.ef ~kind ~ty ~pred:Pred.tru in
-  em.acc <- Ir.I i.id :: em.acc;
-  i.id
-
-let emit_linexp em (e : Linexp.t) =
-  match Linexp.terms e, Linexp.constant e with
-  | [ (v, 1) ], 0 -> v
-  | terms, konst ->
-    let start = emit em (Ir.Const (Cint konst)) Tint in
-    List.fold_left
-      (fun acc (v, k) ->
-        let t =
-          if k = 1 then v
-          else
-            let kc = emit em (Ir.Const (Cint k)) Tint in
-            emit em (Ir.Binop (Mul, v, kc)) Tint
-        in
-        emit em (Ir.Binop (Add, acc, t)) Tint)
-      start terms
+module M = Fgv_versioning.Materialize
 
 let has_nested_loop f lid =
   List.exists
@@ -73,15 +51,15 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
     Ir.item list =
   let lp = Ir.loop f lid in
   let trip = Option.get (Scev.trip scev lp) in
-  let em = { ef = f; acc = [] } in
-  let t_v = emit_linexp em trip in
-  let f_c = emit em (Ir.Const (Cint factor)) Tint in
-  let q = emit em (Ir.Binop (Div, t_v, f_c)) Tint in
-  let tm = emit ~name:"tm" em (Ir.Binop (Mul, q, f_c)) Tint in
-  let zero = emit em (Ir.Const (Cint 0)) Tint in
-  let tm_pos = emit em (Ir.Cmp (Gt, tm, zero)) Tbool in
-  let rem = emit ~name:"rem" em (Ir.Binop (Sub, t_v, tm)) Tint in
-  let rem_pos = emit em (Ir.Cmp (Gt, rem, zero)) Tbool in
+  let em = { M.ef = f; acc = [] } in
+  let t_v = M.materialize_linexp em trip in
+  let f_c = M.emit em (Ir.Const (Cint factor)) Tint in
+  let q = M.emit em (Ir.Binop (Div, t_v, f_c)) Tint in
+  let tm = M.emit ~name:"tm" em (Ir.Binop (Mul, q, f_c)) Tint in
+  let zero = M.emit em (Ir.Const (Cint 0)) Tint in
+  let tm_pos = M.emit em (Ir.Cmp (Gt, tm, zero)) Tbool in
+  let rem = M.emit ~name:"rem" em (Ir.Binop (Sub, t_v, tm)) Tint in
+  let rem_pos = M.emit em (Ir.Cmp (Gt, rem, zero)) Tbool in
   (* ---- main loop with [factor] body copies ---- *)
   let main = Ir.new_loop f ~pred:(Pred.and_ lp.lpred (Pred.lit tm_pos)) in
   let mu_info =
@@ -106,7 +84,7 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
   in
   main.mus <- List.map snd main_mus;
   (* the consumed-iterations counter *)
-  let ctr_init = emit em (Ir.Const (Cint 0)) Tint in
+  let ctr_init = M.emit em (Ir.Const (Cint 0)) Tint in
   let ctr =
     Ir.new_inst ~name:"unroll_ctr" f
       ~kind:(Ir.Mu { init = ctr_init; recur = ctr_init; loop = main.lid })
@@ -134,12 +112,12 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
       mu_info
   done;
   (* counter advance and continue condition, inside the body *)
-  let bem = { ef = f; acc = [] } in
-  let f_cb = emit bem (Ir.Const (Cint factor)) Tint in
-  let nxt = emit bem (Ir.Binop (Add, ctr.id, f_cb)) Tint in
-  let nxt2 = emit bem (Ir.Binop (Add, nxt, f_cb)) Tint in
-  let more = emit bem (Ir.Cmp (Le, nxt2, tm)) Tbool in
-  main.body <- !body @ List.rev bem.acc;
+  let bem = { M.ef = f; acc = [] } in
+  let f_cb = M.emit bem (Ir.Const (Cint factor)) Tint in
+  let nxt = M.emit bem (Ir.Binop (Add, ctr.id, f_cb)) Tint in
+  let nxt2 = M.emit bem (Ir.Binop (Add, nxt, f_cb)) Tint in
+  let more = M.emit bem (Ir.Cmp (Le, nxt2, tm)) Tbool in
+  main.body <- !body @ M.emitted bem;
   main.cont <- Pred.lit more;
   (match ctr.kind with
   | Ir.Mu mu -> ctr.kind <- Ir.Mu { mu with recur = nxt }
@@ -153,7 +131,6 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
       | _ -> ())
     main_mus;
   (* ---- etas carrying induction state out of the main loop ---- *)
-  let after_em = { ef = f; acc = [] } in
   let main_etas =
     List.map
       (fun (m, nm) ->
@@ -163,7 +140,6 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
             ~kind:(Ir.Eta { loop = main.lid; value = nm })
             ~ty:mi.ty ~pred:Pred.tru
         in
-        after_em.acc <- Ir.I e.id :: after_em.acc;
         (m, e.id))
       main_mus
   in
@@ -213,7 +189,9 @@ let unroll_loop (f : Ir.func) (scev : Scev.t) (lid : Ir.loop_id) :
   (* drop the original loop from the arena *)
   List.iter (Ir.remove_inst f) (Ir.defined_values f (Ir.L lid));
   Ir.remove_loop f lid;
-  List.rev em.acc @ [ Ir.L main.lid ] @ List.rev after_em.acc @ [ epi_item ]
+  M.emitted em
+  @ (Ir.L main.lid :: List.map (fun (_, e) -> Ir.I e) main_etas)
+  @ [ epi_item ]
 
 (* Unroll every eligible innermost loop satisfying [select]. *)
 let run ?(select = fun (_ : Ir.loop_id) -> true) (f : Ir.func) : int =

@@ -12,6 +12,17 @@
 
 open Fgv_pssa
 
+(** A straight-line emitter: {!emit} makes an instruction predicated
+    true and {!emitted} lists what was made, in order. *)
+type emitter = { ef : Ir.func; mutable acc : Ir.item list (* reversed *) }
+
+val emit : ?name:string -> emitter -> Ir.inst_kind -> Ir.ty -> Ir.value_id
+val emitted : emitter -> Ir.item list
+
+val materialize_linexp : emitter -> Fgv_analysis.Linexp.t -> Ir.value_id
+(** Emit the integer arithmetic computing a linear expression; a lone
+    unit term is its value, unemitted. *)
+
 exception Error of string
 (** Internal materialization failure (also used to reject a plan that
     turns out not to be materializable in the current program state). *)
