@@ -335,10 +335,10 @@ let find_seeds s : Ir.value_id list list =
 
 (* Emit each pack's vector code after its last member, packs in the
    order of that position, and drop the members of store packs; the
-   region's item list is rebuilt once.  Packs are disjoint, and neither
-   an insertion nor a removal reorders the other items, so the positions
-   read once after materialization order the packs and place their code
-   as editing the list pack by pack would. *)
+   region's item list is rebuilt once.  Packs are disjoint, and placing
+   code after an item or dropping a store pack's members never reorders
+   the other items, so the positions read once after materialization
+   hold for every pack. *)
 let codegen s : int =
   let f = s.func in
   let items = Ir.region_items f s.region in
