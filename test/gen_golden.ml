@@ -10,19 +10,21 @@
    stream (one JSON object per line, as [fgvc --remarks=json] prints
    it) and the MD5 of the compile's counters (one "name value" line
    each, sorted by name, zero-valued counters included, no timers).
-   Kernels compile with restrict as declared, plus without
-   restrict for [o3] and [sv+v], the pairs the paper's tables compare.
-   The paper kernels are small, so the corpus ends with three generated
+   Each kernel compiles under every pipeline twice, with restrict as
+   declared and without it: dropping restrict is what leaves the
+   versioning clients conditional dependences to plan around.  The
+   paper kernels are small, so the corpus ends with three generated
    big-region programs, the compile-time lane's [fuzz-s240-1] and
    [fuzz-s240-2] under every pipeline and [fuzz-s480-1] under [sv+v]:
    their top-level regions hold hundreds of nodes.  Last come the
-   configurations the bench harness compiles beyond those: Fig. 22's
-   control [rle-baseline] on every paper kernel, and the clients
-   figure's static/versioned pairs without restrict.  [dune runtest]
-   recomputes the corpus file and diffs it against the committed one,
-   so a change that moves any pass's output or decisions fails there;
-   it does so a second time under [OCAMLRUNPARAM=R], so output that
-   depends on hash-table order fails too.
+   harness-only pipelines the bench harness compiles: Fig. 22's control
+   [rle-baseline] on every paper kernel, and [combined-static], the
+   clients figure's static dual of [combined], without restrict as that
+   figure compiles it (its other pairs are registry rows above).
+   [dune runtest] recomputes the corpus file and diffs it against the
+   committed one, so a change that moves any pass's output or decisions
+   fails there; it does so a second time under [OCAMLRUNPARAM=R], so
+   output that depends on hash-table order fails too.
    Review the diff before committing either file. *)
 
 module W = Fgv_bench.Workload
@@ -76,7 +78,7 @@ let corpus () =
     (fun (k : W.kernel) ->
       let line = line k.W.k_name k.W.k_source in
       List.iter (fun name -> line name ~restrict:true) P.names;
-      List.iter (fun name -> line name ~restrict:false) [ "o3"; "sv+v" ])
+      List.iter (fun name -> line name ~restrict:false) P.names)
     kernels;
   let fuzz size seed names =
     let module G = Fgv_fuzz.Generator in
@@ -93,7 +95,8 @@ let corpus () =
   fuzz 240 2 P.names;
   fuzz 480 1 [ "sv+v" ];
   (* Fig. 22's control on every paper kernel, then the clients figure's
-     static/versioned pairs, without restrict as that figure compiles *)
+     pipelines the registry lacks, without restrict as that figure
+     compiles *)
   List.iter
     (fun (k : W.kernel) ->
       line k.W.k_name k.W.k_source "rle-baseline" ~restrict:true)
@@ -102,7 +105,9 @@ let corpus () =
     (fun (client, kname) ->
       let k = Fgv_bench.Experiments.tsvc_kernel kname in
       List.iter
-        (fun name -> line kname k.W.k_source name ~restrict:false)
+        (fun name ->
+          if not (List.mem name P.names) then
+            line kname k.W.k_source name ~restrict:false)
         [ client ^ "-static"; client ])
     Fgv_bench.Experiments.client_specs
 
