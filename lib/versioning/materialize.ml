@@ -138,45 +138,11 @@ let subst_atom s = function
     let sr r = { Scev.lo = subst_linexp s r.Scev.lo; hi = subst_linexp s r.Scev.hi } in
     Depcond.Aintersect (sr r1, sr r2)
 
-(* ------------------------------------------------------ item utilities *)
-
-let item_matches node item =
-  match node, item with
-  | Ir.NI v, Ir.I w -> v = w
-  | Ir.NL l, Ir.L m -> l = m
-  | _ -> false
-
-let index_of_node items node =
-  let rec go k = function
-    | [] -> None
-    | item :: rest -> if item_matches node item then Some k else go (k + 1) rest
-  in
-  go 0 items
-
-let insert_after_node items node new_items =
-  let rec go = function
-    | [] -> fail "Materialize: anchor node not found in region"
-    | item :: rest ->
-      if item_matches node item then item :: (new_items @ rest)
-      else item :: go rest
-  in
-  go items
-
-let insert_before_index items idx new_items =
-  let rec go k = function
-    | rest when k = idx -> new_items @ rest
-    | [] -> fail "Materialize: bad insertion index"
-    | item :: rest -> item :: go (k + 1) rest
-  in
-  go 0 items
-
 (* ------------------------------------------------------------- a level *)
 
 type versioned = {
   v_node : Ir.node;
   v_conds : Depcond.atom list; (* canonical *)
-  v_chk : Ir.value_id;
-  v_remap : (Ir.value_id, Ir.value_id) Hashtbl.t; (* orig -> clone values *)
   v_clone : Ir.item;
   (* versioned values observable at region level: the instruction itself,
      or the etas of a versioned loop; each paired with its phi if any *)
@@ -229,6 +195,51 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
              | _ -> (conds, [ node ]) :: acc)
            []
     in
+    (* Placement.  The level reads its region's items once and keeps the
+       code it makes as blocks keyed by node: a group's check before the
+       group's first node (a node is in one group, so no node gets two),
+       a clone and its phi after the node it copies, a cloned eta and its
+       phi after the eta.  [place] rebuilds the item list from the items
+       read here, so calling it again changes nothing.  The list equals
+       inserting each block in turn right next to its anchor: blocks
+       after one node go latest first, and an inserted item anchors
+       blocks of its own (a loop's etas include the clone of an eta
+       versioned as a plain node, and a check chain may clone an eta).
+       [place] runs before the dependence graph is built, which sees the
+       checks earlier groups placed, and when the level ends, also by a
+       refusal, which keeps what the level placed. *)
+    let items = Ir.region_items f region in
+    let pos = Hashtbl.create (List.length items) in
+    List.iteri (fun k it -> Hashtbl.replace pos (Ir.node_of_item it) k) items;
+    let pos_opt node = Hashtbl.find_opt pos node in
+    let inserted = Hashtbl.create 16 in
+    let before_node = Hashtbl.create 8 and after_node = Hashtbl.create 16 in
+    let blocks table node =
+      Option.value ~default:[] (Hashtbl.find_opt table node)
+    in
+    let add table anchor block =
+      if not (Hashtbl.mem pos anchor || Hashtbl.mem inserted anchor) then
+        fail "Materialize: anchor node not found in region";
+      List.iter
+        (fun it -> Hashtbl.replace inserted (Ir.node_of_item it) ())
+        block;
+      Hashtbl.replace table anchor (block :: blocks table anchor)
+    in
+    let place () =
+      let rec put acc it =
+        List.fold_left (List.fold_left put) (it :: acc)
+          (blocks after_node (Ir.node_of_item it))
+      in
+      let put_original acc it =
+        put
+          (List.fold_left (List.fold_left put) acc
+             (blocks before_node (Ir.node_of_item it)))
+          it
+      in
+      Ir.set_region_items f region
+        (List.rev (List.fold_left put_original [] items))
+    in
+    Fun.protect ~finally:place @@ fun () ->
     (* 3. phase A: emit each group's check before the group's first
        versioned node.
 
@@ -252,28 +263,19 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
     in
     (* One analysis serves every group: the only mutation phase A performs
        is inserting check chains, whose instructions never may-write
-       (clones of pure/load code plus the comparison network), so no
-       dependence edge can involve an inserted item and every graph query
-       below concerns pre-existing nodes only.  Positions are still taken
-       from the refreshed item list so insertion indexes account for
-       earlier groups' checks. *)
+       (clones of pure/load code plus the comparison network), so no edge
+       out of a load the level read reaches an inserted item, and the
+       positions read above, which the checks do not reorder, answer
+       every query below. *)
     let scev = Scev.create f in
     let ctx = Depcond.make_ctx f scev region in
     (* the graph's edges are consulted only when a check chain reaches
        below its insertion point (a cloned load must collect the
        conditions of the dependences it crosses) — a rare shape, so the
        quadratic construction is deferred to first use *)
-    let g = lazy (Depgraph.build f scev region) in
+    let g = lazy (place (); Depgraph.build f scev region) in
     List.iter
       (fun (conds, group_nodes) ->
-        let items = Ir.region_items f region in
-        let pos : (Ir.node, int) Hashtbl.t =
-          Hashtbl.create (List.length items)
-        in
-        List.iteri
-          (fun k item -> Hashtbl.replace pos (Ir.node_of_item item) k)
-          items;
-        let pos_opt node = Hashtbl.find_opt pos node in
         let insert_pos =
           List.fold_left
             (fun acc n ->
@@ -379,8 +381,9 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                cloned = Hashtbl.length remap;
              });
         Hashtbl.replace chk_of_group conds chk;
-        let items' = insert_before_index items insert_pos (emitted em) in
-        Ir.set_region_items f region items')
+        add before_node
+          (List.find (fun n -> pos_opt n = Some insert_pos) group_nodes)
+          (emitted em))
       groups;
     (* 4. phase B: clone and re-predicate *)
     let versioned : versioned list =
@@ -388,19 +391,15 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
         (fun (conds, group_nodes) ->
           let chk = Hashtbl.find chk_of_group conds in
           (* process in program order so clones interleave predictably *)
-          let items = Ir.region_items f region in
           let ordered =
-            List.sort
-              (fun a b ->
-                compare (index_of_node items a) (index_of_node items b))
-              group_nodes
+            List.sort (fun a b -> compare (pos_opt a) (pos_opt b)) group_nodes
           in
           (* An eta over a loop versioned in this same group is already
              handled as that loop's live-out (cloned eta + joining phi
              below): versioning it again as a plain instruction would
              produce a second clone still reading the *original* loop,
-             and its [clone_of_value] entry would shadow the correct
-             one during use redirection. *)
+             and its [outs] entry would shadow the correct one during use
+             redirection. *)
           let group_loops =
             List.filter_map
               (function Ir.NL l -> Some l | Ir.NI _ -> None)
@@ -428,14 +427,7 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
               Tm.incr ~by:(Hashtbl.length remap) "materialize.cloned_insts";
               let ok = Pred.lit chk and notok = Pred.lit ~positive:false chk in
               let v =
-                {
-                  v_node = node;
-                  v_conds = conds;
-                  v_chk = chk;
-                  v_remap = remap;
-                  v_clone = clone;
-                  v_outs = [];
-                }
+                { v_node = node; v_conds = conds; v_clone = clone; v_outs = [] }
               in
               (match node, clone with
               | Ir.NI ov, Ir.I cv ->
@@ -443,8 +435,6 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                 let base_pred = oi.ipred in
                 oi.ipred <- Pred.and_ base_pred ok;
                 ci.ipred <- Pred.and_ ci.ipred notok;
-                let items = Ir.region_items f region in
-                let items = insert_after_node items node [ clone ] in
                 let phi =
                   if oi.ty = Tvoid then None
                   else begin
@@ -457,22 +447,15 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                     Some p.id
                   end
                 in
-                let items =
-                  match phi with
-                  | Some p ->
-                    insert_after_node items (Ir.NI cv) [ Ir.I p ]
-                  | None -> items
-                in
-                Ir.set_region_items f region items;
+                add after_node node
+                  (clone :: List.map (fun p -> Ir.I p) (Option.to_list phi));
                 v.v_outs <- [ (ov, cv, phi) ]
               | Ir.NL ol, Ir.L cl ->
                 let olp = Ir.loop f ol and clp = Ir.loop f cl in
                 let base_pred = olp.lpred in
                 olp.lpred <- Pred.and_ base_pred ok;
                 clp.lpred <- Pred.and_ clp.lpred notok;
-                let items = Ir.region_items f region in
-                let items = insert_after_node items node [ clone ] in
-                Ir.set_region_items f region items;
+                add after_node node [ clone ];
                 (* live-outs: every eta over the original loop gets a
                    cloned eta over the cloned loop plus a joining phi *)
                 let etas = ref [] in
@@ -506,12 +489,8 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
                         ~ty:ei.ty ~pred:ei.ipred
                     in
                     Tm.incr "materialize.versioning_phis";
-                    let items = Ir.region_items f region in
-                    let items =
-                      insert_after_node items (Ir.NI eta_id)
-                        [ Ir.I eta'.id; Ir.I phi.id ]
-                    in
-                    Ir.set_region_items f region items;
+                    add after_node (Ir.NI eta_id)
+                      [ Ir.I eta'.id; Ir.I phi.id ];
                     Hashtbl.replace remap eta_id eta'.id;
                     v.v_outs <- (eta_id, eta'.id, Some phi.id) :: v.v_outs)
                   !etas
@@ -520,26 +499,15 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
             ordered)
         groups
     in
-    (* 5. phase C: redirect uses (Fig. 14 lines 44-60) *)
-    let conds_of_value : (Ir.value_id, Depcond.atom list) Hashtbl.t =
-      Hashtbl.create 32
-    in
-    let clone_of_value : (Ir.value_id, Ir.value_id) Hashtbl.t =
-      Hashtbl.create 32
-    in
-    let phi_of_value : (Ir.value_id, Ir.value_id) Hashtbl.t = Hashtbl.create 32 in
-    let all_phis = ref [] in
+    (* 5. phase C: redirect uses (Fig. 14 lines 44-60).  Per versioned
+       value: its conditions, its clone and its versioning phi (the last
+       group's for an eta versioned as a plain node and as its loop's
+       live-out) *)
+    let outs = Hashtbl.create 32 in
     List.iter
       (fun v ->
         List.iter
-          (fun (ov, cv, phi) ->
-            Hashtbl.replace conds_of_value ov v.v_conds;
-            Hashtbl.replace clone_of_value ov cv;
-            Option.iter
-              (fun p ->
-                Hashtbl.replace phi_of_value ov p;
-                all_phis := p :: !all_phis)
-              phi)
+          (fun (ov, cv, phi) -> Hashtbl.replace outs ov (v.v_conds, cv, phi))
           v.v_outs)
       versioned;
     (* membership: value -> versioned node (original or clone side) *)
@@ -559,10 +527,7 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
       versioned;
     let subset a b = List.for_all (fun x -> List.mem x b) a in
     let users = Ir.compute_users f in
-    let redirect ov =
-      let conds_v = Hashtbl.find conds_of_value ov in
-      let clone_v = Hashtbl.find clone_of_value ov in
-      let phi_v = Hashtbl.find_opt phi_of_value ov in
+    let redirect ov (conds_v, clone_v, phi_v) =
       let replace_with_phi user =
         match phi_v with
         | Some p -> Ir.replace_uses_in_inst f ~user ~old_v:ov ~new_v:p
@@ -618,7 +583,7 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
               lp.Ir.cont <- Pred.rename s lp.Ir.cont
           end)
     in
-    Hashtbl.iter (fun ov _ -> redirect ov) conds_of_value;
+    Hashtbl.iter redirect outs;
     (* 5b. Fig. 14 last step: on the success side, phi arms whose gate
        would make a versioning condition true are dead — the check
        asserted those conditions false.  Dropping the arm removes the
@@ -683,7 +648,8 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
     fun v ->
       let c = child_local v in
       if c <> v then c
-      else match Hashtbl.find_opt phi_of_value v with Some p -> p | None -> v
+      else
+        match Hashtbl.find_opt outs v with Some (_, _, Some p) -> p | _ -> v
   end
 
 (* Public entry point: materialize a list of inferred plans.

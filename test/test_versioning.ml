@@ -312,6 +312,346 @@ let test_golden_stats_floyd_warshall () =
     ]
     actual
 
+(* ------------------------------------ materialization vs its reference *)
+
+(* Each level of [Materialize] places its checks, clones and phis with
+   one rebuild of the region's items; [Materialize_reference] inserts
+   them one at a time.  Each side materializes the same plan trees on
+   its own compile of the same source, in its own predicate generation,
+   and must leave the same IR and return the same answer and
+   substitution, with the same remarks and counter deltas. *)
+
+module Obs = Fgv_support.Obs
+module G = Fgv_fuzz.Generator
+
+type observed = {
+  ok : bool;
+  subst : int list; (* on every value id *)
+  remarks : (Obs.Remark.anchor * Obs.Remark.remark) list;
+  counters : (string * int) list;
+  ir : string;
+}
+
+let observe materialize f region trees =
+  let ((ok, subst), remarks), counters =
+    Tm.capture (fun () ->
+        Obs.collect_remarks (fun () -> materialize f region trees))
+  in
+  {
+    ok;
+    subst = List.init f.Ir.next_value subst;
+    remarks;
+    counters;
+    ir = Printer.to_string f;
+  }
+
+(* The first difference between two lists of observations. *)
+let observed_difference reference rebuilt =
+  let render o =
+    let remark r =
+      Fgv_support.Json.to_string ~minify:true (Fgv_support.Trace.remark_json r)
+    in
+    Printf.sprintf "ok %b\nsubst %s\nremarks\n%s\ncounters %s\n%s" o.ok
+      (String.concat " " (List.map string_of_int o.subst))
+      (String.concat "\n" (List.map remark o.remarks))
+      (String.concat " "
+         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) o.counters))
+      o.ir
+  in
+  if List.length reference <> List.length rebuilt then
+    Some
+      (Printf.sprintf "%d materialized regions vs %d" (List.length reference)
+         (List.length rebuilt))
+  else
+    List.find_map
+      (fun (a, b) ->
+        if a = b then None
+        else
+          Some
+            (Printf.sprintf "reference:\n%s\nvs one rebuild:\n%s" (render a)
+               (render b)))
+      (List.combine reference rebuilt)
+
+(* The plan trees materialized on [region]: one per pair of the region's
+   memory nodes that needs versioning, the first eight of them (each
+   tree versions its nodes again, so a region's function grows with
+   every tree: a top region's thirty trees made 37,000 values), then one
+   that nests a second plan and a copy of the first, without its
+   secondaries, under the first, so that a level holds two or three
+   condition groups. *)
+let region_trees f region =
+  let s = V.Api.create f region in
+  let memory =
+    List.filter_map
+      (fun item ->
+        if Ir.memory_insts f item = [] then None
+        else Some (Ir.node_of_item item))
+      (Ir.region_items f region)
+  in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest
+  in
+  let plans =
+    List.filter_map
+      (fun nodes ->
+        match V.Api.request_independence ~record:false s nodes with
+        | Some p when not (V.Plan.is_trivial p) -> Some p
+        | _ -> None)
+      (pairs memory)
+  in
+  let plans = List.filteri (fun k _ -> k < 8) plans in
+  match plans with
+  | first :: second :: _ ->
+    let stripped = { first with V.Plan.p_secondaries = [] } in
+    plans
+    @ [
+        {
+          first with
+          V.Plan.p_secondaries =
+            first.V.Plan.p_secondaries @ [ second; stripped ];
+        };
+      ]
+  | _ -> plans
+
+(* A generated program under [o3-novec], then every region's trees
+   materialized by [materialize], innermost region first. *)
+let materialize_generated materialize fd =
+  match
+    Fgv_frontend.Compile.fdecl (Fgv_passes.Pipelines.run "o3-novec") fd
+  with
+  | Error e -> Alcotest.fail (Fgv_frontend.Compile.message e)
+  | Ok f ->
+    List.filter_map
+      (fun region ->
+        match region_trees f region with
+        | [] -> None
+        | trees -> Some (observe materialize f region trees))
+      (Ir.regions f)
+
+let generated config seed = G.generate ~config:(G.vary config ~seed) ~seed ()
+
+let prop_materialize_matches_reference (label, config) =
+  QCheck2.Test.make
+    ~name:("materialization matches its per-insertion reference: " ^ label)
+    ~count:25
+    ~print:(fun seed -> G.render (generated config seed))
+    (QCheck2.Gen.int_range 0 1_000_000)
+    (fun seed ->
+      let fd = generated config seed in
+      let reference = materialize_generated Materialize_reference.run fd in
+      match
+        observed_difference reference
+          (materialize_generated V.Materialize.run fd)
+      with
+      | Some report -> QCheck2.Test.fail_report report
+      | None -> true)
+
+(* Hand-built plan trees over one kernel, for the paths no generated
+   request reaches.  In its top region, in program order: the compares
+   [n > 2] and [n > 3], each guarding a store; loop L0 summing [b], the
+   loop's guard compare and its etas [i] and [s]; the store [a[0] = 1],
+   a load of [a[0]] into [x] and an opaque read into [r]; then the
+   compares [x > 0], [s > 0] and [r > 0], each guarding a store.  A
+   level processes its condition groups in descending order of their
+   literals, so a group on a later compare goes first. *)
+let mat_src =
+  {|
+  kernel mat(float* a, float* b, int n) {
+    if (n > 2) { b[3] = 0.0; }
+    if (n > 3) { b[4] = 0.0; }
+    float s = 0.0;
+    for (int i = 0; i < n; i = i + 1) { s = s + b[i]; }
+    a[0] = 1.0;
+    float x = a[0];
+    float r = opaque_read(0);
+    if (x > 0.0) { b[0] = x; }
+    if (s > 0.0) { b[1] = s; }
+    if (r > 0.0) { b[2] = r; }
+  }
+|}
+
+type mat = {
+  f : Ir.func;
+  n_gt_2 : Ir.value_id;
+  n_gt_3 : Ir.value_id;
+  x_gt_0 : Ir.value_id;
+  s_gt_0 : Ir.value_id;
+  r_gt_0 : Ir.value_id;
+  loop : Ir.loop_id;
+  body_load : Ir.value_id; (* the load of b[i] inside the loop *)
+  eta_s : Ir.value_id;
+  stores : Ir.value_id list; (* b[3], b[4], a[0], b[0], b[1], b[2] *)
+}
+
+let mat () =
+  let f = compile mat_src in
+  let top kind =
+    List.filter_map
+      (function
+        | Ir.I v when kind (Ir.inst f v).Ir.kind -> Some v | _ -> None)
+      f.Ir.fbody
+  in
+  let cmps = top (function Ir.Cmp _ -> true | _ -> false) in
+  let loop =
+    List.find_map (function Ir.L l -> Some l | Ir.I _ -> None) f.Ir.fbody
+    |> Option.get
+  in
+  let body_load =
+    List.find_map
+      (function
+        | Ir.I v -> (
+          match (Ir.inst f v).Ir.kind with Ir.Load _ -> Some v | _ -> None)
+        | Ir.L _ -> None)
+      (Ir.loop f loop).Ir.body
+    |> Option.get
+  in
+  let eta_s =
+    List.find
+      (fun v -> (Ir.inst f v).Ir.name = "s")
+      (top (function Ir.Eta _ -> true | _ -> false))
+  in
+  {
+    f;
+    n_gt_2 = List.nth cmps 0;
+    n_gt_3 = List.nth cmps 1;
+    (* cmps 2 is the loop's guard *)
+    x_gt_0 = List.nth cmps 3;
+    s_gt_0 = List.nth cmps 4;
+    r_gt_0 = List.nth cmps 5;
+    loop;
+    body_load;
+    eta_s;
+    stores = top (function Ir.Store _ -> true | _ -> false);
+  }
+
+let plan ?(secondaries = []) nodes cond =
+  {
+    V.Plan.p_nodes = nodes;
+    p_inputs = [];
+    p_conds = [ Depcond.Apred (Pred.lit cond) ];
+    p_cut_edge_ids = [];
+    p_secondaries = secondaries;
+    p_scope_pairs = [];
+  }
+
+(* One level holding [plans]: the secondaries of a tree with no nodes of
+   its own. *)
+let level m plans = plan ~secondaries:plans [] m.n_gt_2
+
+(* [trees m] materialized at the top of two compiles of [mat_src], by the
+   reference and by the rebuilt pass: equal observations, and IR that
+   verifies.  Returns the rebuilt side's observation. *)
+let mat_case trees =
+  let run materialize =
+    let m = mat () in
+    let o = observe materialize m.f Ir.Rtop (trees m) in
+    (match Verifier.verify_or_message m.f with
+    | None -> ()
+    | Some msg -> Alcotest.failf "ill-formed after materialization: %s" msg);
+    o
+  in
+  let reference = run Materialize_reference.run in
+  let rebuilt = run V.Materialize.run in
+  (match observed_difference [ reference ] [ rebuilt ] with
+  | Some report -> Alcotest.fail report
+  | None -> ());
+  rebuilt
+
+(* A refusal: [ok = false], the reason in the remarks, equal to the
+   reference. *)
+let refusal_case ?(checks = 0) reason trees () =
+  let o = mat_case trees in
+  Alcotest.(check bool) "refused" false o.ok;
+  Alcotest.(check (list string))
+    "the refusal's reason"
+    [ "Materialize: " ^ reason ]
+    (List.filter_map
+       (function
+         | _, Obs.Remark.Materialize_aborted { reason } -> Some reason
+         | _ -> None)
+       o.remarks);
+  Alcotest.(check int) "checks placed before the refusal" checks
+    (Option.value ~default:0
+       (List.assoc_opt "materialize.checks_emitted" o.counters))
+
+let refusal_cases =
+  [
+    ( "versioned node not in region",
+      refusal_case "versioned node not in region" (fun m ->
+          [ plan [ Ir.NI m.body_load ] m.n_gt_2 ]) );
+    ( "a check operand is defined by a loop below the insertion point",
+      (* [s > 0] reads eta [s], which reads the loop *)
+      refusal_case
+        "a check operand is defined by a loop below the insertion point"
+        (fun m -> [ plan [ Ir.NL m.loop ] m.s_gt_0 ]) );
+    ( "check chain contains an opaque call",
+      refusal_case "check chain contains an opaque call" (fun m ->
+          [ plan [ Ir.NI (List.nth m.stores 2) ] m.r_gt_0 ]) );
+    ( "a check load unconditionally conflicts with code below the \
+       insertion point",
+      (* the load of [x] reads what the versioned store wrote; the group
+         on [s > 0] goes first and places its check, which the
+         dependence graph, first built for the second group, must see *)
+      refusal_case ~checks:1
+        "a check load unconditionally conflicts with code below the \
+         insertion point"
+        (fun m ->
+          [
+            level m
+              [
+                plan [ Ir.NI (List.nth m.stores 2) ] m.x_gt_0;
+                plan [ Ir.NI (List.nth m.stores 4) ] m.s_gt_0;
+              ];
+          ]) );
+    ( "anchor node not found in region",
+      (* a second eta over the loop, never placed: the loop's clone and
+         the first live-out go in before its phi finds no anchor *)
+      refusal_case ~checks:1 "anchor node not found in region" (fun m ->
+          let value =
+            match (Ir.inst m.f m.eta_s).Ir.kind with
+            | Ir.Eta { value; _ } -> value
+            | _ -> assert false
+          in
+          ignore
+            (Ir.new_inst m.f ~name:"unplaced"
+               ~kind:(Ir.Eta { loop = m.loop; value })
+               ~ty:Ir.Tfloat ~pred:Pred.tru);
+          [ plan [ Ir.NL m.loop ] m.n_gt_2 ]) );
+    ( "a level's second group refuses after the first placed its check",
+      refusal_case ~checks:1 "versioned node not in region" (fun m ->
+          [
+            level m
+              [
+                plan [ Ir.NI m.body_load ] m.x_gt_0;
+                plan [ Ir.NI (List.nth m.stores 4) ] m.s_gt_0;
+              ];
+          ]) );
+  ]
+
+(* An eta versioned in one group while its loop is versioned in another
+   group of the same level.  When the eta's group goes first, its clone
+   is an eta over the loop too and anchors a live-out block of its own;
+   either way the eta gets two blocks after it, the latest first. *)
+let test_eta_and_loop_in_two_groups () =
+  List.iter
+    (fun (eta_cond, loop_cond) ->
+      let o =
+        mat_case (fun m ->
+            [
+              level m
+                [
+                  plan [ Ir.NI m.eta_s ] (eta_cond m);
+                  plan [ Ir.NL m.loop ] (loop_cond m);
+                ];
+            ])
+      in
+      Alcotest.(check bool) "materialized" true o.ok)
+    [
+      ((fun m -> m.n_gt_3), fun m -> m.n_gt_2);
+      ((fun m -> m.n_gt_2), fun m -> m.n_gt_3);
+    ]
+
 let suite =
   [
     Alcotest.test_case "fig1 plan shape (nested)" `Quick test_fig1_plan_shape;
@@ -325,4 +665,14 @@ let suite =
     Alcotest.test_case "golden stats: s131" `Quick test_golden_stats_s131;
     Alcotest.test_case "golden stats: floyd-warshall" `Quick
       test_golden_stats_floyd_warshall;
+    Alcotest.test_case "materialize: an eta and its loop in two groups"
+      `Quick test_eta_and_loop_in_two_groups;
   ]
+  @ List.map
+      (fun (name, case) ->
+        Alcotest.test_case ("materialize refuses: " ^ name) `Quick case)
+      refusal_cases
+  @ List.map
+      (fun config ->
+        QCheck_alcotest.to_alcotest (prop_materialize_matches_reference config))
+      [ ("default", G.default_config); ("big-region", G.big_region_config 40) ]
