@@ -549,8 +549,8 @@ let log_opt =
         ~doc:
           "write a structured JSON-lines event log to $(docv): one object \
            per event (compiles, fuzz campaigns, service start, one access \
-           record per service request), at $(b,debug), $(b,info) (default) \
-           or $(b,warn) level.  Wall-clock data lives only under each \
+           record per service request), at $(b,debug) or $(b,info) \
+           (default) level.  Wall-clock data lives only under each \
            event's $(b,timing) member, so the rest of the log is \
            byte-identical at any --jobs count")
 

@@ -10,15 +10,14 @@
    written by the service coordinator, in request order, after each
    batch merges. *)
 
-type level = Debug | Info | Warn
+type level = Debug | Info
 
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
-let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
+let level_rank = function Debug -> 0 | Info -> 1
+let level_name = function Debug -> "debug" | Info -> "info"
 
 let level_of_string = function
   | "debug" -> Some Debug
   | "info" -> Some Info
-  | "warn" -> Some Warn
   | _ -> None
 
 let parse_spec spec =
@@ -32,8 +31,8 @@ let parse_spec spec =
     | Some lvl ->
       if path = "" then Error "empty log path before '='" else Ok (path, lvl)
     | None ->
-      (* The suffix is not a level name: treat '=' as part of the path
-         unless it looks like a level typo worth rejecting loudly. *)
+      (* The suffix is not a level name, so the '=' is part of the path;
+         only an empty suffix is rejected. *)
       if suffix = "" then Error "empty level after '='" else fallback)
 
 type sink = { oc : out_channel; threshold : level; opened_at : float }

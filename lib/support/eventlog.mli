@@ -24,10 +24,10 @@
     records (service access logs) so sequence numbers stay monotonic
     in the file. *)
 
-type level = Debug | Info | Warn
+type level = Debug | Info
 
 val level_name : level -> string
-(** ["debug"] / ["info"] / ["warn"]. *)
+(** ["debug"] / ["info"]. *)
 
 val level_of_string : string -> level option
 
@@ -35,7 +35,8 @@ val parse_spec : string -> (string * level, string) result
 (** Parse a [--log] argument [FILE[=LEVEL]] into (path, threshold);
     the level defaults to [Info].  The {e last} ['='] separates the
     suffix, and only when it names a level — so paths containing ['=']
-    still work unless they end in [=debug]/[=info]/[=warn]. *)
+    still work unless they end in [=debug]/[=info]; an empty suffix is
+    an error. *)
 
 val open_log : path:string -> level:level -> unit
 (** Open (truncate) [path] and start logging events at or above

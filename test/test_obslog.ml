@@ -212,7 +212,8 @@ let test_parse_spec () =
     (norm (Ev.parse_spec "/tmp/x.jsonl"));
   ok "explicit level" (Ok ("/tmp/x.jsonl", "debug"))
     (norm (Ev.parse_spec "/tmp/x.jsonl=debug"));
-  ok "warn level" (Ok ("log", "warn")) (norm (Ev.parse_spec "log=warn"));
+  ok "=warn is part of the path" (Ok ("log=warn", "info"))
+    (norm (Ev.parse_spec "log=warn"));
   ok "'=' in the path stays in the path" (Ok ("run=3.jsonl", "info"))
     (norm (Ev.parse_spec "run=3.jsonl"));
   ok "'=' path with level" (Ok ("run=3.jsonl", "debug"))
