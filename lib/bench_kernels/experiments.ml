@@ -450,7 +450,7 @@ let ablation_condopt ?(jobs = 1) () : string =
         let f =
           W.compile_with ~restrict:false
             (fun f ->
-              let config = Some Fgv_versioning.Condopt.none_config in
+              let config = Some Fgv_versioning.Condopt.Off in
               P.Pipelines.(run_stages f scalar_stages);
               ignore (P.Ifconv.run f);
               ignore (P.Unroll.run f);

@@ -100,7 +100,7 @@ let st_slp config =
 (* The packer consulting the versioning framework, promoting its checks
    out of enclosing loops iff [promotion]. *)
 let versioned_slp ~promotion =
-  Some { Fgv_versioning.Condopt.default_config with promotion }
+  Some Fgv_versioning.Condopt.(if promotion then Promote else Reduce)
 
 let st_rle ~versioning = counted "rle" (Rle.run ~versioning)
 

@@ -20,7 +20,7 @@ type session = {
   s_enclosing : Ir.loop_id list;
 }
 
-let create ?(condopt = Condopt.default_config) ?scev (f : Ir.func)
+let create ?(condopt = Condopt.Reduce) ?scev (f : Ir.func)
     (region : Ir.region) : session =
   (* callers that already ran SCEV on the unmodified function (e.g. the
      SLP packer) pass it in rather than paying a second analysis *)

@@ -23,9 +23,10 @@ type session = {
 
 val create :
   ?condopt:Condopt.config -> ?scev:Scev.t -> Ir.func -> Ir.region -> session
-(** Build a session (SCEV + dependence graph) for one region.  [?scev]
-    reuses a caller's analysis of the same, unmodified function instead
-    of running it again. *)
+(** Build a session (SCEV + dependence graph) for one region, its plans'
+    conditions optimized by [?condopt] ([Condopt.Reduce] by default).
+    [?scev] reuses a caller's analysis of the same, unmodified function
+    instead of running it again. *)
 
 val already_independent : session -> Ir.node list -> bool
 (** Pairwise independent without any versioning? *)

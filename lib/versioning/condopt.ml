@@ -221,38 +221,23 @@ let promote_best_effort scev ~(enclosing : Ir.loop_id list) atoms =
           promoted))
     atoms
 
-type config = {
-  redundant_elim : bool;
-  coalescing : bool;
-  promotion : bool;
-}
-
-let default_config = { redundant_elim = true; coalescing = true; promotion = false }
-
-let none_config = { redundant_elim = false; coalescing = false; promotion = false }
+type config = Off | Reduce | Promote
 
 (* Optimize a whole plan tree. *)
-let rec optimize_plan ?(config = default_config) scev ~enclosing (p : Plan.t) :
-    Plan.t =
+let rec optimize_plan ~config scev ~enclosing (p : Plan.t) : Plan.t =
   let atoms = p.Plan.p_conds in
   let atoms =
-    if config.redundant_elim then begin
+    if config = Off then atoms
+    else begin
       let kept = eliminate_redundant atoms in
       Tm.incr ~by:(List.length atoms - List.length kept) "condopt.eliminated";
-      kept
-    end
-    else atoms
-  in
-  let atoms =
-    if config.coalescing then begin
-      let merged = coalesce atoms in
-      Tm.incr ~by:(List.length atoms - List.length merged) "condopt.coalesced";
+      let merged = coalesce kept in
+      Tm.incr ~by:(List.length kept - List.length merged) "condopt.coalesced";
       merged
     end
-    else atoms
   in
   let atoms =
-    if config.promotion then promote_best_effort scev ~enclosing atoms
+    if config = Promote then promote_best_effort scev ~enclosing atoms
     else atoms
   in
   {

@@ -30,18 +30,12 @@ val promote_best_effort :
     paper, imprecise promotion is only applied across different memory
     objects; checks that cannot be promoted are kept unchanged. *)
 
-type config = {
-  redundant_elim : bool;
-  coalescing : bool;
-  promotion : bool;
-}
-
-val default_config : config
-(** RCE and coalescing on, promotion off. *)
-
-val none_config : config
-(** Everything off (the A2 ablation). *)
+(** Which optimizations a plan's conditions get. *)
+type config =
+  | Off  (** none (the A2 ablation) *)
+  | Reduce  (** redundant-condition elimination, then coalescing *)
+  | Promote  (** [Reduce], then promotion out of the enclosing loops *)
 
 val optimize_plan :
-  ?config:config -> Scev.t -> enclosing:Ir.loop_id list -> Plan.t -> Plan.t
-(** Apply the enabled optimizations to a whole plan tree. *)
+  config:config -> Scev.t -> enclosing:Ir.loop_id list -> Plan.t -> Plan.t
+(** Apply the optimizations to a whole plan tree. *)

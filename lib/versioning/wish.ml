@@ -120,10 +120,7 @@ let granted ~ok = function
    Returns the work the rewrite reports. *)
 let run_spec ~versioning (spec : 'a spec) (f : Ir.func) (region : Ir.region) :
     work =
-  let s =
-    Api.create ~condopt:{ Condopt.default_config with promotion = true } f
-      region
-  in
+  let s = Api.create ~condopt:Condopt.Promote f region in
   let anchor = spec_anchor s in
   let decided =
     List.map

@@ -1627,7 +1627,7 @@ module Slp_reference = struct
     condopt : V.Condopt.config;
   }
 
-  let default_config = { versioning = true; condopt = V.Condopt.default_config }
+  let default_config = { versioning = true; condopt = V.Condopt.Reduce }
 
   let static_config = { default_config with versioning = false }
 

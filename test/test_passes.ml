@@ -670,10 +670,8 @@ let reference_slp name =
       {
         Slp_reference.default_config with
         condopt =
-          {
-            Fgv_versioning.Condopt.default_config with
-            promotion = name <> "sv+v-nopromo";
-          };
+          (if name = "sv+v-nopromo" then Fgv_versioning.Condopt.Reduce
+           else Fgv_versioning.Condopt.Promote);
       }
   in
   [
