@@ -29,7 +29,8 @@ let node_index t n =
   | Some i -> i
   | None -> invalid_arg "Depgraph.node_index: node not in region"
 
-(* Shared scaffolding of both builders. *)
+(* The region's analysis context, its items as nodes in program order,
+   and each node's index. *)
 let prepare (f : Ir.func) (scev : Scev.t) (region : Ir.region) =
   let ctx = Depcond.make_ctx f scev region in
   let nodes =
@@ -47,29 +48,6 @@ let make ctx nodes index edges =
   Array.iter (fun e -> succ.(e.e_src) <- e :: succ.(e.e_src)) edges;
   { g_ctx = ctx; nodes; index; edges; succ }
 
-(* The reference builder: Fig. 6 on every pair.  Quadratic in the region
-   size; kept as the oracle for the sparse-equivalence property test and
-   as the compile-time baseline. *)
-let build_naive (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
-  let ctx, nodes, index = prepare f scev region in
-  let edges = ref [] in
-  let next_id = ref 0 in
-  let n = Array.length nodes in
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      match Depcond.compute ctx nodes.(i) nodes.(j) with
-      | Depcond.Never -> ()
-      | Depcond.Always ->
-        edges := { e_id = !next_id; e_src = i; e_dst = j; e_cond = None } :: !edges;
-        incr next_id
-      | Depcond.When atoms ->
-        edges :=
-          { e_id = !next_id; e_src = i; e_dst = j; e_cond = Some atoms } :: !edges;
-        incr next_id
-    done
-  done;
-  make ctx nodes index !edges
-
 (* Sparse construction.  For each node i the candidate dependees are
 
    - register candidates: nodes defining a free value of i (a def->use
@@ -82,9 +60,10 @@ let build_naive (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
 
    Every pair outside the candidate set is one [Depcond.compute] would
    map to [Never] (see DESIGN §12 for the case analysis), so scanning
-   candidates in (i ascending, j ascending) order reproduces the naive
-   builder's edge array — ids, conditions, order — exactly.  The
-   equivalence is pinned by a property test over the fuzz corpus. *)
+   candidates in (i ascending, j ascending) order reproduces the edge
+   array of Fig. 6 run on every pair — ids, conditions, order — exactly.
+   The equivalence is pinned by a property test over the fuzz corpus,
+   against the quadratic builder kept in the test harness. *)
 let build (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
   let ctx, nodes, index = prepare f scev region in
   let n = Array.length nodes in

@@ -31,13 +31,9 @@ val build : Ir.func -> Scev.t -> Ir.region -> t
 (** Sparse construction: enumerate candidate pairs from a def→use index
     and per-node memory-access summaries, and run Fig. 6 only on those;
     every skipped pair is provably [Depcond.Never].  Produces the same
-    graph — edge ids, conditions, order — as {!build_naive}, bumps the
-    [depgraph.pairs_pruned] telemetry counter, and emits a
+    graph — edge ids, conditions, order — as Fig. 6 run on every pair,
+    bumps the [depgraph.pairs_pruned] telemetry counter, and emits a
     [Graph_sparsity] remark per region. *)
-
-val build_naive : Ir.func -> Scev.t -> Ir.region -> t
-(** Reference builder: Fig. 6 on every pair (quadratic).  Oracle for the
-    sparse-equivalence property test. *)
 
 val depends_on : t -> excluded:(int -> bool) -> int list -> int list -> bool
 (** Is any target reachable from a source along dependence edges (through

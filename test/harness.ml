@@ -2959,3 +2959,52 @@ module Materialize_reference = struct
       plans;
     (!all_ok, !total)
 end
+
+(* The quadratic dependence-graph builder, Fig. 6 on every pair of a
+   region's nodes, with the scaffolding it shared with the sparse
+   [Depgraph.build], copied verbatim.  The sparse builder must give the
+   same graph: edge ids, conditions and order. *)
+module Depgraph_reference = struct
+  open Fgv_analysis
+  open Depgraph
+
+  (* Shared scaffolding of both builders. *)
+  let prepare (f : Ir.func) (scev : Scev.t) (region : Ir.region) =
+    let ctx = Depcond.make_ctx f scev region in
+    let nodes =
+      Array.of_list (List.map Ir.node_of_item (Ir.region_items f region))
+    in
+    let index = Hashtbl.create (max 1 (Array.length nodes)) in
+    Array.iteri (fun k n -> Hashtbl.replace index n k) nodes;
+    (ctx, nodes, index)
+
+  (* The graph over [edges], an array in id order, with each node's
+     successor list built once. *)
+  let make ctx nodes index edges =
+    let edges = Array.of_list (List.rev edges) in
+    let succ = Array.make (Array.length nodes) [] in
+    Array.iter (fun e -> succ.(e.e_src) <- e :: succ.(e.e_src)) edges;
+    { g_ctx = ctx; nodes; index; edges; succ }
+
+  (* The reference builder: Fig. 6 on every pair.  Quadratic in the region
+     size; the oracle for the sparse-equivalence property test. *)
+  let build_naive (f : Ir.func) (scev : Scev.t) (region : Ir.region) : t =
+    let ctx, nodes, index = prepare f scev region in
+    let edges = ref [] in
+    let next_id = ref 0 in
+    let n = Array.length nodes in
+    for i = 1 to n - 1 do
+      for j = 0 to i - 1 do
+        match Depcond.compute ctx nodes.(i) nodes.(j) with
+        | Depcond.Never -> ()
+        | Depcond.Always ->
+          edges := { e_id = !next_id; e_src = i; e_dst = j; e_cond = None } :: !edges;
+          incr next_id
+        | Depcond.When atoms ->
+          edges :=
+            { e_id = !next_id; e_src = i; e_dst = j; e_cond = Some atoms } :: !edges;
+          incr next_id
+      done
+    done;
+    make ctx nodes index !edges
+end

@@ -45,7 +45,7 @@ let check_equivalent ~what (f : Ir.func) =
     (fun region ->
       let scev = Scev.create f in
       let sparse = Depgraph.build f scev region in
-      let naive = Depgraph.build_naive f scev region in
+      let naive = Harness.Depgraph_reference.build_naive f scev region in
       let rname =
         match region with
         | Ir.Rtop -> "top"
@@ -102,7 +102,7 @@ let test_sparse_prunes () =
     | None -> 0
   in
   let sparse = count Depgraph.build in
-  let naive = count Depgraph.build_naive in
+  let naive = count Harness.Depgraph_reference.build_naive in
   Alcotest.(check bool)
     (Printf.sprintf "sparse computes fewer conditions (%d < %d)" sparse naive)
     true (sparse < naive)
