@@ -652,16 +652,27 @@ let rec materialize_level (f : Ir.func) (region : Ir.region)
         match Hashtbl.find_opt outs v with Some (_, _, Some p) -> p | _ -> v
   end
 
+let rec tree_nodes p =
+  List.length p.Plan.p_nodes
+  + List.fold_left (fun a s -> a + tree_nodes s) 0 p.Plan.p_secondaries
+
 (* Public entry point: materialize a list of inferred plans.
 
    Top-level plans are materialized one plan-tree at a time (with earlier
    plans' versioning phis substituted into later plans' conditions): the
    check-hoisting legality argument of plan inference is per-plan, so a
-   single batch may only contain the nodes of one plan. *)
-let rec tree_nodes p =
-  List.length p.Plan.p_nodes
-  + List.fold_left (fun a s -> a + tree_nodes s) 0 p.Plan.p_secondaries
+   single batch may only contain the nodes of one plan.
 
+   A tree that turns out not to be materializable (a level raises
+   [Error]: its checks cannot be placed in the *current* program state,
+   e.g. after an earlier tree's clones changed the dependence structure)
+   is skipped, and the caller must know the independence guarantee was
+   NOT established and give up on the transformation that wanted it.
+   The refusing level keeps what it placed.  A refusal in phase A leaves
+   the checks of earlier groups, dead code.  The one in phase B, a
+   live-out eta outside the region, leaves the loop versioned with no
+   use redirected: its etas still read the original loop, which no
+   longer runs when the check fails. *)
 let run (f : Ir.func) (region : Ir.region) (plans : Plan.t list) :
     bool * (Ir.value_id -> Ir.value_id) =
   Tr.with_span ~cat:"versioning" "materialize.run" @@ fun () ->
@@ -669,13 +680,6 @@ let run (f : Ir.func) (region : Ir.region) (plans : Plan.t list) :
   let total = ref (fun (v : Ir.value_id) -> v) in
   List.iter
     (fun plan ->
-      (* A tree that turns out not to be materializable (its checks
-         cannot be hoisted in the *current* program state, e.g. after an
-         earlier tree's clones changed the dependence structure) is
-         skipped.  Everything materialized so far is semantics-preserving
-         on its own — at worst some dead check code remains — but the
-         caller must know the independence guarantee was NOT established
-         and give up on the transformation that wanted it. *)
       (* the phis this tree creates: the counter's delta, read in this
          domain's context, so other domains' trees cannot bleed in *)
       let phis_before = Tm.get "materialize.versioning_phis" in

@@ -33,10 +33,12 @@ val run :
     earlier trees' versioning phis in their conditions).
 
     Returns [(ok, subst)].  [ok = false] means at least one tree had to
-    be skipped: everything that was materialized remains
-    semantics-preserving, but the skipped plans' independence guarantees
-    were NOT established, so the caller must not perform the
-    transformation that requested them.
+    be skipped: the skipped plans' independence guarantees were NOT
+    established, so the caller must not perform the transformation that
+    requested them.  A tree refused while its checks were placed leaves
+    only dead check code; one refused while its nodes were cloned (a
+    live-out eta of a versioned loop outside the region) leaves that loop
+    versioned with no use redirected.
 
     [subst] maps each versioned value to its outermost versioning phi —
     the value valid on every path.  A client that redirects uses to a
