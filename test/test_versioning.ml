@@ -393,14 +393,13 @@ let region_trees f region =
     | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest
   in
   let plans =
-    List.filter_map
-      (fun nodes ->
-        match V.Api.request_independence ~record:false s nodes with
-        | Some p when not (V.Plan.is_trivial p) -> Some p
-        | _ -> None)
-      (pairs memory)
+    List.to_seq (pairs memory)
+    |> Seq.filter_map (fun nodes ->
+           match V.Api.request_independence ~record:false s nodes with
+           | Some p when not (V.Plan.is_trivial p) -> Some p
+           | _ -> None)
+    |> Seq.take 8 |> List.of_seq
   in
-  let plans = List.filteri (fun k _ -> k < 8) plans in
   match plans with
   | first :: second :: _ ->
     let stripped = { first with V.Plan.p_secondaries = [] } in
@@ -632,7 +631,10 @@ let refusal_cases =
 (* An eta versioned in one group while its loop is versioned in another
    group of the same level.  When the eta's group goes first, its clone
    is an eta over the loop too and anchors a live-out block of its own;
-   either way the eta gets two blocks after it, the latest first. *)
+   either way the eta gets two blocks after it, the latest first.  This
+   pins placement only: when both checks fail, the versioned program
+   reads a wrong value for the eta in either order, as the reference
+   does. *)
 let test_eta_and_loop_in_two_groups () =
   List.iter
     (fun (eta_cond, loop_cond) ->
